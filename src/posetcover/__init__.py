@@ -29,7 +29,6 @@ from .metric import (
     MetricGraphMorphism,
     Point,
     Refinement,
-    build_metric_morphism,
     graph_face_poset,
     morphism_face_poset,
     refine_to_combinatorial,

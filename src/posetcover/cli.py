@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -131,7 +130,7 @@ def _need(args, *names):
             raise FormatError(f"this action needs --{name}")
 
 
-def _parse_point(text: str, graph: MetricGraph) -> Point:
+def _parse_point(text: str) -> Point:
     if ":" in text:
         edge, _, pos = text.rpartition(":")
         return Point.interior(edge, fileio.parse_rational(pos))
@@ -364,7 +363,7 @@ def cmd_graph(args) -> RunReport:
         results = []
         mismatch = []
         if args.point:
-            points = [_parse_point(args.point, phi.target)]
+            points = [_parse_point(args.point)]
         else:
             points = _random_points(phi.target, args.random, args.seed)
         for y in points:
@@ -425,9 +424,7 @@ def cmd_fixtures(args) -> RunReport:
     unknown = [n for n in names if n not in FIXTURE_CHECKS]
     if unknown:
         raise FormatError(f"no checks for {unknown!r}; available: {sorted(FIXTURE_CHECKS)}")
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        futures = {name: pool.submit(FIXTURE_CHECKS[name]) for name in names}
-        outcomes = {name: futures[name].result() for name in names}
+    outcomes = {name: FIXTURE_CHECKS[name]() for name in sorted(names)}
     failures = [{"fixture": name, "failed": problems}
                 for name, problems in sorted(outcomes.items()) if problems]
     data = {"results": {name: ("ok" if not problems else "failed")

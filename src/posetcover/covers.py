@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable
 
 from .checks import Check
@@ -97,6 +98,43 @@ def local_degree(phi: PosetMorphism, m: IndexMap, subset: Iterable[str], y: str)
     return total
 
 
+def _cover_groups(phi: PosetMorphism, alpha: str) -> list:
+    """The elements covering alpha, grouped by the element covering
+    phi(alpha) that they map to: one (beta, group) pair per cover beta of
+    phi(alpha), in covers_of order.  Empty groups stay, because their sum of
+    0 is a real witness."""
+    ups = phi.source.covers_of(alpha)
+    return [(beta, [g for g in ups if phi(g) == beta])
+            for beta in phi.target.covers_of(phi(alpha))]
+
+
+def _push_plan(phi: PosetMorphism):
+    """Split the source, top first in (depth, id) order, into the free
+    elements, whose image is maximal so no balancing condition binds them,
+    and the (alpha, cover groups) pairs of all the others."""
+    depth = phi.source._depth
+    free, plan = [], []
+    for alpha in sorted(phi.source.elements, key=lambda x: (depth[x], x)):
+        groups = _cover_groups(phi, alpha)
+        if groups:
+            plan.append((alpha, groups))
+        else:
+            free.append(alpha)
+    return free, plan
+
+
+def _push_down(plan, values: dict):
+    """Push values down the plan: each element gets the common sum of its
+    cover groups.  Returns the filled values, or None when two groups
+    disagree or the sum is below 1."""
+    for alpha, groups in plan:
+        sums = {sum(values[g] for g in group) for _, group in groups}
+        if len(sums) != 1 or min(sums) < 1:
+            return None
+        values[alpha] = sums.pop()
+    return values
+
+
 def is_balanced(phi: PosetMorphism, m: IndexMap) -> Check:
     """The balancing condition: for alpha in the domain and every beta
     covering phi(alpha), the value at alpha equals the multiplicity sum of
@@ -105,9 +143,8 @@ def is_balanced(phi: PosetMorphism, m: IndexMap) -> Check:
         raise InvalidIndexMap("index map lives on a different poset than the morphism source")
     witnesses = []
     for alpha in sorted(m.domain):
-        ups = set(phi.source.covers_of(alpha))
-        for beta in phi.target.covers_of(phi(alpha)):
-            rhs = sum(m[g] for g in sorted(ups) if phi(g) == beta)
+        for beta, group in _cover_groups(phi, alpha):
+            rhs = sum(m[g] for g in group)
             if rhs != m[alpha]:
                 witnesses.append(BalanceViolation(alpha, beta, m[alpha], rhs))
     if witnesses:
@@ -223,51 +260,22 @@ def search_balanced(
     value is forced by the values above it and we only propagate and check
     consistency.
     """
-    source, target = phi.source, phi.target
-    order = sorted(source.elements)
-    max_target = set(target.max_elements())
-    free = [x for x in order if phi(x) in max_target]
-    forced = [x for x in order if phi(x) not in max_target]
-    # process forced elements so that everything above comes first
-    depth = {}
-    for e in reversed(source._topological_order()):
-        depth[e] = 1 + max((depth[c] for c in source.covers_of(e)), default=-1)
-    forced.sort(key=lambda x: (depth[x], x))
+    order = sorted(phi.source.elements)
+    free, plan = _push_plan(phi)
+    free.sort()
 
-    states = bound ** len(free) if free else 1
+    states = bound ** len(free)
     if states > state_limit:
         raise OracleSizeExceeded(states, state_limit)
 
-    solutions = []
-
-    def propagate(assignment):
-        values = dict(assignment)
-        for alpha in forced:
-            candidate = None
-            for beta in target.covers_of(phi(alpha)):
-                c = sum(values[g] for g in source.covers_of(alpha) if phi(g) == beta)
-                if candidate is None:
-                    candidate = c
-                elif c != candidate:
-                    return None
-            if candidate is None or not 1 <= candidate <= bound:
-                return None
-            values[alpha] = candidate
-        return values
-
-    def assign(i, current):
-        if i == len(free):
-            values = propagate(current)
-            if values is not None:
-                solutions.append(values)
-            return
-        for v in range(1, bound + 1):
-            current[free[i]] = v
-            assign(i + 1, current)
-        del current[free[i]]
-
-    assign(0, {})
-    if not solutions:
+    best = best_key = None
+    for assignment in product(range(1, bound + 1), repeat=len(free)):
+        values = _push_down(plan, dict(zip(free, assignment)))
+        if values is None or any(values[alpha] > bound for alpha, _ in plan):
+            continue
+        key = tuple(values[x] for x in order)
+        if best is None or key < best_key:
+            best, best_key = values, key
+    if best is None:
         return None
-    best = min(solutions, key=lambda vals: tuple(vals[x] for x in order))
-    return IndexMap.total(source, best)
+    return IndexMap.total(phi.source, best)

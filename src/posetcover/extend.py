@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass, field
 
-from .covers import IndexMap, is_balanced
+from .covers import IndexMap, _cover_groups, is_balanced
 from .errors import (
     CorestrictionNotCombinatorial,
     MaxElementsUncovered,
@@ -69,15 +69,6 @@ class Path:
         return len(self.steps)
 
 
-def _height_order(p: Poset):
-    """Elements sorted so that anything above a given element comes first;
-    equals decreasing rank on graded posets."""
-    height = {}
-    for e in p._topological_order():
-        height[e] = 1 + max((height[c] for c in p.cocovers_of(e)), default=-1)
-    return sorted(p.elements, key=lambda x: (-height[x], x))
-
-
 def extend_balanced(phi: PosetMorphism, m: IndexMap, target_upset) -> ExtensionReport:
     """Extend a balanced map from its domain to the larger up-set.
 
@@ -102,10 +93,11 @@ def extend_balanced(phi: PosetMorphism, m: IndexMap, target_upset) -> ExtensionR
     conflicts = []
     unconstrained = []
     guaranteed = True
-    todo = [x for x in _height_order(phi.source) if x in w and x not in m.domain]
+    height = phi.source._height
+    todo = sorted((x for x in w if x not in m.domain), key=lambda x: (-height[x], x))
     for alpha in todo:
-        image_covers = phi.target.covers_of(phi(alpha))
-        if not image_covers:
+        groups = _cover_groups(phi, alpha)
+        if not groups:
             unconstrained.append(alpha)
             continue
         theorem_upset = phi.target.up_set([phi(alpha)]) - {phi(alpha)}
@@ -114,8 +106,7 @@ def extend_balanced(phi: PosetMorphism, m: IndexMap, target_upset) -> ExtensionR
         ):
             guaranteed = False
         candidates = []
-        for beta in image_covers:
-            above = [g for g in phi.source.covers_of(alpha) if phi(g) == beta]
+        for beta, above in groups:
             if any(g not in values for g in above):
                 candidates.append((beta, None))
             else:

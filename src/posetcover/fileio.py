@@ -3,7 +3,8 @@
 All files are UTF-8 JSON.  Rationals travel as "p/q" or plain integer
 strings.  Wherever a document embeds a poset or metric graph, a string may
 stand in for it: either a bundled fixture name or a path resolved relative
-to the referencing file.
+to the referencing file.  Identifiers must be JSON strings inside the
+expected lists and objects; anything else raises FormatError.
 """
 
 from __future__ import annotations
@@ -42,19 +43,43 @@ def _require(doc, key, kind):
     return doc[key]
 
 
+def _string(value, what):
+    if not isinstance(value, str):
+        raise FormatError(f"{what} must be a string, got {value!r}")
+    return value
+
+
+def _strings(value, what):
+    if not isinstance(value, (list, tuple)) or not all(isinstance(x, str) for x in value):
+        raise FormatError(f"{what} must be a list of strings, got {value!r}")
+    return value
+
+
+def _list(value, what):
+    if not isinstance(value, (list, tuple)):
+        raise FormatError(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def _keyed(value, what):
+    if not isinstance(value, dict) or not all(isinstance(k, str) for k in value):
+        raise FormatError(f"{what} must be an object keyed by strings, got {value!r}")
+    return value
+
+
 # ----- posets ---------------------------------------------------------------
 
 
 def poset_from_doc(doc) -> Poset:
-    elements = _require(doc, "elements", "poset")
-    covers = _require(doc, "covers", "poset")
+    elements = _strings(_require(doc, "elements", "poset"), "poset elements")
+    covers = _list(_require(doc, "covers", "poset"), "poset covers")
     try:
-        p = Poset(elements, [tuple(c) for c in covers])
+        p = Poset(elements, [tuple(_strings(c, "a cover pair")) for c in covers])
     except (TypeError, ValueError) as exc:
         raise FormatError(f"bad poset document: {exc}") from None
     if "rank" in doc and doc["rank"] is not None:
         computed = rank_check(p).rank
-        if dict(doc["rank"]) != computed:
+        if _keyed(doc["rank"], "rank") != computed:
             raise FormatError("supplied rank disagrees with the computed rank function")
     return p
 
@@ -75,7 +100,9 @@ def poset_to_doc(p: Poset, with_rank: bool = False) -> dict:
 def morphism_from_doc(doc, base: Path | None = None) -> PosetMorphism:
     source = _resolve_poset(_require(doc, "source", "morphism"), base)
     target = _resolve_poset(_require(doc, "target", "morphism"), base)
-    mapping = _require(doc, "map", "morphism")
+    mapping = _keyed(_require(doc, "map", "morphism"), "morphism map")
+    for value in mapping.values():
+        _string(value, "a morphism map value")
     return PosetMorphism(source, target, dict(mapping))
 
 
@@ -89,9 +116,9 @@ def morphism_to_doc(phi: PosetMorphism) -> dict:
 
 def index_map_from_doc(doc, poset: Poset) -> IndexMap:
     generators = doc.get("domain_upset_generators")
-    values = {k: v for k, v in _require(doc, "values", "index map").items()}
+    values = dict(_keyed(_require(doc, "values", "index map"), "index map values"))
     if generators is not None:
-        domain = poset.up_set(generators)
+        domain = poset.up_set(_strings(generators, "domain_upset_generators"))
         if set(values) != set(domain):
             raise FormatError("index values must cover exactly the generated up-set")
     return IndexMap(poset, values)
@@ -111,9 +138,10 @@ def index_map_to_doc(m: IndexMap) -> dict:
 
 
 def complex_from_doc(doc) -> SimplicialComplex:
-    vertices = _require(doc, "vertices", "simplicial complex")
-    maximal = _require(doc, "maximal_faces", "simplicial complex")
-    return SimplicialComplex.from_maximal(vertices, [tuple(f) for f in maximal])
+    vertices = _strings(_require(doc, "vertices", "simplicial complex"), "complex vertices")
+    maximal = _list(_require(doc, "maximal_faces", "simplicial complex"), "maximal faces")
+    return SimplicialComplex.from_maximal(
+        vertices, [tuple(_strings(f, "a maximal face")) for f in maximal])
 
 
 def complex_to_doc(k: SimplicialComplex) -> dict:
@@ -128,13 +156,13 @@ def complex_to_doc(k: SimplicialComplex) -> dict:
 
 
 def metric_graph_from_doc(doc) -> MetricGraph:
-    vertices = _require(doc, "vertices", "metric graph")
+    vertices = _strings(_require(doc, "vertices", "metric graph"), "metric graph vertices")
     edges = []
-    for e in _require(doc, "edges", "metric graph"):
+    for e in _list(_require(doc, "edges", "metric graph"), "metric graph edges"):
         edges.append((
-            _require(e, "id", "edge"),
-            _require(e, "a", "edge"),
-            _require(e, "b", "edge"),
+            _string(_require(e, "id", "edge"), "an edge id"),
+            _string(_require(e, "a", "edge"), "an edge endpoint"),
+            _string(_require(e, "b", "edge"), "an edge endpoint"),
             parse_rational(_require(e, "length", "edge")),
         ))
     return MetricGraph(vertices, edges)
@@ -155,7 +183,7 @@ def _point_from_doc(value) -> Point:
         return Point.at_vertex(value)
     if isinstance(value, dict):
         return Point.interior(
-            _require(value, "edge", "point"),
+            _string(_require(value, "edge", "point"), "a point edge"),
             parse_rational(_require(value, "pos", "point")),
         )
     raise FormatError(f"bad point {value!r}")
@@ -172,13 +200,14 @@ def metric_morphism_from_doc(doc, base: Path | None = None) -> MetricGraphMorphi
     target = _resolve_metric_graph(_require(doc, "target", "metric morphism"), base)
     vertex_images = {
         v: _point_from_doc(img)
-        for v, img in _require(doc, "vertex_images", "metric morphism").items()
+        for v, img in _keyed(_require(doc, "vertex_images", "metric morphism"),
+                             "vertex_images").items()
     }
     edge_images = {}
-    for e, img in _require(doc, "edge_images", "metric morphism").items():
+    for e, img in _keyed(_require(doc, "edge_images", "metric morphism"), "edge_images").items():
         slope = _require(img, "slope", "edge image")
         edge_images[e] = (
-            _require(img, "edge", "edge image"),
+            _string(_require(img, "edge", "edge image"), "an edge image edge"),
             parse_rational(_require(img, "from", "edge image")),
             parse_rational(_require(img, "to", "edge image")),
             slope,

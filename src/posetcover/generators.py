@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from random import Random
 
-from .covers import IndexMap
+from .covers import IndexMap, _push_down, _push_plan, is_balanced
 from .morphisms import PosetMorphism
 from .posets import Poset, connectivity
 
@@ -104,9 +104,10 @@ def random_sheaf_morphism(
         target = random_connected_graded_poset(rng, max_elements=6)
     sheets = range(rng.randint(1, max_sheets))
     partition = {}
-    # maximal elements first (upward height 0), so everything covering
-    # delta is already done
-    order = sorted(target.elements, key=lambda e: (_height(target, e), e))
+    # maximal elements first (depth 0), so everything covering delta is
+    # already done
+    depth = target._depth
+    order = sorted(target.elements, key=lambda e: (depth[e], e))
     for delta in order:
         above = [partition[c] for c in target.covers_of(delta)]
         if not above:
@@ -136,16 +137,6 @@ def random_sheaf_morphism(
     return PosetMorphism(Poset(elements, covers), target, mapping)
 
 
-def _height(p: Poset, e: str) -> int:
-    height = 0
-    frontier = [e]
-    while frontier:
-        frontier = [c for x in frontier for c in p.covers_of(x)]
-        if frontier:
-            height += 1
-    return height
-
-
 def random_index_map(rng: Random, poset: Poset, hi: int = 3) -> IndexMap:
     return IndexMap.total(poset, {e: rng.randint(1, hi) for e in poset.elements})
 
@@ -153,25 +144,10 @@ def random_index_map(rng: Random, poset: Poset, hi: int = 3) -> IndexMap:
 def random_balanced_map(rng: Random, phi: PosetMorphism, hi: int = 3):
     """Try to build a total balanced map by choosing top values and pushing
     them down the fibres; None when the random choice is inconsistent."""
-    from .covers import is_balanced
-
-    source = phi.source
-    values = {}
-    order = sorted(source.elements, key=lambda e: (_height(source, e), e))
-    for alpha in order:
-        covers = phi.target.covers_of(phi(alpha))
-        if not covers:
-            values[alpha] = rng.randint(1, hi)
-            continue
-        candidates = set()
-        for beta in covers:
-            candidates.add(sum(values[g] for g in source.covers_of(alpha) if phi(g) == beta))
-        if len(candidates) != 1:
-            return None
-        value = candidates.pop()
-        if value < 1:
-            return None
-        values[alpha] = value
-    m = IndexMap.total(source, values)
+    free, plan = _push_plan(phi)
+    values = _push_down(plan, {x: rng.randint(1, hi) for x in free})
+    if values is None:
+        return None
+    m = IndexMap.total(phi.source, values)
     assert is_balanced(phi, m)
     return m

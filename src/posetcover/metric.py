@@ -18,6 +18,7 @@ from .errors import (
     DegenerateImage,
     DuplicateElement,
     EndpointMismatch,
+    NotCombinatorial,
     SlopeNotIntegral,
     UnknownElement,
 )
@@ -171,10 +172,6 @@ class MetricGraphMorphism:
         return self._point_at(img.edge, img.start + direction * img.slope * p.position)
 
 
-def build_metric_morphism(source, target, vertex_images, edge_images) -> MetricGraphMorphism:
-    return MetricGraphMorphism(source, target, vertex_images, edge_images)
-
-
 def morphism_face_poset(phi: MetricGraphMorphism) -> PosetMorphism:
     """The induced order-preserving map on face posets: a vertex goes to
     its image vertex or carrier edge, an edge to its carrier edge."""
@@ -264,7 +261,9 @@ def refine_to_combinatorial(phi: MetricGraphMorphism) -> Refinement:
 
     One round suffices: every newly created source vertex maps to a newly
     created target vertex.  The face-poset morphism of the result is
-    checked to be combinatorial before returning.
+    checked to be combinatorial before returning; inputs outside the
+    one-round construction's scope (such as an edge wrapped onto a loop)
+    raise NotCombinatorial with the offending element.
     """
     target_cuts = {}
     for v in sorted(phi.source.vertices):
@@ -340,10 +339,7 @@ def refine_to_combinatorial(phi: MetricGraphMorphism) -> Refinement:
     poset_morphism = morphism_face_poset(refined)
     combinatorial = poset_morphism.is_combinatorial()
     if not combinatorial:
-        raise AssertionError(
-            f"refined morphism is not combinatorial (witness {combinatorial.witnesses[0]}); "
-            "the input is outside the one-round construction's scope"
-        )
+        raise NotCombinatorial(combinatorial.witnesses[0].alpha)
     return Refinement(
         morphism=refined,
         poset_morphism=poset_morphism,

@@ -30,7 +30,7 @@ class Poset:
     ``elements`` keeps the input order; ``covers`` is a frozenset of pairs
     ``(a, b)`` meaning b covers a.  Order queries run over precomputed
     reachability sets, so they are cheap and the object is safe to share
-    between threads.
+    between threads.  ``_order`` is a topological order, least id first.
     """
 
     def __init__(self, elements: Iterable[str], covers: Iterable[tuple[str, str]]):
@@ -58,7 +58,10 @@ class Poset:
         self._up = {e: tuple(sorted(up[e])) for e in elements}
         self._down = {e: tuple(sorted(down[e])) for e in elements}
 
-        order = self._topological_order()
+        self._order = order = tuple(self._topological_order())
+        # filled on first use; declared here because a later write keeps the
+        # compact attribute layout that writing to __dict__ would give up
+        self._height_memo = self._depth_memo = None
         # strict reachability over covers, computed bottom-up
         above: dict[str, frozenset] = {}
         for e in reversed(order):
@@ -99,29 +102,50 @@ class Poset:
         return order
 
     def _find_cycle(self):
-        state = {}  # 0 = visiting, 1 = done
-        stack = []
-
-        def visit(e):
-            state[e] = 0
-            stack.append(e)
-            for c in self._up[e]:
-                if c not in state:
-                    found = visit(c)
-                    if found:
-                        return found
-                elif state[c] == 0:
-                    return stack[stack.index(c):] + [c]
-            stack.pop()
-            state[e] = 1
-            return None
-
-        for e in self.elements:
-            if e not in state:
-                found = visit(e)
-                if found:
-                    return found
+        """Iterative depth-first search along covers, roots in input order;
+        returns the first cycle closed, its first element repeated last."""
+        state = {}  # 0 = on the current path, 1 = done
+        for root in self.elements:
+            if root in state:
+                continue
+            state[root] = 0
+            path = [root]
+            pending = [iter(self._up[root])]
+            while pending:
+                for c in pending[-1]:
+                    if c not in state:
+                        state[c] = 0
+                        path.append(c)
+                        pending.append(iter(self._up[c]))
+                        break
+                    if state[c] == 0:
+                        return path[path.index(c):] + [c]
+                else:
+                    state[path.pop()] = 1
+                    pending.pop()
         raise AssertionError("cycle reported but not found")
+
+    @property
+    def _height(self) -> dict:
+        """Length of the longest cover chain from a minimal element up to
+        each element, keyed in topological order."""
+        if self._height_memo is None:
+            height = {}
+            for e in self._order:
+                height[e] = 1 + max((height[c] for c in self._down[e]), default=-1)
+            self._height_memo = height  # published only when complete
+        return self._height_memo
+
+    @property
+    def _depth(self) -> dict:
+        """Length of the longest cover chain from each element up to a
+        maximal element."""
+        if self._depth_memo is None:
+            depth = {}
+            for e in reversed(self._order):
+                depth[e] = 1 + max((depth[c] for c in self._up[e]), default=-1)
+            self._depth_memo = depth  # published only when complete
+        return self._depth_memo
 
     # ----- order queries -------------------------------------------------
 
@@ -263,10 +287,7 @@ def rank_check(p: Poset) -> RankReport:
     """Compute the rank function (longest cover chain from a minimal
     element) and verify it; raises NotGraded with an offending cover pair
     if covers do not raise rank by exactly one."""
-    rank = {}
-    for e in p._topological_order():
-        lower = p.cocovers_of(e)
-        rank[e] = max((rank[c] for c in lower), default=-1) + 1
+    rank = dict(p._height)
     for a, b in sorted(p.covers):
         if rank[b] != rank[a] + 1:
             raise NotGraded((a, b))

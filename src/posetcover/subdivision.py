@@ -140,7 +140,7 @@ def _chain_label(chain) -> str:
 def chain_poset(p: Poset, limit: int = DEFAULT_CHAIN_LIMIT) -> ChainPoset:
     """All non-empty strict chains of p, ordered by subchain inclusion;
     covers add exactly one element somewhere in the chain."""
-    order = p._topological_order()
+    order = p._order
     position = {e: i for i, e in enumerate(order)}
     chains = []
 

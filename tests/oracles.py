@@ -112,3 +112,22 @@ def is_forest(nodes, edges):
     for a, b in edges:
         edge_count[lookup[a]] += 1
     return all(len(c) == edge_count[min(c)] + 1 for c in comps)
+
+
+def longest_chains(elements, covers):
+    """Height and depth of every element: the longest cover chain down to
+    a minimal element and up to a maximal one, found by relaxing every
+    cover pair until no length grows."""
+    height = {e: 0 for e in elements}
+    depth = {e: 0 for e in elements}
+    changed = True
+    while changed:
+        changed = False
+        for a, b in covers:
+            if height[b] < height[a] + 1:
+                height[b] = height[a] + 1
+                changed = True
+            if depth[a] < depth[b] + 1:
+                depth[a] = depth[b] + 1
+                changed = True
+    return height, depth

@@ -7,7 +7,7 @@ import pytest
 
 from posetcover import cli, fileio
 from posetcover.dot import export_dot
-from posetcover.errors import FormatError
+from posetcover.errors import CycleDetected, FormatError, NotCombinatorial
 from posetcover.fixtures import fix_graph, fix_trop, fix_trop_m
 from posetcover.metric import morphism_face_poset
 from posetcover.morphisms import PosetMorphism
@@ -306,3 +306,59 @@ class TestCli:
             assert code == 1 and payload["verdict"] == "fail"
             assert payload["witnesses"], argv
             assert fields <= set(payload["witnesses"][0]), argv
+
+
+# JSON of the wrong type where identifiers or containers are expected
+WRONGLY_TYPED = [
+    (["morphism", "check", "--morphism"],
+     {"source": "FIX-CE1/source", "target": "FIX-CE1/target",
+      "map": {"A1": ["A"], "A2": "A", "B1": "B"}}),
+    (["graph", "poset", "--graph"],
+     {"vertices": ["u", "v"], "edges": [{"id": ["x"], "a": "u", "b": "v", "length": "1"}]}),
+    (["cover", "balanced", "--morphism", "FIX-CE1", "--index"],
+     {"domain_upset_generators": 5, "values": {"A1": 1, "A2": 1, "B1": 1}}),
+    (["cover", "balanced", "--morphism", "FIX-CE1", "--index"],
+     {"values": [1]}),
+]
+
+
+@pytest.mark.parametrize("argv,doc", WRONGLY_TYPED,
+                         ids=["map-value-list", "edge-id-list", "generators-int", "values-list"])
+def test_wrongly_typed_documents_are_usage_errors(argv, doc, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(fileio.dumps(doc))
+    code = cli.main(["--format", "machine", *argv, str(path)])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 2 and payload["verdict"] == "error"
+    assert payload["witnesses"][0]["error"] == "FormatError"
+
+
+def test_long_cycle_fails_validation_with_witness(tmp_path, capsys):
+    names = [f"e{i}" for i in range(5000)]
+    doc = {"elements": names, "covers": [list(c) for c in zip(names, names[1:] + names[:1])]}
+    path = tmp_path / "cycle.json"
+    path.write_text(fileio.dumps(doc))
+    code = cli.main(["--format", "machine", "poset", "validate", str(path)])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1
+    witness = payload["witnesses"][0]
+    assert witness["error"] == "CycleDetected"
+    assert witness["detail"] == str(CycleDetected(names + names[:1]))
+
+
+def test_refining_an_edge_onto_a_loop_is_a_usage_error(tmp_path, capsys):
+    # both endpoints of the source edge land on the loop's one vertex, so no
+    # subdivision makes the face-poset map injective on down(e)
+    doc = {
+        "source": {"vertices": ["A", "B"], "edges": [{"id": "e", "a": "A", "b": "B", "length": "2"}]},
+        "target": {"vertices": ["u"], "edges": [{"id": "t", "a": "u", "b": "u", "length": "2"}]},
+        "vertex_images": {"A": "u", "B": "u"},
+        "edge_images": {"e": {"edge": "t", "from": "0", "to": "2", "slope": 1}},
+    }
+    path = tmp_path / "loop.json"
+    path.write_text(fileio.dumps(doc))
+    code = cli.main(["--format", "machine", "graph", "refine", "--morphism", str(path)])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert payload["witnesses"][0]["error"] == "NotCombinatorial"
+    assert payload["witnesses"][0]["detail"] == str(NotCombinatorial("e"))

@@ -16,11 +16,40 @@ from posetcover.fixtures import fix_idread, fix_trop
 from posetcover.generators import random_graded_poset, random_strongly_connected_poset
 from posetcover.posets import Poset, connectivity, enumerate_up_sets, rank_check
 
-from oracles import brute_antichain_count, brute_poset_components, brute_up_sets
+from oracles import (
+    brute_antichain_count,
+    brute_poset_components,
+    brute_up_sets,
+    longest_chains,
+    reachability,
+)
 
 
 def two_chain():
     return Poset(["A", "B"], [("A", "B")])
+
+
+def chain(n):
+    return Poset([f"c{i}" for i in range(n)], [(f"c{i}", f"c{i + 1}") for i in range(n - 1)])
+
+
+def complete_layered(width, ranks):
+    """Every element of a rank covered by every element of the next."""
+    levels = [[f"l{r}n{i}" for i in range(width)] for r in range(ranks)]
+    covers = [(a, b) for lower, upper in zip(levels, levels[1:]) for a in lower for b in upper]
+    return Poset([e for level in levels for e in level], covers)
+
+
+def random_ungraded_poset(rng, n):
+    """Random order on n elements: a random relation along a shuffled
+    order, reduced to its covers by the brute-force closure."""
+    names = [f"x{i}" for i in range(n)]
+    rng.shuffle(names)
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:] if rng.random() < 0.3]
+    leq = reachability(names, pairs)
+    lt = {(a, b) for a, b in leq if a != b}
+    covers = [(a, b) for a, b in lt if not any((a, c) in lt and (c, b) in lt for c in names)]
+    return Poset(sorted(names), covers)
 
 
 class TestBuild:
@@ -53,6 +82,39 @@ class TestBuild:
 
     def test_equality(self):
         assert two_chain() == Poset(["B", "A"], [("A", "B")])
+
+    def test_long_cycle(self):
+        # longer than the default recursion limit
+        names = [f"e{i}" for i in range(5000)]
+        covers = list(zip(names, names[1:] + names[:1]))
+        with pytest.raises(CycleDetected) as err:
+            Poset(names, covers)
+        assert err.value.cycle == tuple(names + names[:1])
+
+
+class TestOrderStructure:
+    """The cached topological order, height and depth against an
+    independent longest-chain oracle."""
+
+    def posets(self):
+        rng = Random(15)
+        yield from (random_graded_poset(rng) for _ in range(30))
+        yield from (random_ungraded_poset(rng, rng.randint(1, 12)) for _ in range(30))
+        yield from (chain(n) for n in (1, 2, 7, 40))
+        yield from (complete_layered(w, r) for w, r in ((1, 1), (3, 2), (4, 6), (6, 8)))
+
+    def test_height_and_depth_match_oracle(self):
+        for p in self.posets():
+            height, depth = longest_chains(p.elements, p.covers)
+            assert p._height == height
+            assert p._depth == depth
+
+    def test_order_is_topological(self):
+        for p in self.posets():
+            assert sorted(p._order) == sorted(p.elements)
+            position = {e: i for i, e in enumerate(p._order)}
+            assert all(position[a] < position[b] for a, b in p.covers)
+            assert list(p._height) == list(p._order)
 
 
 class TestOrderQueries:
