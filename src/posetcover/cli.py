@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 when the checked property holds, 1 when it fails (witnesses
-are emitted), 2 for input or usage errors.  ``--format machine`` prints a
+are emitted), 2 for input or usage errors, 3 for an internal error (a
+structured report, no traceback).  ``--format machine`` prints a
 canonical JSON report; identical inputs give byte-identical output.
 """
 
@@ -395,6 +396,8 @@ def cmd_graph(args) -> RunReport:
 def _random_points(graph: MetricGraph, count: int, seed: int) -> list[Point]:
     rng = Random(seed)
     edges = sorted(graph.edges)
+    if not edges:
+        raise FormatError("the target graph has no edges to sample; give --point")
     points = []
     for _ in range(count):
         eid = rng.choice(edges)
@@ -650,19 +653,19 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     label = f"{args.command} {getattr(args, 'action', '')}".strip()
+    internal = False
     try:
         report = args.handler(args)
-    except ToolError as exc:
-        report = RunReport(label, "error",
-                           witnesses=[{"error": type(exc).__name__, "detail": str(exc)}])
-    except (OSError, ValueError) as exc:
+    except Exception as exc:
+        # bad input raises one of these; anything else is a fault of this program
+        internal = not isinstance(exc, (ToolError, OSError, ValueError))
         report = RunReport(label, "error",
                            witnesses=[{"error": type(exc).__name__, "detail": str(exc)}])
     if args.command == "export" and report.verdict == "pass":
         sys.stdout.write(report.data["dot"])
         return 0
     emit(report, args.format)
-    return report.exit_code()
+    return 3 if internal else report.exit_code()
 
 
 if __name__ == "__main__":

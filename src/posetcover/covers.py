@@ -179,13 +179,18 @@ def branch_locus_check(phi: PosetMorphism) -> BranchReport:
 
 def _constancy_violation(phi, m, beta_label, component):
     """Check the local degree is constant over the image of the component;
-    return a DegreeMismatch or None."""
-    image = sorted(phi.image(component))
-    if not image:
+    return a DegreeMismatch or None.  One pass sums the local degree of
+    every image element."""
+    degree = {}
+    for x in component:
+        y = phi.mapping[x]
+        degree[y] = degree.get(y, 0) + m[x]
+    if not degree:
         return None
-    degrees = [(y, local_degree(phi, m, component, y)) for y in image]
-    y1, d1 = degrees[0]
-    for y2, d2 in degrees[1:]:
+    image = sorted(degree)
+    y1, d1 = image[0], degree[image[0]]
+    for y2 in image[1:]:
+        d2 = degree[y2]
         if d2 != d1:
             return DegreeMismatch(beta_label, frozenset(component), y1, y2, d1, d2)
     return None

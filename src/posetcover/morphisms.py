@@ -3,7 +3,11 @@
 The central test is `is_combinatorial`: a morphism is combinatorial when
 it maps every principal down-set isomorphically onto the down-set of the
 image.  A monotone bijection between posets need not be an isomorphism,
-so the check verifies bijectivity and inverse monotonicity explicitly.
+so after bijectivity the check counts comparable pairs: a monotone
+injection sends strict pairs of the down-set to distinct strict pairs of
+the image, so the two counts agree exactly when every strict pair of the
+image comes from one below, that is, when the inverse is monotone too.
+Pairs are compared one by one only to name the witness of a failure.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from collections import namedtuple
 
 from .checks import Check
 from .errors import NotMonotone, UnknownElement
-from .posets import Poset
+from .posets import Poset, bit_indices
 
 CombinatorialDefect = namedtuple("CombinatorialDefect", "alpha reason detail")
 OpennessDefect = namedtuple("OpennessDefect", "alpha base missing")
@@ -37,6 +41,13 @@ class PosetMorphism:
         self.source = source
         self.target = target
         self.mapping = dict(mapping)
+        # _image_of[i]: target index of source element i; _fibres[j]: the
+        # source bitset over target element j
+        t_index = target._index
+        self._image_of = image_of = [t_index[mapping[x]] for x in source._ids]
+        self._fibres = fibres = [0] * len(target)
+        for i, j in enumerate(image_of):
+            fibres[j] |= 1 << i
 
     @classmethod
     def identity(cls, p: Poset) -> "PosetMorphism":
@@ -56,57 +67,75 @@ class PosetMorphism:
         return frozenset(self.mapping[x] for x in subset)
 
     def fibre(self, beta: str) -> frozenset:
-        if beta not in self.target:
-            raise UnknownElement(beta)
-        return frozenset(x for x in self.source.elements if self.mapping[x] == beta)
+        return frozenset(self.source._labels(self._fibres[self.target._ix(beta)]))
 
     def preimage(self, subset) -> frozenset:
-        s = frozenset(subset)
-        return frozenset(x for x in self.source.elements if self.mapping[x] in s)
+        index = self.target._index
+        return frozenset(self.source._labels(
+            self._preimage_bits(index[y] for y in subset if y in index)))
+
+    def _preimage_bits(self, target_indices) -> int:
+        """The source bitset over the given target element indices."""
+        fibres = self._fibres
+        bits = 0
+        for j in target_indices:
+            bits |= fibres[j]
+        return bits
 
     def is_combinatorial(self) -> Check:
         """Does the map send every principal down-set isomorphically onto
         the down-set of its image?  Witnesses carry the offending element
         and whether the restriction fails to inject, to surject, or to have
         a monotone inverse."""
+        s_below, t_below = self.source._below, self.target._below
+        image_of = self._image_of
+        s_pairs = [b.bit_count() for b in s_below]  # strict pairs topped at x
+        t_pairs = [b.bit_count() for b in t_below]
         witnesses = []
-        for alpha in sorted(self.source.elements):
-            down = self.source.down_set([alpha])
-            image_down = self.target.down_set([self.mapping[alpha]])
-            images = {self.mapping[x] for x in down}
-            if len(images) < len(down):
+        for i, alpha in enumerate(self.source._ids):
+            down = bit_indices(s_below[i] | 1 << i)
+            images = surplus = 0
+            for x in down:
+                y = image_of[x]
+                images |= 1 << y
+                surplus += t_pairs[y] - s_pairs[x]
+            image_down = t_below[image_of[i]] | 1 << image_of[i]
+            if images.bit_count() < len(down):
                 witnesses.append(CombinatorialDefect(
                     alpha, "not injective",
-                    f"|down({alpha})|={len(down)} maps to {len(images)} elements"))
-                continue
-            if images != image_down:
+                    f"|down({alpha})|={len(down)} maps to {images.bit_count()} elements"))
+            elif images != image_down:
                 witnesses.append(CombinatorialDefect(
                     alpha, "not surjective",
-                    f"|down({alpha})|={len(down)} != |down({self.mapping[alpha]})|={len(image_down)}"))
-                continue
-            bad = None
-            for x in down:
-                for y in down:
-                    if self.target.leq(self.mapping[x], self.mapping[y]) and not self.source.leq(x, y):
-                        bad = (x, y)
-                        break
-                if bad:
-                    break
-            if bad:
+                    f"|down({alpha})|={len(down)} != |down({self.mapping[alpha]})|="
+                    f"{image_down.bit_count()}"))
+            elif surplus:
+                x, y = self._inverse_defect(down)
                 witnesses.append(CombinatorialDefect(
                     alpha, "inverse not monotone",
-                    f"{self.mapping[bad[0]]} <= {self.mapping[bad[1]]} but {bad[0]} !<= {bad[1]}"))
+                    f"{self.mapping[x]} <= {self.mapping[y]} but {x} !<= {y}"))
         if witnesses:
             return Check.failed(witnesses)
         return Check.passed()
 
+    def _inverse_defect(self, down) -> tuple[str, str]:
+        """The least pair (x, y) of the sorted down-set with phi(x) <= phi(y)
+        but not x <= y."""
+        s_above, t_above = self.source._above, self.target._above
+        image_of, ids = self._image_of, self.source._ids
+        for x in down:
+            for y in down:
+                if t_above[image_of[x]] >> image_of[y] & 1 and not s_above[x] >> y & 1:
+                    return ids[x], ids[y]
+        raise AssertionError("pair counts differ but no pair reverses")
+
     def preimage_components(self, beta: str) -> list[frozenset]:
         """Connected components of the preimage of the principal up-set at
         beta, sorted by least member."""
-        if beta not in self.target:
-            raise UnknownElement(beta)
-        up = self.target.up_set([beta])
-        return self.source.components(self.preimage(up))
+        target, source = self.target, self.source
+        j = target._ix(beta)
+        preimage = self._preimage_bits(bit_indices(target._above[j] | 1 << j))
+        return [frozenset(source._labels(c)) for c in source._component_bits(preimage)]
 
     def is_open(self) -> Check:
         """A morphism of posets is open iff the image of every principal

@@ -4,11 +4,18 @@ A poset is built from element identifiers and cover pairs; the cover input
 must already be a transitive reduction, and redundant pairs are rejected
 rather than silently reduced.  All outputs that are lists of elements are
 sorted lexicographically so identical inputs give identical output.
+
+Inside a poset, element ``_ids[i]`` is the integer i, numbered in sorted
+id order, and a set of elements is an int bitset with bit i standing for
+``_ids[i]``.  The lowest set bit of a set is therefore its least member,
+and listing the bits from the bottom lists the members in sorted order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from itertools import compress, count
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -24,81 +31,127 @@ from .errors import (
 DEFAULT_ORACLE_LIMIT = 16
 
 
+_BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _flags(bits: int) -> bytes:
+    """One byte per bit of a non-negative int, lowest bit first, 1 where
+    the bit is set; it selects members with itertools.compress at C speed."""
+    return bin(bits)[:1:-1].encode().translate(_BIT_FLAGS)
+
+
+def _sparse(bits: int) -> bool:
+    """Peeling off set bits one at a time costs a few big-int steps per
+    member; scanning flags costs a little per bit.  Peel below one member
+    in 16 bits: face posets of metric graphs are that sparse, layered
+    posets are not."""
+    return bits.bit_count() * 16 < bits.bit_length()
+
+
+def bit_indices(bits: int) -> list[int]:
+    """Positions of the set bits of a non-negative int, lowest first."""
+    if _sparse(bits):
+        out = []
+        while bits:
+            low = bits & -bits
+            out.append(low.bit_length() - 1)
+            bits ^= low
+        return out
+    return list(compress(count(), _flags(bits)))
+
+
 class Poset:
     """Immutable finite poset.
 
     ``elements`` keeps the input order; ``covers`` is a frozenset of pairs
-    ``(a, b)`` meaning b covers a.  Order queries run over precomputed
-    reachability sets, so they are cheap and the object is safe to share
-    between threads.  ``_order`` is a topological order, least id first.
+    ``(a, b)`` meaning b covers a.  ``_above[i]`` and ``_below[i]`` are the
+    strict up- and down-closures of element i as bitsets, so order queries
+    are bit tests and the object is safe to share between threads.
+    ``_order`` is a topological order, least id first.
     """
 
     def __init__(self, elements: Iterable[str], covers: Iterable[tuple[str, str]]):
         elements = tuple(elements)
-        seen = set()
-        for e in elements:
-            if e in seen:
-                raise DuplicateElement(e)
-            seen.add(e)
+        ids = tuple(sorted(elements))
+        index = {e: i for i, e in enumerate(ids)}
+        if len(index) != len(elements):
+            seen = set()
+            for e in elements:
+                if e in seen:
+                    raise DuplicateElement(e)
+                seen.add(e)
         self.elements = elements
-        self._set = frozenset(elements)
+        self._ids = ids
+        self._index = index
 
-        up = {e: set() for e in elements}
-        down = {e: set() for e in elements}
         cover_set = set()
         for a, b in covers:
-            if a not in self._set:
+            if a not in index:
                 raise UnknownElement(a)
-            if b not in self._set:
+            if b not in index:
                 raise UnknownElement(b)
             cover_set.add((a, b))
-            up[a].add(b)
-            down[b].add(a)
         self.covers = frozenset(cover_set)
-        self._up = {e: tuple(sorted(up[e])) for e in elements}
-        self._down = {e: tuple(sorted(down[e])) for e in elements}
+        n = len(ids)
+        up = [[] for _ in ids]
+        down = [[] for _ in ids]
+        up_labels = {e: [] for e in ids}
+        down_labels = {e: [] for e in ids}
+        for a, b in sorted(cover_set):  # so every adjacency list comes out sorted
+            i, j = index[a], index[b]
+            up[i].append(j)
+            down[j].append(i)
+            up_labels[a].append(b)
+            down_labels[b].append(a)
+        self._up = {e: tuple(cs) for e, cs in up_labels.items()}
+        self._down = {e: tuple(cs) for e, cs in down_labels.items()}
 
-        self._order = order = tuple(self._topological_order())
+        order = self._topological_order(up, down)
+        if len(order) != n:
+            raise CycleDetected(self._find_cycle())
+        self._order = tuple(ids[i] for i in order)
         # filled on first use; declared here because a later write keeps the
         # compact attribute layout that writing to __dict__ would give up
         self._height_memo = self._depth_memo = None
-        # strict reachability over covers, computed bottom-up
-        above: dict[str, frozenset] = {}
-        for e in reversed(order):
-            acc = set()
-            for c in self._up[e]:
-                acc.add(c)
-                acc |= above[c]
-            above[e] = frozenset(acc)
-        below: dict[str, frozenset] = {}
-        for e in order:
-            acc = set()
-            for c in self._down[e]:
-                acc.add(c)
-                acc |= below[c]
-            below[e] = frozenset(acc)
+        # strict reachability over covers as bitsets; a cover i < j is
+        # redundant when j is also reachable through another cover of i
+        above = [0] * n
+        redundant = []
+        for i in reversed(order):
+            reach = covered = 0
+            for j in up[i]:
+                covered |= 1 << j
+                reach |= above[j]
+            if reach & covered:
+                redundant.append((i, reach & covered))
+            above[i] = reach | covered
+        below = [0] * n
+        for i in order:
+            acc = 0
+            for j in down[i]:
+                acc |= below[j] | 1 << j
+            below[i] = acc
         self._above = above
         self._below = below
+        if redundant:
+            i, implied = min(redundant)
+            raise RedundantCover((ids[i], ids[bit_indices(implied)[0]]))
 
-        for a, b in self.covers:
-            for c in self._up[a]:
-                if c != b and b in above[c]:
-                    raise RedundantCover((a, b))
-
-    def _topological_order(self):
-        indeg = {e: len(self._down[e]) for e in self.elements}
-        ready = sorted(e for e in self.elements if indeg[e] == 0)
+    @staticmethod
+    def _topological_order(up, down) -> list[int]:
+        """Kahn's algorithm over the interned covers, taking the least ready
+        element first; the order comes out short when the covers have a
+        cycle."""
+        indeg = [len(d) for d in down]
+        ready = [i for i, d in enumerate(indeg) if not d]  # ascending: a heap
         order = []
         while ready:
-            e = ready.pop(0)
-            order.append(e)
-            for c in self._up[e]:
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    ready.append(c)
-            ready.sort()
-        if len(order) != len(self.elements):
-            raise CycleDetected(self._find_cycle())
+            i = heappop(ready)
+            order.append(i)
+            for j in up[i]:
+                indeg[j] -= 1
+                if not indeg[j]:
+                    heappush(ready, j)
         return order
 
     def _find_cycle(self):
@@ -149,13 +202,36 @@ class Poset:
 
     # ----- order queries -------------------------------------------------
 
-    def _check(self, *xs):
-        for x in xs:
-            if x not in self._set:
-                raise UnknownElement(x)
+    def _ix(self, x) -> int:
+        i = self._index.get(x)
+        if i is None:
+            raise UnknownElement(x)
+        return i
+
+    def _bits(self, subset: Iterable[str]) -> int:
+        """The bitset of a collection of elements."""
+        bits = 0
+        for x in subset:
+            bits |= 1 << self._ix(x)
+        return bits
+
+    def _labels(self, bits: int) -> Iterator[str]:
+        """The members of a bitset, in sorted order."""
+        if _sparse(bits):
+            return map(self._ids.__getitem__, bit_indices(bits))
+        return compress(self._ids, _flags(bits))
+
+    def _closure(self, subset: Iterable[str], reach: list[int]) -> int:
+        """The bitset of the subset and everything ``reach`` (``_above`` or
+        ``_below``) holds for its members."""
+        bits = 0
+        for x in subset:
+            i = self._ix(x)
+            bits |= reach[i] | 1 << i
+        return bits
 
     def __contains__(self, x):
-        return x in self._set
+        return x in self._index
 
     def __len__(self):
         return len(self.elements)
@@ -166,66 +242,58 @@ class Poset:
     def __eq__(self, other):
         if not isinstance(other, Poset):
             return NotImplemented
-        return self._set == other._set and self.covers == other.covers
+        return self._ids == other._ids and self.covers == other.covers
 
     def __hash__(self):
-        return hash((self._set, self.covers))
+        return hash((self._ids, self.covers))
 
     def leq(self, a: str, b: str) -> bool:
-        self._check(a, b)
-        return a == b or b in self._above[a]
+        i, j = self._ix(a), self._ix(b)
+        return i == j or bool(self._above[i] >> j & 1)
 
     def lt(self, a: str, b: str) -> bool:
-        self._check(a, b)
-        return b in self._above[a]
+        i, j = self._ix(a), self._ix(b)
+        return bool(self._above[i] >> j & 1)
 
     def comparable(self, a: str, b: str) -> bool:
         return self.leq(a, b) or self.leq(b, a)
 
     def covers_of(self, a: str) -> tuple[str, ...]:
         """Elements covering a."""
-        self._check(a)
+        self._ix(a)
         return self._up[a]
 
     def cocovers_of(self, a: str) -> tuple[str, ...]:
         """Elements covered by a."""
-        self._check(a)
+        self._ix(a)
         return self._down[a]
 
     def up_set(self, generators: Iterable[str]) -> frozenset:
-        gens = list(generators)
-        self._check(*gens)
-        acc = set(gens)
-        for g in gens:
-            acc |= self._above[g]
-        return frozenset(acc)
+        return frozenset(self._labels(self._closure(generators, self._above)))
 
     def down_set(self, generators: Iterable[str]) -> frozenset:
-        gens = list(generators)
-        self._check(*gens)
-        acc = set(gens)
-        for g in gens:
-            acc |= self._below[g]
-        return frozenset(acc)
+        return frozenset(self._labels(self._closure(generators, self._below)))
 
     def max_elements(self) -> tuple[str, ...]:
-        return tuple(sorted(e for e in self.elements if not self._up[e]))
+        return tuple(e for e in self._ids if not self._up[e])
 
     def min_elements(self) -> tuple[str, ...]:
-        return tuple(sorted(e for e in self.elements if not self._down[e]))
+        return tuple(e for e in self._ids if not self._down[e])
 
     def is_up_set(self, subset: Iterable[str]) -> bool:
         s = frozenset(subset)
-        self._check(*s)
-        return all(c in s for a in s for c in self._up[a])
+        return self._closure(s, self._above) == self._bits(s)
 
     def require_up_set(self, subset: Iterable[str]) -> frozenset:
+        """The subset as a frozenset; raises NotUpSet with the least member
+        that has a cover outside it, and the least such cover."""
         s = frozenset(subset)
-        self._check(*s)
-        for a in s:
-            for c in self._up[a]:
-                if c not in s:
-                    raise NotUpSet(a, c)
+        bits = self._bits(s)
+        if self._closure(s, self._above) != bits:
+            for a in self._labels(bits):
+                for c in self._up[a]:
+                    if c not in s:
+                        raise NotUpSet(a, c)
         return s
 
     # ----- connectivity ---------------------------------------------------
@@ -234,38 +302,48 @@ class Poset:
         """Connected components of the comparability graph, restricted to
         ``subset`` when given (comparability taken in the ambient poset).
         Sorted by least member."""
-        pool = set(self.elements if subset is None else subset)
-        self._check(*pool)
+        return [frozenset(self._labels(c)) for c in self._component_bits(self._pool(subset))]
+
+    def _pool(self, subset) -> int:
+        return (1 << len(self._ids)) - 1 if subset is None else self._bits(subset)
+
+    def _component_bits(self, pool: int) -> list[int]:
+        """Breadth-first search over bitsets; each component is grown from
+        the least member left in the pool, so the list comes out sorted by
+        least member."""
+        above, below = self._above, self._below
         comps = []
         while pool:
-            start = min(pool)
-            comp = {start}
-            frontier = [start]
+            comp = frontier = pool & -pool
+            pool ^= comp
             while frontier:
-                x = frontier.pop()
-                for y in list(pool):
-                    if y not in comp and (y in self._above[x] or y in self._below[x]):
-                        comp.add(y)
-                        frontier.append(y)
-                pool -= comp
-            comps.append(frozenset(comp))
-        return sorted(comps, key=min)
+                low = frontier & -frontier
+                frontier ^= low
+                i = low.bit_length() - 1
+                new = (above[i] | below[i]) & pool
+                if new:
+                    pool ^= new
+                    comp |= new
+                    frontier |= new
+            comps.append(comp)
+        return comps
 
     def is_connected(self, subset: Iterable[str] | None = None) -> bool:
-        return len(self.components(subset)) <= 1
+        return len(self._component_bits(self._pool(subset))) <= 1
 
     def induced(self, subset: Iterable[str]) -> "Poset":
         """Induced subposet; covers are recomputed (a pair comparable through
         removed elements only becomes a cover here)."""
-        s = frozenset(subset)
-        self._check(*s)
+        bits = self._bits(subset)
+        above, ids = self._above, self._ids
         covers = []
-        for a in s:
-            strictly_above = self._above[a] & s
-            for b in strictly_above:
-                if not any(b in self._above[c] for c in strictly_above if c != b):
-                    covers.append((a, b))
-        return Poset(sorted(s), covers)
+        for i in bit_indices(bits):
+            higher = above[i] & bits
+            shadow = 0
+            for j in bit_indices(higher):
+                shadow |= above[j]
+            covers.extend((ids[i], ids[j]) for j in bit_indices(higher & ~shadow))
+        return Poset(self._labels(bits), covers)
 
 
 # ----- rank functions -----------------------------------------------------
@@ -327,15 +405,15 @@ def connectivity(p: Poset, mode: str, k: int | None = None) -> ConnectivityRepor
         comps = p.components()
         if len(comps) > 1:
             return ConnectivityReport(mode, False, comps)
-        for alpha in sorted(p.elements):
+        for i, alpha in enumerate(p._ids):
             if report.rank[alpha] > d - 2:
                 continue
-            punctured = p.up_set([alpha]) - {alpha}
-            sub = p.components(punctured)
+            sub = p._component_bits(p._above[i])  # the punctured up-set of alpha
             # an empty puncture means alpha is maximal at low rank; the
             # poset is pinched there, which strong connectivity rules out
             if len(sub) != 1:
-                return ConnectivityReport(mode, False, sub, witness=alpha)
+                return ConnectivityReport(mode, False, [frozenset(p._labels(c)) for c in sub],
+                                          witness=alpha)
         return ConnectivityReport(mode, True, comps)
     raise ValueError(f"unknown connectivity mode {mode!r}")
 

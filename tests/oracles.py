@@ -69,10 +69,55 @@ def brute_components(nodes, edges):
     return sorted((frozenset(c) for c in comps.values()), key=min)
 
 
-def brute_poset_components(elements, covers):
+def brute_poset_components(elements, covers, subset=None):
+    """Components of the comparability graph, restricted to ``subset``
+    when given (comparability taken in the whole poset)."""
+    nodes = set(elements if subset is None else subset)
     leq = reachability(elements, covers)
-    edges = [(a, b) for (a, b) in leq if a != b]
-    return brute_components(set(elements), edges)
+    edges = [(a, b) for (a, b) in leq if a != b and a in nodes and b in nodes]
+    return brute_components(nodes, edges)
+
+
+def least_first_order(elements, covers):
+    """Topological order taking the least element whose lower covers are
+    all placed, by rescanning every unplaced element at each step."""
+    placed, order = set(), []
+    while len(order) < len(elements):
+        ready = [e for e in elements if e not in placed
+                 and all(a in placed for a, b in covers if b == e)]
+        e = min(ready)
+        placed.add(e)
+        order.append(e)
+    return order
+
+
+def brute_combinatorial_defects(s_elements, s_covers, t_elements, t_covers, mapping):
+    """(alpha, reason, detail) for every source element whose principal
+    down-set does not map isomorphically onto the down-set of its image,
+    in sorted order: the image is compared element by element, and the
+    inverse pair by pair, least reversed pair (x, y) first."""
+    s_leq = reachability(s_elements, s_covers)
+    t_leq = reachability(t_elements, t_covers)
+    defects = []
+    for alpha in sorted(s_elements):
+        beta = mapping[alpha]
+        down = sorted(x for x in s_elements if (x, alpha) in s_leq)
+        image_down = {y for y in t_elements if (y, beta) in t_leq}
+        images = {mapping[x] for x in down}
+        if len(images) < len(down):
+            defects.append((alpha, "not injective",
+                            f"|down({alpha})|={len(down)} maps to {len(images)} elements"))
+        elif images != image_down:
+            defects.append((alpha, "not surjective",
+                            f"|down({alpha})|={len(down)} != |down({beta})|={len(image_down)}"))
+        else:
+            bad = next(((x, y) for x in down for y in down
+                        if (mapping[x], mapping[y]) in t_leq and (x, y) not in s_leq), None)
+            if bad:
+                x, y = bad
+                defects.append((alpha, "inverse not monotone",
+                                f"{mapping[x]} <= {mapping[y]} but {x} !<= {y}"))
+    return defects
 
 
 def brute_chains(elements, covers):

@@ -362,3 +362,31 @@ def test_refining_an_edge_onto_a_loop_is_a_usage_error(tmp_path, capsys):
     assert code == 2
     assert payload["witnesses"][0]["error"] == "NotCombinatorial"
     assert payload["witnesses"][0]["detail"] == str(NotCombinatorial("e"))
+
+
+def test_sampling_an_edge_free_target_is_a_usage_error(tmp_path, capsys):
+    doc = {
+        "source": {"vertices": ["A"], "edges": []},
+        "target": {"vertices": ["u"], "edges": []},
+        "vertex_images": {"A": "u"},
+        "edge_images": {},
+    }
+    path = tmp_path / "point.json"
+    path.write_text(fileio.dumps(doc))
+    code = cli.main(["--format", "machine", "graph", "sample", "--morphism", str(path)])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 2 and payload["verdict"] == "error"
+    assert payload["witnesses"][0]["error"] == "FormatError"
+
+
+def test_internal_error_is_exit_3_without_traceback(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("handler fault")
+
+    monkeypatch.setattr(cli, "cmd_fixtures", broken)
+    code = cli.main(["--format", "machine", "fixtures", "list"])
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert code == 3 and payload["verdict"] == "error"
+    assert payload["witnesses"] == [{"error": "RuntimeError", "detail": "handler fault"}]
+    assert "Traceback" not in captured.err

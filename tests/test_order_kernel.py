@@ -1,0 +1,194 @@
+"""Differential tests of the bitset order kernel: topological order,
+components, fibres and preimages, the counting test of combinatoriality
+and the one-pass local degrees, each against an independent oracle."""
+
+import pytest
+from collections import Counter
+from random import Random
+
+from posetcover.covers import DegreeMismatch, IndexMap, is_ibc, local_degree
+from posetcover.errors import NotUpSet, RedundantCover
+from posetcover.generators import random_graded_poset, random_sheaf_morphism
+from posetcover.morphisms import PosetMorphism
+from posetcover.posets import Poset, rank_check
+
+from oracles import (
+    brute_combinatorial_defects,
+    brute_poset_components,
+    least_first_order,
+    reachability,
+)
+
+
+def defects(phi):
+    return [tuple(w) for w in phi.is_combinatorial().witnesses]
+
+
+def oracle_defects(phi):
+    return brute_combinatorial_defects(phi.source.elements, phi.source.covers,
+                                       phi.target.elements, phi.target.covers, phi.mapping)
+
+
+def merge(poset, keep, drop):
+    """The poset with ``drop`` identified with ``keep``.  Both must have the
+    same rank in a graded poset, so covers still join consecutive ranks and
+    stay a transitive reduction."""
+    def name(e):
+        return keep if e == drop else e
+    return Poset([e for e in poset.elements if e != drop],
+                 {(name(a), name(b)) for a, b in poset.covers})
+
+
+def collapsed_sheets(rng):
+    """A gluing with two source elements over one target element merged."""
+    phi = random_sheaf_morphism(rng, max_sheets=4)
+    fibres = [sorted(phi.fibre(b)) for b in sorted(phi.target.elements)]
+    fibres = [f for f in fibres if len(f) > 1]
+    if not fibres:
+        return phi
+    keep, drop = rng.sample(rng.choice(fibres), 2)
+    mapping = {x: y for x, y in phi.mapping.items() if x != drop}
+    return PosetMorphism(merge(phi.source, keep, drop), phi.target, mapping)
+
+
+def merged_targets(rng):
+    """A gluing followed by the quotient of its target that identifies two
+    target elements of equal rank."""
+    phi = random_sheaf_morphism(rng, max_sheets=3)
+    rank = rank_check(phi.target).rank
+    pairs = [(a, b) for a in sorted(rank) for b in sorted(rank) if a < b and rank[a] == rank[b]]
+    if not pairs:
+        return phi
+    keep, drop = rng.choice(pairs)
+    mapping = {x: keep if y == drop else y for x, y in phi.mapping.items()}
+    return PosetMorphism(phi.source, merge(phi.target, keep, drop), mapping)
+
+
+def onto_chain(rng):
+    """A random graded poset onto a chain, by its rank function or by the
+    positions of a random linear extension."""
+    p = random_graded_poset(rng, max_elements=9, max_rank=3)
+    if rng.random() < 0.5:
+        rank = rank_check(p).rank
+    else:
+        order = sorted(p.elements, key=lambda e: (p._height[e], rng.random()))
+        rank = {e: i for i, e in enumerate(order)}
+    top = max(rank.values())
+    chain = Poset([f"c{i:02d}" for i in range(top + 1)],
+                  [(f"c{i:02d}", f"c{i + 1:02d}") for i in range(top)])
+    return PosetMorphism(p, chain, {e: f"c{rank[e]:02d}" for e in p.elements})
+
+
+class TestCombinatorialByCounting:
+    def test_least_reversed_pair_onto_chain(self):
+        source = Poset(["x", "y", "z", "a"], [("x", "a"), ("y", "a"), ("z", "a")])
+        target = Poset(["X", "Y", "Z", "A"], [("X", "Y"), ("Y", "Z"), ("Z", "A")])
+        phi = PosetMorphism(source, target, {"x": "X", "y": "Y", "z": "Z", "a": "A"})
+        assert defects(phi) == [
+            ("a", "inverse not monotone", "X <= Y but x !<= y"),
+            ("y", "not surjective", "|down(y)|=1 != |down(Y)|=2"),
+            ("z", "not surjective", "|down(z)|=1 != |down(Z)|=3"),
+        ]
+
+    @pytest.mark.parametrize("family", [random_sheaf_morphism, collapsed_sheets,
+                                        merged_targets, onto_chain])
+    def test_against_pairwise_oracle(self, family):
+        rng = Random(f"combinatorial/{family.__name__}")
+        reasons = Counter()
+        for _ in range(150):
+            phi = family(rng)
+            got = defects(phi)
+            assert got == oracle_defects(phi)
+            assert bool(phi.is_combinatorial()) == (not got)
+            reasons.update(w[1] for w in got)
+            reasons["passed"] += not got
+        if family is random_sheaf_morphism:
+            assert reasons == {"passed": 150}
+        else:
+            # every family breaks and keeps the property in many instances
+            assert reasons["passed"] >= 10 and sum(reasons.values()) - reasons["passed"] >= 10
+        if family is onto_chain:
+            assert reasons["inverse not monotone"] >= 10
+
+
+class TestComponentsAndFibres:
+    def test_components_of_random_subsets(self):
+        rng = Random(31)
+        for _ in range(120):
+            p = random_graded_poset(rng, max_elements=12, max_rank=3)
+            subset = [e for e in p.elements if rng.random() < 0.6]
+            assert p.components(subset) == brute_poset_components(p.elements, p.covers, subset)
+            assert p.is_connected(subset) == (len(p.components(subset)) <= 1)
+
+    def test_fibre_and_preimage_against_a_full_scan(self):
+        rng = Random(32)
+        for _ in range(60):
+            phi = random_sheaf_morphism(rng, max_sheets=4)
+            source, target = phi.source, phi.target
+            for beta in target.elements:
+                assert phi.fibre(beta) == {x for x in source.elements if phi(x) == beta}
+            subset = {y for y in target.elements if rng.random() < 0.5}
+            assert phi.preimage(subset) == {x for x in source.elements if phi(x) in subset}
+            t_leq = reachability(target.elements, target.covers)
+            for beta in target.elements:
+                over = {x for x in source.elements if (beta, phi(x)) in t_leq}
+                assert phi.preimage_components(beta) == brute_poset_components(
+                    source.elements, source.covers, over)
+
+
+class TestOrderKernel:
+    def test_order_on_wide_antichains(self):
+        rng = Random(33)
+        for width in (1, 5, 40, 200):
+            names = [f"w{rng.randrange(10 ** 6):06d}" for _ in range(width)]
+            names = list(dict.fromkeys(names))
+            rng.shuffle(names)
+            tops = [f"t{i}" for i in range(3)]
+            covers = [(a, t) for t in tops for a in rng.sample(names, min(3, len(names)))]
+            for elements, cs in ((names, []), (names + tops, covers)):
+                p = Poset(elements, cs)
+                assert list(p._order) == least_first_order(elements, cs)
+
+    def test_order_queries_against_reachability(self):
+        rng = Random(34)
+        for _ in range(40):
+            p = random_graded_poset(rng, max_elements=10, max_rank=3)
+            leq = reachability(p.elements, p.covers)
+            for a in p.elements:
+                assert p.up_set([a]) == {b for b in p.elements if (a, b) in leq}
+                assert p.down_set([a]) == {b for b in p.elements if (b, a) in leq}
+                for b in p.elements:
+                    assert p.leq(a, b) == ((a, b) in leq)
+                    assert p.lt(a, b) == ((a, b) in leq and a != b)
+            subset = [e for e in p.elements if rng.random() < 0.6]
+            sub = p.induced(subset)
+            lt = {(a, b) for a, b in leq if a != b and a in subset and b in subset}
+            assert sub.covers == {(a, b) for a, b in lt
+                                  if not any((a, c) in lt and (c, b) in lt for c in subset)}
+
+    def test_least_redundant_cover(self):
+        covers = [("a", "b"), ("b", "c"), ("a", "c"), ("d", "e"), ("e", "f"), ("d", "f")]
+        with pytest.raises(RedundantCover) as err:
+            Poset(["a", "b", "c", "d", "e", "f"], covers)
+        assert err.value.pair == ("a", "c")
+
+    def test_least_up_set_defect(self):
+        p = Poset(["a", "b", "c", "d"], [("a", "c"), ("b", "d"), ("b", "c")])
+        with pytest.raises(NotUpSet) as err:
+            p.require_up_set({"b", "a"})
+        assert (err.value.member, err.value.missing) == ("a", "c")
+
+
+def test_one_pass_degrees_match_local_degree():
+    rng = Random(35)
+    mismatches = 0
+    for _ in range(60):
+        phi = random_sheaf_morphism(rng, max_sheets=3)
+        m = IndexMap.total(phi.source, {x: rng.randint(1, 3) for x in phi.source.elements})
+        for w in is_ibc(phi, m).witnesses:
+            if isinstance(w, DegreeMismatch):
+                mismatches += 1
+                assert local_degree(phi, m, w.component, w.y1) == w.d1
+                assert local_degree(phi, m, w.component, w.y2) == w.d2 != w.d1
+                assert w.y1 == min(phi.image(w.component))
+    assert mismatches >= 10
