@@ -31,13 +31,10 @@ from .posets import Poset
 
 @dataclass
 class RunReport:
-    command: str
     verdict: str  # pass | fail | error
     witnesses: list = field(default_factory=list)
     data: dict = field(default_factory=dict)
-
-    def exit_code(self) -> int:
-        return {"pass": 0, "fail": 1}.get(self.verdict, 2)
+    command: str = ""  # set by dispatch from the subcommand and its action
 
 
 def _plain(value):
@@ -57,14 +54,19 @@ def _plain(value):
     return value
 
 
-def emit(report: RunReport, fmt: str, out=None):
-    out = out or sys.stdout
-    payload = {
+def _payload(report: RunReport) -> dict:
+    """The machine report as plain JSON values."""
+    return {
         "command": report.command,
         "verdict": report.verdict,
         "witnesses": _plain(report.witnesses),
         "data": _plain(report.data),
     }
+
+
+def emit(report: RunReport, fmt: str, out=None):
+    out = out or sys.stdout
+    payload = _payload(report)
     if fmt == "machine":
         out.write(fileio.dumps(payload))
         return
@@ -142,16 +144,15 @@ def _parse_point(text: str) -> Point:
 
 
 def cmd_poset(args) -> RunReport:
-    command = f"poset {args.action}"
     if args.action == "validate":
         try:
             p = resolve_poset(args.poset)
         except FormatError:
             raise
         except ToolError as exc:
-            return RunReport(command, "fail", witnesses=[{"error": type(exc).__name__,
-                                                          "detail": str(exc)}])
-        return RunReport(command, "pass", data={
+            return RunReport("fail", witnesses=[{"error": type(exc).__name__,
+                                                 "detail": str(exc)}])
+        return RunReport("pass", data={
             "elements": len(p.elements), "covers": len(p.covers)})
     p = resolve_poset(args.poset)
     if args.action == "stats":
@@ -169,11 +170,11 @@ def cmd_poset(args) -> RunReport:
             data["strongly_connected"] = posets.connectivity(p, "strong").connected
         except ToolError as exc:
             data.update(graded=False, not_graded_witness=list(getattr(exc, "pair", ())))
-        return RunReport(command, "pass", data=data)
+        return RunReport("pass", data=data)
     if args.action == "upsets":
         ups = list(posets.enumerate_up_sets(p, connected_only=args.connected,
                                             limit=args.oracle_limit))
-        return RunReport(command, "pass", data={
+        return RunReport("pass", data={
             "count": len(ups),
             "up_sets": sorted([sorted(u) for u in ups]),
         })
@@ -181,18 +182,17 @@ def cmd_poset(args) -> RunReport:
 
 
 def cmd_morphism(args) -> RunReport:
-    command = "morphism check"
     try:
         phi = resolve_morphism(args.morphism)
     except NotMonotone as exc:
-        return RunReport(command, "fail",
+        return RunReport("fail",
                          witnesses=[{"error": "NotMonotone", "pair": list(exc.pair)}],
                          data={"monotone": False})
     comb = phi.is_combinatorial()
     opened = phi.is_open()
     witnesses = list(comb.witnesses) + list(opened.witnesses)
     verdict = "pass" if comb and opened else "fail"
-    return RunReport(command, verdict, witnesses=witnesses, data={
+    return RunReport(verdict, witnesses=witnesses, data={
         "monotone": True,
         "combinatorial": bool(comb),
         "open": bool(opened),
@@ -200,28 +200,27 @@ def cmd_morphism(args) -> RunReport:
 
 
 def cmd_cover(args) -> RunReport:
-    command = f"cover {args.action}"
     phi = resolve_morphism(args.morphism)
     if args.action != "search":
         _need(args, "index")
     if args.action == "search":
         found = covers.search_balanced(phi, bound=args.bound)
         if found is None:
-            return RunReport(command, "fail",
+            return RunReport("fail",
                              witnesses=[{"result": "NoneFound", "bound": args.bound}])
-        return RunReport(command, "pass", data={"values": dict(sorted(found.values.items()))})
+        return RunReport("pass", data={"values": dict(sorted(found.values.items()))})
     m = resolve_index(args.index, phi.source)
     if args.action == "balanced":
         check = covers.is_balanced(phi, m)
-        return RunReport(command, "pass" if check else "fail",
+        return RunReport("pass" if check else "fail",
                          witnesses=list(check.witnesses))
     if args.action == "ibc":
         check = covers.is_ibc(phi, m)
-        return RunReport(command, "pass" if check else "fail",
+        return RunReport("pass" if check else "fail",
                          witnesses=list(check.witnesses))
     if args.action == "ibc-oracle":
         check = covers.is_ibc_oracle(phi, m, limit=args.oracle_limit)
-        return RunReport(command, "pass" if check else "fail",
+        return RunReport("pass" if check else "fail",
                          witnesses=list(check.witnesses))
     if args.action == "degree":
         report = covers.global_degree(phi, m)
@@ -229,14 +228,13 @@ def cmd_cover(args) -> RunReport:
                 "constant": report.constant}
         if report.constant:
             data["degree"] = report.degree
-            return RunReport(command, "pass", data=data)
-        return RunReport(command, "fail", data=data,
+            return RunReport("pass", data=data)
+        return RunReport("fail", data=data,
                          witnesses=[{"per_target": data["per_target"]}])
     raise FormatError(f"unknown cover action {args.action!r}")
 
 
 def cmd_extend(args) -> RunReport:
-    command = "extend"
     phi = resolve_morphism(args.morphism)
     m = resolve_index(args.index, phi.source)
     target_upset = (phi.source.up_set(_csv(args.upset))
@@ -247,12 +245,11 @@ def cmd_extend(args) -> RunReport:
             "assigned": dict(sorted(assigned.items())),
             "unconstrained": sorted(report.unconstrained)}
     if report.conflicts:
-        return RunReport(command, "fail", witnesses=list(report.conflicts), data=data)
-    return RunReport(command, "pass", data=data)
+        return RunReport("fail", witnesses=list(report.conflicts), data=data)
+    return RunReport("pass", data=data)
 
 
 def cmd_lift(args) -> RunReport:
-    command = f"lift {args.action}"
     phi = resolve_morphism(args.morphism)
     m = resolve_index(args.index, phi.source)
     path = _csv(args.path)
@@ -262,31 +259,30 @@ def cmd_lift(args) -> RunReport:
         else:
             lifted = extend.lift_path(phi, m, args.start, path)
     except (CorestrictionNotCombinatorial, NoLiftExists) as exc:
-        return RunReport(command, "fail", witnesses=[{
+        return RunReport("fail", witnesses=[{
             "error": type(exc).__name__,
             "detail": getattr(exc, "witness", None) or str(exc),
         }])
-    return RunReport(command, "pass", data={
+    return RunReport("pass", data={
         "steps": list(lifted.steps), "directions": list(lifted.directions)})
 
 
 def cmd_connect(args) -> RunReport:
-    command = f"connect {args.action}"
     if args.action == "codimk":
         _need(args, "poset", "k")
         p = resolve_poset(args.poset)
         report = posets.connectivity(p, "codim", args.k)
         if report.connected:
-            return RunReport(command, "pass", data={"k": args.k})
-        return RunReport(command, "fail", data={"k": args.k},
+            return RunReport("pass", data={"k": args.k})
+        return RunReport("fail", data={"k": args.k},
                          witnesses=[{"components": [sorted(c) for c in report.components]}])
     if args.action == "strong":
         _need(args, "poset")
         p = resolve_poset(args.poset)
         report = posets.connectivity(p, "strong")
         if report.connected:
-            return RunReport(command, "pass")
-        return RunReport(command, "fail", witnesses=[{
+            return RunReport("pass")
+        return RunReport("fail", witnesses=[{
             "witness": report.witness,
             "components": [sorted(c) for c in report.components]}])
     if args.action == "lifting":
@@ -301,21 +297,20 @@ def cmd_connect(args) -> RunReport:
                 "conclusion": report.conclusion_holds,
                 "fibre_witness": report.witness_fibre}
         if report.hypotheses_hold and report.conclusion_holds:
-            return RunReport(command, "pass", data=data)
-        return RunReport(command, "fail", data=data,
+            return RunReport("pass", data=data)
+        return RunReport("fail", data=data,
                          witnesses=[{"hypotheses": report.hypotheses}])
     raise FormatError(f"unknown connect action {args.action!r}")
 
 
 def cmd_subdivide(args) -> RunReport:
-    command = f"subdivide {args.action}"
     if args.action == "bcs":
         if args.poset is None and args.morphism is None:
             raise FormatError("this action needs --poset or --morphism")
         if args.morphism:
             phi = resolve_morphism(args.morphism)
             bcs = subdivision.bcs_morphism(phi)
-            return RunReport(command, "pass", data={
+            return RunReport("pass", data={
                 "source_chains": len(bcs.source.elements),
                 "target_chains": len(bcs.target.elements),
                 "combinatorial": bool(bcs.is_combinatorial()),
@@ -323,7 +318,7 @@ def cmd_subdivide(args) -> RunReport:
             })
         p = resolve_poset(args.poset)
         chains = subdivision.chain_poset(p)
-        return RunReport(command, "pass", data={
+        return RunReport("pass", data={
             "chains": len(chains.poset.elements),
             "poset": fileio.poset_to_doc(chains.poset),
         })
@@ -334,7 +329,7 @@ def cmd_subdivide(args) -> RunReport:
             raise FormatError(f"{args.complex!r} does not describe a simplicial complex")
         face = frozenset(_csv(args.face))
         result = subdivision.stellar_subdivide(obj, face, args.vertex)
-        return RunReport(command, "pass", data={
+        return RunReport("pass", data={
             "faces_before": len(obj),
             "faces_after": len(result),
             "complex": fileio.complex_to_doc(result),
@@ -343,12 +338,11 @@ def cmd_subdivide(args) -> RunReport:
 
 
 def cmd_graph(args) -> RunReport:
-    command = f"graph {args.action}"
     if args.action == "refine":
         _need(args, "morphism")
         phi = resolve_metric_morphism(args.morphism)
         ref = metric.refine_to_combinatorial(phi)
-        return RunReport(command, "pass", data={
+        return RunReport("pass", data={
             "new_target_vertices": {k: [v[0], fileio.format_rational(v[1])]
                                     for k, v in sorted(ref.new_target_vertices.items())},
             "new_source_vertices": {k: [v[0], fileio.format_rational(v[1])]
@@ -375,25 +369,27 @@ def cmd_graph(args) -> RunReport:
             if not sample.match:
                 mismatch.append(entry)
         verdict = "pass" if not mismatch else "fail"
-        return RunReport(command, verdict, witnesses=mismatch, data={"samples": results})
+        return RunReport(verdict, witnesses=mismatch, data={"samples": results})
     if args.action == "poset":
         if args.graph is None and args.morphism is None:
             raise FormatError("this action needs --graph or --morphism")
         if args.morphism:
             phi = resolve_metric_morphism(args.morphism)
             pm = metric.morphism_face_poset(phi)
-            return RunReport(command, "pass", data={"morphism": fileio.morphism_to_doc(pm)})
+            return RunReport("pass", data={"morphism": fileio.morphism_to_doc(pm)})
         obj = _load(args.graph)
         if isinstance(obj, MetricGraphMorphism):
             obj = obj.source
         if not isinstance(obj, MetricGraph):
             raise FormatError(f"{args.graph!r} does not describe a metric graph")
-        return RunReport(command, "pass", data={
+        return RunReport("pass", data={
             "poset": fileio.poset_to_doc(metric.graph_face_poset(obj), with_rank=True)})
     raise FormatError(f"unknown graph action {args.action!r}")
 
 
 def _random_points(graph: MetricGraph, count: int, seed: int) -> list[Point]:
+    if count < 1:
+        raise FormatError(f"--random must be at least 1, got {count}")
     rng = Random(seed)
     edges = sorted(graph.edges)
     if not edges:
@@ -414,148 +410,48 @@ def cmd_export(args) -> RunReport:
     name = args.morphism or args.poset
     obj = resolve_morphism(name) if args.morphism else resolve_poset(name)
     text = dot.export_dot(obj, args.kind)
-    return RunReport("export dot", "pass", data={"dot": text})
+    return RunReport("pass", data={"dot": text})
 
 
 def cmd_fixtures(args) -> RunReport:
-    command = f"fixtures {args.action}"
     if args.action == "list":
         listing = {name: type(fixtures.load_fixture(name)).__name__
                    for name in sorted(fixtures.FIXTURES)}
-        return RunReport(command, "pass", data={"fixtures": listing})
-    names = args.names or sorted(FIXTURE_CHECKS)
-    unknown = [n for n in names if n not in FIXTURE_CHECKS]
+        return RunReport("pass", data={"fixtures": listing})
+    rows = fixtures.FIXTURE_ROWS
+    names = args.names or sorted(rows)
+    unknown = [n for n in names if n not in rows]
     if unknown:
-        raise FormatError(f"no checks for {unknown!r}; available: {sorted(FIXTURE_CHECKS)}")
-    outcomes = {name: FIXTURE_CHECKS[name]() for name in sorted(names)}
-    failures = [{"fixture": name, "failed": problems}
-                for name, problems in sorted(outcomes.items()) if problems]
-    data = {"results": {name: ("ok" if not problems else "failed")
-                        for name, problems in sorted(outcomes.items())}}
-    if failures:
-        return RunReport(command, "fail", witnesses=failures, data=data)
-    return RunReport(command, "pass", data=data)
+        raise FormatError(f"no checks for {unknown!r}; available: {sorted(rows)}")
+    parser = build_parser()
+    failed = {name: _failed_rows(parser, rows[name]) for name in sorted(names)}
+    failures = [{"fixture": name, "failed": labels} for name, labels in failed.items() if labels]
+    data = {"results": {name: ("ok" if not labels else "failed")
+                        for name, labels in failed.items()}}
+    return RunReport("fail" if failures else "pass", witnesses=failures, data=data)
 
 
-# ----- fixture self-checks ----------------------------------------------------
+def _failed_rows(parser, rows) -> list[str]:
+    """Labels of the fixture rows whose command gives another exit code or
+    another value at one of the expected paths of its machine report."""
+    failed = []
+    for label, argv, code, expected in rows:
+        report, got = dispatch(parser.parse_args(argv))
+        payload = _payload(report)
+        if got != code or any(_at(payload, path) != value for path, value in expected.items()):
+            failed.append(label)
+    return list(dict.fromkeys(failed))
 
 
-def _check(problems, label, condition):
-    if not condition:
-        problems.append(label)
-
-
-def check_fix_trop():
-    problems = []
-    phi, m = fixtures.fix_trop(), fixtures.fix_trop_m()
-    _check(problems, "balanced", covers.is_balanced(phi, m).ok)
-    _check(problems, "ibc", covers.is_ibc(phi, m).ok)
-    _check(problems, "ibc-oracle", covers.is_ibc_oracle(phi, m).ok)
-    degree = covers.global_degree(phi, m)
-    _check(problems, "degree 3", degree.constant and degree.degree == 3)
-    _check(problems, "branch locus", covers.branch_locus_check(phi).ok)
-    return problems
-
-
-def check_fix_ce1():
-    problems = []
-    phi, m = fixtures.fix_ce1(), fixtures.fix_ce1_m()
-    comb = phi.is_combinatorial()
-    _check(problems, "not combinatorial at B1",
-           not comb.ok and comb.witnesses[0].alpha == "B1")
-    _check(problems, "balanced", covers.is_balanced(phi, m).ok)
-    _check(problems, "not ibc", not covers.is_ibc_oracle(phi, m).ok)
-    return problems
-
-
-def check_fix_ce2():
-    problems = []
-    phi, m = fixtures.fix_ce2(), fixtures.fix_ce2_m()
-    balance = covers.is_balanced(phi, m)
-    _check(problems, "unbalanced with witness (A1,B,2,3)",
-           not balance.ok and ("A1", "B", 2, 3) in balance.witnesses)
-    ibc = covers.is_ibc(phi, m)
-    degree = covers.global_degree(phi, m)
-    _check(problems, "ibc of degree 4", ibc.ok and degree.degree == 4)
-    return problems
-
-
-def check_fix_idread():
-    problems = []
-    phi, m = fixtures.fix_idread(), fixtures.fix_idread_m()
-    report = extend.extend_balanced(phi, m, phi.source.elements)
-    _check(problems, "O1 gets 3", report.extended.values.get("O1") == 3)
-    conflicts = {(c.alpha, c.beta1, c.beta2, c.sum1, c.sum2) for c in report.conflicts}
-    _check(problems, "tO1 conflict", ("tO1", "B", "C", 2, 1) in conflicts)
-    _check(problems, "tO2 conflict", ("tO2", "B", "C", 1, 2) in conflicts)
-    strong = posets.connectivity(phi.target, "strong")
-    _check(problems, "target not strongly connected at tO",
-           not strong.connected and strong.witness == "tO")
-    return problems
-
-
-def check_fix_simple_ext():
-    problems = []
-    phi, m = fixtures.fix_simple_ext(), fixtures.fix_simple_ext_m()
-    report = extend.extend_balanced(phi, m, phi.source.elements)
-    conflicts = {(c.alpha, c.sum1, c.sum2) for c in report.conflicts}
-    _check(problems, "conflict at O with sums 2,1", ("O", 2, 1) in conflicts)
-    return problems
-
-
-def check_fix_open():
-    problems = []
-    phi = fixtures.fix_open()
-    opened = phi.is_open()
-    _check(problems, "not open at B2",
-           not opened.ok and any(w.alpha == "B2" for w in opened.witnesses))
-    _check(problems, "no balanced map below bound 4",
-           covers.search_balanced(phi, bound=4) is None)
-    return problems
-
-
-def check_fix_lift():
-    problems = []
-    phi, m = fixtures.fix_lift(), fixtures.fix_lift_m()
-    _check(problems, "balanced on the up-set", covers.is_balanced(phi, m).ok)
-    psi = phi.restrict_corestrict(fixtures.FIX_LIFT_UPSET)
-    comb = psi.is_combinatorial()
-    _check(problems, "psi not combinatorial at beta1",
-           not comb.ok and comb.witnesses[0].alpha == "beta1")
+def _at(payload: dict, path: str):
+    """The value at a dotted path such as ``witnesses.0.alpha``, or None
+    where the report has no such path (no fixture row expects None)."""
     try:
-        extend.lift_path(phi, m, "beta1", ["beta", "B"])
-        problems.append("lift unexpectedly succeeded")
-    except CorestrictionNotCombinatorial:
-        pass
-    return problems
-
-
-def check_fix_graph():
-    problems = []
-    phi = fixtures.fix_graph()
-    pre = metric.sample_fibre(phi, Point.interior("t", Fraction(1)))
-    _check(problems, "mismatch 2 vs 3 at 1",
-           (pre.geometric, pre.poset, pre.match) == (2, 3, False))
-    ref = metric.refine_to_combinatorial(phi)
-    _check(problems, "one new target vertex at t@2",
-           list(ref.new_target_vertices.values()) == [("t", Fraction(2))])
-    _check(problems, "one new source vertex on f",
-           list(ref.new_source_vertices.values()) == [("f", Fraction(2))])
-    post = metric.sample_fibre(ref.morphism, Point.interior("t.1", Fraction(1)))
-    _check(problems, "match after refinement", post.match)
-    return problems
-
-
-FIXTURE_CHECKS = {
-    "FIX-TROP": check_fix_trop,
-    "FIX-CE1": check_fix_ce1,
-    "FIX-CE2": check_fix_ce2,
-    "FIX-IDREAD": check_fix_idread,
-    "FIX-SIMPLE-EXT": check_fix_simple_ext,
-    "FIX-OPEN": check_fix_open,
-    "FIX-LIFT": check_fix_lift,
-    "FIX-GRAPH": check_fix_graph,
-}
+        for key in path.split("."):
+            payload = payload[int(key) if isinstance(payload, list) else key]
+    except (LookupError, TypeError, ValueError):
+        return None
+    return payload
 
 
 # ----- parser ------------------------------------------------------------------
@@ -646,26 +542,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def dispatch(args) -> tuple[RunReport, int]:
+    """Run the parsed command's handler; return its report, labelled with
+    the command, and the exit code."""
+    try:
+        report = args.handler(args)
+        code = {"pass": 0, "fail": 1}[report.verdict]
+    except Exception as exc:
+        report = RunReport("error", witnesses=[{"error": type(exc).__name__, "detail": str(exc)}])
+        # bad input raises one of these; anything else is a fault of this program
+        code = 2 if isinstance(exc, (ToolError, OSError, ValueError)) else 3
+    report.command = f"{args.command} {getattr(args, 'action', '')}".strip()
+    return report, code
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    label = f"{args.command} {getattr(args, 'action', '')}".strip()
-    internal = False
-    try:
-        report = args.handler(args)
-    except Exception as exc:
-        # bad input raises one of these; anything else is a fault of this program
-        internal = not isinstance(exc, (ToolError, OSError, ValueError))
-        report = RunReport(label, "error",
-                           witnesses=[{"error": type(exc).__name__, "detail": str(exc)}])
+    report, code = dispatch(args)
     if args.command == "export" and report.verdict == "pass":
         sys.stdout.write(report.data["dot"])
         return 0
     emit(report, args.format)
-    return 3 if internal else report.exit_code()
+    return code
 
 
 if __name__ == "__main__":

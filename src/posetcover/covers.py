@@ -265,6 +265,8 @@ def search_balanced(
     value is forced by the values above it and we only propagate and check
     consistency.
     """
+    if bound < 1:
+        raise ValueError(f"bound must be at least 1, got {bound}")
     order = sorted(phi.source.elements)
     free, plan = _push_plan(phi)
     free.sort()

@@ -214,3 +214,78 @@ def load_fixture(name: str):
     if name not in FIXTURES:
         raise KeyError(name)
     return FIXTURES[name]()
+
+
+# ----- expected CLI outcomes -------------------------------------------------
+
+
+def _indexed(name: str) -> list[str]:
+    return ["--morphism", name, "--index", f"{name}-M"]
+
+
+# `fixtures run` replays each row (label, argv, exit code, expected values)
+# through the CLI's dispatch; values sit at dotted paths of the machine
+# report ("witnesses.0.alpha").  Rows sharing a label check one statement.
+FIXTURE_ROWS = {
+    "FIX-TROP": [
+        ("balanced", ["cover", "balanced", *_indexed("FIX-TROP")], 0, {}),
+        # is_ibc reports every branch-locus defect, so this row also checks
+        # that the fibres over maximal target elements are maximal
+        ("ibc", ["cover", "ibc", *_indexed("FIX-TROP")], 0, {}),
+        ("ibc-oracle", ["cover", "ibc-oracle", *_indexed("FIX-TROP")], 0, {}),
+        ("degree 3", ["cover", "degree", *_indexed("FIX-TROP")], 0, {"data.degree": 3}),
+    ],
+    "FIX-CE1": [
+        ("not combinatorial at B1", ["morphism", "check", "--morphism", "FIX-CE1"], 1,
+         {"data.combinatorial": False, "witnesses.0.alpha": "B1"}),
+        ("balanced", ["cover", "balanced", *_indexed("FIX-CE1")], 0, {}),
+        ("not ibc", ["cover", "ibc-oracle", *_indexed("FIX-CE1")], 1, {}),
+    ],
+    "FIX-CE2": [
+        ("unbalanced with witness (A1,B,2,3)", ["cover", "balanced", *_indexed("FIX-CE2")], 1,
+         {"witnesses.0": {"kind": "BalanceViolation", "alpha": "A1", "beta": "B",
+                          "lhs": 2, "rhs": 3}}),
+        ("ibc of degree 4", ["cover", "ibc", *_indexed("FIX-CE2")], 0, {}),
+        ("ibc of degree 4", ["cover", "degree", *_indexed("FIX-CE2")], 0, {"data.degree": 4}),
+    ],
+    "FIX-IDREAD": [
+        ("O1 gets 3", ["extend", *_indexed("FIX-IDREAD")], 1, {"data.assigned.O1": 3}),
+        ("tO1 conflict", ["extend", *_indexed("FIX-IDREAD")], 1,
+         {"witnesses.0": {"kind": "ExtensionConflict", "alpha": "tO1", "beta1": "B",
+                          "beta2": "C", "sum1": 2, "sum2": 1}}),
+        ("tO2 conflict", ["extend", *_indexed("FIX-IDREAD")], 1,
+         {"witnesses.1": {"kind": "ExtensionConflict", "alpha": "tO2", "beta1": "B",
+                          "beta2": "C", "sum1": 1, "sum2": 2}}),
+        ("target not strongly connected at tO",
+         ["connect", "strong", "--poset", "FIX-IDREAD/target"], 1,
+         {"witnesses.0.witness": "tO"}),
+    ],
+    "FIX-SIMPLE-EXT": [
+        ("conflict at O with sums 2,1", ["extend", *_indexed("FIX-SIMPLE-EXT")], 1,
+         {"witnesses.0": {"kind": "ExtensionConflict", "alpha": "O", "beta1": "A",
+                          "beta2": "B", "sum1": 2, "sum2": 1}}),
+    ],
+    "FIX-OPEN": [
+        ("not open at B2", ["morphism", "check", "--morphism", "FIX-OPEN"], 1,
+         {"data.open": False, "witnesses.0.alpha": "B2"}),
+        ("no balanced map below bound 4",
+         ["cover", "search", "--morphism", "FIX-OPEN", "--bound", "4"], 1,
+         {"witnesses.0.result": "NoneFound"}),
+    ],
+    "FIX-LIFT": [
+        ("balanced on the up-set", ["cover", "balanced", *_indexed("FIX-LIFT")], 0, {}),
+        # the lift stops at the restricted morphism's first non-combinatorial
+        # element
+        ("psi not combinatorial at beta1",
+         ["lift", "path", *_indexed("FIX-LIFT"), "--start", "beta1", "--path", "beta,B"], 1,
+         {"witnesses.0": {"error": "CorestrictionNotCombinatorial", "detail": "beta1"}}),
+    ],
+    "FIX-GRAPH": [
+        ("mismatch 2 vs 3 at 1", ["graph", "sample", "--morphism", "FIX-GRAPH", "--point", "t:1"],
+         1, {"witnesses.0": {"point": "Point(t @ 1)", "geometric": 2, "poset": 3, "match": False}}),
+        ("one new target vertex at t@2", ["graph", "refine", "--morphism", "FIX-GRAPH"], 0,
+         {"data.new_target_vertices": {"t@2": ["t", "2"]}}),
+        ("one new source vertex on f", ["graph", "refine", "--morphism", "FIX-GRAPH"], 0,
+         {"data.new_source_vertices": {"f@2": ["f", "2"]}}),
+    ],
+}

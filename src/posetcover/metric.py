@@ -151,6 +151,10 @@ class MetricGraphMorphism:
                         f"but the edge image puts it at {expected!r}",
                     )
             self.edge_images[eid] = image
+        unknown = ((set(self.vertex_images) - set(source.vertices))
+                   | (set(edge_images) - set(source.edges)))
+        if unknown:
+            raise UnknownElement(min(unknown))
 
     def _point_at(self, target_edge: str, pos: Fraction) -> Point:
         e = self.target.edges[target_edge]
@@ -172,16 +176,20 @@ class MetricGraphMorphism:
         return self._point_at(img.edge, img.start + direction * img.slope * p.position)
 
 
-def morphism_face_poset(phi: MetricGraphMorphism) -> PosetMorphism:
-    """The induced order-preserving map on face posets: a vertex goes to
-    its image vertex or carrier edge, an edge to its carrier edge."""
-    mapping = {}
+def _cell_map(phi: MetricGraphMorphism):
+    """(source cell, target cell) pairs of the induced cell map: a vertex
+    goes to its image vertex or carrier edge, an edge to its carrier edge."""
     for v in phi.source.vertices:
         img = phi.vertex_images[v]
-        mapping[v] = img.vertex if img.is_vertex else img.edge
+        yield v, (img.vertex if img.is_vertex else img.edge)
     for eid, img in phi.edge_images.items():
-        mapping[eid] = img.edge
-    return PosetMorphism(graph_face_poset(phi.source), graph_face_poset(phi.target), mapping)
+        yield eid, img.edge
+
+
+def morphism_face_poset(phi: MetricGraphMorphism) -> PosetMorphism:
+    """The induced order-preserving map on face posets."""
+    return PosetMorphism(graph_face_poset(phi.source), graph_face_poset(phi.target),
+                         dict(_cell_map(phi)))
 
 
 # ----- refinement -----------------------------------------------------------
@@ -372,6 +380,6 @@ def sample_fibre(phi: MetricGraphMorphism, y: Point) -> FibreSample:
             x = (y.position - img.start) / (direction * img.slope)
             if 0 < x < phi.source.edges[eid].length:
                 geometric += 1
-    poset_phi = morphism_face_poset(phi)
-    poset = len(poset_phi.fibre(phi.target.cell_of(y)))
+    cell = phi.target.cell_of(y)
+    poset = sum(1 for _, image in _cell_map(phi) if image == cell)
     return FibreSample(geometric, poset, geometric == poset)

@@ -10,8 +10,10 @@ on purpose.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
-from itertools import combinations
+from functools import partial
+from itertools import combinations, islice, tee
 
 from .errors import (
     DuplicateElement,
@@ -142,19 +144,29 @@ def chain_poset(p: Poset, limit: int = DEFAULT_CHAIN_LIMIT) -> ChainPoset:
     covers add exactly one element somewhere in the chain."""
     order = p._order
     position = {e: i for i, e in enumerate(order)}
+    # depth-first, extensions by position in the order; a chain is kept as
+    # (parent index, top) until the count is within the limit, and the
+    # elements above a top are found once, in a tee whose copies share them
+    above = {}
+    parents, tops = [], []
+    stack = [(-1, iter(order))]
+    while stack:
+        parent, extensions = stack[-1]
+        for top in extensions:
+            if len(tops) > limit:
+                raise OracleSizeExceeded(len(tops), limit)
+            parents.append(parent)
+            tops.append(top)
+            if top not in above:
+                later = islice(order, position[top] + 1, None)
+                above[top] = tee(filter(partial(p.lt, top), later), 1)[0]
+            stack.append((len(tops) - 1, copy(above[top])))
+            break
+        else:
+            stack.pop()
     chains = []
-
-    def grow(chain):
-        if len(chains) > limit:
-            raise OracleSizeExceeded(len(chains), limit)
-        chains.append(chain)
-        top = chain[-1]
-        for nxt in order[position[top] + 1:]:
-            if p.lt(top, nxt):
-                grow(chain + (nxt,))
-
-    for e in order:
-        grow((e,))
+    for parent, top in zip(parents, tops):
+        chains.append((chains[parent] if parent >= 0 else ()) + (top,))
 
     labels = {}
     for c in chains:

@@ -5,9 +5,15 @@ import json
 
 import pytest
 
-from posetcover import cli, fileio
+from posetcover import cli, fileio, fixtures
 from posetcover.dot import export_dot
-from posetcover.errors import CycleDetected, FormatError, NotCombinatorial
+from posetcover.errors import (
+    CycleDetected,
+    FormatError,
+    NotCombinatorial,
+    OracleSizeExceeded,
+    UnknownElement,
+)
 from posetcover.fixtures import fix_graph, fix_trop, fix_trop_m
 from posetcover.metric import morphism_face_poset
 from posetcover.morphisms import PosetMorphism
@@ -390,3 +396,75 @@ def test_internal_error_is_exit_3_without_traceback(monkeypatch, capsys):
     assert code == 3 and payload["verdict"] == "error"
     assert payload["witnesses"] == [{"error": "RuntimeError", "detail": "handler fault"}]
     assert "Traceback" not in captured.err
+
+
+def test_long_chain_subdivision_hits_the_chain_limit(tmp_path, capsys):
+    names = [f"c{i:04d}" for i in range(1200)]
+    doc = {"elements": names, "covers": [list(c) for c in zip(names, names[1:])]}
+    path = tmp_path / "chain.json"
+    path.write_text(fileio.dumps(doc))
+    code = cli.main(["--format", "machine", "subdivide", "bcs", "--poset", str(path)])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert payload["witnesses"] == [{"error": "OracleSizeExceeded",
+                                     "detail": str(OracleSizeExceeded(100_001, 100_000))}]
+
+
+@pytest.mark.parametrize("argv", [["morphism", "check"], ["graph", "refine"],
+                                  ["graph", "sample"]])
+def test_unknown_metric_image_keys_are_usage_errors(argv, tmp_path, capsys):
+    doc = fileio.metric_morphism_to_doc(fix_graph())
+    doc["vertex_images"]["GHOST"] = "u"
+    doc["edge_images"]["phantom"] = dict(doc["edge_images"]["e"])
+    path = tmp_path / "ghost.json"
+    path.write_text(fileio.dumps(doc))
+    code = cli.main(["--format", "machine", *argv, "--morphism", str(path)])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert payload["witnesses"] == [{"error": "UnknownElement",
+                                     "detail": str(UnknownElement("GHOST"))}]
+
+
+@pytest.mark.parametrize("argv", [
+    ["cover", "search", "--morphism", "FIX-TROP", "--bound", "0"],
+    ["cover", "search", "--morphism", "FIX-TROP", "--bound", "-3"],
+    ["graph", "sample", "--morphism", "FIX-GRAPH", "--random", "0"],
+    ["graph", "sample", "--morphism", "FIX-GRAPH", "--random", "-2"],
+])
+def test_non_positive_counts_are_usage_errors(argv, capsys):
+    code = cli.main(["--format", "machine", *argv])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 2 and payload["verdict"] == "error"
+
+
+def _run_fixtures(capsys, *names):
+    code = cli.main(["--format", "machine", "fixtures", "run", *names])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_fixture_row_with_a_wrong_expected_value_fails(monkeypatch, capsys):
+    rows = list(fixtures.FIXTURE_ROWS["FIX-TROP"])
+    label, argv, exit_code, _ = rows[3]
+    rows[3] = (label, argv, exit_code, {"data.degree": 4})
+    monkeypatch.setitem(fixtures.FIXTURE_ROWS, "FIX-TROP", rows)
+    code, payload = _run_fixtures(capsys, "FIX-TROP", "FIX-CE1")
+    assert code == 1
+    assert payload["data"]["results"] == {"FIX-CE1": "ok", "FIX-TROP": "failed"}
+    assert payload["witnesses"] == [{"fixture": "FIX-TROP", "failed": ["degree 3"]}]
+
+
+def test_fixture_row_whose_command_raises_fails(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("handler fault")
+
+    monkeypatch.setattr(cli, "cmd_extend", broken)
+    code, payload = _run_fixtures(capsys, "FIX-SIMPLE-EXT", "FIX-TROP")
+    assert code == 1 and payload["verdict"] == "fail"
+    assert payload["witnesses"] == [{"fixture": "FIX-SIMPLE-EXT",
+                                     "failed": ["conflict at O with sums 2,1"]}]
+
+
+def test_fixtures_run_rejects_unknown_names(capsys):
+    code, payload = _run_fixtures(capsys, "NOPE")
+    assert code == 2
+    assert payload["witnesses"][0]["detail"].startswith("no checks for ['NOPE']")

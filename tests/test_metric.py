@@ -253,3 +253,17 @@ def random_points(rng: Random, graph: MetricGraph, count: int):
         den = rng.randint(2, 50)
         num = rng.randint(1, den - 1)
         yield Point.interior(eid, Fraction(num, den) * length)
+
+
+def test_fibre_count_matches_the_face_poset_fibre():
+    # sample_fibre counts the cells the cell map sends to the point's cell;
+    # the fibre of the face-poset morphism is the reference
+    rng = Random(73)
+    originals = [fix_graph()] + [random_metric_morphism(rng) for _ in range(30)]
+    morphisms = originals + [refine_to_combinatorial(phi).morphism for phi in originals]
+    for phi in morphisms:
+        face = morphism_face_poset(phi)
+        points = [Point.at_vertex(v) for v in phi.target.vertices]
+        points += random_points(rng, phi.target, 10)
+        for y in points:
+            assert sample_fibre(phi, y).poset == len(face.fibre(phi.target.cell_of(y)))
