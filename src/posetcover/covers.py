@@ -24,7 +24,7 @@ from .errors import (
     ValueMissing,
 )
 from .morphisms import PosetMorphism
-from .posets import DEFAULT_ORACLE_LIMIT, Poset, enumerate_up_sets
+from .posets import DEFAULT_ORACLE_LIMIT, Poset, bit_indices, up_set_bits
 
 DEFAULT_SEARCH_BOUND = 8
 DEFAULT_SEARCH_STATES = 1_000_000
@@ -98,41 +98,67 @@ def local_degree(phi: PosetMorphism, m: IndexMap, subset: Iterable[str], y: str)
     return total
 
 
-def _cover_groups(phi: PosetMorphism, alpha: str) -> list:
-    """The elements covering alpha, grouped by the element covering
-    phi(alpha) that they map to: one (beta, group) pair per cover beta of
-    phi(alpha), in covers_of order.  Empty groups stay, because their sum of
-    0 is a real witness."""
-    ups = phi.source.covers_of(alpha)
-    return [(beta, [g for g in ups if phi(g) == beta])
-            for beta in phi.target.covers_of(phi(alpha))]
+def _cover_groups(phi: PosetMorphism) -> list:
+    """For every source element, as indices: the elements covering it,
+    grouped by the element covering its image that they map to, one
+    (beta, group) pair per cover beta of the image, betas and group members
+    ascending.  Empty groups stay, because their sum of 0 is a real witness.
+    One pass over the covers of each element and of its image buckets the
+    covers, once per morphism."""
+    groups = phi._cover_groups_memo
+    if groups is None:
+        image_of, t_up = phi._image_of, phi.target._up_ix
+        groups = []
+        for i, ups in enumerate(phi.source._up_ix):
+            buckets = {beta: [] for beta in t_up[image_of[i]]}
+            for g in ups:
+                bucket = buckets.get(image_of[g])
+                if bucket is not None:
+                    bucket.append(g)
+            groups.append(list(buckets.items()))
+        phi._cover_groups_memo = groups
+    return groups
+
+
+def _value_list(phi: PosetMorphism, m: IndexMap) -> list:
+    """The values of m by source index; None off the domain."""
+    get = m.values.get
+    return [get(x) for x in phi.source._ids]
 
 
 def _push_plan(phi: PosetMorphism):
-    """Split the source, top first in (depth, id) order, into the free
-    elements, whose image is maximal so no balancing condition binds them,
-    and the (alpha, cover groups) pairs of all the others."""
-    depth = phi.source._depth
+    """Split the source indices, top first in (depth, id) order, into the
+    free elements, whose image is maximal so no balancing condition binds
+    them, and the (alpha, cover groups) pairs of all the others."""
+    depth, ids = phi.source._depth, phi.source._ids
+    groups = _cover_groups(phi)
     free, plan = [], []
-    for alpha in sorted(phi.source.elements, key=lambda x: (depth[x], x)):
-        groups = _cover_groups(phi, alpha)
-        if groups:
-            plan.append((alpha, groups))
+    for i in sorted(range(len(ids)), key=lambda i: (depth[ids[i]], i)):
+        if groups[i]:
+            plan.append((i, groups[i]))
         else:
-            free.append(alpha)
+            free.append(i)
     return free, plan
 
 
-def _push_down(plan, values: dict):
-    """Push values down the plan: each element gets the common sum of its
-    cover groups.  Returns the filled values, or None when two groups
-    disagree or the sum is below 1."""
+def _push_down(plan, values: list):
+    """Push values, a list by source index, down the plan: each element
+    gets the common sum of its cover groups.  Returns the filled values, or
+    None when two groups disagree or the sum is below 1."""
     for alpha, groups in plan:
-        sums = {sum(values[g] for g in group) for _, group in groups}
+        sums = {sum([values[g] for g in group]) for _, group in groups}
         if len(sums) != 1 or min(sums) < 1:
             return None
         values[alpha] = sums.pop()
     return values
+
+
+def _pushed_index_map(phi: PosetMorphism, free, plan, values: list) -> IndexMap:
+    """The total index map of pushed-down values, keyed free elements
+    first and then in plan order."""
+    ids = phi.source._ids
+    order = free + [alpha for alpha, _ in plan]
+    return IndexMap.total(phi.source, {ids[i]: values[i] for i in order})
 
 
 def is_balanced(phi: PosetMorphism, m: IndexMap) -> Check:
@@ -141,12 +167,17 @@ def is_balanced(phi: PosetMorphism, m: IndexMap) -> Check:
     the elements covering alpha in the fibre of beta."""
     if m.poset != phi.source:
         raise InvalidIndexMap("index map lives on a different poset than the morphism source")
+    groups = _cover_groups(phi)
+    ids, t_ids = phi.source._ids, phi.target._ids
+    values = _value_list(phi, m)
     witnesses = []
-    for alpha in sorted(m.domain):
-        for beta, group in _cover_groups(phi, alpha):
-            rhs = sum(m[g] for g in group)
-            if rhs != m[alpha]:
-                witnesses.append(BalanceViolation(alpha, beta, m[alpha], rhs))
+    for alpha, lhs in enumerate(values):
+        if lhs is None:
+            continue
+        for beta, group in groups[alpha]:
+            rhs = sum([values[g] for g in group])  # the domain is an up-set
+            if rhs != lhs:
+                witnesses.append(BalanceViolation(ids[alpha], t_ids[beta], lhs, rhs))
     if witnesses:
         return Check.failed(witnesses)
     return Check.passed()
@@ -177,23 +208,36 @@ def branch_locus_check(phi: PosetMorphism) -> BranchReport:
     return BranchReport(not witnesses, tuple(witnesses), locus)
 
 
-def _constancy_violation(phi, m, beta_label, component):
-    """Check the local degree is constant over the image of the component;
-    return a DegreeMismatch or None.  One pass sums the local degree of
-    every image element."""
+def _degree_mismatch(phi: PosetMorphism, values: list, component: int):
+    """Is the local degree constant over the image of the component (a
+    source bitset)?  One pass sums the local degree of every image
+    element; returns None, or the least image element, the least one whose
+    degree differs, and the two degrees."""
+    image_of = phi._image_of
     degree = {}
-    for x in component:
-        y = phi.mapping[x]
-        degree[y] = degree.get(y, 0) + m[x]
-    if not degree:
+    for x in bit_indices(component):
+        y = image_of[x]
+        degree[y] = degree.get(y, 0) + values[x]
+    if len(set(degree.values())) <= 1:
         return None
     image = sorted(degree)
     y1, d1 = image[0], degree[image[0]]
-    for y2 in image[1:]:
-        d2 = degree[y2]
-        if d2 != d1:
-            return DegreeMismatch(beta_label, frozenset(component), y1, y2, d1, d2)
-    return None
+    y2 = next(y for y in image if degree[y] != d1)
+    t_ids = phi.target._ids
+    return t_ids[y1], t_ids[y2], d1, degree[y2]
+
+
+def _constancy_witnesses(phi: PosetMorphism, values: list, preimage: int, label) -> list:
+    """A DegreeMismatch for every component of the preimage (a source
+    bitset) whose local degree is not constant; ``label()`` names the
+    target set the preimage is taken of."""
+    source = phi.source
+    found = []
+    for component in source._component_bits(preimage):
+        bad = _degree_mismatch(phi, values, component)
+        if bad:
+            found.append(DegreeMismatch(label(), frozenset(source._labels(component)), *bad))
+    return found
 
 
 def is_ibc(phi: PosetMorphism, m: IndexMap) -> Check:
@@ -204,11 +248,15 @@ def is_ibc(phi: PosetMorphism, m: IndexMap) -> Check:
         raise PartialIndexMap(frozenset(phi.source.elements) - m.domain)
     branch = branch_locus_check(phi)
     witnesses = list(branch.witnesses)
-    for beta in sorted(phi.target.elements):
-        for component in phi.preimage_components(beta):
-            bad = _constancy_violation(phi, m, beta, component)
-            if bad:
-                witnesses.append(bad)
+    target = phi.target
+    values = _value_list(phi, m)
+    # preimages[j]: the preimage of up(j), built top down in one pass
+    preimages = list(phi._fibres)
+    for j in reversed(target._order_ix):
+        for c in target._up_ix[j]:
+            preimages[j] |= preimages[c]
+    for j, beta in enumerate(target._ids):
+        witnesses += _constancy_witnesses(phi, values, preimages[j], lambda: beta)
     if witnesses:
         return Check.failed(witnesses)
     return Check.passed()
@@ -221,12 +269,12 @@ def is_ibc_oracle(phi: PosetMorphism, m: IndexMap, limit: int = DEFAULT_ORACLE_L
         raise PartialIndexMap(frozenset(phi.source.elements) - m.domain)
     branch = branch_locus_check(phi)
     witnesses = list(branch.witnesses)
-    for upset in enumerate_up_sets(phi.target, connected_only=True, limit=limit):
-        label = frozenset(upset)
-        for component in phi.source.components(phi.preimage(upset)):
-            bad = _constancy_violation(phi, m, label, component)
-            if bad:
-                witnesses.append(bad)
+    target = phi.target
+    values = _value_list(phi, m)
+    for upset in up_set_bits(target, connected_only=True, limit=limit):
+        preimage = phi._preimage_bits(bit_indices(upset))
+        witnesses += _constancy_witnesses(
+            phi, values, preimage, lambda: frozenset(target._labels(upset)))
     if witnesses:
         return Check.failed(witnesses)
     return Check.passed()
@@ -267,7 +315,6 @@ def search_balanced(
     """
     if bound < 1:
         raise ValueError(f"bound must be at least 1, got {bound}")
-    order = sorted(phi.source.elements)
     free, plan = _push_plan(phi)
     free.sort()
 
@@ -275,14 +322,18 @@ def search_balanced(
     if states > state_limit:
         raise OracleSizeExceeded(states, state_limit)
 
-    best = best_key = None
+    # values by index, so comparing lists compares in element order
+    best = None
+    blank = [0] * len(phi.source)
     for assignment in product(range(1, bound + 1), repeat=len(free)):
-        values = _push_down(plan, dict(zip(free, assignment)))
+        values = blank[:]
+        for alpha, v in zip(free, assignment):
+            values[alpha] = v
+        values = _push_down(plan, values)
         if values is None or any(values[alpha] > bound for alpha, _ in plan):
             continue
-        key = tuple(values[x] for x in order)
-        if best is None or key < best_key:
-            best, best_key = values, key
+        if best is None or values < best:
+            best = values
     if best is None:
         return None
-    return IndexMap.total(phi.source, best)
+    return _pushed_index_map(phi, free, plan, best)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass, field
 
-from .covers import IndexMap, _cover_groups, is_balanced
+from .covers import IndexMap, _cover_groups, _value_list, is_balanced
 from .errors import (
     CorestrictionNotCombinatorial,
     MaxElementsUncovered,
@@ -28,7 +28,7 @@ from .errors import (
     UnknownElement,
 )
 from .morphisms import PosetMorphism
-from .posets import Poset, connectivity, rank_check
+from .posets import Poset, bit_indices, connectivity, rank_check
 
 ExtensionConflict = namedtuple("ExtensionConflict", "alpha beta1 beta2 sum1 sum2")
 
@@ -89,36 +89,45 @@ def extend_balanced(phi: PosetMorphism, m: IndexMap, target_upset) -> ExtensionR
     if uncovered:
         raise MaxElementsUncovered(uncovered)
 
+    source, target = phi.source, phi.target
+    t_ids = target._ids
+    image_of, t_above = phi._image_of, target._above
+    cover_groups = _cover_groups(phi)
     values = dict(m.values)
+    known = _value_list(phi, m)  # by index; None while unvalued
+    valued = source._bits(m.domain)
     conflicts = []
     unconstrained = []
     guaranteed = True
-    height = phi.source._height
+    height = source._height
     todo = sorted((x for x in w if x not in m.domain), key=lambda x: (-height[x], x))
     for alpha in todo:
-        groups = _cover_groups(phi, alpha)
+        i = source._index[alpha]
+        groups = cover_groups[i]
         if not groups:
             unconstrained.append(alpha)
             continue
-        theorem_upset = phi.target.up_set([phi(alpha)]) - {phi(alpha)}
-        if not phi.target.is_connected(theorem_upset) or not all(
-            g in values for g in phi.preimage(theorem_upset)
-        ):
-            guaranteed = False
+        if guaranteed:
+            # the theorem's hypothesis: the up-set of phi(alpha) punctured
+            # at phi(alpha) is connected and its preimage already valued
+            punctured = t_above[image_of[i]]
+            guaranteed = (target._is_connected_bits(punctured)
+                          and not phi._preimage_bits(bit_indices(punctured)) & ~valued)
         candidates = []
         for beta, above in groups:
-            if any(g not in values for g in above):
-                candidates.append((beta, None))
+            if any(known[g] is None for g in above):
+                candidates.append((t_ids[beta], None))
             else:
-                candidates.append((beta, sum(values[g] for g in above)))
-        known = [(b, c) for b, c in candidates if c is not None]
-        distinct = sorted({c for _, c in known})
-        if len(known) == len(candidates) and len(distinct) == 1 and distinct[0] >= 1:
-            values[alpha] = distinct[0]
+                candidates.append((t_ids[beta], sum([known[g] for g in above])))
+        sums = [(b, c) for b, c in candidates if c is not None]
+        distinct = sorted({c for _, c in sums})
+        if len(sums) == len(candidates) and len(distinct) == 1 and distinct[0] >= 1:
+            values[alpha] = known[i] = distinct[0]
+            valued |= 1 << i
             continue
         if len(distinct) >= 2:
-            (b1, c1) = next(x for x in known if x[1] == distinct[0])
-            (b2, c2) = next(x for x in known if x[1] == distinct[-1])
+            (b1, c1) = next(x for x in sums if x[1] == distinct[0])
+            (b2, c2) = next(x for x in sums if x[1] == distinct[-1])
             first, second = sorted([(b1, c1), (b2, c2)])
             conflicts.append(ExtensionConflict(alpha, first[0], second[0], first[1], second[1]))
         else:
@@ -126,10 +135,12 @@ def extend_balanced(phi: PosetMorphism, m: IndexMap, target_upset) -> ExtensionR
             b, c = candidates[0]
             conflicts.append(ExtensionConflict(alpha, b, b, c, c))
 
-    extended = IndexMap(phi.source, values)
+    extended = IndexMap(source, values)
     if not conflicts:
-        image = phi.image(extended.domain)
-        if not phi.target.is_up_set(image):
+        image = 0
+        for x in bit_indices(valued):
+            image |= 1 << image_of[x]
+        if any(t_above[y] & ~image for y in bit_indices(image)):
             raise TheoremViolation(
                 "image of the extended domain is not an up-set; this contradicts "
                 "the openness corollary for balanced maps"

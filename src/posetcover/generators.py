@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from random import Random
 
-from .covers import IndexMap, _push_down, _push_plan, is_balanced
+from .covers import IndexMap, _push_down, _push_plan, _pushed_index_map, is_balanced
 from .morphisms import PosetMorphism
 from .posets import Poset, connectivity
 
@@ -145,9 +145,11 @@ def random_balanced_map(rng: Random, phi: PosetMorphism, hi: int = 3):
     """Try to build a total balanced map by choosing top values and pushing
     them down the fibres; None when the random choice is inconsistent."""
     free, plan = _push_plan(phi)
-    values = _push_down(plan, {x: rng.randint(1, hi) for x in free})
-    if values is None:
+    values = [0] * len(phi.source)
+    for alpha in free:
+        values[alpha] = rng.randint(1, hi)
+    if _push_down(plan, values) is None:
         return None
-    m = IndexMap.total(phi.source, values)
+    m = _pushed_index_map(phi, free, plan, values)
     assert is_balanced(phi, m)
     return m

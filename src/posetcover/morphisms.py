@@ -34,20 +34,29 @@ class PosetMorphism:
         for e in mapping:
             if e not in source:
                 raise UnknownElement(e)
-        # monotone on covers implies monotone everywhere
-        for a, b in sorted(source.covers):
-            if not target.leq(mapping[a], mapping[b]):
-                raise NotMonotone((a, b))
-        self.source = source
-        self.target = target
-        self.mapping = dict(mapping)
         # _image_of[i]: target index of source element i; _fibres[j]: the
         # source bitset over target element j
         t_index = target._index
-        self._image_of = image_of = [t_index[mapping[x]] for x in source._ids]
+        image_of = [t_index[mapping[x]] for x in source._ids]
+        # monotone on covers implies monotone everywhere; the covers come
+        # in sorted order, so the first failure is the least failing pair
+        t_above = target._above
+        for i, ups in enumerate(source._up_ix):
+            y = image_of[i]
+            reach = t_above[y] | 1 << y
+            for g in ups:
+                if not reach >> image_of[g] & 1:
+                    raise NotMonotone((source._ids[i], source._ids[g]))
+        self.source = source
+        self.target = target
+        self.mapping = dict(mapping)
+        self._image_of = image_of
         self._fibres = fibres = [0] * len(target)
         for i, j in enumerate(image_of):
             fibres[j] |= 1 << i
+        # the balancing cover groups of covers._cover_groups, built on first
+        # use; declared here so that writing it keeps the compact layout
+        self._cover_groups_memo = None
 
     @classmethod
     def identity(cls, p: Poset) -> "PosetMorphism":
@@ -140,15 +149,27 @@ class PosetMorphism:
     def is_open(self) -> Check:
         """A morphism of posets is open iff the image of every principal
         up-set is an up-set; images distribute over unions, so checking
-        principal up-sets suffices."""
+        principal up-sets suffices.  The image of up(alpha) lies in
+        up(phi(alpha)) and holds phi(alpha), so it is an up-set exactly
+        when it is all of up(phi(alpha)).  A witness names the least image
+        element with a cover outside the image, and its least such cover."""
+        source, target = self.source, self.target
+        image_of, t_above, t_up = self._image_of, target._above, target._up_ix
+        # images[i]: the image of up(i) as a target bitset, tops first
+        images = [0] * len(image_of)
+        for i in reversed(source._order_ix):
+            img = 1 << image_of[i]
+            for g in source._up_ix[i]:
+                img |= images[g]
+            images[i] = img
         witnesses = []
-        for alpha in sorted(self.source.elements):
-            img = self.image(self.source.up_set([alpha]))
-            for x in sorted(img):
-                missing = [c for c in self.target.covers_of(x) if c not in img]
-                if missing:
-                    witnesses.append(OpennessDefect(alpha, x, missing[0]))
-                    break
+        for i, img in enumerate(images):
+            y = image_of[i]
+            if img != t_above[y] | 1 << y:
+                x, c = next((x, c) for x in bit_indices(img) for c in t_up[x]
+                            if not img >> c & 1)
+                witnesses.append(OpennessDefect(
+                    source._ids[i], target._ids[x], target._ids[c]))
         if witnesses:
             return Check.failed(witnesses)
         return Check.passed()

@@ -67,7 +67,9 @@ class Poset:
     ``(a, b)`` meaning b covers a.  ``_above[i]`` and ``_below[i]`` are the
     strict up- and down-closures of element i as bitsets, so order queries
     are bit tests and the object is safe to share between threads.
-    ``_order`` is a topological order, least id first.
+    ``_order`` is a topological order, least id first, and ``_order_ix``
+    the same order as indices; ``_up_ix[i]`` lists the elements covering
+    i, ascending.
     """
 
     def __init__(self, elements: Iterable[str], covers: Iterable[tuple[str, str]]):
@@ -105,10 +107,12 @@ class Poset:
             down_labels[b].append(a)
         self._up = {e: tuple(cs) for e, cs in up_labels.items()}
         self._down = {e: tuple(cs) for e, cs in down_labels.items()}
+        self._up_ix = up
 
         order = self._topological_order(up, down)
         if len(order) != n:
             raise CycleDetected(self._find_cycle())
+        self._order_ix = order
         self._order = tuple(ids[i] for i in order)
         # filled on first use; declared here because a later write keeps the
         # compact attribute layout that writing to __dict__ would give up
@@ -308,28 +312,37 @@ class Poset:
         return (1 << len(self._ids)) - 1 if subset is None else self._bits(subset)
 
     def _component_bits(self, pool: int) -> list[int]:
-        """Breadth-first search over bitsets; each component is grown from
-        the least member left in the pool, so the list comes out sorted by
-        least member."""
-        above, below = self._above, self._below
+        """Each component is grown from the least member left in the pool,
+        so the list comes out sorted by least member."""
         comps = []
         while pool:
-            comp = frontier = pool & -pool
+            comp = self._grow(pool & -pool, pool)
             pool ^= comp
-            while frontier:
-                low = frontier & -frontier
-                frontier ^= low
-                i = low.bit_length() - 1
-                new = (above[i] | below[i]) & pool
-                if new:
-                    pool ^= new
-                    comp |= new
-                    frontier |= new
             comps.append(comp)
         return comps
 
+    def _grow(self, comp: int, pool: int) -> int:
+        """Breadth-first search over bitsets: the component of the pool
+        that holds the one-member set ``comp``."""
+        above, below = self._above, self._below
+        frontier = comp
+        pool ^= comp
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            i = low.bit_length() - 1
+            new = (above[i] | below[i]) & pool
+            if new:
+                pool ^= new
+                comp |= new
+                frontier |= new
+        return comp
+
+    def _is_connected_bits(self, pool: int) -> bool:
+        return not pool or self._grow(pool & -pool, pool) == pool
+
     def is_connected(self, subset: Iterable[str] | None = None) -> bool:
-        return len(self._component_bits(self._pool(subset))) <= 1
+        return self._is_connected_bits(self._pool(subset))
 
     def induced(self, subset: Iterable[str]) -> "Poset":
         """Induced subposet; covers are recomputed (a pair comparable through
@@ -432,28 +445,37 @@ def enumerate_up_sets(
     connected are yielded.  This is the oracle support for the exhaustive
     indexed-branched-cover check, hence the size guard.
     """
-    if len(p) > limit:
-        raise OracleSizeExceeded(len(p), limit)
-    order = sorted(p.elements)
+    for bits in up_set_bits(p, connected_only, limit):
+        yield frozenset(p._labels(bits))
 
-    def emit(antichain):
-        up = p.up_set(antichain)
-        if connected_only:
-            if up and p.is_connected(up):
-                return up
-            return None
-        return up
 
-    def walk(start: int, antichain: list):
-        got = emit(antichain)
-        if got is not None:
-            yield got
-        for i in range(start, len(order)):
-            e = order[i]
-            if any(p.comparable(e, a) for a in antichain):
-                continue
-            antichain.append(e)
-            yield from walk(i + 1, antichain)
-            antichain.pop()
-
-    yield from walk(0, [])
+def up_set_bits(
+    p: Poset,
+    connected_only: bool = False,
+    limit: int = DEFAULT_ORACLE_LIMIT,
+) -> Iterator[int]:
+    """The up-sets of ``enumerate_up_sets`` as bitsets, in the same order:
+    a depth-first walk over antichains from an explicit stack, each
+    antichain extended by its candidates in sorted order."""
+    n = len(p)
+    if n > limit:
+        raise OracleSizeExceeded(n, limit)
+    above, below = p._above, p._below
+    if not connected_only:
+        yield 0
+    # one frame per antichain on the current path: its up-set, and the
+    # candidates, elements after its last member comparable to no member
+    stack = [(0, (1 << n) - 1)]
+    while stack:
+        up, candidates = stack[-1]
+        if not candidates:
+            stack.pop()
+            continue
+        low = candidates & -candidates
+        candidates ^= low
+        stack[-1] = (up, candidates)
+        i = low.bit_length() - 1
+        grown = up | above[i] | low
+        if not connected_only or p._is_connected_bits(grown):
+            yield grown
+        stack.append((grown, candidates & ~(above[i] | below[i])))

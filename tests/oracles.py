@@ -176,3 +176,127 @@ def longest_chains(elements, covers):
                 depth[a] = depth[b] + 1
                 changed = True
     return height, depth
+
+
+def _covers_above(covers, a):
+    return sorted(b for x, b in covers if x == a)
+
+
+def brute_balance_violations(s_covers, t_covers, mapping, values):
+    """(alpha, beta, lhs, rhs) for every valued alpha and every cover beta
+    of its image where the value at alpha differs from the sum of values
+    over the covers of alpha that map to beta; alpha, then beta, sorted."""
+    found = []
+    for alpha in sorted(values):
+        for beta in _covers_above(t_covers, mapping[alpha]):
+            rhs = sum(values[g] for g in _covers_above(s_covers, alpha) if mapping[g] == beta)
+            if rhs != values[alpha]:
+                found.append((alpha, beta, values[alpha], rhs))
+    return found
+
+
+def brute_openness_defects(s_elements, s_covers, t_covers, mapping):
+    """(alpha, y, c) for every alpha, in sorted order, whose principal
+    up-set has an image that is not an up-set: y is the least image
+    element with a cover outside the image, c its least such cover."""
+    s_leq = reachability(s_elements, s_covers)
+    found = []
+    for alpha in sorted(s_elements):
+        image = {mapping[x] for x in s_elements if (alpha, x) in s_leq}
+        for y in sorted(image):
+            outside = [c for c in _covers_above(t_covers, y) if c not in image]
+            if outside:
+                found.append((alpha, y, outside[0]))
+                break
+    return found
+
+
+def brute_branch_defects(s_elements, s_covers, t_elements, t_covers, mapping):
+    """(beta, alpha) for every maximal target element beta and every
+    element of its fibre that is not maximal, both sorted."""
+    s_max = {x for x in s_elements if not _covers_above(s_covers, x)}
+    return [(beta, alpha)
+            for beta in sorted(t_elements) if not _covers_above(t_covers, beta)
+            for alpha in sorted(s_elements) if mapping[alpha] == beta and alpha not in s_max]
+
+
+def brute_degree_mismatches(s_elements, s_covers, mapping, values, labelled_sets):
+    """(label, component, y1, y2, d1, d2) for every (label, target set) in
+    order and every component of the preimage of the set, by least member,
+    whose local degree (sum of values over the component and one fibre)
+    is not constant over its image: y1 is the least image element and y2
+    the least one whose degree differs from it."""
+    found = []
+    for label, targets in labelled_sets:
+        preimage = {x for x in s_elements if mapping[x] in targets}
+        for comp in brute_poset_components(s_elements, s_covers, preimage):
+            image = sorted({mapping[x] for x in comp})
+            degree = {y: sum(values[x] for x in comp if mapping[x] == y) for y in image}
+            y1 = image[0]
+            y2 = next((y for y in image if degree[y] != degree[y1]), None)
+            if y2 is not None:
+                found.append((label, comp, y1, y2, degree[y1], degree[y2]))
+    return found
+
+
+def brute_up_set_walk(elements, covers, connected_only=False):
+    """Every up-set, one per antichain of generators, by the recursive
+    walk that extends an antichain by each later incomparable element in
+    sorted order, emitting the up-set before its extensions; with
+    connected_only, only non-empty connected up-sets."""
+    leq = reachability(elements, covers)
+    order = sorted(elements)
+    found = []
+
+    def walk(start, antichain):
+        up = frozenset(x for x in elements if any((a, x) in leq for a in antichain))
+        if not connected_only or (up and len(brute_poset_components(elements, covers, up)) == 1):
+            found.append(up)
+        for i in range(start, len(order)):
+            e = order[i]
+            if all((e, a) not in leq and (a, e) not in leq for a in antichain):
+                walk(i + 1, antichain + [e])
+
+    walk(0, [])
+    return found
+
+
+def brute_extension(s_elements, s_covers, t_elements, t_covers, mapping, values, upset):
+    """Extension of a balanced map over a larger up-set, from the
+    definitions: the unvalued elements in order of decreasing height, then
+    name; each takes the sum over its covers in the fibre of a cover beta
+    of its image when every beta gives the same positive sum over valued
+    covers, else it stays unvalued with a conflict (the least two distinct
+    sums, or the least beta twice).  The mode is guaranteed when at every
+    constrained element the punctured up-set of its image is connected and
+    its preimage valued.  Returns (values, mode, conflicts, unconstrained)."""
+    height, _ = longest_chains(s_elements, s_covers)
+    t_leq = reachability(t_elements, t_covers)
+    values = dict(values)
+    conflicts, unconstrained = [], []
+    guaranteed = True
+    for alpha in sorted((x for x in upset if x not in values), key=lambda x: (-height[x], x)):
+        y = mapping[alpha]
+        betas = _covers_above(t_covers, y)
+        if not betas:
+            unconstrained.append(alpha)
+            continue
+        punctured = {z for z in t_elements if (y, z) in t_leq and z != y}
+        if (len(brute_poset_components(t_elements, t_covers, punctured)) > 1
+                or any(mapping[x] in punctured and x not in values for x in s_elements)):
+            guaranteed = False
+        sums = {}
+        for beta in betas:
+            above = [g for g in _covers_above(s_covers, alpha) if mapping[g] == beta]
+            sums[beta] = sum(values[g] for g in above) if all(g in values for g in above) else None
+        distinct = sorted({c for c in sums.values() if c is not None})
+        if None not in sums.values() and len(distinct) == 1 and distinct[0] >= 1:
+            values[alpha] = distinct[0]
+        elif len(distinct) >= 2:
+            low = min(b for b in betas if sums[b] == distinct[0])
+            high = min(b for b in betas if sums[b] == distinct[-1])
+            (b1, c1), (b2, c2) = sorted([(low, distinct[0]), (high, distinct[-1])])
+            conflicts.append((alpha, b1, b2, c1, c2))
+        else:
+            conflicts.append((alpha, betas[0], betas[0], sums[betas[0]], sums[betas[0]]))
+    return values, "guaranteed" if guaranteed else "opportunistic", conflicts, unconstrained

@@ -17,15 +17,19 @@ FIXTURE_COMMANDS = [
     ["poset", "stats", "FIX-IDREAD/source"],
     ["poset", "upsets", "FIX-TROP/target"],
     ["poset", "upsets", "FIX-CE1/source"],
+    ["poset", "upsets", "FIX-IDREAD/source", "--connected"],
     ["morphism", "check", "--morphism", "FIX-TROP"],
     ["morphism", "check", "--morphism", "FIX-CE1"],
     ["morphism", "check", "--morphism", "FIX-OPEN"],
     ["morphism", "check", "--morphism", "FIX-LIFT"],
     ["cover", "balanced", "--morphism", "FIX-CE2", "--index", "FIX-CE2-M"],
+    ["cover", "balanced", "--morphism", "FIX-CE1", "--index", "FIX-CE1-M"],
     ["cover", "ibc", "--morphism", "FIX-CE1", "--index", "FIX-CE1-M"],
     ["cover", "ibc", "--morphism", "FIX-TROP", "--index", "FIX-TROP-M"],
+    ["cover", "ibc", "--morphism", "FIX-CE2", "--index", "FIX-CE2-M"],
     ["cover", "ibc-oracle", "--morphism", "FIX-CE1", "--index", "FIX-CE1-M"],
     ["cover", "ibc-oracle", "--morphism", "FIX-CE2", "--index", "FIX-CE2-M"],
+    ["cover", "ibc-oracle", "--morphism", "FIX-TROP", "--index", "FIX-TROP-M"],
     ["cover", "degree", "--morphism", "FIX-TROP", "--index", "FIX-TROP-M"],
     ["cover", "search", "--morphism", "FIX-OPEN", "--bound", "4"],
     ["cover", "search", "--morphism", "FIX-TROP", "--bound", "3"],

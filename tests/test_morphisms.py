@@ -38,6 +38,14 @@ class TestBuild:
             PosetMorphism(chain, antichain, {"A": "X", "B": "Y"})
         assert err.value.pair == ("A", "B")
 
+    def test_least_failing_cover_reported(self):
+        # both covers reverse; the least pair is reported, not the first given
+        source = Poset(["c", "d", "a", "b"], [("c", "d"), ("a", "b")])
+        chain = Poset(["X", "Y"], [("X", "Y")])
+        with pytest.raises(NotMonotone) as err:
+            PosetMorphism(source, chain, {"a": "Y", "b": "X", "c": "Y", "d": "X"})
+        assert err.value.pair == ("a", "b")
+
     def test_partial_map_rejected(self):
         chain = Poset(["A", "B"], [("A", "B")])
         with pytest.raises(UnknownElement):

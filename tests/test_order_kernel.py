@@ -1,20 +1,36 @@
 """Differential tests of the bitset order kernel: topological order,
-components, fibres and preimages, the counting test of combinatoriality
-and the one-pass local degrees, each against an independent oracle."""
+components, fibres and preimages, the counting test of combinatoriality,
+the one-pass local degrees, and the full witness lists of openness,
+balancing, both branched-cover decisions, up-set enumeration and
+extension, each against an independent oracle."""
 
 import pytest
 from collections import Counter
 from random import Random
 
-from posetcover.covers import DegreeMismatch, IndexMap, is_ibc, local_degree
+from posetcover.covers import (
+    DegreeMismatch,
+    IndexMap,
+    is_balanced,
+    is_ibc,
+    is_ibc_oracle,
+    local_degree,
+)
 from posetcover.errors import NotUpSet, RedundantCover
-from posetcover.generators import random_graded_poset, random_sheaf_morphism
+from posetcover.extend import extend_balanced
+from posetcover.generators import random_balanced_map, random_graded_poset, random_sheaf_morphism
 from posetcover.morphisms import PosetMorphism
-from posetcover.posets import Poset, rank_check
+from posetcover.posets import Poset, enumerate_up_sets, rank_check
 
 from oracles import (
+    brute_balance_violations,
+    brute_branch_defects,
     brute_combinatorial_defects,
+    brute_degree_mismatches,
+    brute_extension,
+    brute_openness_defects,
     brute_poset_components,
+    brute_up_set_walk,
     least_first_order,
     reachability,
 )
@@ -79,6 +95,21 @@ def onto_chain(rng):
     return PosetMorphism(p, chain, {e: f"c{rank[e]:02d}" for e in p.elements})
 
 
+def truncated(rng):
+    """A gluing with the up-set of one or two source elements removed, so
+    that images of up-sets can miss several covers at once."""
+    phi = random_sheaf_morphism(rng, max_sheets=3)
+    elements = sorted(phi.source.elements)
+    keep = set(elements) - phi.source.up_set(rng.sample(elements, min(2, len(elements))))
+    if not keep:
+        return phi
+    return PosetMorphism(phi.source.induced(keep), phi.target,
+                         {x: phi.mapping[x] for x in keep})
+
+
+FAMILIES = [random_sheaf_morphism, collapsed_sheets, merged_targets, onto_chain]
+
+
 class TestCombinatorialByCounting:
     def test_least_reversed_pair_onto_chain(self):
         source = Poset(["x", "y", "z", "a"], [("x", "a"), ("y", "a"), ("z", "a")])
@@ -90,8 +121,7 @@ class TestCombinatorialByCounting:
             ("z", "not surjective", "|down(z)|=1 != |down(Z)|=3"),
         ]
 
-    @pytest.mark.parametrize("family", [random_sheaf_morphism, collapsed_sheets,
-                                        merged_targets, onto_chain])
+    @pytest.mark.parametrize("family", FAMILIES)
     def test_against_pairwise_oracle(self, family):
         rng = Random(f"combinatorial/{family.__name__}")
         reasons = Counter()
@@ -192,3 +222,84 @@ def test_one_pass_degrees_match_local_degree():
                 assert local_degree(phi, m, w.component, w.y2) == w.d2 != w.d1
                 assert w.y1 == min(phi.image(w.component))
     assert mismatches >= 10
+
+
+def index_maps(rng, phi):
+    """The pushed-down map (random values where pushing fails), the same
+    with one value raised by one, and its restriction to a random up-set
+    that holds the maximal elements."""
+    source = phi.source
+    elements = sorted(source.elements)
+    pushed = random_balanced_map(rng, phi)
+    values = dict(pushed.values) if pushed else {x: rng.randint(1, 3) for x in elements}
+    perturbed = dict(values)
+    perturbed[rng.choice(elements)] += 1
+    upset = source.up_set([x for x in elements if rng.random() < 0.3]
+                          + list(source.max_elements()))
+    return [IndexMap.total(source, values), IndexMap.total(source, perturbed),
+            IndexMap(source, {x: values[x] for x in elements if x in upset})]
+
+
+def witness_kinds(rng, phi) -> Counter:
+    """Check every witness list of one morphism and its index maps against
+    the oracles; count the witnesses of each kind."""
+    source, target, mapping = phi.source, phi.target, phi.mapping
+    s_elements, s_covers = source.elements, source.covers
+    t_elements, t_covers = target.elements, target.covers
+    kinds = Counter()
+
+    opened = [tuple(w) for w in phi.is_open().witnesses]
+    assert opened == brute_openness_defects(s_elements, s_covers, t_covers, mapping)
+    kinds["not open"] += bool(opened)
+
+    walks = {}
+    for connected in (False, True):
+        walks[connected] = brute_up_set_walk(t_elements, t_covers, connected)
+        assert list(enumerate_up_sets(target, connected)) == walks[connected]
+        if len(source) <= 12:
+            assert list(enumerate_up_sets(source, connected)) == brute_up_set_walk(
+                s_elements, s_covers, connected)
+    t_leq = reachability(t_elements, t_covers)
+    principal = [(b, {y for y in t_elements if (b, y) in t_leq}) for b in sorted(t_elements)]
+    branch = brute_branch_defects(s_elements, s_covers, t_elements, t_covers, mapping)
+
+    maps = index_maps(rng, phi)
+    for m in maps:
+        balance = [tuple(w) for w in is_balanced(phi, m).witnesses]
+        assert balance == brute_balance_violations(s_covers, t_covers, mapping, m.values)
+        kinds["balance violation"] += len(balance)
+        if not m.is_total():
+            continue
+        got = [tuple(w) for w in is_ibc(phi, m).witnesses]
+        assert got == branch + brute_degree_mismatches(s_elements, s_covers, mapping,
+                                                       m.values, principal)
+        kinds["degree mismatch"] += len(got) - len(branch)
+        got = [tuple(w) for w in is_ibc_oracle(phi, m).witnesses]
+        assert got == branch + brute_degree_mismatches(s_elements, s_covers, mapping, m.values,
+                                                       [(u, u) for u in walks[True]])
+        kinds["oracle degree mismatch"] += len(got) - len(branch)
+
+    if not phi.is_combinatorial():
+        return kinds
+    tops = {x: rng.randint(1, 3) for x in source.max_elements()}
+    for m in (maps[2], IndexMap(source, tops)):
+        if brute_balance_violations(s_covers, t_covers, mapping, m.values):
+            continue  # extension needs a balanced map to start from
+        report = extend_balanced(phi, m, s_elements)
+        assert (report.extended.values, report.mode,
+                [tuple(c) for c in report.conflicts], report.unconstrained) == brute_extension(
+            s_elements, s_covers, t_elements, t_covers, mapping, m.values, s_elements)
+        kinds[f"{report.mode} extension" + (" with conflicts" if report.conflicts else "")] += 1
+    return kinds
+
+
+def test_witness_lists_against_oracles():
+    kinds = Counter()
+    for family in FAMILIES + [truncated]:
+        rng = Random(f"witnesses/{family.__name__}")
+        for _ in range(60):
+            kinds += witness_kinds(rng, family(rng))
+    print(dict(sorted(kinds.items())))
+    for kind in ("not open", "balance violation", "degree mismatch", "oracle degree mismatch",
+                 "guaranteed extension", "opportunistic extension with conflicts"):
+        assert kinds[kind], kind
