@@ -172,11 +172,13 @@ def cmd_poset(args) -> RunReport:
             data.update(graded=False, not_graded_witness=list(getattr(exc, "pair", ())))
         return RunReport("pass", data=data)
     if args.action == "upsets":
-        ups = list(posets.enumerate_up_sets(p, connected_only=args.connected,
-                                            limit=args.oracle_limit))
+        # bitsets until the walk is done, so a walk cut short by its guard
+        # has not built its up-sets as lists of names
+        ups = list(posets.up_set_bits(p, connected_only=args.connected,
+                                      limit=args.oracle_limit))
         return RunReport("pass", data={
             "count": len(ups),
-            "up_sets": sorted([sorted(u) for u in ups]),
+            "up_sets": sorted([list(p._labels(u)) for u in ups]),
         })
     raise FormatError(f"unknown poset action {args.action!r}")
 
@@ -423,20 +425,19 @@ def cmd_fixtures(args) -> RunReport:
     unknown = [n for n in names if n not in rows]
     if unknown:
         raise FormatError(f"no checks for {unknown!r}; available: {sorted(rows)}")
-    parser = build_parser()
-    failed = {name: _failed_rows(parser, rows[name]) for name in sorted(names)}
+    failed = {name: _failed_rows(rows[name]) for name in sorted(names)}
     failures = [{"fixture": name, "failed": labels} for name, labels in failed.items() if labels]
     data = {"results": {name: ("ok" if not labels else "failed")
                         for name, labels in failed.items()}}
     return RunReport("fail" if failures else "pass", witnesses=failures, data=data)
 
 
-def _failed_rows(parser, rows) -> list[str]:
+def _failed_rows(rows) -> list[str]:
     """Labels of the fixture rows whose command gives another exit code or
     another value at one of the expected paths of its machine report."""
     failed = []
     for label, argv, code, expected in rows:
-        report, got = dispatch(parser.parse_args(argv))
+        report, got = dispatch(shared_parser().parse_args(argv))
         payload = _payload(report)
         if got != code or any(_at(payload, path) != value for path, value in expected.items()):
             failed.append(label)
@@ -471,12 +472,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("poset")
     p.add_argument("--connected", action="store_true")
     p.add_argument("--oracle-limit", type=int, default=posets.DEFAULT_ORACLE_LIMIT)
-    p.set_defaults(handler=cmd_poset)
 
     p = sub.add_parser("morphism", help="check monotone, combinatorial, open")
     p.add_argument("action", choices=["check"])
     p.add_argument("--morphism", required=True)
-    p.set_defaults(handler=cmd_morphism)
 
     p = sub.add_parser("cover", help="balancing and branched-cover decisions")
     p.add_argument("action", choices=["balanced", "ibc", "ibc-oracle", "degree", "search"])
@@ -484,13 +483,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index")
     p.add_argument("--bound", type=int, default=covers.DEFAULT_SEARCH_BOUND)
     p.add_argument("--oracle-limit", type=int, default=posets.DEFAULT_ORACLE_LIMIT)
-    p.set_defaults(handler=cmd_cover)
 
     p = sub.add_parser("extend", help="extend a balanced map over a larger up-set")
     p.add_argument("--morphism", required=True)
     p.add_argument("--index", required=True)
     p.add_argument("--upset", help="comma-separated generators; default whole source")
-    p.set_defaults(handler=cmd_extend)
 
     p = sub.add_parser("lift", help="lift paths along a balanced map")
     p.add_argument("action", choices=["up", "path"])
@@ -498,7 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", required=True)
     p.add_argument("--start", required=True)
     p.add_argument("--path", required=True, help="comma-separated target elements")
-    p.set_defaults(handler=cmd_lift)
 
     p = sub.add_parser("connect", help="connectivity checks and lifting")
     p.add_argument("action", choices=["codimk", "strong", "lifting"])
@@ -507,7 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index")
     p.add_argument("--k", type=int)
     p.add_argument("--mode", choices=["one-fibre", "codim"], default="one-fibre")
-    p.set_defaults(handler=cmd_connect)
 
     p = sub.add_parser("subdivide", help="barycentric and stellar subdivision")
     p.add_argument("action", choices=["bcs", "stellar"])
@@ -516,7 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--complex")
     p.add_argument("--face", help="comma-separated vertices of the subdivided face")
     p.add_argument("--vertex", help="name of the new vertex")
-    p.set_defaults(handler=cmd_subdivide)
 
     p = sub.add_parser("graph", help="metric graph refinement and sampling")
     p.add_argument("action", choices=["refine", "sample", "poset"])
@@ -525,28 +519,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--point", help="vertex name or edge:pos with pos rational")
     p.add_argument("--random", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(handler=cmd_graph)
 
     p = sub.add_parser("export", help="emit DOT text")
     p.add_argument("action", choices=["dot"])
     p.add_argument("--poset")
     p.add_argument("--morphism")
     p.add_argument("--kind", choices=list(dot.KINDS), default="hasse")
-    p.set_defaults(handler=cmd_export)
 
     p = sub.add_parser("fixtures", help="list or re-verify the bundled fixtures")
     p.add_argument("action", choices=["list", "run"])
     p.add_argument("names", nargs="*")
-    p.set_defaults(handler=cmd_fixtures)
 
     return parser
 
 
+_PARSER = None
+
+
+def shared_parser() -> argparse.ArgumentParser:
+    """The parser of build_parser, built on first use and then shared by
+    every main() call and fixture row of the process."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    return _PARSER
+
+
 def dispatch(args) -> tuple[RunReport, int]:
-    """Run the parsed command's handler; return its report, labelled with
-    the command, and the exit code."""
+    """Run the parsed command's handler, ``cmd_<command>``; return its
+    report, labelled with the command, and the exit code.  The handler is
+    looked up at each call, not bound into the shared parser."""
     try:
-        report = args.handler(args)
+        report = globals()[f"cmd_{args.command}"](args)
         code = {"pass": 0, "fail": 1}[report.verdict]
     except Exception as exc:
         report = RunReport("error", witnesses=[{"error": type(exc).__name__, "detail": str(exc)}])
@@ -557,9 +561,8 @@ def dispatch(args) -> tuple[RunReport, int]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = shared_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     report, code = dispatch(args)

@@ -1,17 +1,26 @@
 """Index maps, local degrees, balancing, and the branched-cover decisions.
 
-The fast indexed-branched-cover test reduces the definition to principal
-up-sets of the target; the exhaustive oracle runs the definition verbatim
-over every connected up-set.  Both evaluate constancy of the local degree
-over the image of the component, and they provably agree on combinatorial
+`is_ibc` reduces the definition to principal up-sets of the target; the
+exhaustive oracle runs the definition verbatim over every connected
+up-set.  Both evaluate constancy of the local degree over the image of
+each preimage component, and they provably agree on combinatorial
 morphisms, which is what the differential test suite generates.
+
+On a combinatorial morphism `is_ibc` uses the paper's local statements.
+The preimage of up(beta) splits into the up-sets up(alpha) over the fibre
+of beta, one component each, and along a cover of the image the local
+degree on up(alpha) changes only by the balancing defects inside it.  So
+a balanced map is an indexed branched cover as soon as its branch
+condition holds (the main theorem; a balanced combinatorial map is open),
+and an unbalanced one is summed only on the up(alpha) that hold a defect.
+Other morphisms are decided by splitting every preimage into components.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import product
+from itertools import compress, product
 from typing import Iterable
 
 from .checks import Check
@@ -130,10 +139,10 @@ def _push_plan(phi: PosetMorphism):
     """Split the source indices, top first in (depth, id) order, into the
     free elements, whose image is maximal so no balancing condition binds
     them, and the (alpha, cover groups) pairs of all the others."""
-    depth, ids = phi.source._depth, phi.source._ids
+    depth = phi.source._depth
     groups = _cover_groups(phi)
     free, plan = [], []
-    for i in sorted(range(len(ids)), key=lambda i: (depth[ids[i]], i)):
+    for i in sorted(range(len(depth)), key=lambda i: (depth[i], i)):
         if groups[i]:
             plan.append((i, groups[i]))
         else:
@@ -167,9 +176,17 @@ def is_balanced(phi: PosetMorphism, m: IndexMap) -> Check:
     the elements covering alpha in the fibre of beta."""
     if m.poset != phi.source:
         raise InvalidIndexMap("index map lives on a different poset than the morphism source")
+    witnesses = _balance_violations(phi, _value_list(phi, m))
+    if witnesses:
+        return Check.failed(witnesses)
+    return Check.passed()
+
+
+def _balance_violations(phi: PosetMorphism, values: list) -> list:
+    """The BalanceViolation witnesses of values, a list by source index
+    with None off the domain, in (alpha, beta) order."""
     groups = _cover_groups(phi)
     ids, t_ids = phi.source._ids, phi.target._ids
-    values = _value_list(phi, m)
     witnesses = []
     for alpha, lhs in enumerate(values):
         if lhs is None:
@@ -178,9 +195,7 @@ def is_balanced(phi: PosetMorphism, m: IndexMap) -> Check:
             rhs = sum([values[g] for g in group])  # the domain is an up-set
             if rhs != lhs:
                 witnesses.append(BalanceViolation(ids[alpha], t_ids[beta], lhs, rhs))
-    if witnesses:
-        return Check.failed(witnesses)
-    return Check.passed()
+    return witnesses
 
 
 @dataclass
@@ -198,13 +213,14 @@ def branch_locus_check(phi: PosetMorphism) -> BranchReport:
     the maximal target elements iff every fibre over a maximal target
     element consists of maximal source elements.  The branch locus reported
     is always that safe superset, not a minimal one."""
+    source, target = phi.source, phi.target
     witnesses = []
-    max_source = set(phi.source.max_elements())
-    for beta in phi.target.max_elements():
-        for alpha in sorted(phi.fibre(beta)):
-            if alpha not in max_source:
-                witnesses.append(BranchDefect(beta, alpha))
-    locus = frozenset(phi.target.elements) - frozenset(phi.target.max_elements())
+    for j, ups in enumerate(target._up_ix):
+        if not ups:
+            for i in bit_indices(phi._fibres[j]):
+                if source._up_ix[i]:
+                    witnesses.append(BranchDefect(target._ids[j], source._ids[i]))
+    locus = frozenset(compress(target._ids, target._up_ix))
     return BranchReport(not witnesses, tuple(witnesses), locus)
 
 
@@ -243,23 +259,76 @@ def _constancy_witnesses(phi: PosetMorphism, values: list, preimage: int, label)
 def is_ibc(phi: PosetMorphism, m: IndexMap) -> Check:
     """Indexed-branched-cover decision over the principal up-sets of the
     target: the branched-cover condition must hold and the local degree of
-    every preimage component must be constant over its image."""
+    every preimage component must be constant over its image.
+
+    On a combinatorial morphism the components of the preimage of up(beta)
+    are the up(alpha) with phi(alpha) = beta, and along each cover of the
+    image the degree on up(alpha) changes by the balancing defects inside
+    up(alpha) (see _up_set_mismatches).  So a balanced map passes once its
+    branch condition holds, by the main theorem (a balanced combinatorial
+    map is open, so the theorem's openness hypothesis needs no test of its
+    own), and an unbalanced one is summed only on the up(alpha) that hold
+    a defect.  Other morphisms split each preimage by search."""
     if not m.is_total():
         raise PartialIndexMap(frozenset(phi.source.elements) - m.domain)
-    branch = branch_locus_check(phi)
-    witnesses = list(branch.witnesses)
-    target = phi.target
+    witnesses = list(branch_locus_check(phi).witnesses)
     values = _value_list(phi, m)
-    # preimages[j]: the preimage of up(j), built top down in one pass
+    if phi._non_bijective():
+        witnesses += _scanned_mismatches(phi, values)
+    else:
+        unbalanced = phi.source._bits(w.alpha for w in _balance_violations(phi, values))
+        witnesses += _up_set_mismatches(phi, values, unbalanced)
+    if witnesses:
+        return Check.failed(witnesses)
+    return Check.passed()
+
+
+def _up_set_mismatches(phi: PosetMorphism, values: list, unbalanced: int) -> list:
+    """The DegreeMismatch witnesses of a combinatorial morphism, target
+    element by target element.
+
+    The preimage of up(beta) is the disjoint union of the up(alpha) over
+    the fibre of beta: down(x) of an x over up(beta) holds one element
+    over beta, and two elements of different up(alpha) are never
+    comparable.  For gamma covering y, each z in up(alpha) over gamma
+    covers exactly one element of up(alpha) over y, as down(z) maps
+    isomorphically onto down(gamma).  So the degree at gamma is the degree
+    at y plus the balancing defects at gamma of the elements of up(alpha)
+    over y, and a component without an unbalanced element has constant
+    degree; only the up(alpha) with alpha below an unbalanced element are
+    summed."""
+    source = phi.source
+    s_above, s_below = source._above, source._below
+    suspects = unbalanced
+    for x in bit_indices(unbalanced):
+        suspects |= s_below[x]
+    found = []
+    if not suspects:
+        return found
+    t_ids = phi.target._ids
+    for j, fibre in enumerate(phi._fibres):
+        # disjoint components, so their lowest bits order them by least member
+        ups = [s_above[a] | 1 << a for a in bit_indices(fibre & suspects)]
+        for component in sorted(ups, key=lambda c: c & -c):
+            bad = _degree_mismatch(phi, values, component)
+            if bad:
+                found.append(DegreeMismatch(t_ids[j], frozenset(source._labels(component)), *bad))
+    return found
+
+
+def _scanned_mismatches(phi: PosetMorphism, values: list) -> list:
+    """The DegreeMismatch witnesses of any morphism: the preimage of every
+    principal up-set, built top down in one pass, split into its
+    components by breadth-first search."""
+    target = phi.target
     preimages = list(phi._fibres)
     for j in reversed(target._order_ix):
         for c in target._up_ix[j]:
             preimages[j] |= preimages[c]
+    found = []
     for j, beta in enumerate(target._ids):
-        witnesses += _constancy_witnesses(phi, values, preimages[j], lambda: beta)
-    if witnesses:
-        return Check.failed(witnesses)
-    return Check.passed()
+        found += _constancy_witnesses(phi, values, preimages[j], lambda: beta)
+    return found
 
 
 def is_ibc_oracle(phi: PosetMorphism, m: IndexMap, limit: int = DEFAULT_ORACLE_LIMIT) -> Check:

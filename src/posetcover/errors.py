@@ -43,10 +43,10 @@ class NotGraded(ToolError):
 
 
 class OracleSizeExceeded(ToolError):
-    def __init__(self, size, limit):
+    def __init__(self, size, limit, what="instance size"):
         self.size = size
         self.limit = limit
-        super().__init__(f"instance size {size} exceeds oracle limit {limit}")
+        super().__init__(f"{what} {size} exceeds oracle limit {limit}")
 
 
 class NotMonotone(ToolError):

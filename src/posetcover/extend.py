@@ -90,7 +90,7 @@ def extend_balanced(phi: PosetMorphism, m: IndexMap, target_upset) -> ExtensionR
         raise MaxElementsUncovered(uncovered)
 
     source, target = phi.source, phi.target
-    t_ids = target._ids
+    ids, t_ids = source._ids, target._ids
     image_of, t_above = phi._image_of, target._above
     cover_groups = _cover_groups(phi)
     values = dict(m.values)
@@ -100,9 +100,9 @@ def extend_balanced(phi: PosetMorphism, m: IndexMap, target_upset) -> ExtensionR
     unconstrained = []
     guaranteed = True
     height = source._height
-    todo = sorted((x for x in w if x not in m.domain), key=lambda x: (-height[x], x))
-    for alpha in todo:
-        i = source._index[alpha]
+    todo = sorted(bit_indices(source._bits(w) & ~valued), key=lambda i: (-height[i], i))
+    for i in todo:
+        alpha = ids[i]
         groups = cover_groups[i]
         if not groups:
             unconstrained.append(alpha)
@@ -110,15 +110,13 @@ def extend_balanced(phi: PosetMorphism, m: IndexMap, target_upset) -> ExtensionR
         if guaranteed:
             # the theorem's hypothesis: the up-set of phi(alpha) punctured
             # at phi(alpha) is connected and its preimage already valued
-            punctured = t_above[image_of[i]]
-            guaranteed = (target._is_connected_bits(punctured)
-                          and not phi._preimage_bits(bit_indices(punctured)) & ~valued)
+            y = image_of[i]
+            guaranteed = (target._punctured_connected(y)
+                          and not phi._preimage_bits(bit_indices(t_above[y])) & ~valued)
         candidates = []
         for beta, above in groups:
-            if any(known[g] is None for g in above):
-                candidates.append((t_ids[beta], None))
-            else:
-                candidates.append((t_ids[beta], sum([known[g] for g in above])))
+            got = [known[g] for g in above]
+            candidates.append((t_ids[beta], None if None in got else sum(got)))
         sums = [(b, c) for b, c in candidates if c is not None]
         distinct = sorted({c for _, c in sums})
         if len(sums) == len(candidates) and len(distinct) == 1 and distinct[0] >= 1:
@@ -149,15 +147,13 @@ def extend_balanced(phi: PosetMorphism, m: IndexMap, target_upset) -> ExtensionR
     return ExtensionReport(extended, mode, conflicts, unconstrained)
 
 
-def _saturated_chain(p: Poset, lo: str, hi: str):
-    """A deterministic cover chain from lo up to hi (least cover at every
-    step)."""
+def _saturated_chain(p: Poset, lo: int, hi: int) -> list[int]:
+    """A deterministic cover chain of indices from lo up to hi (least cover
+    at every step)."""
+    above, up = p._above, p._up_ix
     chain = [lo]
-    current = lo
-    while current != hi:
-        step = min(c for c in p.covers_of(current) if p.leq(c, hi))
-        chain.append(step)
-        current = step
+    while chain[-1] != hi:
+        chain.append(next(c for c in up[chain[-1]] if c == hi or above[c] >> hi & 1))
     return chain
 
 
@@ -180,20 +176,19 @@ def lift_upward_path(phi: PosetMorphism, m: IndexMap, alpha: str, target_path) -
     if not balanced:
         raise NotBalancedInput(balanced.witnesses[0])
 
-    lift = [alpha]
-    current = alpha
+    source, target, image_of = phi.source, phi.target, phi._image_of
+    valued = source._bits(m.domain)
+    lift = [source._index[alpha]]
     for a, b in zip(steps, steps[1:]):
-        chain = _saturated_chain(phi.target, a, b)
-        for nu in chain[1:]:
-            options = sorted(
-                g for g in phi.source.covers_of(current)
-                if phi(g) == nu and g in m.domain
-            )
-            if not options:
-                raise NoLiftExists(f"no valued preimage of {nu!r} covers {current!r}")
-            current = options[0]
-            lift.append(current)
-    return Path.through(phi.source, lift)
+        for nu in _saturated_chain(target, target._index[a], target._index[b])[1:]:
+            # the least valued element over nu covering the lift so far
+            g = next((g for g in source._up_ix[lift[-1]]
+                      if image_of[g] == nu and valued >> g & 1), None)
+            if g is None:
+                raise NoLiftExists(f"no valued preimage of {target._ids[nu]!r} covers "
+                                   f"{source._ids[lift[-1]]!r}")
+            lift.append(g)
+    return Path.through(source, [source._ids[g] for g in lift])
 
 
 def lift_path(phi: PosetMorphism, m: IndexMap, alpha: str, target_path) -> Path:

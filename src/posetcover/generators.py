@@ -106,10 +106,10 @@ def random_sheaf_morphism(
     partition = {}
     # maximal elements first (depth 0), so everything covering delta is
     # already done
-    depth = target._depth
-    order = sorted(target.elements, key=lambda e: (depth[e], e))
-    for delta in order:
-        above = [partition[c] for c in target.covers_of(delta)]
+    depth, ids = target._depth, target._ids
+    for t in sorted(range(len(ids)), key=lambda t: (depth[t], t)):
+        delta = ids[t]
+        above = [partition[ids[c]] for c in target._up_ix[t]]
         if not above:
             partition[delta] = _random_partition(rng, sheets)
             continue

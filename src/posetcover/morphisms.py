@@ -2,12 +2,13 @@
 
 The central test is `is_combinatorial`: a morphism is combinatorial when
 it maps every principal down-set isomorphically onto the down-set of the
-image.  A monotone bijection between posets need not be an isomorphism,
-so after bijectivity the check counts comparable pairs: a monotone
-injection sends strict pairs of the down-set to distinct strict pairs of
-the image, so the two counts agree exactly when every strict pair of the
-image comes from one below, that is, when the inverse is monotone too.
-Pairs are compared one by one only to name the witness of a failure.
+image.  The test is local.  Down(alpha) maps isomorphically exactly when
+every x <= alpha maps down(x) bijectively onto down(phi(x)), so one
+bottom-up pass builds the image of every principal down-set, one OR per
+lower cover, and compares its size and its bits with the down-set of the
+image.  An element that is bijective itself but lies above one that is not
+has an inverse that is not monotone; pairs are compared only there, to
+name the witness.
 """
 
 from __future__ import annotations
@@ -54,9 +55,10 @@ class PosetMorphism:
         self._fibres = fibres = [0] * len(target)
         for i, j in enumerate(image_of):
             fibres[j] |= 1 << i
-        # the balancing cover groups of covers._cover_groups, built on first
-        # use; declared here so that writing it keeps the compact layout
-        self._cover_groups_memo = None
+        # the balancing cover groups of covers._cover_groups and the bitset
+        # of _non_bijective, built on first use; declared here so that
+        # writing them keeps the compact layout
+        self._cover_groups_memo = self._non_bijective_memo = None
 
     @classmethod
     def identity(cls, p: Poset) -> "PosetMorphism":
@@ -91,52 +93,94 @@ class PosetMorphism:
             bits |= fibres[j]
         return bits
 
+    def _non_bijective(self) -> int:
+        """The source elements whose principal down-set does not map
+        bijectively onto the down-set of their image, as a bitset; built
+        once per morphism.  The image of down(x) is the image of x joined
+        with the images of the down-sets of its lower covers, so one
+        bottom-up pass with one OR per lower cover builds them all; the map
+        is bijective there when the image has as many members as down(x)
+        and is all of the down-set of phi(x) (it always lies inside it)."""
+        bad = self._non_bijective_memo
+        if bad is None:
+            source, t_below = self.source, self.target._below
+            s_below, down, image_of = source._below, source._down_ix, self._image_of
+            images = [0] * len(image_of)
+            bad = 0
+            for i in source._order_ix:
+                y = image_of[i]
+                img = 1 << y
+                for c in down[i]:
+                    img |= images[c]
+                images[i] = img
+                if img != t_below[y] | 1 << y or img.bit_count() != s_below[i].bit_count() + 1:
+                    bad |= 1 << i
+            self._non_bijective_memo = bad
+        return bad
+
     def is_combinatorial(self) -> Check:
         """Does the map send every principal down-set isomorphically onto
         the down-set of its image?  Witnesses carry the offending element
         and whether the restriction fails to inject, to surject, or to have
-        a monotone inverse."""
-        s_below, t_below = self.source._below, self.target._below
-        image_of = self._image_of
-        s_pairs = [b.bit_count() for b in s_below]  # strict pairs topped at x
-        t_pairs = [b.bit_count() for b in t_below]
+        a monotone inverse.
+
+        Down(alpha) maps isomorphically exactly when every x <= alpha maps
+        its own down-set bijectively: an isomorphism restricts to one on
+        each down(x), and conversely if phi(x) <= phi(y) inside down(alpha),
+        then phi(x) is the image of some x' <= y, and x' = x by injectivity.
+        So an element that is bijective itself fails only through the
+        inverse, and does so exactly when a non-bijective element lies
+        below it; only there are pairs compared, to name the witness."""
+        bad = self._non_bijective()
+        if not bad:
+            return Check.passed()
+        s_above, s_below = self.source._above, self.source._below
+        image_of, ids = self._image_of, self.source._ids
+        tainted = bad
+        for x in bit_indices(bad):
+            tainted |= s_above[x]
         witnesses = []
-        for i, alpha in enumerate(self.source._ids):
+        for i in bit_indices(tainted):
+            alpha = ids[i]
+            if not bad >> i & 1:
+                x, y = self._inverse_defect(i)
+                witnesses.append(CombinatorialDefect(
+                    alpha, "inverse not monotone",
+                    f"{self.mapping[x]} <= {self.mapping[y]} but {x} !<= {y}"))
+                continue
             down = bit_indices(s_below[i] | 1 << i)
-            images = surplus = 0
+            images = 0
             for x in down:
-                y = image_of[x]
-                images |= 1 << y
-                surplus += t_pairs[y] - s_pairs[x]
-            image_down = t_below[image_of[i]] | 1 << image_of[i]
+                images |= 1 << image_of[x]
             if images.bit_count() < len(down):
                 witnesses.append(CombinatorialDefect(
                     alpha, "not injective",
                     f"|down({alpha})|={len(down)} maps to {images.bit_count()} elements"))
-            elif images != image_down:
+            else:
+                image_down = self.target._below[image_of[i]] | 1 << image_of[i]
                 witnesses.append(CombinatorialDefect(
                     alpha, "not surjective",
                     f"|down({alpha})|={len(down)} != |down({self.mapping[alpha]})|="
                     f"{image_down.bit_count()}"))
-            elif surplus:
-                x, y = self._inverse_defect(down)
-                witnesses.append(CombinatorialDefect(
-                    alpha, "inverse not monotone",
-                    f"{self.mapping[x]} <= {self.mapping[y]} but {x} !<= {y}"))
-        if witnesses:
-            return Check.failed(witnesses)
-        return Check.passed()
+        return Check.failed(witnesses)
 
-    def _inverse_defect(self, down) -> tuple[str, str]:
-        """The least pair (x, y) of the sorted down-set with phi(x) <= phi(y)
-        but not x <= y."""
+    def _inverse_defect(self, i: int) -> tuple[str, str]:
+        """The least pair (x, y) of down(i) with phi(x) <= phi(y) but not
+        x <= y, where i maps its down-set bijectively.  Then the elements
+        of down(i) above x map injectively into those of down(phi(i)) above
+        phi(x), and onto them exactly when no pair starts at x; counting
+        both finds the least such x with one bitset step per element."""
         s_above, t_above = self.source._above, self.target._above
         image_of, ids = self._image_of, self.source._ids
-        for x in down:
-            for y in down:
-                if t_above[image_of[x]] >> image_of[y] & 1 and not s_above[x] >> y & 1:
-                    return ids[x], ids[y]
-        raise AssertionError("pair counts differ but no pair reverses")
+        down = self.source._below[i] | 1 << i
+        image_down = self.target._below[image_of[i]] | 1 << image_of[i]
+        for x in bit_indices(down):
+            up = t_above[image_of[x]]
+            if (s_above[x] & down).bit_count() != (up & image_down).bit_count():
+                for y in bit_indices(down):
+                    if up >> image_of[y] & 1 and not s_above[x] >> y & 1:
+                        return ids[x], ids[y]
+        raise AssertionError("a bijective down-set above a failure has no reversed pair")
 
     def preimage_components(self, beta: str) -> list[frozenset]:
         """Connected components of the preimage of the principal up-set at

@@ -29,6 +29,9 @@ from .errors import (
 )
 
 DEFAULT_ORACLE_LIMIT = 16
+# up-sets one walk may visit: twice the most a poset within the default
+# oracle limit has (2^16, an antichain), so only a raised limit meets it
+UP_SET_WALK_LIMIT = 2 ** (DEFAULT_ORACLE_LIMIT + 1)
 
 
 _BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
@@ -64,12 +67,12 @@ class Poset:
     """Immutable finite poset.
 
     ``elements`` keeps the input order; ``covers`` is a frozenset of pairs
-    ``(a, b)`` meaning b covers a.  ``_above[i]`` and ``_below[i]`` are the
-    strict up- and down-closures of element i as bitsets, so order queries
-    are bit tests and the object is safe to share between threads.
-    ``_order`` is a topological order, least id first, and ``_order_ix``
-    the same order as indices; ``_up_ix[i]`` lists the elements covering
-    i, ascending.
+    ``(a, b)`` meaning b covers a.  Everything else is kept by index:
+    ``_above[i]`` and ``_below[i]`` are the strict up- and down-closures of
+    element i as bitsets, so order queries are bit tests and the object is
+    safe to share between threads; ``_up_ix[i]`` and ``_down_ix[i]`` list
+    the elements covering i and covered by i, ascending; ``_order_ix`` is a
+    topological order, least index first.
     """
 
     def __init__(self, elements: Iterable[str], covers: Iterable[tuple[str, str]]):
@@ -97,23 +100,16 @@ class Poset:
         n = len(ids)
         up = [[] for _ in ids]
         down = [[] for _ in ids]
-        up_labels = {e: [] for e in ids}
-        down_labels = {e: [] for e in ids}
-        for a, b in sorted(cover_set):  # so every adjacency list comes out sorted
-            i, j = index[a], index[b]
-            up[i].append(j)
+        for i, j in sorted([(index[a], index[b]) for a, b in cover_set]):
+            up[i].append(j)  # sorted pairs, so every adjacency list comes out sorted
             down[j].append(i)
-            up_labels[a].append(b)
-            down_labels[b].append(a)
-        self._up = {e: tuple(cs) for e, cs in up_labels.items()}
-        self._down = {e: tuple(cs) for e, cs in down_labels.items()}
         self._up_ix = up
+        self._down_ix = down
 
         order = self._topological_order(up, down)
         if len(order) != n:
             raise CycleDetected(self._find_cycle())
         self._order_ix = order
-        self._order = tuple(ids[i] for i in order)
         # filled on first use; declared here because a later write keeps the
         # compact attribute layout that writing to __dict__ would give up
         self._height_memo = self._depth_memo = None
@@ -161,48 +157,54 @@ class Poset:
     def _find_cycle(self):
         """Iterative depth-first search along covers, roots in input order;
         returns the first cycle closed, its first element repeated last."""
-        state = {}  # 0 = on the current path, 1 = done
-        for root in self.elements:
-            if root in state:
+        up, ids = self._up_ix, self._ids
+        state = [None] * len(ids)  # 0 = on the current path, 1 = done
+        for root in map(self._index.__getitem__, self.elements):
+            if state[root] is not None:
                 continue
             state[root] = 0
             path = [root]
-            pending = [iter(self._up[root])]
+            pending = [iter(up[root])]
             while pending:
                 for c in pending[-1]:
-                    if c not in state:
+                    if state[c] is None:
                         state[c] = 0
                         path.append(c)
-                        pending.append(iter(self._up[c]))
+                        pending.append(iter(up[c]))
                         break
                     if state[c] == 0:
-                        return path[path.index(c):] + [c]
+                        return [ids[i] for i in path[path.index(c):] + [c]]
                 else:
                     state[path.pop()] = 1
                     pending.pop()
         raise AssertionError("cycle reported but not found")
 
     @property
-    def _height(self) -> dict:
+    def _height(self) -> list[int]:
         """Length of the longest cover chain from a minimal element up to
-        each element, keyed in topological order."""
+        each element, by index."""
         if self._height_memo is None:
-            height = {}
-            for e in self._order:
-                height[e] = 1 + max((height[c] for c in self._down[e]), default=-1)
-            self._height_memo = height  # published only when complete
+            self._height_memo = self._longest(self._order_ix, self._down_ix)
         return self._height_memo
 
     @property
-    def _depth(self) -> dict:
+    def _depth(self) -> list[int]:
         """Length of the longest cover chain from each element up to a
-        maximal element."""
+        maximal element, by index."""
         if self._depth_memo is None:
-            depth = {}
-            for e in reversed(self._order):
-                depth[e] = 1 + max((depth[c] for c in self._up[e]), default=-1)
-            self._depth_memo = depth  # published only when complete
+            self._depth_memo = self._longest(reversed(self._order_ix), self._up_ix)
         return self._depth_memo
+
+    @staticmethod
+    def _longest(order, steps) -> list[int]:
+        """Longest chain lengths along ``steps`` (lower or upper covers),
+        filled in an order that lists every step before its element."""
+        length = [0] * len(steps)
+        for i in order:
+            for j in steps[i]:
+                if length[j] >= length[i]:
+                    length[i] = length[j] + 1
+        return length
 
     # ----- order queries -------------------------------------------------
 
@@ -264,13 +266,11 @@ class Poset:
 
     def covers_of(self, a: str) -> tuple[str, ...]:
         """Elements covering a."""
-        self._ix(a)
-        return self._up[a]
+        return tuple(map(self._ids.__getitem__, self._up_ix[self._ix(a)]))
 
     def cocovers_of(self, a: str) -> tuple[str, ...]:
         """Elements covered by a."""
-        self._ix(a)
-        return self._down[a]
+        return tuple(map(self._ids.__getitem__, self._down_ix[self._ix(a)]))
 
     def up_set(self, generators: Iterable[str]) -> frozenset:
         return frozenset(self._labels(self._closure(generators, self._above)))
@@ -279,10 +279,10 @@ class Poset:
         return frozenset(self._labels(self._closure(generators, self._below)))
 
     def max_elements(self) -> tuple[str, ...]:
-        return tuple(e for e in self._ids if not self._up[e])
+        return tuple(compress(self._ids, [not u for u in self._up_ix]))
 
     def min_elements(self) -> tuple[str, ...]:
-        return tuple(e for e in self._ids if not self._down[e])
+        return tuple(compress(self._ids, [not d for d in self._down_ix]))
 
     def is_up_set(self, subset: Iterable[str]) -> bool:
         s = frozenset(subset)
@@ -294,10 +294,10 @@ class Poset:
         s = frozenset(subset)
         bits = self._bits(s)
         if self._closure(s, self._above) != bits:
-            for a in self._labels(bits):
-                for c in self._up[a]:
-                    if c not in s:
-                        raise NotUpSet(a, c)
+            for i in bit_indices(bits):
+                for j in self._up_ix[i]:
+                    if not bits >> j & 1:
+                        raise NotUpSet(self._ids[i], self._ids[j])
         return s
 
     # ----- connectivity ---------------------------------------------------
@@ -341,6 +341,34 @@ class Poset:
     def _is_connected_bits(self, pool: int) -> bool:
         return not pool or self._grow(pool & -pool, pool) == pool
 
+    def _punctured_connected(self, i: int) -> bool:
+        """Is the punctured up-set of element i non-empty and connected?
+
+        It is the union of the closed up-sets of the covers of i, each
+        connected through its least element, and two of them are joined by
+        a comparable pair exactly when they meet (an up-set holds the upper
+        end of any pair that starts in it).  So the covers are merged into
+        one reach bitset, a cover joining once its up-set meets the reach,
+        until none is left (connected) or none of the rest joins."""
+        above = self._above
+        rest = self._up_ix[i]
+        if not rest:
+            return False
+        reach = above[rest[0]] | 1 << rest[0]
+        rest = rest[1:]
+        while rest:
+            left = []
+            for c in rest:
+                closed = above[c] | 1 << c
+                if closed & reach:
+                    reach |= closed
+                else:
+                    left.append(c)
+            if len(left) == len(rest):
+                return False
+            rest = left
+        return True
+
     def is_connected(self, subset: Iterable[str] | None = None) -> bool:
         return self._is_connected_bits(self._pool(subset))
 
@@ -376,15 +404,16 @@ class RankReport:
 
 def rank_check(p: Poset) -> RankReport:
     """Compute the rank function (longest cover chain from a minimal
-    element) and verify it; raises NotGraded with an offending cover pair
-    if covers do not raise rank by exactly one."""
-    rank = dict(p._height)
-    for a, b in sorted(p.covers):
-        if rank[b] != rank[a] + 1:
-            raise NotGraded((a, b))
-    maxdims = {rank[e] for e in p.max_elements()}
-    dim = max(rank.values(), default=-1)
-    return RankReport(rank=rank, dim=dim, pure=len(maxdims) <= 1)
+    element) and verify it; raises NotGraded with the least cover pair that
+    does not raise rank by exactly one."""
+    height, ids = p._height, p._ids
+    for i, ups in enumerate(p._up_ix):  # the cover pairs in sorted order
+        for j in ups:
+            if height[j] != height[i] + 1:
+                raise NotGraded((ids[i], ids[j]))
+    maxdims = {height[i] for i, ups in enumerate(p._up_ix) if not ups}
+    rank = {ids[i]: height[i] for i in p._order_ix}
+    return RankReport(rank=rank, dim=max(height, default=-1), pure=len(maxdims) <= 1)
 
 
 # ----- connectivity report ------------------------------------------------
@@ -418,13 +447,12 @@ def connectivity(p: Poset, mode: str, k: int | None = None) -> ConnectivityRepor
         comps = p.components()
         if len(comps) > 1:
             return ConnectivityReport(mode, False, comps)
+        height = p._height
         for i, alpha in enumerate(p._ids):
-            if report.rank[alpha] > d - 2:
-                continue
-            sub = p._component_bits(p._above[i])  # the punctured up-set of alpha
             # an empty puncture means alpha is maximal at low rank; the
             # poset is pinched there, which strong connectivity rules out
-            if len(sub) != 1:
+            if height[i] <= d - 2 and not p._punctured_connected(i):
+                sub = p._component_bits(p._above[i])  # the punctured up-set of alpha
                 return ConnectivityReport(mode, False, [frozenset(p._labels(c)) for c in sub],
                                           witness=alpha)
         return ConnectivityReport(mode, True, comps)
@@ -456,11 +484,14 @@ def up_set_bits(
 ) -> Iterator[int]:
     """The up-sets of ``enumerate_up_sets`` as bitsets, in the same order:
     a depth-first walk over antichains from an explicit stack, each
-    antichain extended by its candidates in sorted order."""
+    antichain extended by its candidates in sorted order.  A walk that
+    would visit more than UP_SET_WALK_LIMIT up-sets, the empty one
+    included, raises OracleSizeExceeded with the count it reached."""
     n = len(p)
     if n > limit:
         raise OracleSizeExceeded(n, limit)
     above, below = p._above, p._below
+    walked = 1
     if not connected_only:
         yield 0
     # one frame per antichain on the current path: its up-set, and the
@@ -474,6 +505,9 @@ def up_set_bits(
         low = candidates & -candidates
         candidates ^= low
         stack[-1] = (up, candidates)
+        walked += 1
+        if walked > UP_SET_WALK_LIMIT:
+            raise OracleSizeExceeded(walked, UP_SET_WALK_LIMIT, "up-sets walked")
         i = low.bit_length() - 1
         grown = up | above[i] | low
         if not connected_only or p._is_connected_bits(grown):

@@ -139,15 +139,22 @@ def _chain_label(chain) -> str:
     return "<".join(chain)
 
 
+def _has_bit(bits: int, i: int) -> int:
+    return bits >> i & 1
+
+
 def chain_poset(p: Poset, limit: int = DEFAULT_CHAIN_LIMIT) -> ChainPoset:
     """All non-empty strict chains of p, ordered by subchain inclusion;
     covers add exactly one element somewhere in the chain."""
-    order = p._order
-    position = {e: i for i, e in enumerate(order)}
-    # depth-first, extensions by position in the order; a chain is kept as
-    # (parent index, top) until the count is within the limit, and the
-    # elements above a top are found once, in a tee whose copies share them
-    above = {}
+    order = p._order_ix
+    position = [0] * len(order)
+    for k, i in enumerate(order):
+        position[i] = k
+    # depth-first over element indices, extensions by position in the
+    # order; a chain is kept as (parent index, top) until the count is
+    # within the limit, and the elements above a top are found once, in a
+    # tee whose copies share them
+    above = [None] * len(order)
     parents, tops = [], []
     stack = [(-1, iter(order))]
     while stack:
@@ -157,16 +164,16 @@ def chain_poset(p: Poset, limit: int = DEFAULT_CHAIN_LIMIT) -> ChainPoset:
                 raise OracleSizeExceeded(len(tops), limit)
             parents.append(parent)
             tops.append(top)
-            if top not in above:
+            if above[top] is None:
                 later = islice(order, position[top] + 1, None)
-                above[top] = tee(filter(partial(p.lt, top), later), 1)[0]
+                above[top] = tee(filter(partial(_has_bit, p._above[top]), later), 1)[0]
             stack.append((len(tops) - 1, copy(above[top])))
             break
         else:
             stack.pop()
     chains = []
     for parent, top in zip(parents, tops):
-        chains.append((chains[parent] if parent >= 0 else ()) + (top,))
+        chains.append((chains[parent] if parent >= 0 else ()) + (p._ids[top],))
 
     labels = {}
     for c in chains:

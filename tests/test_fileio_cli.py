@@ -2,10 +2,11 @@
 
 import io
 import json
+import time
 
 import pytest
 
-from posetcover import cli, fileio, fixtures
+from posetcover import cli, fileio, fixtures, posets
 from posetcover.dot import export_dot
 from posetcover.errors import (
     CycleDetected,
@@ -468,3 +469,37 @@ def test_fixtures_run_rejects_unknown_names(capsys):
     code, payload = _run_fixtures(capsys, "NOPE")
     assert code == 2
     assert payload["witnesses"][0]["detail"].startswith("no checks for ['NOPE']")
+
+
+def test_up_set_walk_guard_stops_a_wide_antichain(tmp_path, capsys):
+    doc = {"elements": [f"a{i:04d}" for i in range(1200)], "covers": []}
+    path = tmp_path / "antichain.json"
+    path.write_text(fileio.dumps(doc))
+    start = time.monotonic()
+    code = cli.main(["--format", "machine", "poset", "upsets", str(path), "--oracle-limit", "2000"])
+    elapsed = time.monotonic() - start
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 2 and elapsed < 5
+    limit = posets.UP_SET_WALK_LIMIT
+    assert payload["witnesses"] == [{"error": "OracleSizeExceeded", "detail": str(
+        OracleSizeExceeded(limit + 1, limit, "up-sets walked"))}]
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    built = []
+    build = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    monkeypatch.setattr(cli, "_PARSER", None)
+    assert cli.main(["--format", "machine", "morphism", "check", "--morphism", "FIX-TROP"]) == 0
+    assert cli.main(["--format", "machine", "poset", "validate", "FIX-TROP/target"]) == 0
+    capsys.readouterr()
+    assert cli.main(["--format", "machine", "fixtures", "run"]) == 0
+    assert len(built) == 1
+    expected = {"command": "fixtures run", "verdict": "pass", "witnesses": [],
+                "data": {"results": {name: "ok" for name in fixtures.FIXTURE_ROWS}}}
+    assert capsys.readouterr().out == fileio.dumps(expected)

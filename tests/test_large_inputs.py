@@ -1,0 +1,67 @@
+"""5000-element inputs through the CLI, in-process: poset stats, the
+identity morphism check and the branched-cover decision with all values 1
+on a chain and on the face poset of a metric cycle.  Every check on them
+is local to principal down-sets, punctured up-sets and covers, so each
+command stays well inside a generous wall budget."""
+
+import json
+import time
+
+import pytest
+
+from posetcover import cli, fileio
+
+BUDGET_S = 2.0
+
+
+def chain_inputs():
+    names = [f"c{i:04d}" for i in range(5000)]
+    chain = {"elements": names, "covers": [list(c) for c in zip(names, names[1:])]}
+    identity = {"source": chain, "target": chain, "map": {x: x for x in names}}
+    return chain, identity, names
+
+
+def cycle_inputs():
+    """A 2500-edge metric cycle, its identity map and its 5000 cells."""
+    vertices = [f"v{i:04d}" for i in range(2500)]
+    edges = [{"id": f"e{i:04d}", "a": v, "b": vertices[(i + 1) % 2500], "length": "3/2"}
+             for i, v in enumerate(vertices)]
+    graph = {"vertices": vertices, "edges": edges}
+    identity = {"source": graph, "target": graph,
+                "vertex_images": {v: v for v in vertices},
+                "edge_images": {e["id"]: {"edge": e["id"], "from": "0", "to": "3/2", "slope": 1}
+                                for e in edges}}
+    return graph, identity, vertices + [e["id"] for e in edges]
+
+
+@pytest.mark.parametrize("inputs,dim", [(chain_inputs, 4999), (cycle_inputs, 1)],
+                         ids=["chain", "metric-cycle"])
+def test_five_thousand_elements(inputs, dim, tmp_path, capsys):
+    poset, identity, cells = inputs()
+    paths = {}
+    for name, doc in (("poset", poset), ("identity", identity),
+                      ("index", {"values": {x: 1 for x in cells}})):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(fileio.dumps(doc))
+
+    def run(*argv):
+        start = time.monotonic()
+        code = cli.main(["--format", "machine", *map(str, argv)])
+        elapsed = time.monotonic() - start
+        assert elapsed < BUDGET_S, (argv[:2], elapsed)
+        return code, json.loads(capsys.readouterr().out)
+
+    code, payload = run("poset", "stats", paths["poset"])
+    assert code == 0 and payload["verdict"] == "pass"
+    data = payload["data"]
+    assert len(data["elements"]) == 5000
+    assert (data["graded"], data["dim"], data["connected"], data["strongly_connected"]) == (
+        True, dim, True, True)
+
+    code, payload = run("morphism", "check", "--morphism", paths["identity"])
+    assert code == 0 and payload["verdict"] == "pass"
+    assert payload["data"] == {"monotone": True, "combinatorial": True, "open": True}
+
+    code, payload = run("cover", "ibc", "--morphism", paths["identity"],
+                        "--index", paths["index"])
+    assert code == 0 and payload["verdict"] == "pass" and payload["witnesses"] == []

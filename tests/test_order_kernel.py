@@ -1,8 +1,10 @@
 """Differential tests of the bitset order kernel: topological order,
-components, fibres and preimages, the counting test of combinatoriality,
-the one-pass local degrees, and the full witness lists of openness,
-balancing, both branched-cover decisions, up-set enumeration and
-extension, each against an independent oracle."""
+components, fibres and preimages, the local test of combinatoriality,
+strong connectivity by merged covers, the one-pass local degrees, and the
+full witness lists of combinatoriality, openness, balancing, both
+branched-cover decisions (and the fast paths of the principal one against
+its scan), up-set enumeration and extension, each against an independent
+oracle."""
 
 import pytest
 from collections import Counter
@@ -11,6 +13,8 @@ from random import Random
 from posetcover.covers import (
     DegreeMismatch,
     IndexMap,
+    _scanned_mismatches,
+    _value_list,
     is_balanced,
     is_ibc,
     is_ibc_oracle,
@@ -22,6 +26,7 @@ from posetcover.generators import random_balanced_map, random_graded_poset, rand
 from posetcover.morphisms import PosetMorphism
 from posetcover.posets import Poset, enumerate_up_sets, rank_check
 
+import test_posets
 from oracles import (
     brute_balance_violations,
     brute_branch_defects,
@@ -87,7 +92,7 @@ def onto_chain(rng):
     if rng.random() < 0.5:
         rank = rank_check(p).rank
     else:
-        order = sorted(p.elements, key=lambda e: (p._height[e], rng.random()))
+        order = sorted(p.elements, key=lambda e: (p._height[p._index[e]], rng.random()))
         rank = {e: i for i, e in enumerate(order)}
     top = max(rank.values())
     chain = Poset([f"c{i:02d}" for i in range(top + 1)],
@@ -105,6 +110,37 @@ def truncated(rng):
         return phi
     return PosetMorphism(phi.source.induced(keep), phi.target,
                          {x: phi.mapping[x] for x in keep})
+
+
+def extra_tops(rng):
+    """A gluing whose target gains one or two maximal elements, each
+    covering part of one rank: down-sets keep their images, so the map
+    stays combinatorial, but the images of up-sets miss the new elements,
+    so it is not open."""
+    phi = random_sheaf_morphism(rng, max_sheets=3)
+    rank = rank_check(phi.target).rank
+    ranks = sorted(set(rank.values()))
+    elements, covers = list(phi.target.elements), set(phi.target.covers)
+    for k in range(rng.randint(1, 2)):
+        r = rng.choice(ranks)
+        level = sorted(e for e in rank if rank[e] == r)
+        elements.append(f"new{k}")
+        covers |= {(e, f"new{k}") for e in rng.sample(level, rng.randint(1, len(level)))}
+    return PosetMorphism(phi.source, Poset(elements, covers), phi.mapping)
+
+
+def dropped_cover(rng):
+    """A gluing with one source cover a < b removed, b not maximal: b no
+    longer maps its down-set onto that of its image, while an element above
+    b that still lies above a stays bijective, with an inverse that is not
+    monotone."""
+    phi = random_sheaf_morphism(rng, max_sheets=3)
+    source = phi.source
+    inner = sorted((a, b) for a, b in source.covers if source.covers_of(b))
+    if not inner:
+        return phi
+    covers = source.covers - {rng.choice(inner)}
+    return PosetMorphism(Poset(source.elements, covers), phi.target, phi.mapping)
 
 
 FAMILIES = [random_sheaf_morphism, collapsed_sheets, merged_targets, onto_chain]
@@ -177,7 +213,7 @@ class TestOrderKernel:
             covers = [(a, t) for t in tops for a in rng.sample(names, min(3, len(names)))]
             for elements, cs in ((names, []), (names + tops, covers)):
                 p = Poset(elements, cs)
-                assert list(p._order) == least_first_order(elements, cs)
+                assert [p._ids[i] for i in p._order_ix] == least_first_order(elements, cs)
 
     def test_order_queries_against_reachability(self):
         rng = Random(34)
@@ -248,6 +284,9 @@ def witness_kinds(rng, phi) -> Counter:
     t_elements, t_covers = target.elements, target.covers
     kinds = Counter()
 
+    not_combinatorial = defects(phi)
+    assert not_combinatorial == oracle_defects(phi)
+    kinds.update(w[1] for w in not_combinatorial)
     opened = [tuple(w) for w in phi.is_open().witnesses]
     assert opened == brute_openness_defects(s_elements, s_covers, t_covers, mapping)
     kinds["not open"] += bool(opened)
@@ -274,12 +313,22 @@ def witness_kinds(rng, phi) -> Counter:
         assert got == branch + brute_degree_mismatches(s_elements, s_covers, mapping,
                                                        m.values, principal)
         kinds["degree mismatch"] += len(got) - len(branch)
+        # on combinatorial maps is_ibc passes balanced maps at once and sums
+        # only the up(alpha) components; both must agree with the scan
+        assert got[len(branch):] == [tuple(w) for w in
+                                     _scanned_mismatches(phi, _value_list(phi, m))]
+        if not_combinatorial:
+            kinds["ibc scanned"] += 1
+        elif is_balanced(phi, m):
+            kinds["ibc balanced"] += 1
+        else:
+            kinds["ibc by up-set components"] += 1
         got = [tuple(w) for w in is_ibc_oracle(phi, m).witnesses]
         assert got == branch + brute_degree_mismatches(s_elements, s_covers, mapping, m.values,
                                                        [(u, u) for u in walks[True]])
         kinds["oracle degree mismatch"] += len(got) - len(branch)
 
-    if not phi.is_combinatorial():
+    if not_combinatorial:
         return kinds
     tops = {x: rng.randint(1, 3) for x in source.max_elements()}
     for m in (maps[2], IndexMap(source, tops)):
@@ -295,11 +344,27 @@ def witness_kinds(rng, phi) -> Counter:
 
 def test_witness_lists_against_oracles():
     kinds = Counter()
-    for family in FAMILIES + [truncated]:
+    for family in FAMILIES + [truncated, extra_tops, dropped_cover]:
         rng = Random(f"witnesses/{family.__name__}")
+        found = Counter()
         for _ in range(60):
-            kinds += witness_kinds(rng, family(rng))
+            found += witness_kinds(rng, family(rng))
+        if family is extra_tops:
+            assert found["not open"] == 60 and not found["ibc scanned"]
+        if family is dropped_cover:
+            assert found["inverse not monotone"] >= 10
+        kinds += found
     print(dict(sorted(kinds.items())))
-    for kind in ("not open", "balance violation", "degree mismatch", "oracle degree mismatch",
+    for kind in ("not injective", "not surjective", "inverse not monotone",
+                 "not open", "balance violation", "degree mismatch", "oracle degree mismatch",
+                 "ibc scanned", "ibc balanced", "ibc by up-set components",
                  "guaranteed extension", "opportunistic extension with conflicts"):
         assert kinds[kind], kind
+
+
+def test_strong_connectivity_by_merged_covers():
+    """The punctured up-set test of strong connectivity and extension
+    against components grown by breadth-first search."""
+    for p in test_posets.TestOrderStructure().posets():
+        for i in range(len(p)):
+            assert p._punctured_connected(i) == (len(p._component_bits(p._above[i])) == 1)

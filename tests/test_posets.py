@@ -14,7 +14,15 @@ from posetcover.errors import (
 )
 from posetcover.fixtures import fix_idread, fix_trop
 from posetcover.generators import random_graded_poset, random_strongly_connected_poset
-from posetcover.posets import Poset, connectivity, enumerate_up_sets, rank_check
+from posetcover.posets import (
+    DEFAULT_ORACLE_LIMIT,
+    UP_SET_WALK_LIMIT,
+    Poset,
+    connectivity,
+    enumerate_up_sets,
+    rank_check,
+    up_set_bits,
+)
 
 from oracles import (
     brute_antichain_count,
@@ -106,15 +114,15 @@ class TestOrderStructure:
     def test_height_and_depth_match_oracle(self):
         for p in self.posets():
             height, depth = longest_chains(p.elements, p.covers)
-            assert p._height == height
-            assert p._depth == depth
+            assert dict(zip(p._ids, p._height)) == height
+            assert dict(zip(p._ids, p._depth)) == depth
 
     def test_order_is_topological(self):
         for p in self.posets():
-            assert sorted(p._order) == sorted(p.elements)
-            position = {e: i for i, e in enumerate(p._order)}
+            order = [p._ids[i] for i in p._order_ix]
+            assert sorted(order) == sorted(p.elements)
+            position = {e: i for i, e in enumerate(order)}
             assert all(position[a] < position[b] for a, b in p.covers)
-            assert list(p._height) == list(p._order)
 
 
 class TestOrderQueries:
@@ -280,3 +288,15 @@ class TestEnumerateUpSets:
             list(enumerate_up_sets(p))
         small = Poset([f"x{i}" for i in range(12)], [])
         assert len(list(enumerate_up_sets(small, limit=12))) == 2 ** 12
+
+    def test_walk_guard(self):
+        # the most up-sets a poset within the default limit has
+        widest = Poset([f"x{i:02d}" for i in range(DEFAULT_ORACLE_LIMIT)], [])
+        assert sum(1 for _ in up_set_bits(widest)) == 2 ** DEFAULT_ORACLE_LIMIT < UP_SET_WALK_LIMIT
+        at_guard = Poset([f"x{i:02d}" for i in range(17)], [])
+        assert sum(1 for _ in up_set_bits(at_guard, limit=17)) == UP_SET_WALK_LIMIT
+        over = Poset([f"x{i:02d}" for i in range(18)], [])
+        for connected in (False, True):
+            with pytest.raises(OracleSizeExceeded) as err:
+                list(up_set_bits(over, connected_only=connected, limit=18))
+            assert (err.value.size, err.value.limit) == (UP_SET_WALK_LIMIT + 1, UP_SET_WALK_LIMIT)
