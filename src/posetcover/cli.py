@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 when the checked property holds, 1 when it fails (witnesses
-are emitted), 2 for input or usage errors, 3 for an internal error (a
-structured report, no traceback).  ``--format machine`` prints a
-canonical JSON report; identical inputs give byte-identical output.
+are emitted), 2 for input or usage errors, 3 for an internal error, a
+TheoremViolation included (a structured report, no traceback).  ``--format
+machine`` prints a canonical JSON report; identical inputs give
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -22,6 +24,7 @@ from .errors import (
     FormatError,
     NoLiftExists,
     NotMonotone,
+    TheoremViolation,
     ToolError,
 )
 from .metric import MetricGraph, MetricGraphMorphism, Point
@@ -127,12 +130,6 @@ def _csv(text: str) -> list[str]:
     return [part for part in (text or "").split(",") if part]
 
 
-def _need(args, *names):
-    for name in names:
-        if getattr(args, name.replace("-", "_"), None) is None:
-            raise FormatError(f"this action needs --{name}")
-
-
 def _parse_point(text: str) -> Point:
     if ":" in text:
         edge, _, pos = text.rpartition(":")
@@ -141,49 +138,53 @@ def _parse_point(text: str) -> Point:
 
 
 # ----- handlers ---------------------------------------------------------------
+# One per action, named in COMMANDS; dispatch checks the needed options first.
 
 
-def cmd_poset(args) -> RunReport:
-    if args.action == "validate":
-        try:
-            p = resolve_poset(args.poset)
-        except FormatError:
-            raise
-        except ToolError as exc:
-            return RunReport("fail", witnesses=[{"error": type(exc).__name__,
-                                                 "detail": str(exc)}])
-        return RunReport("pass", data={
-            "elements": len(p.elements), "covers": len(p.covers)})
+def cmd_poset_validate(args) -> RunReport:
+    try:
+        p = resolve_poset(args.poset)
+    except FormatError:
+        raise
+    except ToolError as exc:
+        return RunReport("fail", witnesses=[{"error": type(exc).__name__,
+                                             "detail": str(exc)}])
+    return RunReport("pass", data={
+        "elements": len(p.elements), "covers": len(p.covers)})
+
+
+def cmd_poset_stats(args) -> RunReport:
     p = resolve_poset(args.poset)
-    if args.action == "stats":
-        data = {
-            "elements": sorted(p.elements),
-            "covers": sorted(list(c) for c in p.covers),
-            "max": p.max_elements(),
-            "min": p.min_elements(),
-            "connected": p.is_connected(),
-        }
-        try:
-            rank = posets.rank_check(p)
-            data.update(graded=True, dim=rank.dim, pure=rank.pure,
-                        rank=dict(sorted(rank.rank.items())))
-            data["strongly_connected"] = posets.connectivity(p, "strong").connected
-        except ToolError as exc:
-            data.update(graded=False, not_graded_witness=list(getattr(exc, "pair", ())))
-        return RunReport("pass", data=data)
-    if args.action == "upsets":
-        # bitsets until the walk is done, so a walk cut short by its guard
-        # has not built its up-sets as lists of names
-        ups = list(posets.up_set_bits(p, connected_only=args.connected,
-                                      limit=args.oracle_limit))
-        return RunReport("pass", data={
-            "count": len(ups),
-            "up_sets": sorted([list(p._labels(u)) for u in ups]),
-        })
-    raise FormatError(f"unknown poset action {args.action!r}")
+    data = {
+        "elements": sorted(p.elements),
+        "covers": sorted(list(c) for c in p.covers),
+        "max": p.max_elements(),
+        "min": p.min_elements(),
+        "connected": p.is_connected(),
+    }
+    try:
+        rank = posets.rank_check(p)
+        data.update(graded=True, dim=rank.dim, pure=rank.pure,
+                    rank=dict(sorted(rank.rank.items())))
+        data["strongly_connected"] = posets.connectivity(p, "strong").connected
+    except ToolError as exc:
+        data.update(graded=False, not_graded_witness=list(getattr(exc, "pair", ())))
+    return RunReport("pass", data=data)
 
 
-def cmd_morphism(args) -> RunReport:
+def cmd_poset_upsets(args) -> RunReport:
+    p = resolve_poset(args.poset)
+    # bitsets until the walk is done, so a walk cut short by its guard
+    # has not built its up-sets as lists of names
+    ups = list(posets.up_set_bits(p, connected_only=args.connected,
+                                  limit=args.oracle_limit))
+    return RunReport("pass", data={
+        "count": len(ups),
+        "up_sets": sorted([list(p._labels(u)) for u in ups]),
+    })
+
+
+def cmd_morphism_check(args) -> RunReport:
     try:
         phi = resolve_morphism(args.morphism)
     except NotMonotone as exc:
@@ -201,39 +202,34 @@ def cmd_morphism(args) -> RunReport:
     })
 
 
-def cmd_cover(args) -> RunReport:
+def cmd_cover_check(args) -> RunReport:
     phi = resolve_morphism(args.morphism)
-    if args.action != "search":
-        _need(args, "index")
-    if args.action == "search":
-        found = covers.search_balanced(phi, bound=args.bound)
-        if found is None:
-            return RunReport("fail",
-                             witnesses=[{"result": "NoneFound", "bound": args.bound}])
-        return RunReport("pass", data={"values": dict(sorted(found.values.items()))})
     m = resolve_index(args.index, phi.source)
-    if args.action == "balanced":
-        check = covers.is_balanced(phi, m)
-        return RunReport("pass" if check else "fail",
-                         witnesses=list(check.witnesses))
-    if args.action == "ibc":
-        check = covers.is_ibc(phi, m)
-        return RunReport("pass" if check else "fail",
-                         witnesses=list(check.witnesses))
-    if args.action == "ibc-oracle":
-        check = covers.is_ibc_oracle(phi, m, limit=args.oracle_limit)
-        return RunReport("pass" if check else "fail",
-                         witnesses=list(check.witnesses))
-    if args.action == "degree":
-        report = covers.global_degree(phi, m)
-        data = {"per_target": dict(sorted(report.per_target_value.items())),
-                "constant": report.constant}
-        if report.constant:
-            data["degree"] = report.degree
-            return RunReport("pass", data=data)
-        return RunReport("fail", data=data,
-                         witnesses=[{"per_target": data["per_target"]}])
-    raise FormatError(f"unknown cover action {args.action!r}")
+    check = {"balanced": covers.is_balanced,
+             "ibc": covers.is_ibc,
+             "ibc-oracle": lambda phi, m: covers.is_ibc_oracle(phi, m, limit=args.oracle_limit),
+             }[args.action](phi, m)
+    return RunReport("pass" if check else "fail", witnesses=list(check.witnesses))
+
+
+def cmd_cover_degree(args) -> RunReport:
+    phi = resolve_morphism(args.morphism)
+    report = covers.global_degree(phi, resolve_index(args.index, phi.source))
+    data = {"per_target": dict(sorted(report.per_target_value.items())),
+            "constant": report.constant}
+    if report.constant:
+        data["degree"] = report.degree
+        return RunReport("pass", data=data)
+    return RunReport("fail", data=data,
+                     witnesses=[{"per_target": data["per_target"]}])
+
+
+def cmd_cover_search(args) -> RunReport:
+    found = covers.search_balanced(resolve_morphism(args.morphism), bound=args.bound)
+    if found is None:
+        return RunReport("fail",
+                         witnesses=[{"result": "NoneFound", "bound": args.bound}])
+    return RunReport("pass", data={"values": dict(sorted(found.values.items()))})
 
 
 def cmd_extend(args) -> RunReport:
@@ -254,12 +250,9 @@ def cmd_extend(args) -> RunReport:
 def cmd_lift(args) -> RunReport:
     phi = resolve_morphism(args.morphism)
     m = resolve_index(args.index, phi.source)
-    path = _csv(args.path)
+    lift = {"up": extend.lift_upward_path, "path": extend.lift_path}[args.action]
     try:
-        if args.action == "up":
-            lifted = extend.lift_upward_path(phi, m, args.start, path)
-        else:
-            lifted = extend.lift_path(phi, m, args.start, path)
+        lifted = lift(phi, m, args.start, _csv(args.path))
     except (CorestrictionNotCombinatorial, NoLiftExists) as exc:
         return RunReport("fail", witnesses=[{
             "error": type(exc).__name__,
@@ -269,124 +262,108 @@ def cmd_lift(args) -> RunReport:
         "steps": list(lifted.steps), "directions": list(lifted.directions)})
 
 
-def cmd_connect(args) -> RunReport:
-    if args.action == "codimk":
-        _need(args, "poset", "k")
-        p = resolve_poset(args.poset)
-        report = posets.connectivity(p, "codim", args.k)
-        if report.connected:
-            return RunReport("pass", data={"k": args.k})
-        return RunReport("fail", data={"k": args.k},
-                         witnesses=[{"components": [sorted(c) for c in report.components]}])
-    if args.action == "strong":
-        _need(args, "poset")
-        p = resolve_poset(args.poset)
-        report = posets.connectivity(p, "strong")
-        if report.connected:
-            return RunReport("pass")
-        return RunReport("fail", witnesses=[{
-            "witness": report.witness,
-            "components": [sorted(c) for c in report.components]}])
-    if args.action == "lifting":
-        _need(args, "morphism", "index")
-        if args.mode == "codim":
-            _need(args, "k")
-        phi = resolve_morphism(args.morphism)
-        m = resolve_index(args.index, phi.source)
-        mode = {"one-fibre": "one-fibre", "codim": "codim"}[args.mode]
-        report = extend.check_connectivity_lifting(phi, m, mode, k=args.k)
-        data = {"hypotheses": report.hypotheses,
-                "conclusion": report.conclusion_holds,
-                "fibre_witness": report.witness_fibre}
-        if report.hypotheses_hold and report.conclusion_holds:
-            return RunReport("pass", data=data)
-        return RunReport("fail", data=data,
-                         witnesses=[{"hypotheses": report.hypotheses}])
-    raise FormatError(f"unknown connect action {args.action!r}")
+def cmd_connect_codimk(args) -> RunReport:
+    report = posets.connectivity(resolve_poset(args.poset), "codim", args.k)
+    if report.connected:
+        return RunReport("pass", data={"k": args.k})
+    return RunReport("fail", data={"k": args.k},
+                     witnesses=[{"components": [sorted(c) for c in report.components]}])
 
 
-def cmd_subdivide(args) -> RunReport:
-    if args.action == "bcs":
-        if args.poset is None and args.morphism is None:
-            raise FormatError("this action needs --poset or --morphism")
-        if args.morphism:
-            phi = resolve_morphism(args.morphism)
-            bcs = subdivision.bcs_morphism(phi)
-            return RunReport("pass", data={
-                "source_chains": len(bcs.source.elements),
-                "target_chains": len(bcs.target.elements),
-                "combinatorial": bool(bcs.is_combinatorial()),
-                "morphism": fileio.morphism_to_doc(bcs),
-            })
-        p = resolve_poset(args.poset)
-        chains = subdivision.chain_poset(p)
+def cmd_connect_strong(args) -> RunReport:
+    report = posets.connectivity(resolve_poset(args.poset), "strong")
+    if report.connected:
+        return RunReport("pass")
+    return RunReport("fail", witnesses=[{
+        "witness": report.witness,
+        "components": [sorted(c) for c in report.components]}])
+
+
+def cmd_connect_lifting(args) -> RunReport:
+    if args.mode == "codim" and args.k is None:
+        raise FormatError("this action needs --k")
+    phi = resolve_morphism(args.morphism)
+    m = resolve_index(args.index, phi.source)
+    report = extend.check_connectivity_lifting(phi, m, args.mode, k=args.k)
+    data = {"hypotheses": report.hypotheses,
+            "conclusion": report.conclusion_holds,
+            "fibre_witness": report.witness_fibre}
+    if report.hypotheses_hold and report.conclusion_holds:
+        return RunReport("pass", data=data)
+    return RunReport("fail", data=data,
+                     witnesses=[{"hypotheses": report.hypotheses}])
+
+
+def cmd_subdivide_bcs(args) -> RunReport:
+    if args.morphism:
+        bcs = subdivision.bcs_morphism(resolve_morphism(args.morphism))
         return RunReport("pass", data={
-            "chains": len(chains.poset.elements),
-            "poset": fileio.poset_to_doc(chains.poset),
+            "source_chains": len(bcs.source.elements),
+            "target_chains": len(bcs.target.elements),
+            "combinatorial": bool(bcs.is_combinatorial()),
+            "morphism": fileio.morphism_to_doc(bcs),
         })
-    if args.action == "stellar":
-        _need(args, "complex", "face", "vertex")
-        obj = _load(args.complex)
-        if not isinstance(obj, subdivision.SimplicialComplex):
-            raise FormatError(f"{args.complex!r} does not describe a simplicial complex")
-        face = frozenset(_csv(args.face))
-        result = subdivision.stellar_subdivide(obj, face, args.vertex)
-        return RunReport("pass", data={
-            "faces_before": len(obj),
-            "faces_after": len(result),
-            "complex": fileio.complex_to_doc(result),
-        })
-    raise FormatError(f"unknown subdivide action {args.action!r}")
+    chains = subdivision.chain_poset(resolve_poset(args.poset))
+    return RunReport("pass", data={
+        "chains": len(chains.poset.elements),
+        "poset": fileio.poset_to_doc(chains.poset),
+    })
 
 
-def cmd_graph(args) -> RunReport:
-    if args.action == "refine":
-        _need(args, "morphism")
-        phi = resolve_metric_morphism(args.morphism)
-        ref = metric.refine_to_combinatorial(phi)
-        return RunReport("pass", data={
-            "new_target_vertices": {k: [v[0], fileio.format_rational(v[1])]
-                                    for k, v in sorted(ref.new_target_vertices.items())},
-            "new_source_vertices": {k: [v[0], fileio.format_rational(v[1])]
-                                    for k, v in sorted(ref.new_source_vertices.items())},
-            "target_pieces": {k: list(v) for k, v in sorted(ref.target_pieces.items())},
-            "source_pieces": {k: list(v) for k, v in sorted(ref.source_pieces.items())},
-            "combinatorial": True,
-            "morphism": fileio.metric_morphism_to_doc(ref.morphism),
-        })
-    if args.action == "sample":
-        _need(args, "morphism")
-        phi = resolve_metric_morphism(args.morphism)
-        results = []
-        mismatch = []
-        if args.point:
-            points = [_parse_point(args.point)]
-        else:
-            points = _random_points(phi.target, args.random, args.seed)
-        for y in points:
-            sample = metric.sample_fibre(phi, y)
-            entry = {"point": repr(y), "geometric": sample.geometric,
-                     "poset": sample.poset, "match": sample.match}
-            results.append(entry)
-            if not sample.match:
-                mismatch.append(entry)
-        verdict = "pass" if not mismatch else "fail"
-        return RunReport(verdict, witnesses=mismatch, data={"samples": results})
-    if args.action == "poset":
-        if args.graph is None and args.morphism is None:
-            raise FormatError("this action needs --graph or --morphism")
-        if args.morphism:
-            phi = resolve_metric_morphism(args.morphism)
-            pm = metric.morphism_face_poset(phi)
-            return RunReport("pass", data={"morphism": fileio.morphism_to_doc(pm)})
-        obj = _load(args.graph)
-        if isinstance(obj, MetricGraphMorphism):
-            obj = obj.source
-        if not isinstance(obj, MetricGraph):
-            raise FormatError(f"{args.graph!r} does not describe a metric graph")
-        return RunReport("pass", data={
-            "poset": fileio.poset_to_doc(metric.graph_face_poset(obj), with_rank=True)})
-    raise FormatError(f"unknown graph action {args.action!r}")
+def cmd_subdivide_stellar(args) -> RunReport:
+    obj = _load(args.complex)
+    if not isinstance(obj, subdivision.SimplicialComplex):
+        raise FormatError(f"{args.complex!r} does not describe a simplicial complex")
+    result = subdivision.stellar_subdivide(obj, frozenset(_csv(args.face)), args.vertex)
+    return RunReport("pass", data={
+        "faces_before": len(obj),
+        "faces_after": len(result),
+        "complex": fileio.complex_to_doc(result),
+    })
+
+
+def cmd_graph_refine(args) -> RunReport:
+    ref = metric.refine_to_combinatorial(resolve_metric_morphism(args.morphism))
+    return RunReport("pass", data={
+        "new_target_vertices": {k: [v[0], fileio.format_rational(v[1])]
+                                for k, v in sorted(ref.new_target_vertices.items())},
+        "new_source_vertices": {k: [v[0], fileio.format_rational(v[1])]
+                                for k, v in sorted(ref.new_source_vertices.items())},
+        "target_pieces": {k: list(v) for k, v in sorted(ref.target_pieces.items())},
+        "source_pieces": {k: list(v) for k, v in sorted(ref.source_pieces.items())},
+        "combinatorial": True,
+        "morphism": fileio.metric_morphism_to_doc(ref.morphism),
+    })
+
+
+def cmd_graph_sample(args) -> RunReport:
+    phi = resolve_metric_morphism(args.morphism)
+    results = []
+    mismatch = []
+    points = ([_parse_point(args.point)] if args.point
+              else _random_points(phi.target, args.random, args.seed))
+    for y in points:
+        sample = metric.sample_fibre(phi, y)
+        entry = {"point": repr(y), "geometric": sample.geometric,
+                 "poset": sample.poset, "match": sample.match}
+        results.append(entry)
+        if not sample.match:
+            mismatch.append(entry)
+    verdict = "pass" if not mismatch else "fail"
+    return RunReport(verdict, witnesses=mismatch, data={"samples": results})
+
+
+def cmd_graph_poset(args) -> RunReport:
+    if args.morphism:
+        pm = metric.morphism_face_poset(resolve_metric_morphism(args.morphism))
+        return RunReport("pass", data={"morphism": fileio.morphism_to_doc(pm)})
+    obj = _load(args.graph)
+    if isinstance(obj, MetricGraphMorphism):
+        obj = obj.source
+    if not isinstance(obj, MetricGraph):
+        raise FormatError(f"{args.graph!r} does not describe a metric graph")
+    return RunReport("pass", data={
+        "poset": fileio.poset_to_doc(metric.graph_face_poset(obj), with_rank=True)})
 
 
 def _random_points(graph: MetricGraph, count: int, seed: int) -> list[Point]:
@@ -406,20 +383,18 @@ def _random_points(graph: MetricGraph, count: int, seed: int) -> list[Point]:
     return points
 
 
-def cmd_export(args) -> RunReport:
-    if args.poset is None and args.morphism is None:
-        raise FormatError("this action needs --poset or --morphism")
-    name = args.morphism or args.poset
-    obj = resolve_morphism(name) if args.morphism else resolve_poset(name)
-    text = dot.export_dot(obj, args.kind)
-    return RunReport("pass", data={"dot": text})
+def cmd_export_dot(args) -> RunReport:
+    obj = resolve_morphism(args.morphism) if args.morphism else resolve_poset(args.poset)
+    return RunReport("pass", data={"dot": dot.export_dot(obj, args.kind)})
 
 
-def cmd_fixtures(args) -> RunReport:
-    if args.action == "list":
-        listing = {name: type(fixtures.load_fixture(name)).__name__
-                   for name in sorted(fixtures.FIXTURES)}
-        return RunReport("pass", data={"fixtures": listing})
+def cmd_fixtures_list(args) -> RunReport:
+    listing = {name: type(fixtures.load_fixture(name)).__name__
+               for name in sorted(fixtures.FIXTURES)}
+    return RunReport("pass", data={"fixtures": listing})
+
+
+def cmd_fixtures_run(args) -> RunReport:
     rows = fixtures.FIXTURE_ROWS
     names = args.names or sorted(rows)
     unknown = [n for n in names if n not in rows]
@@ -455,7 +430,79 @@ def _at(payload: dict, path: str):
     return payload
 
 
-# ----- parser ------------------------------------------------------------------
+# ----- the command table --------------------------------------------------------
+# Each subcommand has its help, its actions as {action: (handler name, needed
+# options)}, with the one action None when it takes no action word, and its
+# arguments in usage order as (name or flag, argparse keywords); those that
+# several subcommands take are declared once.  A needed option is a tuple of
+# alternatives, at least one of which must be given.
+
+MORPHISM = ("--morphism", {})
+INDEX = ("--index", {})
+POSET = ("--poset", {})
+ORACLE_LIMIT = ("--oracle-limit", {"type": int, "default": posets.DEFAULT_ORACLE_LIMIT})
+
+
+def required(argument):
+    flag, keywords = argument
+    return flag, {**keywords, "required": True}
+
+
+Command = namedtuple("Command", "help actions arguments")
+
+COMMANDS = {
+    "poset": Command("validate, inspect, or enumerate up-sets", {
+        "validate": ("cmd_poset_validate", ()),
+        "stats": ("cmd_poset_stats", ()),
+        "upsets": ("cmd_poset_upsets", ()),
+    }, [("poset", {}), ("--connected", {"action": "store_true"}), ORACLE_LIMIT]),
+    "morphism": Command("check monotone, combinatorial, open", {
+        "check": ("cmd_morphism_check", ()),
+    }, [required(MORPHISM)]),
+    "cover": Command("balancing and branched-cover decisions", {
+        "balanced": ("cmd_cover_check", (("index",),)),
+        "ibc": ("cmd_cover_check", (("index",),)),
+        "ibc-oracle": ("cmd_cover_check", (("index",),)),
+        "degree": ("cmd_cover_degree", (("index",),)),
+        "search": ("cmd_cover_search", ()),
+    }, [required(MORPHISM), INDEX,
+        ("--bound", {"type": int, "default": covers.DEFAULT_SEARCH_BOUND}), ORACLE_LIMIT]),
+    "extend": Command("extend a balanced map over a larger up-set", {
+        None: ("cmd_extend", ()),
+    }, [required(MORPHISM), required(INDEX),
+        ("--upset", {"help": "comma-separated generators; default whole source"})]),
+    "lift": Command("lift paths along a balanced map", {
+        "up": ("cmd_lift", ()),
+        "path": ("cmd_lift", ()),
+    }, [required(MORPHISM), required(INDEX), ("--start", {"required": True}),
+        ("--path", {"required": True, "help": "comma-separated target elements"})]),
+    "connect": Command("connectivity checks and lifting", {
+        "codimk": ("cmd_connect_codimk", (("poset",), ("k",))),
+        "strong": ("cmd_connect_strong", (("poset",),)),
+        "lifting": ("cmd_connect_lifting", (("morphism",), ("index",))),
+    }, [POSET, MORPHISM, INDEX, ("--k", {"type": int}),
+        ("--mode", {"choices": ["one-fibre", "codim"], "default": "one-fibre"})]),
+    "subdivide": Command("barycentric and stellar subdivision", {
+        "bcs": ("cmd_subdivide_bcs", (("poset", "morphism"),)),
+        "stellar": ("cmd_subdivide_stellar", (("complex",), ("face",), ("vertex",))),
+    }, [POSET, MORPHISM, ("--complex", {}),
+        ("--face", {"help": "comma-separated vertices of the subdivided face"}),
+        ("--vertex", {"help": "name of the new vertex"})]),
+    "graph": Command("metric graph refinement and sampling", {
+        "refine": ("cmd_graph_refine", (("morphism",),)),
+        "sample": ("cmd_graph_sample", (("morphism",),)),
+        "poset": ("cmd_graph_poset", (("graph", "morphism"),)),
+    }, [MORPHISM, ("--graph", {}),
+        ("--point", {"help": "vertex name or edge:pos with pos rational"}),
+        ("--random", {"type": int, "default": 100}), ("--seed", {"type": int, "default": 0})]),
+    "export": Command("emit DOT text", {
+        "dot": ("cmd_export_dot", (("poset", "morphism"),)),
+    }, [POSET, MORPHISM, ("--kind", {"choices": list(dot.KINDS), "default": "hasse"})]),
+    "fixtures": Command("list or re-verify the bundled fixtures", {
+        "list": ("cmd_fixtures_list", ()),
+        "run": ("cmd_fixtures_run", ()),
+    }, [("names", {"nargs": "*"})]),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -466,70 +513,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=["human", "machine"], default="human")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("poset", help="validate, inspect, or enumerate up-sets")
-    p.add_argument("action", choices=["validate", "stats", "upsets"])
-    p.add_argument("poset")
-    p.add_argument("--connected", action="store_true")
-    p.add_argument("--oracle-limit", type=int, default=posets.DEFAULT_ORACLE_LIMIT)
-
-    p = sub.add_parser("morphism", help="check monotone, combinatorial, open")
-    p.add_argument("action", choices=["check"])
-    p.add_argument("--morphism", required=True)
-
-    p = sub.add_parser("cover", help="balancing and branched-cover decisions")
-    p.add_argument("action", choices=["balanced", "ibc", "ibc-oracle", "degree", "search"])
-    p.add_argument("--morphism", required=True)
-    p.add_argument("--index")
-    p.add_argument("--bound", type=int, default=covers.DEFAULT_SEARCH_BOUND)
-    p.add_argument("--oracle-limit", type=int, default=posets.DEFAULT_ORACLE_LIMIT)
-
-    p = sub.add_parser("extend", help="extend a balanced map over a larger up-set")
-    p.add_argument("--morphism", required=True)
-    p.add_argument("--index", required=True)
-    p.add_argument("--upset", help="comma-separated generators; default whole source")
-
-    p = sub.add_parser("lift", help="lift paths along a balanced map")
-    p.add_argument("action", choices=["up", "path"])
-    p.add_argument("--morphism", required=True)
-    p.add_argument("--index", required=True)
-    p.add_argument("--start", required=True)
-    p.add_argument("--path", required=True, help="comma-separated target elements")
-
-    p = sub.add_parser("connect", help="connectivity checks and lifting")
-    p.add_argument("action", choices=["codimk", "strong", "lifting"])
-    p.add_argument("--poset")
-    p.add_argument("--morphism")
-    p.add_argument("--index")
-    p.add_argument("--k", type=int)
-    p.add_argument("--mode", choices=["one-fibre", "codim"], default="one-fibre")
-
-    p = sub.add_parser("subdivide", help="barycentric and stellar subdivision")
-    p.add_argument("action", choices=["bcs", "stellar"])
-    p.add_argument("--poset")
-    p.add_argument("--morphism")
-    p.add_argument("--complex")
-    p.add_argument("--face", help="comma-separated vertices of the subdivided face")
-    p.add_argument("--vertex", help="name of the new vertex")
-
-    p = sub.add_parser("graph", help="metric graph refinement and sampling")
-    p.add_argument("action", choices=["refine", "sample", "poset"])
-    p.add_argument("--morphism")
-    p.add_argument("--graph")
-    p.add_argument("--point", help="vertex name or edge:pos with pos rational")
-    p.add_argument("--random", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("export", help="emit DOT text")
-    p.add_argument("action", choices=["dot"])
-    p.add_argument("--poset")
-    p.add_argument("--morphism")
-    p.add_argument("--kind", choices=list(dot.KINDS), default="hasse")
-
-    p = sub.add_parser("fixtures", help="list or re-verify the bundled fixtures")
-    p.add_argument("action", choices=["list", "run"])
-    p.add_argument("names", nargs="*")
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        if None not in command.actions:
+            p.add_argument("action", choices=list(command.actions))
+        for flag, keywords in command.arguments:
+            p.add_argument(flag, **keywords)
     return parser
 
 
@@ -546,17 +535,26 @@ def shared_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(args) -> tuple[RunReport, int]:
-    """Run the parsed command's handler, ``cmd_<command>``; return its
-    report, labelled with the command, and the exit code.  The handler is
-    looked up at each call, not bound into the shared parser."""
+    """Check the options the parsed action needs, then run its handler from
+    COMMANDS; return its report, labelled with the command, and the exit
+    code.  The handler is looked up by name at each call, not bound into
+    the shared parser."""
+    action = getattr(args, "action", None)
+    handler, needs = COMMANDS[args.command].actions[action]
     try:
-        report = globals()[f"cmd_{args.command}"](args)
+        for names in needs:
+            if all(getattr(args, name) is None for name in names):
+                raise FormatError("this action needs " + " or ".join(f"--{n}" for n in names))
+        report = globals()[handler](args)
         code = {"pass": 0, "fail": 1}[report.verdict]
     except Exception as exc:
         report = RunReport("error", witnesses=[{"error": type(exc).__name__, "detail": str(exc)}])
-        # bad input raises one of these; anything else is a fault of this program
-        code = 2 if isinstance(exc, (ToolError, OSError, ValueError)) else 3
-    report.command = f"{args.command} {getattr(args, 'action', '')}".strip()
+        # bad input raises one of these; anything else, a TheoremViolation
+        # included, is a fault of this program
+        bad_input = (isinstance(exc, (ToolError, OSError, ValueError))
+                     and not isinstance(exc, TheoremViolation))
+        code = 2 if bad_input else 3
+    report.command = args.command if action is None else f"{args.command} {action}"
     return report, code
 
 

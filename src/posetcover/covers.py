@@ -58,8 +58,7 @@ class IndexMap:
     @classmethod
     def total(cls, poset: Poset, values: dict) -> "IndexMap":
         m = cls(poset, values)
-        if not m.is_total():
-            raise PartialIndexMap(frozenset(poset.elements) - m.domain)
+        m.require_total()
         return m
 
     @classmethod
@@ -68,6 +67,10 @@ class IndexMap:
 
     def is_total(self) -> bool:
         return len(self.domain) == len(self.poset)
+
+    def require_total(self) -> None:
+        if not self.is_total():
+            raise PartialIndexMap(frozenset(self.poset.elements) - self.domain)
 
     def __getitem__(self, x: str) -> int:
         if x not in self.values:
@@ -269,8 +272,7 @@ def is_ibc(phi: PosetMorphism, m: IndexMap) -> Check:
     map is open, so the theorem's openness hypothesis needs no test of its
     own), and an unbalanced one is summed only on the up(alpha) that hold
     a defect.  Other morphisms split each preimage by search."""
-    if not m.is_total():
-        raise PartialIndexMap(frozenset(phi.source.elements) - m.domain)
+    m.require_total()
     witnesses = list(branch_locus_check(phi).witnesses)
     values = _value_list(phi, m)
     if phi._non_bijective():
@@ -334,8 +336,7 @@ def _scanned_mismatches(phi: PosetMorphism, values: list) -> list:
 def is_ibc_oracle(phi: PosetMorphism, m: IndexMap, limit: int = DEFAULT_ORACLE_LIMIT) -> Check:
     """Exhaustive indexed-branched-cover decision: every connected up-set
     of the target, every component of its preimage."""
-    if not m.is_total():
-        raise PartialIndexMap(frozenset(phi.source.elements) - m.domain)
+    m.require_total()
     branch = branch_locus_check(phi)
     witnesses = list(branch.witnesses)
     target = phi.target
@@ -358,8 +359,7 @@ class DegreeReport:
 
 def global_degree(phi: PosetMorphism, m: IndexMap) -> DegreeReport:
     """Multiplicity count of every fibre; the degree when constant."""
-    if not m.is_total():
-        raise PartialIndexMap(frozenset(phi.source.elements) - m.domain)
+    m.require_total()
     per = {beta: 0 for beta in phi.target.elements}
     for x in phi.source.elements:
         per[phi(x)] += m[x]

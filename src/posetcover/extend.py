@@ -19,9 +19,7 @@ from .errors import (
     MaxElementsUncovered,
     NoLiftExists,
     NotBalancedInput,
-    NotCombinatorial,
     NotInDomain,
-    PartialIndexMap,
     PathNotFromImage,
     PathNotIncreasing,
     TheoremViolation,
@@ -76,15 +74,11 @@ def extend_balanced(phi: PosetMorphism, m: IndexMap, target_upset) -> ExtensionR
     image; a conflict is recorded when two cover directions disagree (or the
     agreed value is not positive), and such elements stay unvalued.
     """
-    combinatorial = phi.is_combinatorial()
-    if not combinatorial:
-        raise NotCombinatorial(combinatorial.witnesses[0].alpha)
+    phi.require_combinatorial()
     w = phi.source.require_up_set(target_upset)
     if not m.domain <= w:
         raise ValueError("the target up-set must contain the index map domain")
-    balanced = is_balanced(phi, m)
-    if not balanced:
-        raise NotBalancedInput(balanced.witnesses[0])
+    _require_balanced(phi, m)
     uncovered = [x for x in phi.source.max_elements() if x not in m.domain]
     if uncovered:
         raise MaxElementsUncovered(uncovered)
@@ -147,6 +141,12 @@ def extend_balanced(phi: PosetMorphism, m: IndexMap, target_upset) -> ExtensionR
     return ExtensionReport(extended, mode, conflicts, unconstrained)
 
 
+def _require_balanced(phi: PosetMorphism, m: IndexMap) -> None:
+    balanced = is_balanced(phi, m)
+    if not balanced:
+        raise NotBalancedInput(balanced.witnesses[0])
+
+
 def _saturated_chain(p: Poset, lo: int, hi: int) -> list[int]:
     """A deterministic cover chain of indices from lo up to hi (least cover
     at every step)."""
@@ -172,23 +172,30 @@ def lift_upward_path(phi: PosetMorphism, m: IndexMap, alpha: str, target_path) -
     for a, b in zip(steps, steps[1:]):
         if not phi.target.lt(a, b):
             raise PathNotIncreasing((a, b))
-    balanced = is_balanced(phi, m)
-    if not balanced:
-        raise NotBalancedInput(balanced.witnesses[0])
+    _require_balanced(phi, m)
 
-    source, target, image_of = phi.source, phi.target, phi._image_of
+    source, t_index = phi.source, phi.target._index
     valued = source._bits(m.domain)
     lift = [source._index[alpha]]
     for a, b in zip(steps, steps[1:]):
-        for nu in _saturated_chain(target, target._index[a], target._index[b])[1:]:
-            # the least valued element over nu covering the lift so far
-            g = next((g for g in source._up_ix[lift[-1]]
-                      if image_of[g] == nu and valued >> g & 1), None)
-            if g is None:
-                raise NoLiftExists(f"no valued preimage of {target._ids[nu]!r} covers "
-                                   f"{source._ids[lift[-1]]!r}")
-            lift.append(g)
+        lift += _lift_step(phi, valued, lift[-1], t_index[a], t_index[b])
     return Path.through(source, [source._ids[g] for g in lift])
+
+
+def _lift_step(phi: PosetMorphism, valued: int, start: int, a: int, b: int) -> list[int]:
+    """The source indices lifting the strict step a < b of target indices
+    from start (not repeated), cover by cover along a saturated chain: over
+    each cover, the least valued element that covers the lift so far."""
+    source, target, image_of = phi.source, phi.target, phi._image_of
+    lift = [start]
+    for nu in _saturated_chain(target, a, b)[1:]:
+        g = next((g for g in source._up_ix[lift[-1]]
+                  if image_of[g] == nu and valued >> g & 1), None)
+        if g is None:
+            raise NoLiftExists(f"no valued preimage of {target._ids[nu]!r} covers "
+                               f"{source._ids[lift[-1]]!r}")
+        lift.append(g)
+    return lift[1:]
 
 
 def lift_path(phi: PosetMorphism, m: IndexMap, alpha: str, target_path) -> Path:
@@ -200,9 +207,7 @@ def lift_path(phi: PosetMorphism, m: IndexMap, alpha: str, target_path) -> Path:
     """
     v = m.domain
     psi = phi.restrict_corestrict(v)
-    combinatorial = psi.is_combinatorial()
-    if not combinatorial:
-        raise CorestrictionNotCombinatorial(combinatorial.witnesses[0].alpha)
+    psi.require_combinatorial(CorestrictionNotCombinatorial)
     if alpha not in v:
         raise NotInDomain(alpha)
     steps = list(target_path)
@@ -214,16 +219,16 @@ def lift_path(phi: PosetMorphism, m: IndexMap, alpha: str, target_path) -> Path:
             raise UnknownElement(b)
         if b not in image:
             raise NoLiftExists(f"path element {b!r} lies outside the image of the domain")
-    balanced = is_balanced(phi, m)
-    if not balanced:
-        raise NotBalancedInput(balanced.witnesses[0])
+    _require_balanced(phi, m)
 
+    source, t_index = phi.source, phi.target._index
+    valued = source._bits(v)
     lift = [alpha]
     current = alpha
     for a, b in zip(steps, steps[1:]):
         if phi.target.lt(a, b):
-            partial = lift_upward_path(phi, m, current, [a, b])
-            lift.extend(partial.steps[1:])
+            up = _lift_step(phi, valued, source._index[current], t_index[a], t_index[b])
+            lift.extend(source._ids[g] for g in up)
             current = lift[-1]
         elif phi.target.lt(b, a):
             options = [g for g in psi.source.down_set([current]) if phi(g) == b]
@@ -259,16 +264,11 @@ def check_connectivity_lifting(phi: PosetMorphism, m: IndexMap, mode: str, k: in
     codimension-k connectivity of the target plus one connected fibre at
     that level forces the source connected in codimension k.
     """
-    balanced = is_balanced(phi, m)
-    if not balanced:
-        raise NotBalancedInput(balanced.witnesses[0])
+    _require_balanced(phi, m)
 
     if mode == "one-fibre":
         v = m.domain
-        psi = phi.restrict_corestrict(v)
-        combinatorial = psi.is_combinatorial()
-        if not combinatorial:
-            raise CorestrictionNotCombinatorial(combinatorial.witnesses[0].alpha)
+        phi.restrict_corestrict(v).require_combinatorial(CorestrictionNotCombinatorial)
         image = phi.image(v)
         hyp = {"image connected": phi.target.is_connected(image)}
         witness = None
@@ -283,11 +283,8 @@ def check_connectivity_lifting(phi: PosetMorphism, m: IndexMap, mode: str, k: in
     elif mode == "codim":
         if k is None:
             raise ValueError("codim mode needs k")
-        combinatorial = phi.is_combinatorial()
-        if not combinatorial:
-            raise NotCombinatorial(combinatorial.witnesses[0].alpha)
-        if not m.is_total():
-            raise PartialIndexMap(frozenset(phi.source.elements) - m.domain)
+        phi.require_combinatorial()
+        m.require_total()
         source_rank = rank_check(phi.source)
         target_rank = rank_check(phi.target)
         hyp = {

@@ -244,6 +244,8 @@ def _load_json(path: Path):
         raise FormatError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise FormatError(f"{path} nests deeper than the JSON parser allows") from None
 
 
 def _resolve_poset(value, base: Path | None) -> Poset:

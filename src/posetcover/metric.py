@@ -18,7 +18,6 @@ from .errors import (
     DegenerateImage,
     DuplicateElement,
     EndpointMismatch,
-    NotCombinatorial,
     SlopeNotIntegral,
     UnknownElement,
 )
@@ -345,9 +344,7 @@ def refine_to_combinatorial(phi: MetricGraphMorphism) -> Refinement:
 
     refined = MetricGraphMorphism(new_source, new_target, vertex_images, edge_images)
     poset_morphism = morphism_face_poset(refined)
-    combinatorial = poset_morphism.is_combinatorial()
-    if not combinatorial:
-        raise NotCombinatorial(combinatorial.witnesses[0].alpha)
+    poset_morphism.require_combinatorial()
     return Refinement(
         morphism=refined,
         poset_morphism=poset_morphism,

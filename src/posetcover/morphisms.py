@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .checks import Check
-from .errors import NotMonotone, UnknownElement
+from .errors import NotCombinatorial, NotMonotone, UnknownElement
 from .posets import Poset, bit_indices
 
 CombinatorialDefect = namedtuple("CombinatorialDefect", "alpha reason detail")
@@ -163,6 +163,13 @@ class PosetMorphism:
                     f"|down({alpha})|={len(down)} != |down({self.mapping[alpha]})|="
                     f"{image_down.bit_count()}"))
         return Check.failed(witnesses)
+
+    def require_combinatorial(self, error=NotCombinatorial) -> None:
+        """Raise ``error`` with the first offending element unless the
+        morphism is combinatorial."""
+        combinatorial = self.is_combinatorial()
+        if not combinatorial:
+            raise error(combinatorial.witnesses[0].alpha)
 
     def _inverse_defect(self, i: int) -> tuple[str, str]:
         """The least pair (x, y) of down(i) with phi(x) <= phi(y) but not

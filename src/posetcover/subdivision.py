@@ -18,7 +18,6 @@ from itertools import combinations, islice, tee
 from .errors import (
     DuplicateElement,
     FaceNotInComplex,
-    NotCombinatorial,
     OracleSizeExceeded,
     VertexClash,
 )
@@ -204,9 +203,7 @@ def bcs_morphism(phi: PosetMorphism, limit: int = DEFAULT_CHAIN_LIMIT) -> PosetM
     chains.  Needs a combinatorial morphism: every chain lies inside a
     principal down-set, where the map is injective, so strict chains stay
     strict."""
-    combinatorial = phi.is_combinatorial()
-    if not combinatorial:
-        raise NotCombinatorial(combinatorial.witnesses[0].alpha)
+    phi.require_combinatorial()
     source = chain_poset(phi.source, limit)
     target = chain_poset(phi.target, limit)
     mapping = {}

@@ -118,9 +118,9 @@ def names(doc):
     return sorted(found) or ["x"]
 
 
-@st.composite
-def commands(draw, pool):
-    """One argv over the placeholder file names P (poset), M (morphism),
+def arguments(draw, pool):
+    """The arguments after the action word of every (command, action) of
+    cli.COMMANDS, over the placeholder file names P (poset), M (morphism),
     I (index map), G (metric morphism) and C (complex)."""
     word = st.sampled_from(pool)
     csv = st.lists(word, max_size=3).map(",".join)
@@ -132,36 +132,49 @@ def commands(draw, pool):
         return draw(st.sampled_from(choices))
 
     # each option draws its own arguments only when it is the one picked
-    options = [
-        lambda: ["poset", pick("validate", "stats", "upsets"), "P",
-                 *pick([], ["--connected"], ["--oracle-limit", "4"])],
-        lambda: ["morphism", "check", "--morphism", "M"],
-        lambda: ["cover", pick("balanced", "ibc", "ibc-oracle", "degree"),
-                 "--morphism", "M", "--index", "I"],
-        lambda: ["cover", "search", "--morphism", "M", "--bound", draw(small)],
-        lambda: ["extend", "--morphism", "M", "--index", "I",
-                 *pick([], ["--upset", draw(csv)])],
-        lambda: ["lift", pick("up", "path"), "--morphism", "M", "--index", "I",
-                 "--start", draw(word), "--path", draw(csv)],
-        lambda: ["connect", "codimk", "--poset", "P", "--k", draw(small)],
-        lambda: ["connect", "strong", "--poset", "P"],
-        lambda: ["connect", "lifting", "--morphism", "M", "--index", "I",
-                 "--mode", pick("one-fibre", "codim"), "--k", draw(small)],
-        lambda: ["subdivide", "bcs", *pick(["--poset", "P"], ["--morphism", "M"],
-                                           ["--poset", "M"])],
-        lambda: ["subdivide", "stellar", "--complex", "C", "--face", draw(faces),
-                 "--vertex", pick("w", "v0")],
-        lambda: ["graph", "refine", "--morphism", "G"],
-        lambda: ["graph", "sample", "--morphism", "G",
-                 *pick(["--random", draw(small), "--seed", "1"], ["--point", draw(word)],
-                       ["--point", draw(word) + ":1/2"])],
-        lambda: ["graph", "poset", pick("--morphism", "--graph"), "G"],
-        lambda: ["export", "dot", *pick(["--poset", "P"], ["--morphism", "M"],
-                                        ["--morphism", "P"]),
-                 "--kind", pick("hasse", "covering", "comparability")],
-        lambda: ["fixtures", pick("list", "run")],
-    ]
-    return draw(st.sampled_from(options))()
+    return {
+        **{("poset", action): lambda: ["P", *pick([], ["--connected"], ["--oracle-limit", "4"])]
+           for action in ("validate", "stats", "upsets")},
+        ("morphism", "check"): lambda: ["--morphism", "M"],
+        **{("cover", action): lambda: ["--morphism", "M", "--index", "I"]
+           for action in ("balanced", "ibc", "ibc-oracle", "degree")},
+        ("cover", "search"): lambda: ["--morphism", "M", "--bound", draw(small)],
+        ("extend", None): lambda: ["--morphism", "M", "--index", "I",
+                                   *pick([], ["--upset", draw(csv)])],
+        **{("lift", action): lambda: ["--morphism", "M", "--index", "I",
+                                      "--start", draw(word), "--path", draw(csv)]
+           for action in ("up", "path")},
+        ("connect", "codimk"): lambda: ["--poset", "P", "--k", draw(small)],
+        ("connect", "strong"): lambda: ["--poset", "P"],
+        ("connect", "lifting"): lambda: ["--morphism", "M", "--index", "I",
+                                         "--mode", pick("one-fibre", "codim"), "--k", draw(small)],
+        ("subdivide", "bcs"): lambda: pick(["--poset", "P"], ["--morphism", "M"],
+                                           ["--poset", "M"]),
+        ("subdivide", "stellar"): lambda: ["--complex", "C", "--face", draw(faces),
+                                           "--vertex", pick("w", "v0")],
+        ("graph", "refine"): lambda: ["--morphism", "G"],
+        ("graph", "sample"): lambda: ["--morphism", "G", *pick(
+            ["--random", draw(small), "--seed", "1"], ["--point", draw(word)],
+            ["--point", draw(word) + ":1/2"])],
+        ("graph", "poset"): lambda: [pick("--morphism", "--graph"), "G"],
+        ("export", "dot"): lambda: [*pick(["--poset", "P"], ["--morphism", "M"],
+                                          ["--morphism", "P"]),
+                                    "--kind", pick("hasse", "covering", "comparability")],
+        **{("fixtures", action): lambda: [] for action in ("list", "run")},
+    }
+
+
+def test_the_generators_match_the_command_table():
+    assert set(arguments(None, ["x"])) == {
+        (command, action) for command, spec in cli.COMMANDS.items() for action in spec.actions}
+
+
+@st.composite
+def commands(draw, pool):
+    """One argv: a (command, action) of the table and its drawn arguments."""
+    options = arguments(draw, pool)
+    command, action = draw(st.sampled_from(list(options)))
+    return [command, *([action] if action else []), *options[command, action]()]
 
 
 def run(argv):

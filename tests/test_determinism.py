@@ -1,7 +1,8 @@
 """Machine output must not depend on the string-hash seed: every bundled
-fixture command, and two inputs with several candidate witnesses of which
-the least must be reported, run in child processes under different
-PYTHONHASHSEED values and must print the same bytes."""
+fixture command, two inputs with several candidate witnesses of which the
+least must be reported, and a stellar subdivision run in child processes
+under different PYTHONHASHSEED values and must print the same bytes.
+Together the commands run every action of the CLI's command table."""
 
 import json
 import os
@@ -9,7 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from posetcover import fileio
+from posetcover import cli, fileio
 
 FIXTURE_COMMANDS = [
     ["poset", "validate", "FIX-TROP/target"],
@@ -39,6 +40,8 @@ FIXTURE_COMMANDS = [
      "--start", "s1", "--path", "s,B,t"],
     ["lift", "path", "--morphism", "FIX-LIFT", "--index", "FIX-LIFT-M",
      "--start", "beta1", "--path", "beta,B"],
+    ["lift", "up", "--morphism", "FIX-TROP", "--index", "FIX-TROP-M",
+     "--start", "B1", "--path", "B,t"],
     ["connect", "strong", "--poset", "FIX-IDREAD/target"],
     ["connect", "codimk", "--poset", "FIX-TROP/target", "--k", "1"],
     ["connect", "lifting", "--morphism", "FIX-TROP", "--index", "FIX-TROP-M"],
@@ -71,8 +74,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 def witness_inputs(tmp_path):
     """Three incomparable elements below a top, onto a four-chain (the
-    inverse is not monotone at the top), and a poset with two redundant
-    covers."""
+    inverse is not monotone at the top), a poset with two redundant
+    covers, and a tetrahedron for stellar subdivision (no fixture is a
+    simplicial complex)."""
     morphism = {
         "source": {"elements": ["x", "y", "z", "a"],
                    "covers": [["x", "a"], ["y", "a"], ["z", "a"]]},
@@ -84,8 +88,12 @@ def witness_inputs(tmp_path):
              "covers": [["a", "b"], ["b", "c"], ["a", "c"], ["d", "e"], ["e", "f"], ["d", "f"]]}
     (tmp_path / "onto_chain.json").write_text(fileio.dumps(morphism))
     (tmp_path / "redundant.json").write_text(fileio.dumps(poset))
+    (tmp_path / "simplex.json").write_text(fileio.dumps(
+        {"vertices": ["1", "2", "3", "4"], "maximal_faces": [["1", "2", "3", "4"]]}))
     return [["morphism", "check", "--morphism", str(tmp_path / "onto_chain.json")],
-            ["poset", "validate", str(tmp_path / "redundant.json")]]
+            ["poset", "validate", str(tmp_path / "redundant.json")],
+            ["subdivide", "stellar", "--complex", str(tmp_path / "simplex.json"),
+             "--face", "1,2,3", "--vertex", "p"]]
 
 
 def run_all(commands, hash_seed):
@@ -105,3 +113,11 @@ def test_output_is_independent_of_the_hash_seed(tmp_path):
     assert "X <= Y but x !<= y" in runs[0]
     assert '"error":"RedundantCover"' in runs[0].replace(" ", "")
     assert "('a', 'c')" in runs[0]
+
+
+def test_the_commands_run_every_action_of_the_command_table(tmp_path):
+    def action(argv):
+        return argv[0], None if None in cli.COMMANDS[argv[0]].actions else argv[1]
+
+    table = {(command, a) for command, spec in cli.COMMANDS.items() for a in spec.actions}
+    assert {action(argv) for argv in FIXTURE_COMMANDS + witness_inputs(tmp_path)} == table

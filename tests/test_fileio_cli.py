@@ -6,13 +6,14 @@ import time
 
 import pytest
 
-from posetcover import cli, fileio, fixtures, posets
+from posetcover import cli, extend, fileio, fixtures, posets
 from posetcover.dot import export_dot
 from posetcover.errors import (
     CycleDetected,
     FormatError,
     NotCombinatorial,
     OracleSizeExceeded,
+    TheoremViolation,
     UnknownElement,
 )
 from posetcover.fixtures import fix_graph, fix_trop, fix_trop_m
@@ -315,6 +316,71 @@ class TestCli:
             assert fields <= set(payload["witnesses"][0]), argv
 
 
+# every "this action needs" case: an argv without the needed option, and the
+# alternatives of that option
+NEEDS = [
+    (["cover", "balanced", "--morphism", "FIX-TROP"], ("index",)),
+    (["cover", "ibc", "--morphism", "FIX-TROP"], ("index",)),
+    (["cover", "ibc-oracle", "--morphism", "FIX-TROP"], ("index",)),
+    (["cover", "degree", "--morphism", "FIX-TROP"], ("index",)),
+    (["connect", "codimk", "--k", "1"], ("poset",)),
+    (["connect", "codimk", "--poset", "FIX-TROP/target"], ("k",)),
+    (["connect", "strong"], ("poset",)),
+    (["connect", "lifting", "--index", "FIX-TROP-M"], ("morphism",)),
+    (["connect", "lifting", "--morphism", "FIX-TROP"], ("index",)),
+    (["connect", "lifting", "--morphism", "FIX-TROP", "--index", "FIX-TROP-M",
+      "--mode", "codim"], ("k",)),
+    (["subdivide", "bcs"], ("poset", "morphism")),
+    (["subdivide", "stellar", "--face", "1", "--vertex", "p"], ("complex",)),
+    (["subdivide", "stellar", "--complex", "C", "--vertex", "p"], ("face",)),
+    (["subdivide", "stellar", "--complex", "C", "--face", "1"], ("vertex",)),
+    (["graph", "refine"], ("morphism",)),
+    (["graph", "sample"], ("morphism",)),
+    (["graph", "poset"], ("graph", "morphism")),
+    (["export", "dot"], ("poset", "morphism")),
+]
+
+
+@pytest.mark.parametrize("argv,names", NEEDS, ids=[" ".join(a) for a, _ in NEEDS])
+def test_a_missing_needed_option_is_named(argv, names, capsys):
+    code = cli.main(["--format", "machine", *argv])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 2 and payload["verdict"] == "error"
+    detail = "this action needs " + " or ".join(f"--{n}" for n in names)
+    assert payload["witnesses"] == [{"error": "FormatError", "detail": detail}]
+
+
+def test_needs_cases_match_the_command_table():
+    table = {(command, action, names) for command, spec in cli.COMMANDS.items()
+             for action, (_, needs) in spec.actions.items() for names in needs}
+    # --k is needed by connect lifting only in --mode codim, so its handler checks it
+    conditional = {("connect", "lifting", ("k",))}
+    assert {(argv[0], argv[1], names) for argv, names in NEEDS} == table | conditional
+
+
+def test_theorem_violation_is_an_internal_error(monkeypatch, capsys):
+    def violated(*args, **kwargs):
+        raise TheoremViolation("the hypotheses hold but the conclusion fails")
+
+    monkeypatch.setattr(extend, "check_connectivity_lifting", violated)
+    code = cli.main(["--format", "machine", "connect", "lifting",
+                     "--morphism", "FIX-TROP", "--index", "FIX-TROP-M"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 3 and payload["verdict"] == "error"
+    assert payload["witnesses"] == [{"error": "TheoremViolation",
+                                     "detail": "the hypotheses hold but the conclusion fails"}]
+
+
+def test_deeply_nested_json_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 5000 + "]" * 5000)
+    code = cli.main(["--format", "machine", "poset", "stats", str(path)])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 2 and payload["verdict"] == "error"
+    assert payload["witnesses"] == [{"error": "FormatError", "detail": str(
+        FormatError(f"{path} nests deeper than the JSON parser allows"))}]
+
+
 # JSON of the wrong type where identifiers or containers are expected
 WRONGLY_TYPED = [
     (["morphism", "check", "--morphism"],
@@ -390,7 +456,7 @@ def test_internal_error_is_exit_3_without_traceback(monkeypatch, capsys):
     def broken(args):
         raise RuntimeError("handler fault")
 
-    monkeypatch.setattr(cli, "cmd_fixtures", broken)
+    monkeypatch.setattr(cli, "cmd_fixtures_list", broken)
     code = cli.main(["--format", "machine", "fixtures", "list"])
     captured = capsys.readouterr()
     payload = json.loads(captured.out)
