@@ -24,6 +24,7 @@ from .errors import (
     FormatError,
     NoLiftExists,
     NotMonotone,
+    OracleSizeExceeded,
     TheoremViolation,
     ToolError,
 )
@@ -366,9 +367,15 @@ def cmd_graph_poset(args) -> RunReport:
         "poset": fileio.poset_to_doc(metric.graph_face_poset(obj), with_rank=True)})
 
 
+# one fibre sample per point; 10 000 points take about 0.7 s on FIX-GRAPH
+RANDOM_POINT_LIMIT = 10_000
+
+
 def _random_points(graph: MetricGraph, count: int, seed: int) -> list[Point]:
     if count < 1:
         raise FormatError(f"--random must be at least 1, got {count}")
+    if count > RANDOM_POINT_LIMIT:
+        raise OracleSizeExceeded(count, RANDOM_POINT_LIMIT, "--random")
     rng = Random(seed)
     edges = sorted(graph.edges)
     if not edges:

@@ -134,7 +134,7 @@ class NoLiftExists(ToolError):
 class FaceNotInComplex(ToolError):
     def __init__(self, face):
         self.face = tuple(sorted(face))
-        super().__init__(f"face {set(self.face)!r} is not in the complex")
+        super().__init__(f"face {list(self.face)!r} is not in the complex")
 
 
 class VertexClash(ToolError):

@@ -145,7 +145,8 @@ def complex_from_doc(doc) -> SimplicialComplex:
 
 
 def complex_to_doc(k: SimplicialComplex) -> dict:
-    maximal = [f for f in k.faces if not any(f < g for g in k.faces)]
+    # a face is maximal when no face drops one member to reach it
+    maximal = k.faces - {f - {v} for f in k.faces for v in f}
     return {
         "vertices": sorted(k.vertices),
         "maximal_faces": sorted(sorted(f) for f in maximal),

@@ -6,23 +6,19 @@ chains ordered by subchain inclusion.  Ranks follow the simplex convention,
 rank = cardinality - 1; the cone-dimension convention found elsewhere is
 this plus one.  The apex object that a cone complex would carry is omitted
 on purpose.
+
+Strict chains and the faces of a complex follow one rule: a chain or a
+face covers exactly the chains or faces it becomes with one member dropped.
 """
 
 from __future__ import annotations
 
-from copy import copy
 from dataclasses import dataclass
-from functools import partial
-from itertools import combinations, islice, tee
+from itertools import combinations
 
-from .errors import (
-    DuplicateElement,
-    FaceNotInComplex,
-    OracleSizeExceeded,
-    VertexClash,
-)
+from .errors import FaceNotInComplex, OracleSizeExceeded, VertexClash
 from .morphisms import PosetMorphism
-from .posets import Poset
+from .posets import Poset, bit_indices
 
 DEFAULT_CHAIN_LIMIT = 100_000
 
@@ -35,28 +31,24 @@ class SimplicialComplex:
         faces = {frozenset(f) for f in faces}
         if any(not f for f in faces):
             raise ValueError("faces must be non-empty")
-        vertices = set()
-        for f in faces:
-            vertices |= f
-        for f in faces:
-            for r in range(1, len(f)):
-                for sub in combinations(sorted(f), r):
-                    if frozenset(sub) not in faces:
-                        raise ValueError(f"not closed under subsets: missing {set(sub)!r}")
-        for v in vertices:
-            if frozenset([v]) not in faces:
-                raise ValueError(f"vertex {v!r} has no singleton face")
-        self.vertices = frozenset(vertices)
+        # closed under non-empty subsets exactly when closed under dropping
+        # one member, and then every vertex is a singleton face
+        missing = [f - {v} for f in faces if len(f) > 1 for v in f if f - {v} not in faces]
+        if missing:
+            raise ValueError(f"not closed under subsets: missing {min(map(sorted, missing))!r}")
+        self.vertices = frozenset().union(*faces)
         self.faces = frozenset(faces)
 
     @classmethod
     def from_maximal(cls, vertices, maximal_faces) -> "SimplicialComplex":
+        maximal = [sorted(set(f)) for f in maximal_faces]
+        size = sum((1 << len(f)) - 1 for f in maximal)
+        if size > DEFAULT_CHAIN_LIMIT:
+            raise OracleSizeExceeded(size, DEFAULT_CHAIN_LIMIT, "subsets of maximal faces")
         faces = {frozenset([v]) for v in vertices}
-        for f in maximal_faces:
-            f = frozenset(f)
+        for f in maximal:
             for r in range(1, len(f) + 1):
-                for sub in combinations(sorted(f), r):
-                    faces.add(frozenset(sub))
+                faces.update(map(frozenset, combinations(f, r)))
         return cls(faces)
 
     @classmethod
@@ -98,26 +90,17 @@ def stellar_subdivide(complex_: SimplicialComplex, face, new_vertex: str) -> Sim
         raise FaceNotInComplex(face)
     if new_vertex in complex_.vertices:
         raise VertexClash(new_vertex)
-    star = complex_.star(face)
-    kept = set(complex_.faces) - set(star)
-    added = {frozenset([new_vertex])}
-    for tau in complex_.faces:
-        if face <= tau:
-            continue
-        if any(tau <= f for f in star):
-            added.add(tau | {new_vertex})
-    return SimplicialComplex(kept | added)
+    kept = complex_.faces - complex_.star(face)
+    # by closure, tau lies in a starred simplex exactly when tau | face is one
+    cone = {tau | {new_vertex} for tau in kept if tau | face in complex_.faces}
+    return SimplicialComplex(kept | cone | {frozenset([new_vertex])})
 
 
 def simplicial_face_poset(complex_: SimplicialComplex) -> Poset:
     """Face poset graded by cardinality minus one; covers are codimension-1
     inclusions.  Elements are the sorted vertex lists joined by commas."""
     label = {f: ",".join(sorted(f)) for f in complex_.faces}
-    covers = []
-    for f in complex_.faces:
-        for g in complex_.faces:
-            if f < g and len(g) == len(f) + 1:
-                covers.append((label[f], label[g]))
+    covers = [(label[f - {v}], label[f]) for f in complex_.faces if len(f) > 1 for v in f]
     return Poset(sorted(label.values()), covers)
 
 
@@ -138,63 +121,31 @@ def _chain_label(chain) -> str:
     return "<".join(chain)
 
 
-def _has_bit(bits: int, i: int) -> int:
-    return bits >> i & 1
-
-
 def chain_poset(p: Poset, limit: int = DEFAULT_CHAIN_LIMIT) -> ChainPoset:
     """All non-empty strict chains of p, ordered by subchain inclusion;
-    covers add exactly one element somewhere in the chain."""
-    order = p._order_ix
-    position = [0] * len(order)
-    for k, i in enumerate(order):
-        position[i] = k
-    # depth-first over element indices, extensions by position in the
-    # order; a chain is kept as (parent index, top) until the count is
-    # within the limit, and the elements above a top are found once, in a
-    # tee whose copies share them
-    above = [None] * len(order)
-    parents, tops = [], []
-    stack = [(-1, iter(order))]
-    while stack:
-        parent, extensions = stack[-1]
-        for top in extensions:
-            if len(tops) > limit:
-                raise OracleSizeExceeded(len(tops), limit)
-            parents.append(parent)
-            tops.append(top)
-            if above[top] is None:
-                later = islice(order, position[top] + 1, None)
-                above[top] = tee(filter(partial(_has_bit, p._above[top]), later), 1)[0]
-            stack.append((len(tops) - 1, copy(above[top])))
-            break
-        else:
-            stack.pop()
-    chains = []
-    for parent, top in zip(parents, tops):
-        chains.append((chains[parent] if parent >= 0 else ()) + (p._ids[top],))
-
-    labels = {}
-    for c in chains:
-        lbl = _chain_label(c)
-        if lbl in labels:
-            raise DuplicateElement(lbl)
-        labels[lbl] = c
-    covers = []
-    by_content = {frozenset(c): c for c in chains}
-    for c in chains:
-        if len(c) < 2:
-            continue
-        content = frozenset(c)
-        for drop in c:
-            sub = by_content.get(content - {drop})
-            if sub is not None:
-                covers.append((_chain_label(sub), _chain_label(c)))
-    poset = Poset(sorted(labels), covers)
+    a chain covers each chain it becomes with one member dropped."""
+    ids, below, order = p._ids, p._below, p._order_ix
+    # the chains that end at i are i alone and each chain ending below i
+    # with i appended; they are counted before any is built
+    count = [0] * len(ids)
+    total = 0
+    for i in order:
+        count[i] = 1 + sum(map(count.__getitem__, bit_indices(below[i])))
+        total += count[i]
+        if total > limit:
+            raise OracleSizeExceeded(limit + 1, limit)
+    ending = [None] * len(ids)
+    for i in order:
+        top = (ids[i],)
+        ending[i] = [top] + [c + top for j in bit_indices(below[i]) for c in ending[j]]
+    chains = [c for i in order for c in ending[i]]
+    labels = list(map(_chain_label, chains))
+    covers = [(_chain_label(c[:k] + c[k + 1:]), lbl)
+              for c, lbl in zip(chains, labels) if len(c) > 1 for k in range(len(c))]
     return ChainPoset(
-        poset=poset,
-        chain_of=labels,
-        top_of={lbl: c[-1] for lbl, c in labels.items()},
+        poset=Poset(sorted(labels), covers),
+        chain_of=dict(zip(labels, chains)),
+        top_of={lbl: c[-1] for lbl, c in zip(labels, chains)},
     )
 
 

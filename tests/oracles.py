@@ -137,6 +137,28 @@ def brute_chains(elements, covers):
     return found
 
 
+def brute_codim_one_pairs(sets):
+    """Pairs (c, d) of the given sets with c a subset of d and one member
+    fewer, by comparing every pair: the covers of a face poset, and of a
+    chain poset with chains given as sets."""
+    sets = [frozenset(s) for s in sets]
+    return {(c, d) for c in sets for d in sets if c < d and len(d) == len(c) + 1}
+
+
+def brute_missing_faces(faces):
+    """Every non-empty subset of a face that is not itself a face, by
+    enumerating all subsets of every face."""
+    faces = {frozenset(f) for f in faces}
+    return {frozenset(sub) for f in faces for sub in all_subsets(f)
+            if sub and frozenset(sub) not in faces}
+
+
+def brute_maximal_faces(faces):
+    """Faces contained in no other face, by comparing every pair."""
+    faces = {frozenset(f) for f in faces}
+    return {f for f in faces if not any(f < g for g in faces)}
+
+
 def brute_closure_faces(maximal_faces):
     """All non-empty subsets of the given faces."""
     faces = set()

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from posetcover import cli, extend, fileio, fixtures, posets
+from posetcover import cli, extend, fileio, fixtures, posets, subdivision
 from posetcover.dot import export_dot
 from posetcover.errors import (
     CycleDetected,
@@ -549,6 +549,33 @@ def test_up_set_walk_guard_stops_a_wide_antichain(tmp_path, capsys):
     limit = posets.UP_SET_WALK_LIMIT
     assert payload["witnesses"] == [{"error": "OracleSizeExceeded", "detail": str(
         OracleSizeExceeded(limit + 1, limit, "up-sets walked"))}]
+
+
+def test_a_forty_vertex_face_stops_at_the_face_guard(tmp_path, capsys):
+    vertices = [f"v{i:02d}" for i in range(40)]
+    path = tmp_path / "simplex.json"
+    path.write_text(fileio.dumps({"vertices": vertices, "maximal_faces": [vertices]}))
+    start = time.monotonic()
+    code = cli.main(["--format", "machine", "subdivide", "stellar", "--complex", str(path),
+                     "--face", "v00", "--vertex", "p"])
+    elapsed = time.monotonic() - start
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 2 and elapsed < 1
+    assert payload["witnesses"] == [{"error": "OracleSizeExceeded", "detail": str(
+        OracleSizeExceeded(2 ** 40 - 1, subdivision.DEFAULT_CHAIN_LIMIT,
+                           "subsets of maximal faces"))}]
+
+
+def test_random_points_above_the_cap_are_refused(capsys):
+    limit = cli.RANDOM_POINT_LIMIT
+    start = time.monotonic()
+    code = cli.main(["--format", "machine", "graph", "sample", "--morphism", "FIX-GRAPH",
+                     "--random", str(limit + 1)])
+    elapsed = time.monotonic() - start
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 2 and elapsed < 1
+    assert payload["witnesses"] == [{"error": "OracleSizeExceeded", "detail": str(
+        OracleSizeExceeded(limit + 1, limit, "--random"))}]
 
 
 def test_parser_is_built_once_per_process(monkeypatch, capsys):

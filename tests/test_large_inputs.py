@@ -1,8 +1,9 @@
-"""5000-element inputs through the CLI, in-process: poset stats, the
-identity morphism check and the branched-cover decision with all values 1
-on a chain and on the face poset of a metric cycle.  Every check on them
-is local to principal down-sets, punctured up-sets and covers, so each
-command stays well inside a generous wall budget."""
+"""Large inputs in-process: poset stats, the identity morphism check and
+the branched-cover decision with all values 1 on a 5000-element chain and
+on the face poset of a metric cycle, and the 8191 faces of a 13-vertex
+simplex through stellar subdivision and its face poset.  Every check on
+them is local to principal down-sets, punctured up-sets, covers or faces
+one member apart, so each stays well inside a generous wall budget."""
 
 import json
 import time
@@ -10,6 +11,7 @@ import time
 import pytest
 
 from posetcover import cli, fileio
+from posetcover.subdivision import SimplicialComplex, simplicial_face_poset
 
 BUDGET_S = 2.0
 
@@ -65,3 +67,34 @@ def test_five_thousand_elements(inputs, dim, tmp_path, capsys):
     code, payload = run("cover", "ibc", "--morphism", paths["identity"],
                         "--index", paths["index"])
     assert code == 0 and payload["verdict"] == "pass" and payload["witnesses"] == []
+
+
+def thirteen_vertices():
+    return [f"v{i:02d}" for i in range(13)]
+
+
+def test_stellar_subdivision_of_a_thirteen_vertex_simplex(tmp_path, capsys):
+    vertices = thirteen_vertices()
+    path = tmp_path / "simplex.json"
+    path.write_text(fileio.dumps({"vertices": vertices, "maximal_faces": [vertices]}))
+    start = time.monotonic()
+    code = cli.main(["--format", "machine", "subdivide", "stellar", "--complex", str(path),
+                     "--face", "v00,v01,v02", "--vertex", "p"])
+    elapsed = time.monotonic() - start
+    assert code == 0 and elapsed < BUDGET_S, elapsed
+    data = json.loads(capsys.readouterr().out)["data"]
+    # the 2^10 faces holding the triangle give way to the new vertex and
+    # the cone over every other face
+    kept = 8191 - 2 ** 10
+    assert (data["faces_before"], data["faces_after"]) == (8191, 2 * kept + 1)
+    assert data["complex"]["maximal_faces"] == sorted(
+        sorted(set(vertices + ["p"]) - {v}) for v in vertices[:3])
+
+
+def test_face_poset_of_a_thirteen_vertex_simplex():
+    k = SimplicialComplex.full_simplex(thirteen_vertices())
+    start = time.monotonic()
+    p = simplicial_face_poset(k)
+    elapsed = time.monotonic() - start
+    assert elapsed < BUDGET_S, elapsed
+    assert len(p.elements) == 8191 and len(p.covers) == 13 * 2 ** 12 - 13

@@ -4,13 +4,15 @@ import pytest
 from random import Random
 
 from posetcover.errors import (
+    DuplicateElement,
     FaceNotInComplex,
     NotCombinatorial,
     OracleSizeExceeded,
     VertexClash,
 )
+from posetcover.fileio import complex_to_doc
 from posetcover.fixtures import fix_ce1, fix_trop
-from posetcover.generators import random_sheaf_morphism
+from posetcover.generators import random_graded_poset, random_sheaf_morphism
 from posetcover.morphisms import PosetMorphism
 from posetcover.posets import Poset, rank_check
 from posetcover.subdivision import (
@@ -21,11 +23,25 @@ from posetcover.subdivision import (
     stellar_subdivide,
 )
 
-from oracles import brute_chains, brute_closure_faces
+from oracles import (
+    brute_chains,
+    brute_closure_faces,
+    brute_codim_one_pairs,
+    brute_maximal_faces,
+    brute_missing_faces,
+    reachability,
+)
 
 
 def three_simplex():
     return SimplicialComplex.full_simplex(["1", "2", "3", "4"])
+
+
+def random_complex(rng):
+    vertices = [str(i) for i in range(rng.randint(3, 7))]
+    maximal = [rng.sample(vertices, rng.randint(2, len(vertices)))
+               for _ in range(rng.randint(1, 3))]
+    return SimplicialComplex.from_maximal(vertices, maximal)
 
 
 class TestChainPoset:
@@ -60,6 +76,38 @@ class TestChainPoset:
         poset = simplicial_face_poset(three_simplex())
         with pytest.raises(OracleSizeExceeded):
             chain_poset(poset, limit=10)
+
+    def test_size_guard_boundary(self):
+        # three chains: A, B and A<B
+        p = Poset(["A", "B"], [("A", "B")])
+        assert len(chain_poset(p, limit=3).poset.elements) == 3
+        with pytest.raises(OracleSizeExceeded) as raised:
+            chain_poset(p, limit=2)
+        assert str(raised.value) == "instance size 3 exceeds oracle limit 2"
+
+    def test_least_repeated_label_is_the_duplicate(self):
+        # the chains x<y and z<y are also elements of the poset
+        p = Poset(["x", "y", "z", "z<y", "x<y"], [("x", "y"), ("z", "y"), ("z<y", "x<y")])
+        with pytest.raises(DuplicateElement) as raised:
+            chain_poset(p)
+        assert raised.value.element == "x<y"
+
+    def test_against_brute_chains_and_covers(self):
+        rng = Random(54)
+        for _ in range(40):
+            p = random_graded_poset(rng, max_elements=8)
+            leq = reachability(p.elements, p.covers)
+            chains = chain_poset(p)
+            brute = brute_chains(p.elements, p.covers)
+            assert {frozenset(c) for c in chains.chain_of.values()} == set(brute)
+            assert list(chains.poset.elements) == sorted(chains.chain_of)
+            for label, c in chains.chain_of.items():
+                assert label == "<".join(c)
+                assert all((a, b) in leq for a, b in zip(c, c[1:]))
+                assert chains.top_of[label] == c[-1]
+            content = {label: frozenset(c) for label, c in chains.chain_of.items()}
+            assert {(content[a], content[b]) for a, b in chains.poset.covers} == (
+                brute_codim_one_pairs(brute))
 
 
 class TestBcsMorphism:
@@ -123,10 +171,7 @@ class TestStellar:
     def test_face_count_formula_against_closure_oracle(self):
         rng = Random(52)
         for _ in range(15):
-            vertices = [str(i) for i in range(rng.randint(3, 7))]
-            maximal = [rng.sample(vertices, rng.randint(2, len(vertices)))
-                       for _ in range(rng.randint(1, 3))]
-            k = SimplicialComplex.from_maximal(vertices, maximal)
+            k = random_complex(rng)
             face = rng.choice(sorted(k.faces, key=sorted))
             after = stellar_subdivide(k, face, "new")
             star = k.star(face)
@@ -157,8 +202,6 @@ class TestFacePoset:
 
     def test_chain_poset_graded_when_base_is(self):
         rng = Random(53)
-        from posetcover.generators import random_graded_poset
-
         for _ in range(10):
             base = random_graded_poset(rng, max_elements=6)
             base_report = rank_check(base)
@@ -167,3 +210,47 @@ class TestFacePoset:
             if base_report.pure:
                 assert report.pure
                 assert report.dim == base_report.dim
+
+    def test_face_covers_against_all_pairs(self):
+        rng = Random(55)
+        for _ in range(20):
+            k = random_complex(rng)
+            label = {f: ",".join(sorted(f)) for f in k.faces}
+            expected = {(label[c], label[d]) for c, d in brute_codim_one_pairs(k.faces)}
+            assert simplicial_face_poset(k).covers == expected
+
+
+class TestComplex:
+    def test_closure_witness_is_the_least_missing_face(self):
+        rng = Random(56)
+        closed = 0
+        for _ in range(40):
+            faces = set(random_complex(rng).faces)
+            for f in rng.sample(sorted(faces, key=sorted), rng.randint(0, 3)):
+                faces.discard(f)
+            missing = brute_missing_faces(faces)
+            if not missing:
+                closed += 1
+                assert SimplicialComplex(faces).faces == faces
+                continue
+            with pytest.raises(ValueError) as raised:
+                SimplicialComplex(faces)
+            least = min(map(sorted, missing))
+            assert str(raised.value) == f"not closed under subsets: missing {least!r}"
+        assert 0 < closed < 40
+
+    def test_maximal_faces_against_all_pairs(self):
+        rng = Random(57)
+        for _ in range(20):
+            k = random_complex(rng)
+            after = stellar_subdivide(k, rng.choice(sorted(k.faces, key=sorted)), "new")
+            for c in (k, after):
+                assert complex_to_doc(c)["maximal_faces"] == sorted(
+                    sorted(f) for f in brute_maximal_faces(c.faces))
+
+    def test_face_guard(self):
+        # a 17-vertex face has 2^17 - 1 non-empty subsets, above the limit
+        with pytest.raises(OracleSizeExceeded) as raised:
+            SimplicialComplex.full_simplex([f"v{i:02d}" for i in range(17)])
+        assert str(raised.value) == (
+            "subsets of maximal faces 131071 exceeds oracle limit 100000")
