@@ -23,7 +23,8 @@ from .subdivision import SimplicialComplex
 
 
 def parse_rational(text) -> Fraction:
-    if isinstance(text, int):
+    # bool is an int, but a JSON true or false is no rational
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if isinstance(text, str):
         try:
@@ -140,8 +141,11 @@ def index_map_to_doc(m: IndexMap) -> dict:
 def complex_from_doc(doc) -> SimplicialComplex:
     vertices = _strings(_require(doc, "vertices", "simplicial complex"), "complex vertices")
     maximal = _list(_require(doc, "maximal_faces", "simplicial complex"), "maximal faces")
-    return SimplicialComplex.from_maximal(
-        vertices, [tuple(_strings(f, "a maximal face")) for f in maximal])
+    maximal = [tuple(_strings(f, "a maximal face")) for f in maximal]
+    undeclared = {v for f in maximal for v in f} - set(vertices)
+    if undeclared:
+        raise FormatError(f"maximal faces use undeclared vertex {min(undeclared)!r}")
+    return SimplicialComplex.from_maximal(vertices, maximal)
 
 
 def complex_to_doc(k: SimplicialComplex) -> dict:

@@ -2,17 +2,25 @@
 morphisms, the dimension-1 refinement that makes a morphism combinatorial,
 and fibre sampling.
 
-Every position and length is a `fractions.Fraction`; there is no floating
-point anywhere, so subdivision points and fibre counts are exact.  Each
-source edge must map affinely into the closure of a single target edge;
-inputs whose edges cross several target edges should be pre-split.
+Arithmetic is exact and, inside, integer.  On each target edge t every
+position is an integer over one denominator D_t: the least common multiple
+of the denominators of t's length, of the interior vertex images on t and
+of the endpoints of every edge image onto t.  A source edge of slope s onto
+t then works in units of 1/(s*D_t), so pulling a cut back is a subtraction.
+`fractions.Fraction` appears only at the boundary: edge lengths, edge image
+endpoints, point positions, the keys of a refinement's new vertices,
+cut-vertex names and error texts.  There is no floating point anywhere.
+Each source edge must map affinely into the closure of a single target
+edge; inputs whose edges cross several target edges should be pre-split.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+from bisect import bisect_left, bisect_right
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import (
     DegenerateImage,
@@ -27,6 +35,16 @@ from .posets import Poset
 Edge = namedtuple("Edge", "a b length")
 EdgeImage = namedtuple("EdgeImage", "edge start end slope")
 FibreSample = namedtuple("FibreSample", "geometric poset match")
+
+
+def _fraction(value) -> Fraction:
+    return value if type(value) is Fraction else Fraction(value)
+
+
+def _scaled(q: Fraction, den: int) -> int:
+    """q as an integer in units of 1/den; den is a multiple of q's
+    denominator."""
+    return q.numerator * (den // q.denominator)
 
 
 @dataclass(frozen=True)
@@ -44,7 +62,7 @@ class Point:
 
     @classmethod
     def interior(cls, edge: str, position) -> "Point":
-        return cls(edge=edge, position=Fraction(position))
+        return cls(edge=edge, position=_fraction(position))
 
     @property
     def is_vertex(self) -> bool:
@@ -64,6 +82,7 @@ class MetricGraph:
             if v in seen:
                 raise DuplicateElement(v)
             seen.add(v)
+        self._vertex_set = seen
         self.edges = {}
         for eid, a, b, length in edges:
             if eid in self.edges or eid in seen:
@@ -72,8 +91,8 @@ class MetricGraph:
                 raise UnknownElement(a)
             if b not in seen:
                 raise UnknownElement(b)
-            length = Fraction(length)
-            if length <= 0:
+            length = _fraction(length)
+            if length.numerator <= 0:
                 raise ValueError(f"edge {eid!r} must have positive length")
             self.edges[eid] = Edge(a, b, length)
 
@@ -85,12 +104,13 @@ class MetricGraph:
 
     def check_point(self, p: Point):
         if p.is_vertex:
-            if p.vertex not in self.vertices:
+            if p.vertex not in self._vertex_set:
                 raise UnknownElement(p.vertex)
         else:
             if p.edge not in self.edges:
                 raise UnknownElement(p.edge)
-            if not 0 < p.position < self.edges[p.edge].length:
+            pos, length = _fraction(p.position), self.edges[p.edge].length
+            if not 0 < pos.numerator * length.denominator < length.numerator * pos.denominator:
                 raise ValueError(f"position {p.position} not interior to edge {p.edge!r}")
 
     def cell_of(self, p: Point) -> str:
@@ -109,6 +129,14 @@ def graph_face_poset(graph: MetricGraph) -> Poset:
     return Poset(list(graph.vertices) + sorted(graph.edges), sorted(covers))
 
 
+# A morphism in integers, per target edge t in units of 1/D_t: ``scale``
+# maps t to D_t; ``images`` maps a source edge to (t, start, end);
+# ``places`` maps a source vertex to (None, vertex) or to (t, position);
+# ``points`` counts the places, ``spans`` lists the (low, high) ends of the
+# edge images onto each t, and ``cells`` counts the cell map's images.
+_Grid = namedtuple("_Grid", "scale images places points spans cells")
+
+
 class MetricGraphMorphism:
     """An affine, integer-slope cell map between two metric graphs."""
 
@@ -117,6 +145,7 @@ class MetricGraphMorphism:
         self.target = target
         self.vertex_images = dict(vertex_images)
         self.edge_images = {}
+        self._grid_memo = None
         for v in source.vertices:
             if v not in self.vertex_images:
                 raise UnknownElement(v)
@@ -127,41 +156,82 @@ class MetricGraphMorphism:
             t, start, end, slope = edge_images[eid]
             if t not in target.edges:
                 raise UnknownElement(t)
-            start, end = Fraction(start), Fraction(end)
+            start, end = _fraction(start), _fraction(end)
             if not isinstance(slope, int) or isinstance(slope, bool) or slope < 1:
                 raise SlopeNotIntegral(eid, f"slope must be a positive integer, got {slope!r}")
-            if start == end:
-                raise DegenerateImage(eid)
             tlen = target.edges[t].length
-            if not (0 <= start <= tlen and 0 <= end <= tlen):
+            # the checks run on integers over one denominator for this edge
+            den = lcm(tlen.denominator, start.denominator, end.denominator)
+            s, e, top = _scaled(start, den), _scaled(end, den), _scaled(tlen, den)
+            if s == e:
+                raise DegenerateImage(eid)
+            if not (0 <= s <= top and 0 <= e <= top):
                 raise EndpointMismatch(eid, f"image [{start}, {end}] leaves edge {t!r} of length {tlen}")
-            if abs(end - start) != slope * edge.length:
+            length = edge.length
+            if abs(e - s) * length.denominator != slope * length.numerator * den:
                 raise SlopeNotIntegral(
                     eid,
-                    f"|{end} - {start}| != slope {slope} x length {edge.length}",
+                    f"|{end} - {start}| != slope {slope} x length {length}",
                 )
-            image = EdgeImage(t, start, end, slope)
-            for endpoint, pos in ((edge.a, start), (edge.b, end)):
-                expected = self._point_at(t, pos)
-                if self.vertex_images[endpoint] != expected:
+            for endpoint, pos in ((edge.a, s), (edge.b, e)):
+                image = self.vertex_images[endpoint]
+                if not self._lies_at(image, t, pos, den, top):
                     raise EndpointMismatch(
                         eid,
-                        f"endpoint {endpoint!r} maps to {self.vertex_images[endpoint]!r} "
-                        f"but the edge image puts it at {expected!r}",
+                        f"endpoint {endpoint!r} maps to {image!r} "
+                        f"but the edge image puts it at {self._point_at(t, pos, den)!r}",
                     )
-            self.edge_images[eid] = image
-        unknown = ((set(self.vertex_images) - set(source.vertices))
-                   | (set(edge_images) - set(source.edges)))
+            self.edge_images[eid] = EdgeImage(t, start, end, slope)
+        unknown = ((self.vertex_images.keys() - source._vertex_set)
+                   | (set(edge_images) - source.edges.keys()))
         if unknown:
             raise UnknownElement(min(unknown))
 
-    def _point_at(self, target_edge: str, pos: Fraction) -> Point:
-        e = self.target.edges[target_edge]
-        if pos == 0:
+    def _lies_at(self, image: Point, t: str, pos: int, den: int, top: int) -> bool:
+        """Whether image is the point at pos/den on target edge t of length
+        top/den."""
+        if 0 < pos < top:
+            if image.vertex is not None or image.edge != t:
+                return False
+            q = _fraction(image.position)
+            return q.numerator * den == pos * q.denominator
+        e = self.target.edges[t]
+        return (image.vertex == (e.a if pos == 0 else e.b)
+                and image.edge is None and image.position is None)
+
+    def _point_at(self, t: str, num: int, den: int) -> Point:
+        """The point at num/den on target edge t."""
+        e = self.target.edges[t]
+        if num == 0:
             return Point.at_vertex(e.a)
-        if pos == e.length:
+        if num * e.length.denominator == e.length.numerator * den:
             return Point.at_vertex(e.b)
-        return Point.interior(target_edge, pos)
+        return Point.interior(t, Fraction(num, den))
+
+    def _grid(self) -> _Grid:
+        """The morphism in integers, built on first use."""
+        if self._grid_memo is None:
+            scale = {t: e.length.denominator for t, e in self.target.edges.items()}
+            for img in self.vertex_images.values():
+                if not img.is_vertex:
+                    scale[img.edge] = lcm(scale[img.edge], _fraction(img.position).denominator)
+            for img in self.edge_images.values():
+                scale[img.edge] = lcm(scale[img.edge], img.start.denominator, img.end.denominator)
+            places = {}
+            for v, img in self.vertex_images.items():
+                places[v] = ((None, img.vertex) if img.is_vertex else
+                             (img.edge, _scaled(_fraction(img.position), scale[img.edge])))
+            images = {}
+            spans = {}
+            for eid, img in self.edge_images.items():
+                den = scale[img.edge]
+                s, e = _scaled(img.start, den), _scaled(img.end, den)
+                images[eid] = (img.edge, s, e)
+                spans.setdefault(img.edge, []).append((min(s, e), max(s, e)))
+            cells = Counter(image for _, image in _cell_map(self))
+            self._grid_memo = _Grid(scale, images, places, Counter(places.values()), spans,
+                                    cells)
+        return self._grid_memo
 
     def __repr__(self):
         return f"MetricGraphMorphism({self.source!r} -> {self.target!r})"
@@ -170,9 +240,12 @@ class MetricGraphMorphism:
         self.source.check_point(p)
         if p.is_vertex:
             return self.vertex_images[p.vertex]
-        img = self.edge_images[p.edge]
-        direction = 1 if img.end > img.start else -1
-        return self._point_at(img.edge, img.start + direction * img.slope * p.position)
+        grid = self._grid()
+        t, s, e = grid.images[p.edge]
+        den, x = grid.scale[t], _fraction(p.position)
+        step = self.edge_images[p.edge].slope * (1 if e > s else -1)
+        return self._point_at(t, s * x.denominator + step * x.numerator * den,
+                              den * x.denominator)
 
 
 def _cell_map(phi: MetricGraphMorphism):
@@ -227,38 +300,45 @@ def _fresh(name, taken):
     return name
 
 
-def _split_graph(graph: MetricGraph, cuts: dict, taken: set):
-    """Split the edges of a graph at the given interior positions.
+def _split_graph(graph: MetricGraph, cuts: dict, units: dict, taken: set):
+    """Split the edges of a graph at interior positions.
 
-    Returns the new graph, the piece table, and the cut-vertex names keyed
-    by (edge, position).
+    ``cuts`` maps an edge to its ascending cut positions and ``units`` to
+    (den, length): the positions and the edge's length are integers in
+    units of 1/den.  Returns the new graph, the piece table, the cut-vertex
+    names keyed by (edge, integer position), and the new vertices with
+    their (edge, Fraction position).
     """
     vertices = list(graph.vertices)
     new_edges = []
     pieces = {}
     cut_names = {}
+    new_vertices = {}
     for eid in sorted(graph.edges):
         edge = graph.edges[eid]
-        positions = sorted(cuts.get(eid, ()))
+        positions = cuts.get(eid)
         if not positions:
             new_edges.append((eid, edge.a, edge.b, edge.length))
             pieces[eid] = (eid,)
             continue
-        stops = [Fraction(0)] + positions + [edge.length]
+        den, length = units[eid]
         names = [edge.a]
         for p in positions:
-            v = _fresh(f"{eid}@{p}", taken)
+            at = Fraction(p, den)
+            v = _fresh(f"{eid}@{at}", taken)
             cut_names[(eid, p)] = v
+            new_vertices[v] = (eid, at)
             vertices.append(v)
             names.append(v)
         names.append(edge.b)
+        stops = [0, *positions, length]
         ids = []
         for i in range(len(stops) - 1):
             pid = _fresh(f"{eid}.{i + 1}", taken)
             ids.append(pid)
-            new_edges.append((pid, names[i], names[i + 1], stops[i + 1] - stops[i]))
+            new_edges.append((pid, names[i], names[i + 1], Fraction(stops[i + 1] - stops[i], den)))
         pieces[eid] = tuple(ids)
-    return MetricGraph(vertices, new_edges), pieces, cut_names
+    return MetricGraph(vertices, new_edges), pieces, cut_names, new_vertices
 
 
 def refine_to_combinatorial(phi: MetricGraphMorphism) -> Refinement:
@@ -272,75 +352,55 @@ def refine_to_combinatorial(phi: MetricGraphMorphism) -> Refinement:
     one-round construction's scope (such as an edge wrapped onto a loop)
     raise NotCombinatorial with the offending element.
     """
+    grid = phi._grid()
     target_cuts = {}
-    for v in sorted(phi.source.vertices):
-        img = phi.vertex_images[v]
-        if not img.is_vertex:
-            target_cuts.setdefault(img.edge, set()).add(img.position)
-
+    for t, pos in grid.places.values():
+        if t is not None:
+            target_cuts.setdefault(t, set()).add(pos)
+    target_cuts = {t: sorted(cuts) for t, cuts in target_cuts.items()}
     taken = set(phi.target.vertices) | set(phi.target.edges)
-    new_target, target_pieces, target_cut_names = _split_graph(phi.target, target_cuts, taken)
-    new_target_vertices = {name: key for key, name in target_cut_names.items()}
+    units = {t: (grid.scale[t], _scaled(phi.target.edges[t].length, grid.scale[t]))
+             for t in target_cuts}
+    new_target, target_pieces, target_cut_names, new_target_vertices = _split_graph(
+        phi.target, target_cuts, units, taken)
 
+    # a cut q inside the image of a source edge of slope s from S to E lies
+    # at |q - S| in the edge's units of 1/(s*D_t)
     source_cuts = {}
-    for eid in sorted(phi.source.edges):
-        img = phi.edge_images[eid]
-        lo, hi = min(img.start, img.end), max(img.start, img.end)
-        direction = 1 if img.end > img.start else -1
-        for q in target_cuts.get(img.edge, ()):
-            if lo < q < hi:
-                x = (q - img.start) / (direction * img.slope)
-                source_cuts.setdefault(eid, set()).add(x)
-
+    source_units = {}
+    for eid, (t, s, e) in grid.images.items():
+        cuts = target_cuts.get(t, ())
+        lo, hi = min(s, e), max(s, e)
+        inside = cuts[bisect_right(cuts, lo):bisect_left(cuts, hi)]
+        if inside:
+            source_cuts[eid] = [q - s for q in inside] if s < e else [s - q for q in inside[::-1]]
+            source_units[eid] = (phi.edge_images[eid].slope * grid.scale[t], hi - lo)
     taken_src = set(phi.source.vertices) | set(phi.source.edges)
-    new_source, source_pieces, source_cut_names = _split_graph(phi.source, source_cuts, taken_src)
-    new_source_vertices = {name: key for key, name in source_cut_names.items()}
+    new_source, source_pieces, source_cut_names, new_source_vertices = _split_graph(
+        phi.source, source_cuts, source_units, taken_src)
 
-    def refined_point(original: Point) -> Point:
-        """A point given in original-target coordinates, in the refined
-        target."""
-        if original.is_vertex:
-            return original
-        eid, pos = original.edge, original.position
-        cuts = sorted(target_cuts.get(eid, ()))
-        if pos in cuts:
-            return Point.at_vertex(target_cut_names[(eid, pos)])
-        offset = Fraction(0)
-        for i, piece in enumerate(target_pieces[eid]):
-            stop = cuts[i] if i < len(cuts) else phi.target.edges[eid].length
-            if pos < stop:
-                return Point.interior(piece, pos - offset)
-            offset = stop
-        raise AssertionError("position beyond edge length")
-
+    # every interior image, old or new, is a target cut: a refined vertex
     vertex_images = {}
     for v in phi.source.vertices:
-        vertex_images[v] = refined_point(phi.vertex_images[v])
-    for name, (eid, x) in new_source_vertices.items():
-        img = phi.edge_images[eid]
-        direction = 1 if img.end > img.start else -1
-        vertex_images[name] = refined_point(
-            Point.interior(img.edge, img.start + direction * img.slope * x))
+        t, pos = grid.places[v]
+        vertex_images[v] = (phi.vertex_images[v] if t is None
+                            else Point.at_vertex(target_cut_names[(t, pos)]))
+    for (eid, x), name in source_cut_names.items():
+        t, s, e = grid.images[eid]
+        vertex_images[name] = Point.at_vertex(target_cut_names[(t, s + x if s < e else s - x)])
 
     edge_images = {}
-    for eid in sorted(phi.source.edges):
-        img = phi.edge_images[eid]
-        direction = 1 if img.end > img.start else -1
-        cuts = sorted(source_cuts.get(eid, ()))
-        stops = [Fraction(0)] + cuts + [phi.source.edges[eid].length]
-        target_cut_list = sorted(target_cuts.get(img.edge, ()))
-        target_stops = [Fraction(0)] + target_cut_list + [phi.target.edges[img.edge].length]
+    for eid, (t, s, e) in grid.images.items():
+        cuts = target_cuts.get(t, ())
+        den, step = grid.scale[t], 1 if s < e else -1
+        slope = phi.edge_images[eid].slope
+        stops = [0, *source_cuts.get(eid, ()), abs(e - s)]
         for pid, x0, x1 in zip(source_pieces[eid], stops, stops[1:]):
-            q0 = img.start + direction * img.slope * x0
-            q1 = img.start + direction * img.slope * x1
-            lo, hi = min(q0, q1), max(q0, q1)
-            idx = next(
-                i for i in range(len(target_stops) - 1)
-                if target_stops[i] <= lo and hi <= target_stops[i + 1]
-            )
-            piece = target_pieces[img.edge][idx]
-            base = target_stops[idx]
-            edge_images[pid] = (piece, q0 - base, q1 - base, img.slope)
+            q0, q1 = s + step * x0, s + step * x1
+            idx = bisect_right(cuts, min(q0, q1))
+            base = cuts[idx - 1] if idx else 0
+            edge_images[pid] = (target_pieces[t][idx], Fraction(q0 - base, den),
+                                Fraction(q1 - base, den), slope)
 
     refined = MetricGraphMorphism(new_source, new_target, vertex_images, edge_images)
     poset_morphism = morphism_face_poset(refined)
@@ -364,19 +424,16 @@ def sample_fibre(phi: MetricGraphMorphism, y: Point) -> FibreSample:
     combinatorial morphism the counts agree at every point; mismatches are
     legitimate output for non-combinatorial input."""
     phi.target.check_point(y)
-    geometric = 0
-    for v in sorted(phi.source.vertices):
-        if phi.vertex_images[v] == y:
-            geometric += 1
-    if not y.is_vertex:
-        for eid in sorted(phi.source.edges):
-            img = phi.edge_images[eid]
-            if img.edge != y.edge:
-                continue
-            direction = 1 if img.end > img.start else -1
-            x = (y.position - img.start) / (direction * img.slope)
-            if 0 < x < phi.source.edges[eid].length:
-                geometric += 1
-    cell = phi.target.cell_of(y)
-    poset = sum(1 for _, image in _cell_map(phi) if image == cell)
+    grid = phi._grid()
+    if y.is_vertex:
+        geometric = grid.points[(None, y.vertex)]
+        cell = y.vertex
+    else:
+        # y sits at num/den in units of 1/D_t of edge t: count the vertices
+        # placed there and the edge images that hold it strictly inside
+        t, cell, q = y.edge, y.edge, _fraction(y.position)
+        num, den = q.numerator * grid.scale[t], q.denominator
+        geometric = grid.points[(t, num // den)] if num % den == 0 else 0
+        geometric += sum(1 for lo, hi in grid.spans.get(t, ()) if lo * den < num < hi * den)
+    poset = grid.cells[cell]
     return FibreSample(geometric, poset, geometric == poset)

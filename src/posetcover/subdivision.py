@@ -69,12 +69,6 @@ class SimplicialComplex:
     def __repr__(self):
         return f"SimplicialComplex({len(self.vertices)} vertices, {len(self.faces)} faces)"
 
-    def dimension(self) -> int:
-        return max(len(f) for f in self.faces) - 1
-
-    def faces_of_dimension(self, d: int) -> list[frozenset]:
-        return sorted((f for f in self.faces if len(f) == d + 1), key=sorted)
-
     def star(self, face) -> frozenset:
         face = frozenset(face)
         if face not in self.faces:

@@ -5,6 +5,7 @@ enumeration, relation composition, union-find), sharing no algorithmic
 path with the package, so differential tests mean something.
 """
 
+from fractions import Fraction
 from itertools import chain, combinations
 
 
@@ -322,3 +323,131 @@ def brute_extension(s_elements, s_covers, t_elements, t_covers, mapping, values,
         else:
             conflicts.append((alpha, betas[0], betas[0], sums[betas[0]], sums[betas[0]]))
     return values, "guaranteed" if guaranteed else "opportunistic", conflicts, unconstrained
+
+
+# ----- metric graphs on Fractions ---------------------------------------------
+#
+# Graphs are (vertices, {edge: (a, b, length)}); a vertex image is a target
+# vertex name or an (edge, position) pair; edge images are
+# {edge: (target edge, start, end, slope)}.  Every position is a Fraction
+# and every point is worked out on its own, with no common denominator.
+
+
+def _fresh_name(name, taken):
+    while name in taken:
+        name += "'"
+    taken.add(name)
+    return name
+
+
+def _split_on_fractions(graph, cuts, taken):
+    vertices, edges = graph
+    vertices = list(vertices)
+    new_edges, pieces, cut_names = {}, {}, {}
+    for eid in sorted(edges):
+        a, b, length = edges[eid]
+        positions = sorted(cuts.get(eid, ()))
+        if not positions:
+            new_edges[eid] = (a, b, length)
+            pieces[eid] = (eid,)
+            continue
+        stops = [Fraction(0)] + positions + [length]
+        names = [a]
+        for p in positions:
+            v = _fresh_name(f"{eid}@{p}", taken)
+            cut_names[(eid, p)] = v
+            vertices.append(v)
+            names.append(v)
+        names.append(b)
+        ids = []
+        for i in range(len(stops) - 1):
+            pid = _fresh_name(f"{eid}.{i + 1}", taken)
+            ids.append(pid)
+            new_edges[pid] = (names[i], names[i + 1], stops[i + 1] - stops[i])
+        pieces[eid] = tuple(ids)
+    return (vertices, new_edges), pieces, cut_names
+
+
+def fraction_refinement(source, target, vertex_images, edge_images):
+    """The combinatorial refinement on Fractions: cut the target edges at
+    the interior vertex images, pull every cut back through each edge image
+    that holds it strictly inside, and re-express every image piece by
+    piece.  Returns the refined source, target, vertex images and edge
+    images, the new target and source vertices and the piece tables."""
+    target_cuts = {}
+    for v in source[0]:
+        img = vertex_images[v]
+        if not isinstance(img, str):
+            target_cuts.setdefault(img[0], set()).add(img[1])
+    taken = set(target[0]) | set(target[1])
+    new_target, target_pieces, target_names = _split_on_fractions(target, target_cuts, taken)
+
+    source_cuts = {}
+    for eid in sorted(source[1]):
+        t, start, end, slope = edge_images[eid]
+        direction = 1 if end > start else -1
+        for q in target_cuts.get(t, ()):
+            if min(start, end) < q < max(start, end):
+                source_cuts.setdefault(eid, set()).add((q - start) / (direction * slope))
+    taken = set(source[0]) | set(source[1])
+    new_source, source_pieces, source_names = _split_on_fractions(source, source_cuts, taken)
+
+    def refined(t, pos):
+        cuts = sorted(target_cuts.get(t, ()))
+        if pos in cuts:
+            return target_names[(t, pos)]
+        offset = Fraction(0)
+        for i, piece in enumerate(target_pieces[t]):
+            stop = cuts[i] if i < len(cuts) else target[1][t][2]
+            if pos < stop:
+                return (piece, pos - offset)
+            offset = stop
+        raise AssertionError("position beyond edge length")
+
+    images = {v: vertex_images[v] if isinstance(vertex_images[v], str)
+              else refined(*vertex_images[v]) for v in source[0]}
+    for (eid, x), name in source_names.items():
+        t, start, end, slope = edge_images[eid]
+        direction = 1 if end > start else -1
+        images[name] = refined(t, start + direction * slope * x)
+
+    new_edge_images = {}
+    for eid in sorted(source[1]):
+        t, start, end, slope = edge_images[eid]
+        direction = 1 if end > start else -1
+        stops = [Fraction(0)] + sorted(source_cuts.get(eid, ())) + [source[1][eid][2]]
+        target_stops = [Fraction(0)] + sorted(target_cuts.get(t, ())) + [target[1][t][2]]
+        for pid, x0, x1 in zip(source_pieces[eid], stops, stops[1:]):
+            q0 = start + direction * slope * x0
+            q1 = start + direction * slope * x1
+            lo, hi = min(q0, q1), max(q0, q1)
+            idx = next(i for i in range(len(target_stops) - 1)
+                       if target_stops[i] <= lo and hi <= target_stops[i + 1])
+            base = target_stops[idx]
+            new_edge_images[pid] = (target_pieces[t][idx], q0 - base, q1 - base, slope)
+
+    return {
+        "source": new_source,
+        "target": new_target,
+        "vertex_images": images,
+        "edge_images": new_edge_images,
+        "new_target_vertices": {name: key for key, name in target_names.items()},
+        "new_source_vertices": {name: key for key, name in source_names.items()},
+        "target_pieces": target_pieces,
+        "source_pieces": source_pieces,
+    }
+
+
+def fraction_fibre_count(source, vertex_images, edge_images, point):
+    """The number of source points over a target point (a vertex name or
+    an (edge, position) pair): the vertices mapped onto it and the edges
+    whose image holds it strictly inside."""
+    count = sum(1 for v in source[0] if vertex_images[v] == point)
+    if not isinstance(point, str):
+        t, y = point
+        for eid, (edge, start, end, slope) in edge_images.items():
+            direction = 1 if end > start else -1
+            x = (y - start) / (direction * slope)
+            if edge == t and 0 < x < source[1][eid][2]:
+                count += 1
+    return count

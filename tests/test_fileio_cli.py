@@ -492,6 +492,44 @@ def test_unknown_metric_image_keys_are_usage_errors(argv, tmp_path, capsys):
                                      "detail": str(UnknownElement("GHOST"))}]
 
 
+def _set_length(doc, value):
+    doc["source"]["edges"][0]["length"] = value
+
+
+def _set_from(doc, value):
+    doc["edge_images"]["e"]["from"] = value
+
+
+def _set_pos(doc, value):
+    doc["vertex_images"]["B"] = {"edge": "t", "pos": value}
+
+
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("place", [_set_length, _set_from, _set_pos],
+                         ids=["length", "from", "pos"])
+def test_json_booleans_are_not_rationals(place, value, tmp_path, capsys):
+    doc = fileio.metric_morphism_to_doc(fix_graph())
+    place(doc, value)
+    path = tmp_path / "bool.json"
+    path.write_text(fileio.dumps(doc))
+    code = cli.main(["--format", "machine", "graph", "refine", "--morphism", str(path)])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert payload["witnesses"] == [{"error": "FormatError", "detail": str(FormatError(
+        f"rationals must be strings like '3' or '5/2', got {value!r}"))}]
+
+
+def test_undeclared_complex_vertices_are_usage_errors(tmp_path, capsys):
+    path = tmp_path / "complex.json"
+    path.write_text(fileio.dumps({"vertices": ["1", "4"], "maximal_faces": [["1", "3", "2"]]}))
+    code = cli.main(["--format", "machine", "subdivide", "stellar", "--complex", str(path),
+                     "--face", "2", "--vertex", "p"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert payload["witnesses"] == [{"error": "FormatError", "detail": str(FormatError(
+        "maximal faces use undeclared vertex '2'"))}]
+
+
 @pytest.mark.parametrize("argv", [
     ["cover", "search", "--morphism", "FIX-TROP", "--bound", "0"],
     ["cover", "search", "--morphism", "FIX-TROP", "--bound", "-3"],

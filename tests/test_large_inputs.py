@@ -1,17 +1,20 @@
 """Large inputs in-process: poset stats, the identity morphism check and
 the branched-cover decision with all values 1 on a 5000-element chain and
-on the face poset of a metric cycle, and the 8191 faces of a 13-vertex
-simplex through stellar subdivision and its face poset.  Every check on
-them is local to principal down-sets, punctured up-sets, covers or faces
-one member apart, so each stays well inside a generous wall budget."""
+on the face poset of a metric cycle, the 8191 faces of a 13-vertex simplex
+through stellar subdivision and its face poset, and the refinement of a
+3-sheet cover of a 500-edge metric cycle.  Every check on them is local to
+principal down-sets, punctured up-sets, covers, faces one member apart or
+one target edge, so each stays well inside a generous wall budget."""
 
 import json
 import time
+from random import Random
 
 import pytest
 
 from posetcover import cli, fileio
 from posetcover.subdivision import SimplicialComplex, simplicial_face_poset
+from test_metric import random_cycle_cover
 
 BUDGET_S = 2.0
 
@@ -98,3 +101,26 @@ def test_face_poset_of_a_thirteen_vertex_simplex():
     elapsed = time.monotonic() - start
     assert elapsed < BUDGET_S, elapsed
     assert len(p.elements) == 8191 and len(p.covers) == 13 * 2 ** 12 - 13
+
+
+def test_refinement_of_a_three_sheet_cover_of_a_long_cycle(tmp_path, capsys):
+    phi, own = random_cycle_cover(Random(5), 500, 3, wind=True)
+    path = tmp_path / "cover.json"
+    path.write_text(fileio.dumps(fileio.metric_morphism_to_doc(phi)))
+    start = time.monotonic()
+    code = cli.main(["--format", "machine", "graph", "refine", "--morphism", str(path)])
+    elapsed = time.monotonic() - start
+    assert code == 0 and elapsed < BUDGET_S, elapsed
+    data = json.loads(capsys.readouterr().out)["data"]
+    # every cut of a target edge lands inside one piece of each sheet that
+    # does not cut there itself
+    cuts = {}
+    for (t, _), positions in own.items():
+        cuts.setdefault(t, set()).update(positions)
+    target_cuts = sum(map(len, cuts.values()))
+    source_cuts = sum(len(cuts[t] - positions) for (t, _), positions in own.items())
+    assert target_cuts > 500 and source_cuts > 1000
+    assert len(data["new_target_vertices"]) == target_cuts
+    assert len(data["new_source_vertices"]) == source_cuts
+    assert sum(map(len, data["target_pieces"].values())) == 500 + target_cuts
+    assert sum(map(len, data["source_pieces"].values())) == len(phi.source.edges) + source_cuts

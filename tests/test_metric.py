@@ -5,11 +5,15 @@ import pytest
 from fractions import Fraction
 from random import Random
 
+from oracles import fraction_fibre_count, fraction_refinement
+from posetcover import fileio
 from posetcover.covers import IndexMap, is_balanced
 from posetcover.errors import (
     DegenerateImage,
+    DuplicateElement,
     EndpointMismatch,
     SlopeNotIntegral,
+    UnknownElement,
 )
 from posetcover.extend import extend_balanced
 from posetcover.fixtures import fix_graph, fix_trop, fix_trop_m
@@ -267,3 +271,242 @@ def test_fibre_count_matches_the_face_poset_fibre():
         points += random_points(rng, phi.target, 10)
         for y in points:
             assert sample_fibre(phi, y).poset == len(face.fibre(phi.target.cell_of(y)))
+
+
+def random_cycle_cover(rng: Random, n_edges: int, sheets: int, wind: bool):
+    """A degree-``sheets`` cover of a metric cycle with rational edge
+    lengths.  Every sheet covers each target edge in 1-3 pieces that meet at
+    random rational cuts, each piece with a slope of 1-3 in a random
+    orientation.  Winding sheets join into one source cycle; otherwise they
+    stay disjoint.  Returns the morphism and, per (target edge, sheet), the
+    sheet's own cuts on that edge."""
+    lengths = [Fraction(rng.randint(1, 9), rng.randint(1, 3)) for _ in range(n_edges)]
+    target = MetricGraph([f"t{k}" for k in range(n_edges)],
+                         [(f"T{k}", f"t{k}", f"t{(k + 1) % n_edges}", lengths[k])
+                          for k in range(n_edges)])
+    vertices, edges, vertex_images, edge_images = [], [], {}, {}
+    own = {}
+    for s in range(sheets):
+        for k in range(n_edges):
+            vertices.append(f"v{k}_{s}")
+            vertex_images[f"v{k}_{s}"] = Point.at_vertex(f"t{k}")
+    for s in range(sheets):
+        for k in range(n_edges):
+            den = rng.randint(2, 7)
+            cuts = set()
+            for _ in range(rng.randint(0, 2)):
+                cuts.add(lengths[k] * Fraction(rng.randint(1, den - 1), den))
+            own[(f"T{k}", s)] = cuts
+            last = f"v{(k + 1) % n_edges}_{(s + 1) % sheets if wind and k == n_edges - 1 else s}"
+            names = [f"v{k}_{s}"]
+            for j, c in enumerate(sorted(cuts)):
+                names.append(f"c{k}_{j}_{s}")
+                vertices.append(names[-1])
+                vertex_images[names[-1]] = Point.interior(f"T{k}", c)
+            names.append(last)
+            stops = [Fraction(0), *sorted(cuts), lengths[k]]
+            for j, (a, b, x0, x1) in enumerate(zip(names, names[1:], stops, stops[1:])):
+                slope = rng.randint(1, 3)
+                if rng.random() < 0.5:
+                    a, b, x0, x1 = b, a, x1, x0
+                eid = f"e{k}_{j}_{s}"
+                edges.append((eid, a, b, abs(x1 - x0) / slope))
+                edge_images[eid] = (f"T{k}", x0, x1, slope)
+    source = MetricGraph(vertices, edges)
+    return MetricGraphMorphism(source, target, vertex_images, edge_images), own
+
+
+def plain(phi: MetricGraphMorphism):
+    """A morphism as the oracles take it: graphs, images and edge images
+    as tuples, vertex images as names or (edge, position) pairs."""
+    def graph(g):
+        return list(g.vertices), {eid: tuple(e) for eid, e in g.edges.items()}
+
+    images = {v: p.vertex if p.is_vertex else (p.edge, p.position)
+              for v, p in phi.vertex_images.items()}
+    return (graph(phi.source), graph(phi.target), images,
+            {eid: tuple(img) for eid, img in phi.edge_images.items()})
+
+
+def differential_covers():
+    rng = Random(91)
+    covers = [random_metric_morphism(rng) for _ in range(110)]
+    for i in range(110):
+        covers.append(random_cycle_cover(rng, rng.randint(1, 6), 1 + i % 3, i % 2 == 0)[0])
+    return rng, covers
+
+
+def test_refinement_matches_the_fraction_oracle():
+    rng, covers = differential_covers()
+    assert len(covers) >= 200
+    for phi in covers:
+        source, target, images, edge_images = plain(phi)
+        expected = fraction_refinement(source, target, images, edge_images)
+        ref = refine_to_combinatorial(phi)
+        refined = plain(ref.morphism)
+        # same values, in the same order, with Fractions wherever a rational shows
+        for got, want in zip(refined, [expected[k] for k in (
+                "source", "target", "vertex_images", "edge_images")]):
+            assert list(got) == list(want) if isinstance(got, tuple) else \
+                list(got.items()) == list(want.items())
+        for key in ("new_target_vertices", "new_source_vertices",
+                    "target_pieces", "source_pieces"):
+            assert list(getattr(ref, key).items()) == list(expected[key].items()), key
+        rationals = ([e.length for g in (ref.source, ref.target) for e in g.edges.values()]
+                     + [pos for _, pos in ref.new_target_vertices.values()]
+                     + [pos for _, pos in ref.new_source_vertices.values()]
+                     + [x for img in ref.morphism.edge_images.values() for x in img[1:3]]
+                     + [p.position for p in ref.morphism.vertex_images.values()
+                        if not p.is_vertex])
+        assert all(type(x) is Fraction for x in rationals)
+        # the face-poset morphism of the oracle's refinement
+        (s_vertices, s_edges), (t_vertices, t_edges) = expected["source"], expected["target"]
+        cells = {v: img if isinstance(img, str) else img[0]
+                 for v, img in expected["vertex_images"].items()}
+        cells.update((eid, img[0]) for eid, img in expected["edge_images"].items())
+        pm = ref.poset_morphism
+        assert pm.mapping == cells
+        for poset, (vertices, edges) in ((pm.source, expected["source"]),
+                                         (pm.target, expected["target"])):
+            assert set(poset.elements) == set(vertices) | set(edges)
+            assert poset.covers == {(x, eid) for eid, (a, b, _) in edges.items() for x in (a, b)}
+        oracle = MetricGraphMorphism(
+            MetricGraph(s_vertices, [(eid, *e) for eid, e in s_edges.items()]),
+            MetricGraph(t_vertices, [(eid, *e) for eid, e in t_edges.items()]),
+            {v: Point.at_vertex(img) if isinstance(img, str) else Point.interior(*img)
+             for v, img in expected["vertex_images"].items()},
+            expected["edge_images"])
+        assert fileio.dumps(fileio.metric_morphism_to_doc(ref.morphism)) == \
+            fileio.dumps(fileio.metric_morphism_to_doc(oracle))
+
+
+def test_fibre_counts_match_the_fraction_oracle():
+    rng, covers = differential_covers()
+    for phi in covers:
+        for psi in (phi, refine_to_combinatorial(phi).morphism):
+            source, _, images, edge_images = plain(psi)
+            points = [Point.at_vertex(v) for v in psi.target.vertices]
+            points += random_points(rng, psi.target, 6)
+            # points that are exactly vertex images or image endpoints
+            points += [p for p in psi.vertex_images.values() if not p.is_vertex][:4]
+            for y in points:
+                key = y.vertex if y.is_vertex else (y.edge, y.position)
+                assert sample_fibre(psi, y).geometric == \
+                    fraction_fibre_count(source, images, edge_images, key)
+
+
+# ----- validation errors ----------------------------------------------------
+
+# Every rational in the table below is spelled three ways: as an int (where
+# it is whole), as an unreduced "p/q" string and as a Fraction.  The
+# exception type and text must not depend on the spelling.
+SPELLINGS = {
+    "int": lambda q: int(q) if q.denominator == 1 else q,
+    "string": lambda q: f"{2 * q.numerator}/{2 * q.denominator}",
+    "fraction": lambda q: q,
+}
+
+
+def _graph(n, length):
+    return MetricGraph(["u", "v"], [("t", "u", "v", n(length))])
+
+
+def _morphism(n, *, length=2, start=0, end=2, slope=1, images=None, extra_images=None,
+              edge_id="x", target_edge="t", extra_edge_images=None):
+    """Edge x from a to b onto the segment t from u to v of length 2."""
+    source = MetricGraph(["a", "b"], [("x", "a", "b", n(Fraction(length)))])
+    vertex_images = images(n) if images else {"a": Point.at_vertex("u"),
+                                              "b": Point.at_vertex("v")}
+    vertex_images.update(extra_images or {})
+    edge_images = {edge_id: (target_edge, n(Fraction(start)), n(Fraction(end)), slope)}
+    edge_images.update(extra_edge_images or {})
+    return MetricGraphMorphism(source, _graph(n, Fraction(2)), vertex_images, edge_images)
+
+
+def _at(pos):
+    return lambda n: {"a": Point.interior("t", n(Fraction(pos))), "b": Point.at_vertex("v")}
+
+
+INVALID = [
+    ("length-zero", lambda n: _graph(n, Fraction(0)),
+     ValueError, "edge 't' must have positive length"),
+    ("length-negative", lambda n: _graph(n, Fraction(-3, 2)),
+     ValueError, "edge 't' must have positive length"),
+    ("edge-unknown-vertex",
+     lambda n: MetricGraph(["u"], [("t", "u", "w", n(Fraction(1)))]),
+     UnknownElement, "unknown element 'w'"),
+    ("edge-duplicate-id",
+     lambda n: MetricGraph(["u", "v"], [("t", "u", "v", n(Fraction(1))),
+                                        ("t", "v", "u", n(Fraction(1)))]),
+     DuplicateElement, "duplicate element identifier 't'"),
+    ("slope-zero", lambda n: _morphism(n, slope=0),
+     SlopeNotIntegral, "edge 'x': slope must be a positive integer, got 0"),
+    ("slope-bool", lambda n: _morphism(n, slope=True),
+     SlopeNotIntegral, "edge 'x': slope must be a positive integer, got True"),
+    ("slope-float", lambda n: _morphism(n, slope=1.0),
+     SlopeNotIntegral, "edge 'x': slope must be a positive integer, got 1.0"),
+    ("degenerate", lambda n: _morphism(n, length=1, start=1, end=1, images=lambda n: {
+        "a": Point.interior("t", n(Fraction(1))), "b": Point.interior("t", n(Fraction(1)))}),
+     DegenerateImage, "edge 'x' maps to a single point"),
+    ("leaves-at-start", lambda n: _morphism(n, start=Fraction(-1, 2), end=Fraction(3, 2)),
+     EndpointMismatch, "edge 'x': image [-1/2, 3/2] leaves edge 't' of length 2"),
+    ("leaves-at-end", lambda n: _morphism(n, start=Fraction(1, 2), end=Fraction(5, 2)),
+     EndpointMismatch, "edge 'x': image [1/2, 5/2] leaves edge 't' of length 2"),
+    ("leaves-reversed", lambda n: _morphism(n, start=3, end=1),
+     EndpointMismatch, "edge 'x': image [3, 1] leaves edge 't' of length 2"),
+    ("slope-times-length", lambda n: _morphism(n, length=Fraction(3, 2)),
+     SlopeNotIntegral, "edge 'x': |2 - 0| != slope 1 x length 3/2"),
+    ("slope-two-times-length", lambda n: _morphism(n, slope=2),
+     SlopeNotIntegral, "edge 'x': |2 - 0| != slope 2 x length 2"),
+    ("endpoint-wrong-vertex", lambda n: _morphism(n, images=lambda n: {
+        "a": Point.at_vertex("v"), "b": Point.at_vertex("u")}),
+     EndpointMismatch,
+     "edge 'x': endpoint 'a' maps to Point(v) but the edge image puts it at Point(u)"),
+    ("endpoint-vertex-for-interior",
+     lambda n: _morphism(n, length=Fraction(3, 2), start=Fraction(1, 2)),
+     EndpointMismatch,
+     "edge 'x': endpoint 'a' maps to Point(u) but the edge image puts it at Point(t @ 1/2)"),
+    ("endpoint-interior-for-vertex", lambda n: _morphism(n, images=_at(Fraction(1, 2))),
+     EndpointMismatch,
+     "edge 'x': endpoint 'a' maps to Point(t @ 1/2) but the edge image puts it at Point(u)"),
+    ("endpoint-wrong-position",
+     lambda n: _morphism(n, length=1, start=1, images=_at(Fraction(3, 2))),
+     EndpointMismatch,
+     "edge 'x': endpoint 'a' maps to Point(t @ 3/2) but the edge image puts it at Point(t @ 1)"),
+    ("endpoint-second", lambda n: _morphism(n, length=1, end=1, images=lambda n: {
+        "a": Point.at_vertex("u"), "b": Point.at_vertex("v")}),
+     EndpointMismatch,
+     "edge 'x': endpoint 'b' maps to Point(v) but the edge image puts it at Point(t @ 1)"),
+    ("image-not-interior", lambda n: _morphism(n, images=_at(Fraction(2))),
+     ValueError, "position 2 not interior to edge 't'"),
+    ("image-at-zero", lambda n: _morphism(n, images=_at(Fraction(0))),
+     ValueError, "position 0 not interior to edge 't'"),
+    ("image-unknown-vertex", lambda n: _morphism(n, images=lambda n: {
+        "a": Point.at_vertex("w"), "b": Point.at_vertex("v")}),
+     UnknownElement, "unknown element 'w'"),
+    ("image-unknown-edge", lambda n: _morphism(n, images=lambda n: {
+        "a": Point.interior("s", n(Fraction(1))), "b": Point.at_vertex("v")}),
+     UnknownElement, "unknown element 's'"),
+    ("missing-vertex-image", lambda n: _morphism(n, images=lambda n: {
+        "a": Point.at_vertex("u")}),
+     UnknownElement, "unknown element 'b'"),
+    ("missing-edge-image", lambda n: _morphism(n, edge_id="y"),
+     UnknownElement, "unknown element 'x'"),
+    ("unknown-target-edge", lambda n: _morphism(n, target_edge="s"),
+     UnknownElement, "unknown element 's'"),
+    ("extra-vertex-image", lambda n: _morphism(n, extra_images={"c": Point.at_vertex("u")}),
+     UnknownElement, "unknown element 'c'"),
+    ("extra-edge-image", lambda n: _morphism(n, extra_edge_images={
+        "y": ("t", n(Fraction(0)), n(Fraction(2)), 1)}),
+     UnknownElement, "unknown element 'y'"),
+]
+
+
+@pytest.mark.parametrize("spelling", sorted(SPELLINGS))
+@pytest.mark.parametrize("build,error,text", [case[1:] for case in INVALID],
+                         ids=[case[0] for case in INVALID])
+def test_invalid_metric_inputs_raise_the_same_error(build, error, text, spelling):
+    with pytest.raises(error) as caught:
+        build(SPELLINGS[spelling])
+    assert type(caught.value) is error
+    assert str(caught.value) == text
