@@ -2,19 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 
-@dataclass
-class Check:
+class Check(namedtuple("Check", "ok witnesses", defaults=((),))):
     """Outcome of a property check; falsy iff the property fails.
 
     ``witnesses`` is non-empty exactly when ``ok`` is False, and holds one
     named tuple per violation, sorted deterministically by the checker.
     """
 
-    ok: bool
-    witnesses: tuple = field(default_factory=tuple)
+    __slots__ = ()
 
     def __bool__(self):
         return self.ok

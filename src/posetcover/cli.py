@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 from collections import namedtuple
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -33,12 +32,10 @@ from .morphisms import PosetMorphism
 from .posets import Poset
 
 
-@dataclass
-class RunReport:
-    verdict: str  # pass | fail | error
-    witnesses: list = field(default_factory=list)
-    data: dict = field(default_factory=dict)
-    command: str = ""  # set by dispatch from the subcommand and its action
+# verdict is pass, fail or error; dispatch fills in command from the
+# subcommand and its action.  The {} default is shared: no code writes into
+# a report after building it.
+RunReport = namedtuple("RunReport", "verdict witnesses data command", defaults=((), {}, ""))
 
 
 def _plain(value):
@@ -86,10 +83,7 @@ def emit(report: RunReport, fmt: str, out=None):
 
 
 def _load(name: str):
-    try:
-        return fileio.load_named(name, Path.cwd())
-    except KeyError:
-        raise FormatError(f"not a fixture or readable file: {name!r}") from None
+    return fileio.load_named(name, Path.cwd())
 
 
 def resolve_poset(name: str) -> Poset:
@@ -562,8 +556,8 @@ def dispatch(args) -> tuple[RunReport, int]:
         bad_input = (isinstance(exc, (ToolError, OSError, ValueError))
                      and not isinstance(exc, TheoremViolation))
         code = 2 if bad_input else 3
-    report.command = args.command if action is None else f"{args.command} {action}"
-    return report, code
+    return report._replace(command=args.command if action is None
+                           else f"{args.command} {action}"), code
 
 
 def main(argv=None) -> int:

@@ -19,7 +19,6 @@ Other morphisms are decided by splitting every preimage into components.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from itertools import compress, product
 from typing import Iterable
 
@@ -201,11 +200,8 @@ def _balance_violations(phi: PosetMorphism, values: list) -> list:
     return witnesses
 
 
-@dataclass
-class BranchReport:
-    ok: bool
-    witnesses: tuple
-    branch_locus: frozenset
+class BranchReport(namedtuple("BranchReport", "ok witnesses branch_locus")):
+    __slots__ = ()
 
     def __bool__(self):
         return self.ok
@@ -350,11 +346,7 @@ def is_ibc_oracle(phi: PosetMorphism, m: IndexMap, limit: int = DEFAULT_ORACLE_L
     return Check.passed()
 
 
-@dataclass
-class DegreeReport:
-    per_target_value: dict
-    constant: bool
-    degree: int | None
+DegreeReport = namedtuple("DegreeReport", "per_target_value constant degree")
 
 
 def global_degree(phi: PosetMorphism, m: IndexMap) -> DegreeReport:

@@ -10,26 +10,24 @@ inputs give identical text.
 from __future__ import annotations
 
 from .morphisms import PosetMorphism
-from .posets import Poset
+from .posets import Poset, bit_indices
 
 KINDS = ("comparability", "covering", "hasse")
 
 
 def _quote(name: str) -> str:
-    return '"' + name.replace('"', '\\"') + '"'
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def _edge_pairs(p: Poset, kind: str):
     if kind in ("hasse", "covering"):
         return sorted(p.covers)
     if kind == "comparability":
-        pairs = []
-        order = sorted(p.elements)
-        for i, a in enumerate(order):
-            for b in order[i + 1:]:
-                if p.comparable(a, b):
-                    pairs.append(tuple(sorted((a, b))))
-        return sorted(pairs)
+        # every comparable pair once, from its lower end; ids are sorted,
+        # so the lesser index names the lesser element
+        ids = p._ids
+        return sorted((ids[min(i, j)], ids[max(i, j)])
+                      for i, up in enumerate(p._above) for j in bit_indices(up))
     raise ValueError(f"unknown graph kind {kind!r}; pick one of {KINDS}")
 
 

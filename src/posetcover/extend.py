@@ -11,7 +11,6 @@ extension is attempted anyway and the report says ``opportunistic``.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, field
 
 from .covers import IndexMap, _cover_groups, _value_list, is_balanced
 from .errors import (
@@ -31,24 +30,20 @@ from .posets import Poset, bit_indices, connectivity, rank_check
 ExtensionConflict = namedtuple("ExtensionConflict", "alpha beta1 beta2 sum1 sum2")
 
 
-@dataclass
-class ExtensionReport:
-    extended: IndexMap
-    mode: str  # "guaranteed" | "opportunistic"
-    conflicts: list = field(default_factory=list)
-    unconstrained: list = field(default_factory=list)
+# mode is "guaranteed" or "opportunistic"
+class ExtensionReport(namedtuple("ExtensionReport", "extended mode conflicts unconstrained",
+                                 defaults=((), ()))):
+    __slots__ = ()
 
     def __bool__(self):
         return not self.conflicts
 
 
-@dataclass
-class Path:
-    """A walk in the comparability graph; every step is tagged with its
-    direction relative to the order."""
+class Path(namedtuple("Path", "steps directions")):
+    """A walk in the comparability graph; ``directions`` tags every step
+    between consecutive elements "up" or "down" relative to the order."""
 
-    steps: tuple
-    directions: tuple  # "up" | "down" per consecutive pair
+    __slots__ = ()
 
     @classmethod
     def through(cls, poset: Poset, steps) -> "Path":
@@ -62,9 +57,6 @@ class Path:
             else:
                 raise PathNotIncreasing((a, b))
         return cls(steps, tuple(directions))
-
-    def __len__(self):
-        return len(self.steps)
 
 
 def extend_balanced(phi: PosetMorphism, m: IndexMap, target_upset) -> ExtensionReport:
@@ -241,12 +233,9 @@ def lift_path(phi: PosetMorphism, m: IndexMap, alpha: str, target_path) -> Path:
     return Path.through(phi.source, lift)
 
 
-@dataclass
-class LiftingReport:
-    mode: str
-    hypotheses: dict
-    conclusion_holds: bool
-    witness_fibre: str | None = None
+class LiftingReport(namedtuple("LiftingReport", "mode hypotheses conclusion_holds witness_fibre",
+                               defaults=(None,))):
+    __slots__ = ()
 
     @property
     def hypotheses_hold(self):

@@ -16,7 +16,7 @@ from pathlib import Path
 from . import fixtures
 from .covers import IndexMap
 from .errors import FormatError, ToolError
-from .metric import MetricGraph, MetricGraphMorphism, Point
+from .metric import MetricGraph, MetricGraphMorphism, Point, graph_face_poset
 from .morphisms import PosetMorphism
 from .posets import Poset, rank_check
 from .subdivision import SimplicialComplex
@@ -278,8 +278,6 @@ def _resolve_metric_graph(value, base: Path | None) -> MetricGraph:
 
 def as_poset(obj, label: str):
     """Coerce a loaded object to a poset when the intent is unambiguous."""
-    from .metric import graph_face_poset
-
     if isinstance(obj, Poset):
         return obj
     if isinstance(obj, MetricGraph):
@@ -297,8 +295,6 @@ def load_named(name: str, base: Path | None = None):
     Morphism fixtures accept /source and /target suffixes that select the
     corresponding poset (face poset for the metric fixture).
     """
-    from .metric import graph_face_poset
-
     side = None
     stem = name
     if name.endswith("/source") or name.endswith("/target"):

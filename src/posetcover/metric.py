@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter, namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -47,14 +46,11 @@ def _scaled(q: Fraction, den: int) -> int:
     return q.numerator * (den // q.denominator)
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(namedtuple("Point", "vertex edge position", defaults=(None, None, None))):
     """A point of a metric graph: a vertex, or an interior point of an edge
     at a strictly positive distance from its first endpoint."""
 
-    vertex: str | None = None
-    edge: str | None = None
-    position: Fraction | None = None
+    __slots__ = ()
 
     @classmethod
     def at_vertex(cls, v: str) -> "Point":
@@ -267,8 +263,8 @@ def morphism_face_poset(phi: MetricGraphMorphism) -> PosetMorphism:
 # ----- refinement -----------------------------------------------------------
 
 
-@dataclass
-class Refinement:
+class Refinement(namedtuple("Refinement", "morphism poset_morphism new_target_vertices "
+                                         "new_source_vertices target_pieces source_pieces")):
     """Output of the combinatorial refinement: the refined morphism, its
     face-poset morphism, and bookkeeping for what was created.
 
@@ -277,12 +273,7 @@ class Refinement:
     endpoint (unsplit edges keep their id).  Collisions get primes.
     """
 
-    morphism: MetricGraphMorphism
-    poset_morphism: PosetMorphism
-    new_target_vertices: dict
-    new_source_vertices: dict
-    target_pieces: dict
-    source_pieces: dict
+    __slots__ = ()
 
     @property
     def source(self) -> MetricGraph:

@@ -13,7 +13,7 @@ and listing the bits from the bottom lists the members in sorted order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from heapq import heappop, heappush
 from itertools import compress, count
 from typing import Iterable, Iterator
@@ -390,13 +390,10 @@ class Poset:
 # ----- rank functions -----------------------------------------------------
 
 
-@dataclass
-class RankReport:
+class RankReport(namedtuple("RankReport", "rank dim pure")):
     """Rank function of a graded poset plus its dimension data."""
 
-    rank: dict
-    dim: int
-    pure: bool
+    __slots__ = ()
 
     def level(self, k: int) -> tuple[str, ...]:
         return tuple(sorted(e for e, r in self.rank.items() if r == k))
@@ -419,12 +416,8 @@ def rank_check(p: Poset) -> RankReport:
 # ----- connectivity report ------------------------------------------------
 
 
-@dataclass
-class ConnectivityReport:
-    mode: str
-    connected: bool
-    components: list
-    witness: str | None = None
+ConnectivityReport = namedtuple("ConnectivityReport", "mode connected components witness",
+                                defaults=(None,))
 
 
 def connectivity(p: Poset, mode: str, k: int | None = None) -> ConnectivityReport:

@@ -13,7 +13,7 @@ face covers exactly the chains or faces it becomes with one member dropped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 
 from .errors import FaceNotInComplex, OracleSizeExceeded, VertexClash
@@ -101,14 +101,9 @@ def simplicial_face_poset(complex_: SimplicialComplex) -> Poset:
 # ----- barycentric subdivision ---------------------------------------------
 
 
-@dataclass
-class ChainPoset:
-    """Poset of non-empty strict chains, with back-references to the chain
-    contents and each chain's top element."""
-
-    poset: Poset
-    chain_of: dict
-    top_of: dict
+# the poset of non-empty strict chains, with back-references to the chain
+# contents and each chain's top element
+ChainPoset = namedtuple("ChainPoset", "poset chain_of top_of")
 
 
 def _chain_label(chain) -> str:

@@ -54,6 +54,7 @@ FIXTURE_COMMANDS = [
     ["graph", "poset", "--morphism", "FIX-GRAPH"],
     ["export", "dot", "--poset", "FIX-TROP/target", "--kind", "covering"],
     ["export", "dot", "--morphism", "FIX-TROP", "--kind", "hasse"],
+    ["export", "dot", "--morphism", "FIX-IDREAD", "--kind", "comparability"],
     ["fixtures", "list"],
     ["fixtures", "run"],
 ]

@@ -2,11 +2,13 @@
 
 import io
 import json
+import re
 import time
+from random import Random
 
 import pytest
 
-from posetcover import cli, extend, fileio, fixtures, posets, subdivision
+from posetcover import cli, dot, extend, fileio, fixtures, posets, subdivision
 from posetcover.dot import export_dot
 from posetcover.errors import (
     CycleDetected,
@@ -17,6 +19,7 @@ from posetcover.errors import (
     UnknownElement,
 )
 from posetcover.fixtures import fix_graph, fix_trop, fix_trop_m
+from posetcover.generators import random_graded_poset
 from posetcover.metric import morphism_face_poset
 from posetcover.morphisms import PosetMorphism
 from posetcover.posets import Poset
@@ -126,6 +129,26 @@ class TestDot:
         a = export_dot(fix_trop(), "hasse")
         b = export_dot(fix_trop(), "hasse")
         assert a == b
+
+    def test_quoted_names_round_trip(self):
+        names = ["a\\", 'x"y']
+        text = export_dot(Poset(names, [tuple(names)]), "hasse")
+        # a DOT string runs to the first quote that no backslash escapes
+        quoted = re.findall(r'"((?:[^"\\]|\\.)*)"', text)
+        assert [re.sub(r"\\(.)", r"\1", q) for q in quoted] == names + names
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_comparability_pairs_match_the_pairwise_rule(self, seed):
+        rng = Random(seed)
+        p = random_graded_poset(rng, max_elements=12, max_rank=3)
+        # relabel at random, so that the least label is not always the lower element
+        labels = dict(zip(p.elements, rng.sample(range(100), len(p.elements))))
+        q = Poset([f"e{labels[e]}" for e in p.elements],
+                  [(f"e{labels[a]}", f"e{labels[b]}") for a, b in p.covers])
+        order = sorted(q.elements)
+        expected = [(a, b) for i, a in enumerate(order) for b in order[i + 1:]
+                    if q.comparable(a, b)]
+        assert dot._edge_pairs(q, "comparability") == expected
 
 
 def run_cli(*argv, capsys=None):
@@ -462,6 +485,22 @@ def test_internal_error_is_exit_3_without_traceback(monkeypatch, capsys):
     payload = json.loads(captured.out)
     assert code == 3 and payload["verdict"] == "error"
     assert payload["witnesses"] == [{"error": "RuntimeError", "detail": "handler fault"}]
+    assert "Traceback" not in captured.err
+
+
+def test_an_internal_key_error_while_loading_is_exit_3(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "poset.json"
+    path.write_text(fileio.dumps({"elements": ["a"], "covers": []}))
+
+    def broken(doc):
+        raise KeyError("elements")
+
+    monkeypatch.setattr(fileio, "poset_from_doc", broken)
+    code = cli.main(["--format", "machine", "poset", "stats", str(path)])
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert code == 3 and payload["verdict"] == "error"
+    assert payload["witnesses"] == [{"error": "KeyError", "detail": "'elements'"}]
     assert "Traceback" not in captured.err
 
 

@@ -1,5 +1,6 @@
 """The package runs on the standard library alone: importing the CLI loads
-no module from outside it, and the project declares no dependencies."""
+no module from outside it, nor the heavy introspection modules that
+``dataclasses`` pulls in, and the project declares no dependencies."""
 
 import json
 import os
@@ -21,6 +22,7 @@ def test_the_cli_imports_only_the_standard_library():
     loaded = {name.split(".")[0] for name in json.loads(done.stdout)}
     assert "posetcover" in loaded
     assert loaded - set(sys.stdlib_module_names) <= {"posetcover", "__main__"}
+    assert not loaded & {"dataclasses", "inspect"}
 
 
 def test_the_project_declares_no_dependencies():
