@@ -19,8 +19,8 @@ Other morphisms are decided by splitting every preimage into components.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterable
 from itertools import compress, product
-from typing import Iterable
 
 from .checks import Check
 from .errors import (

@@ -9,10 +9,16 @@ inputs give identical text.
 
 from __future__ import annotations
 
+from .errors import OracleSizeExceeded
 from .morphisms import PosetMorphism
 from .posets import Poset, bit_indices
 
 KINDS = ("comparability", "covering", "hasse")
+
+# the comparability graph prints one line per comparable pair, and a chain
+# of n elements has n(n-1)/2 of them; 447 elements make 99 681 pairs, which
+# print 2.2 MB in about 0.2 s (Python 3.11, 2-vCPU Xeon VM)
+COMPARABLE_PAIR_LIMIT = 100_000
 
 
 def _quote(name: str) -> str:
@@ -33,10 +39,17 @@ def _edge_pairs(p: Poset, kind: str):
 
 def export_dot(obj, kind: str = "hasse") -> str:
     if isinstance(obj, Poset):
-        return _poset_dot(obj, kind)
-    if isinstance(obj, PosetMorphism):
-        return _morphism_dot(obj, kind)
-    raise TypeError(f"cannot export {type(obj).__name__} as DOT")
+        posets, render = (obj,), _poset_dot
+    elif isinstance(obj, PosetMorphism):
+        posets, render = (obj.source, obj.target), _morphism_dot
+    else:
+        raise TypeError(f"cannot export {type(obj).__name__} as DOT")
+    if kind == "comparability":
+        # each strict up-closure holds the pairs that start at its element
+        pairs = sum(up.bit_count() for p in posets for up in p._above)
+        if pairs > COMPARABLE_PAIR_LIMIT:
+            raise OracleSizeExceeded(pairs, COMPARABLE_PAIR_LIMIT, "comparable pairs")
+    return render(obj, kind)
 
 
 def _poset_dot(p: Poset, kind: str) -> str:

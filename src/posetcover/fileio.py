@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring
 from pathlib import Path
 
 from . import fixtures
@@ -27,7 +28,12 @@ def parse_rational(text) -> Fraction:
     if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if isinstance(text, str):
+        num, slash, den = text.partition("/")
         try:
+            # format_rational's form is read without Fraction's regular expression
+            if text.isascii() and num.removeprefix("-").isdigit() and (
+                    not slash or den.isdigit() and den.strip("0")):
+                return Fraction(int(num), int(den or 1))
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise FormatError(f"bad rational {text!r}: {exc}") from None
@@ -336,5 +342,42 @@ def document_from_doc(doc, base: Path | None = None):
 
 def dumps(doc) -> str:
     """Canonical JSON rendering: sorted keys, two-space indent, newline at
-    the end.  Identical inputs give byte-identical output."""
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    the end.  Identical inputs give byte-identical output.
+
+    The text is that of ``json.dumps(doc, sort_keys=True, indent=2,
+    ensure_ascii=False)``, whose indented form runs on json's pure-Python
+    encoder; this writer keeps json's type order and its C string encoder.
+    Keys must be strings, and any other type raises TypeError."""
+    return _render(doc, "\n") + "\n"
+
+
+def _render(value, pad: str) -> str:
+    if isinstance(value, str):
+        return encode_basestring(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return json.dumps(value)
+    # most members are plain strings, so they skip the call
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([
+            encode_basestring(x) if type(x) is str else _render(x, inner)
+            for x in value]) + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        # encode_basestring raises TypeError on a key that is no string
+        return "{" + inner + ("," + inner).join([
+            encode_basestring(k) + ": "
+            + (encode_basestring(x) if type(x) is str else _render(x, inner))
+            for k, x in sorted(value.items())]) + pad + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")

@@ -25,6 +25,7 @@ from .errors import (
     DegenerateImage,
     DuplicateElement,
     EndpointMismatch,
+    NotCombinatorial,
     SlopeNotIntegral,
     UnknownElement,
 )
@@ -263,10 +264,11 @@ def morphism_face_poset(phi: MetricGraphMorphism) -> PosetMorphism:
 # ----- refinement -----------------------------------------------------------
 
 
-class Refinement(namedtuple("Refinement", "morphism poset_morphism new_target_vertices "
-                                         "new_source_vertices target_pieces source_pieces")):
-    """Output of the combinatorial refinement: the refined morphism, its
-    face-poset morphism, and bookkeeping for what was created.
+class Refinement(namedtuple("Refinement", "morphism new_target_vertices new_source_vertices "
+                                         "target_pieces source_pieces")):
+    """Output of the combinatorial refinement: the refined morphism and
+    bookkeeping for what was created.  Its face-poset morphism is built
+    only when asked for.
 
     Naming scheme: a cut on edge X at position p creates vertex "X@p"; an
     edge split into n parts becomes "X.1" .. "X.n" in order from its first
@@ -282,6 +284,10 @@ class Refinement(namedtuple("Refinement", "morphism poset_morphism new_target_ve
     @property
     def target(self) -> MetricGraph:
         return self.morphism.target
+
+    @property
+    def poset_morphism(self) -> PosetMorphism:
+        return morphism_face_poset(self.morphism)
 
 
 def _fresh(name, taken):
@@ -338,10 +344,15 @@ def refine_to_combinatorial(phi: MetricGraphMorphism) -> Refinement:
     source edge maps onto a single target edge.
 
     One round suffices: every newly created source vertex maps to a newly
-    created target vertex.  The face-poset morphism of the result is
-    checked to be combinatorial before returning; inputs outside the
-    one-round construction's scope (such as an edge wrapped onto a loop)
-    raise NotCombinatorial with the offending element.
+    created target vertex.  Afterwards every source vertex maps to a target
+    vertex and every source edge e = (a, b) onto one whole target edge
+    t = (u, w), so the face-poset map sends down(e) = {e, a, b} onto
+    down(t) = {t, u, w}.  It does so bijectively exactly when e is a loop
+    iff t is one and a non-loop's ends map to distinct vertices; vertices
+    always pass.  That rule is checked on the graphs, in time linear in the
+    cells, and inputs outside the one-round construction's scope (such as
+    an edge wrapped onto a loop) raise NotCombinatorial with the least
+    failing edge, the first witness of the face-poset morphism.
     """
     grid = phi._grid()
     target_cuts = {}
@@ -394,11 +405,17 @@ def refine_to_combinatorial(phi: MetricGraphMorphism) -> Refinement:
                                 Fraction(q1 - base, den), slope)
 
     refined = MetricGraphMorphism(new_source, new_target, vertex_images, edge_images)
-    poset_morphism = morphism_face_poset(refined)
-    poset_morphism.require_combinatorial()
+    # the rule of the docstring; vertices pass and edges are maximal, so
+    # the least failing edge is the face-poset morphism's first witness
+    failing = []
+    for eid, (a, b, _) in new_source.edges.items():
+        u, w, _ = new_target.edges[edge_images[eid][0]]
+        if (a == b) != (u == w) or a != b and vertex_images[a] == vertex_images[b]:
+            failing.append(eid)
+    if failing:
+        raise NotCombinatorial(min(failing))
     return Refinement(
         morphism=refined,
-        poset_morphism=poset_morphism,
         new_target_vertices=new_target_vertices,
         new_source_vertices=new_source_vertices,
         target_pieces=target_pieces,

@@ -14,9 +14,9 @@ and listing the bits from the bottom lists the members in sorted order.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from heapq import heappop, heappush
 from itertools import compress, count
-from typing import Iterable, Iterator
 
 from .errors import (
     CycleDetected,

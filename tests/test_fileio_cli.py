@@ -655,6 +655,44 @@ def test_random_points_above_the_cap_are_refused(capsys):
         OracleSizeExceeded(limit + 1, limit, "--random"))}]
 
 
+def poset_with_comparable_pairs(pairs: int) -> dict:
+    """A chain as long as the count allows, then two-element chains for
+    the rest of the pairs."""
+    n = max(n for n in range(pairs + 2) if n * (n - 1) // 2 <= pairs)
+    names = [f"c{i:04d}" for i in range(n)]
+    covers = [list(c) for c in zip(names, names[1:])]
+    for i in range(pairs - n * (n - 1) // 2):
+        names += [f"p{i:04d}", f"q{i:04d}"]
+        covers.append(names[-2:])
+    return {"elements": names, "covers": covers}
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_comparability_export_is_refused_above_the_pair_limit(extra, tmp_path, capsys):
+    limit = dot.COMPARABLE_PAIR_LIMIT
+    doc = poset_with_comparable_pairs(limit + extra)
+    path = tmp_path / "poset.json"
+    path.write_text(fileio.dumps(doc))
+    code = cli.main(["--format", "machine", "export", "dot", "--poset", str(path),
+                     "--kind", "comparability"])
+    out = capsys.readouterr().out
+    if not extra:
+        assert code == 0 and out.count(" -- ") == limit
+        return
+    assert code == 2
+    assert json.loads(out)["witnesses"] == [{"error": "OracleSizeExceeded", "detail": str(
+        OracleSizeExceeded(limit + 1, limit, "comparable pairs"))}]
+    # a morphism counts the pairs of both sides
+    identity = tmp_path / "identity.json"
+    half = poset_with_comparable_pairs(limit // 2 + 1)
+    identity.write_text(fileio.dumps({"source": half, "target": half,
+                                      "map": {x: x for x in half["elements"]}}))
+    code = cli.main(["--format", "machine", "export", "dot", "--morphism", str(identity),
+                     "--kind", "comparability"])
+    assert code == 2 and json.loads(capsys.readouterr().out)["witnesses"][0]["detail"] == str(
+        OracleSizeExceeded(2 * (limit // 2 + 1), limit, "comparable pairs"))
+
+
 def test_parser_is_built_once_per_process(monkeypatch, capsys):
     built = []
     build = cli.build_parser

@@ -4,10 +4,16 @@ on the face poset of a metric cycle, the 8191 faces of a 13-vertex simplex
 through stellar subdivision and its face poset, and the refinement of a
 3-sheet cover of a 500-edge metric cycle.  Every check on them is local to
 principal down-sets, punctured up-sets, covers, faces one member apart or
-one target edge, so each stays well inside a generous wall budget."""
+one target edge, so each stays well inside a generous wall budget.  The
+refinement of a 2500-edge cover runs in a child process, whose peak
+memory must stay linear in the cells."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -124,3 +130,28 @@ def test_refinement_of_a_three_sheet_cover_of_a_long_cycle(tmp_path, capsys):
     assert len(data["new_source_vertices"]) == source_cuts
     assert sum(map(len, data["target_pieces"].values())) == 500 + target_cuts
     assert sum(map(len, data["source_pieces"].values())) == len(phi.source.edges) + source_cuts
+
+
+# the child reports its exit code and its own peak resident set in KiB
+RSS_CHILD = """
+import resource, sys
+from posetcover import cli
+code = cli.main(sys.argv[1:])
+sys.stderr.write(f"{code} {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}\\n")
+"""
+REFINE_RSS_LIMIT_MIB = 300
+
+
+def test_refining_a_2500_edge_cover_stays_under_the_memory_bound(tmp_path):
+    phi, _ = random_cycle_cover(Random(7), 2500, 3, wind=True)
+    path = tmp_path / "cover.json"
+    path.write_text(fileio.dumps(fileio.metric_morphism_to_doc(phi)))
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", RSS_CHILD, "--format", "machine", "graph", "refine",
+         "--morphism", str(path)],
+        env=dict(os.environ, PYTHONPATH=str(src)), stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE, text=True, timeout=120)
+    code, peak_kib = map(int, done.stderr.split()[-2:])
+    assert code == 0 and done.returncode == 0, done.stderr
+    assert peak_kib / 1024 < REFINE_RSS_LIMIT_MIB

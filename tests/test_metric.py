@@ -12,6 +12,7 @@ from posetcover.errors import (
     DegenerateImage,
     DuplicateElement,
     EndpointMismatch,
+    NotCombinatorial,
     SlopeNotIntegral,
     UnknownElement,
 )
@@ -366,6 +367,8 @@ def test_refinement_matches_the_fraction_oracle():
         cells.update((eid, img[0]) for eid, img in expected["edge_images"].items())
         pm = ref.poset_morphism
         assert pm.mapping == cells
+        # the refinement's graph rule passed it, and so does the poset kernel
+        assert pm.is_combinatorial()
         for poset, (vertices, edges) in ((pm.source, expected["source"]),
                                          (pm.target, expected["target"])):
             assert set(poset.elements) == set(vertices) | set(edges)
@@ -378,6 +381,47 @@ def test_refinement_matches_the_fraction_oracle():
             expected["edge_images"])
         assert fileio.dumps(fileio.metric_morphism_to_doc(ref.morphism)) == \
             fileio.dumps(fileio.metric_morphism_to_doc(oracle))
+
+
+def whole_edge_morphism(target_edges, source_edges, vertex_map, cuts=()):
+    """Unit-length edges; source edge (e, a, b, t) runs over all of target
+    edge t, backwards when a maps to t's second end.  Each cut adds an
+    isolated source vertex at the middle of a target edge."""
+    ends = {t: (u, w) for t, u, w in target_edges}
+    target = MetricGraph(sorted({v for u, w in ends.values() for v in (u, w)}),
+                         [(t, u, w, 1) for t, (u, w) in ends.items()])
+    images = {v: Point.at_vertex(x) for v, x in vertex_map.items()}
+    images.update((f"cut{t}", Point.interior(t, Fraction(1, 2))) for t in cuts)
+    source = MetricGraph(list(images), [(e, a, b, 1) for e, a, b, _ in source_edges])
+    return MetricGraphMorphism(source, target, images, {
+        e: (t, *((0, 1) if vertex_map[a] == ends[t][0] else (1, 0)), 1)
+        for e, a, b, t in source_edges})
+
+
+@pytest.mark.parametrize("target_edges,source_edges,vertex_map,cuts,witness", [
+    ([("t", "u", "u")], [("e", "A", "B", "t")], {"A": "u", "B": "u"}, (), "e"),
+    ([("t", "u", "u")], [("e", "A", "B", "t")], {"A": "u", "B": "u"}, ("t",), None),
+    ([("t", "u", "u")], [("e", "A", "A", "t")], {"A": "u"}, (), None),
+    ([("t", "u", "w")], [("e", "A", "B", "t"), ("f", "B", "A", "t")],
+     {"A": "u", "B": "w"}, (), None),
+    ([("s", "u", "w"), ("t", "u", "u")],
+     [("a", "A", "C", "s"), ("m", "B", "A", "t"), ("k", "A", "B", "t")],
+     {"A": "u", "B": "u", "C": "w"}, (), "k"),
+], ids=["edge-onto-loop", "edge-onto-cut-loop", "loop-onto-loop", "parallel-edges",
+        "two-failing-edges"])
+def test_the_graph_rule_names_the_face_poset_witness(target_edges, source_edges,
+                                                     vertex_map, cuts, witness):
+    phi = whole_edge_morphism(target_edges, source_edges, vertex_map, cuts)
+    try:
+        refined = refine_to_combinatorial(phi).morphism
+    except NotCombinatorial as exc:
+        # no cut, so the refinement is the input itself
+        assert not cuts and exc.witness == witness
+        refined = phi
+    else:
+        assert witness is None
+    check = morphism_face_poset(refined).is_combinatorial()
+    assert (check.witnesses[0].alpha if check.witnesses else None) == witness
 
 
 def test_fibre_counts_match_the_fraction_oracle():

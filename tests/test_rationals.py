@@ -1,0 +1,62 @@
+"""fileio.parse_rational reads the form format_rational writes (an
+optional "-", ASCII digits, and optionally "/" and a nonzero denominator)
+with integer arithmetic.  Every input must give the value, or the exception
+type and message, that reading it with Fraction(text) gives."""
+
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from posetcover.errors import FormatError  # noqa: E402
+from posetcover.fileio import format_rational, parse_rational  # noqa: E402
+
+
+def fraction_parse(text):
+    """parse_rational through Fraction's own parser for every string."""
+    if isinstance(text, int) and not isinstance(text, bool):
+        return Fraction(text)
+    if isinstance(text, str):
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise FormatError(f"bad rational {text!r}: {exc}") from None
+    raise FormatError(f"rationals must be strings like '3' or '5/2', got {text!r}")
+
+
+def outcome(parse, text):
+    try:
+        value = parse(text)
+    except Exception as exc:
+        return "raised", type(exc), str(exc)
+    return "returned", type(value), value
+
+
+def assert_same(text):
+    assert outcome(parse_rational, text) == outcome(fraction_parse, text)
+
+
+@pytest.mark.parametrize("text", [
+    "-0", "3/6", "1/0", "0/0", "1/00", "-0/5", "007/010", " 3", "3\n", "+3", "1.5", "1e3",
+    "1_0", "٣", "1/٣", "²", "−5", "-", "--1", "", "/", "1/", "/2", "1/-2", "1/2/3",
+    "9" * 5000, "-" + "9" * 5000, "1/" + "9" * 5000, True, False, None, 3, -7, 1.5, ["1"]])
+def test_parse_rational_matches_the_fraction_parser(text):
+    assert_same(text)
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(st.from_regex(r"-?[0-9]{1,8}(/[0-9]{1,8})?", fullmatch=True)
+       | st.text("0123456789-+/._e ٣²", max_size=8) | st.text(max_size=6))
+def test_generated_text_parses_as_the_fraction_parser_reads_it(text):
+    assert_same(text)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(st.fractions())
+def test_format_rational_round_trips(q):
+    assert outcome(parse_rational, format_rational(q)) == ("returned", Fraction, q)

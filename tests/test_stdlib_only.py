@@ -1,6 +1,7 @@
 """The package runs on the standard library alone: importing the CLI loads
 no module from outside it, nor the heavy introspection modules that
-``dataclasses`` pulls in, and the project declares no dependencies."""
+``dataclasses`` pulls in, nor ``typing``, and the project declares no
+dependencies."""
 
 import json
 import os
@@ -22,7 +23,7 @@ def test_the_cli_imports_only_the_standard_library():
     loaded = {name.split(".")[0] for name in json.loads(done.stdout)}
     assert "posetcover" in loaded
     assert loaded - set(sys.stdlib_module_names) <= {"posetcover", "__main__"}
-    assert not loaded & {"dataclasses", "inspect"}
+    assert not loaded & {"dataclasses", "inspect", "typing"}
 
 
 def test_the_project_declares_no_dependencies():
