@@ -152,7 +152,7 @@ def cmd_poset_stats(args) -> RunReport:
     p = resolve_poset(args.poset)
     data = {
         "elements": sorted(p.elements),
-        "covers": sorted(list(c) for c in p.covers),
+        "covers": [[a, b] for a, b in p._cover_pairs()],
         "max": p.max_elements(),
         "min": p.min_elements(),
         "connected": p.is_connected(),

@@ -155,12 +155,16 @@ def _push_plan(phi: PosetMorphism):
 def _push_down(plan, values: list):
     """Push values, a list by source index, down the plan: each element
     gets the common sum of its cover groups.  Returns the filled values, or
-    None when two groups disagree or the sum is below 1."""
+    None as soon as a group sums below 1 or differs from the first group."""
+    value = values.__getitem__
     for alpha, groups in plan:
-        sums = {sum([values[g] for g in group]) for _, group in groups}
-        if len(sums) != 1 or min(sums) < 1:
+        total = sum(map(value, groups[0][1]))
+        if total < 1:
             return None
-        values[alpha] = sums.pop()
+        for _, group in groups[1:]:
+            if sum(map(value, group)) != total:
+                return None
+        values[alpha] = total
     return values
 
 

@@ -27,7 +27,7 @@ def _quote(name: str) -> str:
 
 def _edge_pairs(p: Poset, kind: str):
     if kind in ("hasse", "covering"):
-        return sorted(p.covers)
+        return p._cover_pairs()
     if kind == "comparability":
         # every comparable pair once, from its lower end; ids are sorted,
         # so the lesser index names the lesser element

@@ -94,7 +94,7 @@ def poset_from_doc(doc) -> Poset:
 def poset_to_doc(p: Poset, with_rank: bool = False) -> dict:
     doc = {
         "elements": sorted(p.elements),
-        "covers": sorted([a, b] for a, b in p.covers),
+        "covers": [[a, b] for a, b in p._cover_pairs()],
     }
     if with_rank:
         try:

@@ -27,18 +27,25 @@ class PosetMorphism:
     """A validated order-preserving map between two posets."""
 
     def __init__(self, source: Poset, target: Poset, mapping: dict):
-        for e in source.elements:
-            if e not in mapping:
-                raise UnknownElement(e)
-            if mapping[e] not in target:
-                raise UnknownElement(mapping[e])
-        for e in mapping:
-            if e not in source:
-                raise UnknownElement(e)
         # _image_of[i]: target index of source element i; _fibres[j]: the
-        # source bitset over target element j
+        # source bitset over target element j.  A mapping that sends every
+        # source element into the target and has no other keys is looked
+        # up at C speed; any other is walked to name the witness.
         t_index = target._index
-        image_of = [t_index[mapping[x]] for x in source._ids]
+        try:
+            image_of = list(map(t_index.__getitem__, map(mapping.__getitem__, source._ids)))
+        except (KeyError, TypeError):
+            image_of = None
+        if image_of is None or len(mapping) != len(image_of):
+            for e in source.elements:
+                if e not in mapping:
+                    raise UnknownElement(e)
+                if mapping[e] not in target:
+                    raise UnknownElement(mapping[e])
+            for e in mapping:
+                if e not in source:
+                    raise UnknownElement(e)
+            image_of = [t_index[mapping[x]] for x in source._ids]
         # monotone on covers implies monotone everywhere; the covers come
         # in sorted order, so the first failure is the least failing pair
         t_above = target._above

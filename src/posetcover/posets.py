@@ -63,11 +63,26 @@ def bit_indices(bits: int) -> list[int]:
     return list(compress(count(), _flags(bits)))
 
 
+def _walked_covers(covers, index: dict) -> set:
+    """The set of cover pairs, read one by one in input order: the first
+    pair that does not unpack into two labels raises the unpacking error,
+    and the first unknown label, a before b, raises UnknownElement."""
+    pairs = set()
+    for a, b in covers:
+        if a not in index:
+            raise UnknownElement(a)
+        if b not in index:
+            raise UnknownElement(b)
+        pairs.add((a, b))
+    return pairs
+
+
 class Poset:
     """Immutable finite poset.
 
     ``elements`` keeps the input order; ``covers`` is a frozenset of pairs
-    ``(a, b)`` meaning b covers a.  Everything else is kept by index:
+    ``(a, b)`` meaning b covers a, derived from ``_up_ix`` on first use.
+    Everything else is kept by index:
     ``_above[i]`` and ``_below[i]`` are the strict up- and down-closures of
     element i as bitsets, so order queries are bit tests and the object is
     safe to share between threads; ``_up_ix[i]`` and ``_down_ix[i]`` list
@@ -76,9 +91,41 @@ class Poset:
     """
 
     def __init__(self, elements: Iterable[str], covers: Iterable[tuple[str, str]]):
+        self._intern(elements)
+        if iter(covers) is covers:
+            covers = list(covers)  # a failed fast pass walks them again
+        try:
+            up = self._upper_covers(set(covers))
+        except (TypeError, ValueError, KeyError):  # not all pairs of known labels
+            up = self._upper_covers(_walked_covers(covers, self._index))
+        self._build(up)
+
+    def _upper_covers(self, pairs) -> list[list[int]]:
+        """The elements covering each element, by index, ascending."""
+        index = self._index
+        up = [[] for _ in index]
+        for a, b in pairs:
+            up[index[a]].append(index[b])
+        for ups in up:
+            ups.sort()
+        return up
+
+    @classmethod
+    def _from_index(cls, elements: Iterable[str], up: list[list[int]]) -> "Poset":
+        """The poset on ``elements`` whose element i, in sorted order, is
+        covered by the elements listed in ``up[i]``, ascending; its covers
+        are never spelled out as label pairs."""
+        p = cls.__new__(cls)
+        p._intern(elements)
+        p._build(up)
+        return p
+
+    def _intern(self, elements: Iterable[str]) -> None:
+        """Number the elements in sorted order; raises DuplicateElement with
+        the first element repeated in input order."""
         elements = tuple(elements)
         ids = tuple(sorted(elements))
-        index = {e: i for i, e in enumerate(ids)}
+        index = dict(zip(ids, count()))
         if len(index) != len(elements):
             seen = set()
             for e in elements:
@@ -89,20 +136,17 @@ class Poset:
         self._ids = ids
         self._index = index
 
-        cover_set = set()
-        for a, b in covers:
-            if a not in index:
-                raise UnknownElement(a)
-            if b not in index:
-                raise UnknownElement(b)
-            cover_set.add((a, b))
-        self.covers = frozenset(cover_set)
+    def _build(self, up: list[list[int]]) -> None:
+        """The order structure from ``up``, the elements covering each
+        element by index, ascending: the lower covers, a topological order
+        and the strict closures.  Raises CycleDetected, or RedundantCover
+        with the least redundant pair."""
+        ids = self._ids
         n = len(ids)
-        up = [[] for _ in ids]
         down = [[] for _ in ids]
-        for i, j in sorted([(index[a], index[b]) for a, b in cover_set]):
-            up[i].append(j)  # sorted pairs, so every adjacency list comes out sorted
-            down[j].append(i)
+        for i, ups in enumerate(up):
+            for j in ups:
+                down[j].append(i)  # i ascending, so every list comes out sorted
         self._up_ix = up
         self._down_ix = down
 
@@ -112,7 +156,7 @@ class Poset:
         self._order_ix = order
         # filled on first use; declared here because a later write keeps the
         # compact attribute layout that writing to __dict__ would give up
-        self._height_memo = self._depth_memo = None
+        self._height_memo = self._depth_memo = self._covers_memo = None
         # strict reachability over covers as bitsets; a cover i < j is
         # redundant when j is also reachable through another cover of i
         above = [0] * n
@@ -180,6 +224,17 @@ class Poset:
         raise AssertionError("cycle reported but not found")
 
     @property
+    def covers(self) -> frozenset:
+        if self._covers_memo is None:
+            self._covers_memo = frozenset(self._cover_pairs())
+        return self._covers_memo
+
+    def _cover_pairs(self) -> list[tuple[str, str]]:
+        """The cover pairs in sorted order, read off the index lists."""
+        ids = self._ids
+        return [(ids[i], ids[j]) for i, ups in enumerate(self._up_ix) for j in ups]
+
+    @property
     def _height(self) -> list[int]:
         """Length of the longest cover chain from a minimal element up to
         each element, by index."""
@@ -243,12 +298,14 @@ class Poset:
         return len(self.elements)
 
     def __repr__(self):
-        return f"Poset({len(self.elements)} elements, {len(self.covers)} covers)"
+        return f"Poset({len(self.elements)} elements, {sum(map(len, self._up_ix))} covers)"
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, Poset):
             return NotImplemented
-        return self._ids == other._ids and self.covers == other.covers
+        return self._ids == other._ids and self._up_ix == other._up_ix
 
     def __hash__(self):
         return hash((self._ids, self.covers))
@@ -376,15 +433,17 @@ class Poset:
         """Induced subposet; covers are recomputed (a pair comparable through
         removed elements only becomes a cover here)."""
         bits = self._bits(subset)
-        above, ids = self._above, self._ids
-        covers = []
-        for i in bit_indices(bits):
+        above = self._above
+        members = bit_indices(bits)
+        local = dict(zip(members, count()))
+        up = []
+        for i in members:
             higher = above[i] & bits
             shadow = 0
             for j in bit_indices(higher):
                 shadow |= above[j]
-            covers.extend((ids[i], ids[j]) for j in bit_indices(higher & ~shadow))
-        return Poset(self._labels(bits), covers)
+            up.append(list(map(local.__getitem__, bit_indices(higher & ~shadow))))
+        return Poset._from_index(map(self._ids.__getitem__, members), up)
 
 
 # ----- rank functions -----------------------------------------------------

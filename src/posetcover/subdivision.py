@@ -14,7 +14,7 @@ face covers exactly the chains or faces it becomes with one member dropped.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import combinations
+from itertools import combinations, count
 
 from .errors import FaceNotInComplex, OracleSizeExceeded, VertexClash
 from .morphisms import PosetMorphism
@@ -106,8 +106,8 @@ def simplicial_face_poset(complex_: SimplicialComplex) -> Poset:
 ChainPoset = namedtuple("ChainPoset", "poset chain_of top_of")
 
 
-def _chain_label(chain) -> str:
-    return "<".join(chain)
+# the label of a chain: its members joined by "<"
+_chain_label = "<".join
 
 
 def chain_poset(p: Poset, limit: int = DEFAULT_CHAIN_LIMIT) -> ChainPoset:
@@ -116,23 +116,43 @@ def chain_poset(p: Poset, limit: int = DEFAULT_CHAIN_LIMIT) -> ChainPoset:
     ids, below, order = p._ids, p._below, p._order_ix
     # the chains that end at i are i alone and each chain ending below i
     # with i appended; they are counted before any is built
-    count = [0] * len(ids)
+    number = [0] * len(ids)
+    under = [None] * len(ids)
     total = 0
     for i in order:
-        count[i] = 1 + sum(map(count.__getitem__, bit_indices(below[i])))
-        total += count[i]
+        under[i] = bit_indices(below[i])
+        number[i] = 1 + sum(map(number.__getitem__, under[i]))
+        total += number[i]
         if total > limit:
             raise OracleSizeExceeded(limit + 1, limit)
+    # chains are numbered as they are made; the chain c + i drops to c,
+    # and to d + i for each chain d that c drops to, or to i alone when c
+    # is a single element
+    chains, down = [], []
     ending = [None] * len(ids)
     for i in order:
         top = (ids[i],)
-        ending[i] = [top] + [c + top for j in bit_indices(below[i]) for c in ending[j]]
-    chains = [c for i in order for c in ending[i]]
+        alone = len(chains)
+        extended = [c for j in under[i] for c in ending[j]]
+        grown = dict(zip(extended, count(alone + 1)))
+        chains.append(top)
+        chains += [chains[c] + top for c in extended]
+        down.append([])
+        down += [[c, *map(grown.__getitem__, down[c])] if down[c] else [c, alone]
+                 for c in extended]
+        ending[i] = range(alone, len(chains))
     labels = list(map(_chain_label, chains))
-    covers = [(_chain_label(c[:k] + c[k + 1:]), lbl)
-              for c, lbl in zip(chains, labels) if len(c) > 1 for k in range(len(c))]
+    # the poset numbers the chains in label order: by_label lists the
+    # chains in that order and position is its inverse; walking the chains
+    # in that order lists the chains covering each one in ascending order
+    by_label = sorted(range(len(chains)), key=labels.__getitem__)
+    position = sorted(range(len(chains)), key=by_label.__getitem__)
+    up = [[] for _ in chains]
+    for k, c in enumerate(by_label):
+        for d in down[c]:
+            up[position[d]].append(k)
     return ChainPoset(
-        poset=Poset(sorted(labels), covers),
+        poset=Poset._from_index(map(labels.__getitem__, by_label), up),
         chain_of=dict(zip(labels, chains)),
         top_of={lbl: c[-1] for lbl, c in zip(labels, chains)},
     )
@@ -146,7 +166,6 @@ def bcs_morphism(phi: PosetMorphism, limit: int = DEFAULT_CHAIN_LIMIT) -> PosetM
     phi.require_combinatorial()
     source = chain_poset(phi.source, limit)
     target = chain_poset(phi.target, limit)
-    mapping = {}
-    for lbl, chain in source.chain_of.items():
-        mapping[lbl] = _chain_label(tuple(phi(x) for x in chain))
+    image = phi.mapping.__getitem__
+    mapping = {lbl: _chain_label(map(image, chain)) for lbl, chain in source.chain_of.items()}
     return PosetMorphism(source.poset, target.poset, mapping)

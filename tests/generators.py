@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from random import Random
 
-from .covers import IndexMap, _push_down, _push_plan, _pushed_index_map, is_balanced
-from .morphisms import PosetMorphism
-from .posets import Poset, connectivity
+from posetcover.covers import IndexMap, _push_down, _push_plan, _pushed_index_map, is_balanced
+from posetcover.morphisms import PosetMorphism
+from posetcover.posets import Poset, connectivity
 
 
 def random_graded_poset(rng: Random, max_elements: int = 10, max_rank: int = 2) -> Poset:

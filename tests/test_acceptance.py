@@ -35,12 +35,6 @@ from posetcover.fixtures import (
     fix_trop,
     fix_trop_m,
 )
-from posetcover.generators import (
-    random_balanced_map,
-    random_index_map,
-    random_sheaf_morphism,
-    random_strongly_connected_poset,
-)
 from posetcover.metric import Point, refine_to_combinatorial, sample_fibre
 from posetcover.morphisms import PosetMorphism
 from posetcover.posets import Poset, connectivity, rank_check
@@ -52,6 +46,12 @@ from posetcover.subdivision import (
     stellar_subdivide,
 )
 
+from generators import (
+    random_balanced_map,
+    random_index_map,
+    random_sheaf_morphism,
+    random_strongly_connected_poset,
+)
 from oracles import brute_chains
 
 INSTANCES = 200
@@ -70,7 +70,7 @@ def _expect(failures, label, condition):
 
 def _small_sheaf(rng, max_source=10):
     """Sheaf morphism with both posets within the 10-element budget."""
-    from posetcover.generators import random_connected_graded_poset
+    from generators import random_connected_graded_poset
 
     for _ in range(50):
         target = random_connected_graded_poset(rng, max_elements=6)

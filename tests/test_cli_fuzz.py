@@ -22,12 +22,12 @@ from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from posetcover import cli, fileio  # noqa: E402
-from posetcover.generators import (  # noqa: E402
+
+from generators import (  # noqa: E402
     random_balanced_map,
     random_graded_poset,
     random_sheaf_morphism,
 )
-
 from test_metric import random_metric_morphism  # noqa: E402
 
 JUNK = [None, True, 0, -1, 2, "", "x", "1/0", "-3/2", [], {}, ["x"], {"x": 1}]

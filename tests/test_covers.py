@@ -30,13 +30,14 @@ from posetcover.fixtures import (
     fix_trop,
     fix_trop_m,
 )
-from posetcover.generators import (
+from posetcover.morphisms import PosetMorphism
+from posetcover.posets import Poset
+
+from generators import (
     random_balanced_map,
     random_index_map,
     random_sheaf_morphism,
 )
-from posetcover.morphisms import PosetMorphism
-from posetcover.posets import Poset
 
 
 class TestIndexMap:

@@ -32,9 +32,10 @@ from posetcover.fixtures import (
     fix_trop,
     fix_trop_m,
 )
-from posetcover.generators import random_sheaf_morphism
 from posetcover.morphisms import PosetMorphism
 from posetcover.posets import Poset, connectivity, rank_check
+
+from generators import random_sheaf_morphism
 
 
 def trop_edge_values():
@@ -185,7 +186,7 @@ def _theorem_hypotheses_hold(phi, m):
 
 
 def _random_strongly_connected_dim2(rng):
-    from posetcover.generators import random_graded_poset
+    from generators import random_graded_poset
 
     p = random_graded_poset(rng, max_elements=8, max_rank=2)
     report = None
@@ -232,7 +233,7 @@ class TestLiftUpwardPath:
 
     def test_stays_in_domain_on_random_instances(self):
         rng = Random(43)
-        from posetcover.generators import random_balanced_map
+        from generators import random_balanced_map
 
         for _ in range(20):
             phi = random_sheaf_morphism(rng)
@@ -298,7 +299,7 @@ class TestConnectivityLifting:
 
     def test_random_instances_never_alarm(self):
         rng = Random(44)
-        from posetcover.generators import random_balanced_map
+        from generators import random_balanced_map
 
         for _ in range(20):
             phi = random_sheaf_morphism(rng)

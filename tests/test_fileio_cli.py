@@ -19,10 +19,11 @@ from posetcover.errors import (
     UnknownElement,
 )
 from posetcover.fixtures import fix_graph, fix_trop, fix_trop_m
-from posetcover.generators import random_graded_poset
 from posetcover.metric import morphism_face_poset
 from posetcover.morphisms import PosetMorphism
 from posetcover.posets import Poset
+
+from generators import random_graded_poset
 
 
 class TestDocuments:

@@ -4,14 +4,15 @@ tests assume they produce."""
 from random import Random
 
 from posetcover.covers import is_balanced
-from posetcover.generators import (
+from posetcover.posets import connectivity, rank_check
+
+from generators import (
     random_balanced_map,
     random_connected_graded_poset,
     random_graded_poset,
     random_sheaf_morphism,
     random_strongly_connected_poset,
 )
-from posetcover.posets import connectivity, rank_check
 
 
 def test_graded_posets_are_graded():

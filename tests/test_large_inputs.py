@@ -1,8 +1,9 @@
 """Large inputs in-process: poset stats, the identity morphism check and
 the branched-cover decision with all values 1 on a 5000-element chain and
 on the face poset of a metric cycle, the 8191 faces of a 13-vertex simplex
-through stellar subdivision and its face poset, and the refinement of a
-3-sheet cover of a 500-edge metric cycle.  Every check on them is local to
+through stellar subdivision and its face poset, the 15 624 chains of a
+complete layered poset through barycentric subdivision, and the refinement
+of a 3-sheet cover of a 500-edge metric cycle.  Every check on them is local to
 principal down-sets, punctured up-sets, covers, faces one member apart or
 one target edge, so each stays well inside a generous wall budget.  The
 refinement of a 2500-edge cover runs in a child process, whose peak
@@ -107,6 +108,25 @@ def test_face_poset_of_a_thirteen_vertex_simplex():
     elapsed = time.monotonic() - start
     assert elapsed < BUDGET_S, elapsed
     assert len(p.elements) == 8191 and len(p.covers) == 13 * 2 ** 12 - 13
+
+
+def test_chain_poset_of_a_complete_layered_poset(tmp_path, capsys):
+    # 6 ranks of 4 elements, each covering the whole rank below: a chain
+    # picks a non-empty set of ranks and one element in each, so there are
+    # 5^6 - 1 chains; a chain of k > 1 members covers k chains, and the
+    # sum of k over all chains, 6 * 4 * 5^5, counts the 24 singletons once
+    levels = [[f"r{r}e{i}" for i in range(4)] for r in range(6)]
+    covers = [[a, b] for lower, upper in zip(levels, levels[1:]) for a in lower for b in upper]
+    path = tmp_path / "layered.json"
+    path.write_text(fileio.dumps({"elements": sum(levels, []), "covers": covers}))
+    start = time.monotonic()
+    code = cli.main(["--format", "machine", "subdivide", "bcs", "--poset", str(path)])
+    elapsed = time.monotonic() - start
+    assert code == 0 and elapsed < BUDGET_S, elapsed
+    data = json.loads(capsys.readouterr().out)["data"]
+    assert data["chains"] == 5 ** 6 - 1 == 15624
+    assert len(data["poset"]["elements"]) == 15624
+    assert len(data["poset"]["covers"]) == 6 * 4 * 5 ** 5 - 24
 
 
 def test_refinement_of_a_three_sheet_cover_of_a_long_cycle(tmp_path, capsys):

@@ -12,12 +12,12 @@ from posetcover.fixtures import (
     fix_open,
     fix_trop,
 )
-from posetcover.generators import random_sheaf_morphism
 from posetcover.metric import graph_face_poset, morphism_face_poset
 from posetcover.fixtures import fix_graph
 from posetcover.morphisms import PosetMorphism
 from posetcover.posets import Poset, rank_check
 
+from generators import random_sheaf_morphism
 from oracles import is_forest
 
 

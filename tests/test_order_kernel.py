@@ -22,10 +22,10 @@ from posetcover.covers import (
 )
 from posetcover.errors import NotUpSet, RedundantCover
 from posetcover.extend import extend_balanced
-from posetcover.generators import random_balanced_map, random_graded_poset, random_sheaf_morphism
 from posetcover.morphisms import PosetMorphism
 from posetcover.posets import Poset, enumerate_up_sets, rank_check
 
+from generators import random_balanced_map, random_graded_poset, random_sheaf_morphism
 import test_posets
 from oracles import (
     brute_balance_violations,

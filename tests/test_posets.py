@@ -7,13 +7,14 @@ from random import Random
 from posetcover.errors import (
     CycleDetected,
     DuplicateElement,
+    FormatError,
     NotGraded,
     OracleSizeExceeded,
     RedundantCover,
     UnknownElement,
 )
+from posetcover.fileio import poset_from_doc
 from posetcover.fixtures import fix_idread, fix_trop
-from posetcover.generators import random_graded_poset, random_strongly_connected_poset
 from posetcover.posets import (
     DEFAULT_ORACLE_LIMIT,
     UP_SET_WALK_LIMIT,
@@ -23,9 +24,12 @@ from posetcover.posets import (
     rank_check,
     up_set_bits,
 )
+from posetcover.subdivision import chain_poset
 
+from generators import random_graded_poset, random_strongly_connected_poset
 from oracles import (
     brute_antichain_count,
+    brute_chains,
     brute_poset_components,
     brute_up_sets,
     longest_chains,
@@ -98,6 +102,123 @@ class TestBuild:
         with pytest.raises(CycleDetected) as err:
             Poset(names, covers)
         assert err.value.cycle == tuple(names + names[:1])
+
+
+ABC = ["a", "b", "c"]
+
+# Constructor inputs, the exception each raises and its witness (the
+# message of a built-in error): the first bad cover pair in input order,
+# its lower end checked before its upper end, whether it is unknown,
+# unhashable or not a pair at all
+WITNESSES = [
+    ("unknown-lower-first", ABC, [("a", "b"), ("x", "y")], UnknownElement, "x"),
+    ("unknown-upper", ABC, [("a", "y"), ("x", "b")], UnknownElement, "y"),
+    ("lower-before-upper", ABC, [("y", "x")], UnknownElement, "y"),
+    ("short-before-unknown", ABC, [("a",), ("x", "b")], ValueError,
+     "not enough values to unpack (expected 2, got 1)"),
+    ("long-before-unknown", ABC, [("a", "b", "c"), ("x", "b")], ValueError,
+     "too many values to unpack (expected 2)"),
+    ("unknown-before-long", ABC, [("x", "b"), ("a", "b", "c")], UnknownElement, "x"),
+    ("unknown-before-short", ABC, [("a", "b"), ("b", "x"), ("a",)], UnknownElement, "x"),
+    ("not-a-pair", ABC, [("a", "b"), 1], TypeError, "cannot unpack non-iterable int object"),
+    ("unhashable-lower", ABC, [(["a"], "b")], TypeError, "unhashable type: 'list'"),
+    ("unhashable-upper", ABC, [("a", ["b"])], TypeError, "unhashable type: 'list'"),
+    ("unknown-before-unhashable", ABC, [("x", ["b"])], UnknownElement, "x"),
+    ("list-pairs", ABC, [["a", "b"], ["b", "x"]], UnknownElement, "x"),
+    ("unknown-before-cycle", ABC, [("a", "b"), ("b", "a"), ("a", "z")], UnknownElement, "z"),
+    ("duplicate", ["a", "b", "c", "b", "a"], [], DuplicateElement, "b"),
+    ("cycle", ABC, [("a", "b"), ("b", "c"), ("c", "a")], CycleDetected, ("a", "b", "c", "a")),
+    ("redundant", ABC, [("a", "b"), ("b", "c"), ("a", "c")], RedundantCover, ("a", "c")),
+]
+
+class TestBuildWitnesses:
+    @pytest.mark.parametrize("elements,covers,error,witness", [w[1:] for w in WITNESSES],
+                             ids=[w[0] for w in WITNESSES])
+    def test_first_bad_input_is_the_witness(self, elements, covers, error, witness):
+        with pytest.raises(error) as err:
+            Poset(elements, covers)
+        assert type(err.value) is error
+        assert err.value.args == error(witness).args
+
+    @pytest.mark.parametrize("elements,covers,error,witness", [w[1:] for w in WITNESSES],
+                             ids=[w[0] for w in WITNESSES])
+    def test_one_shot_covers_give_the_same_witness(self, elements, covers, error, witness):
+        with pytest.raises(error) as err:
+            Poset(elements, (c for c in covers))
+        assert err.value.args == error(witness).args
+
+    def test_pairs_that_unpack_build_the_same_poset(self):
+        expected = Poset(ABC, [("a", "b"), ("b", "c")])
+        for covers in ([["a", "b"], ["b", "c"]], ["ab", "bc"], iter([("a", "b"), ("b", "c")]),
+                       [("a", "b"), ("b", "c"), ("a", "b")], {("a", "b"), ("b", "c")}):
+            p = Poset(ABC, covers)
+            assert p == expected and p.covers == {("a", "b"), ("b", "c")}
+            assert p._up_ix == [[1], [2], []] and p._down_ix == [[], [0], [1]]
+
+    @pytest.mark.parametrize("covers,error,witness", [
+        ([["a", "b"], ["b", "x"]], UnknownElement, "x"),
+        ([["a", "b", "c"]], FormatError,
+         "bad poset document: too many values to unpack (expected 2)"),
+        ([["a"], ["x", "b"]], FormatError,
+         "bad poset document: not enough values to unpack (expected 2, got 1)"),
+        ([["a", "b"], ["b", "a"]], CycleDetected, ("a", "b", "a")),
+        ([["a", "b"], ["b", "c"], ["a", "c"]], RedundantCover, ("a", "c")),
+    ], ids=["unknown", "long", "short", "cycle", "redundant"])
+    def test_documents_with_list_covers(self, covers, error, witness):
+        with pytest.raises(error) as err:
+            poset_from_doc({"elements": ABC, "covers": covers})
+        assert type(err.value) is error and err.value.args == error(witness).args
+
+
+def label_level(elements, covers):
+    """The poset built through the constructor from sorted labels."""
+    return Poset(sorted(elements), covers)
+
+
+def assert_same_poset(built, rebuilt):
+    for name in ("elements", "_ids", "_index", "_up_ix", "_down_ix", "_order_ix",
+                 "_above", "_below", "covers"):
+        assert getattr(built, name) == getattr(rebuilt, name), name
+    assert built == rebuilt and hash(built) == hash(rebuilt)
+
+
+class TestIndexLevelBuild:
+    """Chain posets and induced subposets are built from index adjacency;
+    they must equal the posets the constructor builds from their labels
+    and covers, found here by brute force."""
+
+    def test_chain_posets_match_the_label_level_build(self):
+        rng = Random(2024)
+        for _ in range(60):
+            p = random_graded_poset(rng, max_elements=8, max_rank=3)
+            leq = reachability(p.elements, p.covers)
+            labels = {}
+            for chain in brute_chains(p.elements, p.covers):
+                members = sorted(chain, key=lambda x: sum((y, x) in leq for y in chain))
+                labels[chain] = "<".join(members)
+            covers = [(labels[c - {x}], labels[c]) for c in labels if len(c) > 1 for x in c]
+            assert_same_poset(chain_poset(p).poset, label_level(labels.values(), covers))
+
+    def test_induced_subposets_match_the_label_level_build(self):
+        rng = Random(2025)
+        for _ in range(60):
+            p = random_graded_poset(rng, max_elements=10, max_rank=3)
+            leq = reachability(p.elements, p.covers)
+            lt = {(a, b) for a, b in leq if a != b}
+            subsets = [rng.sample(p.elements, rng.randint(0, len(p))),
+                       p.up_set(rng.sample(p.elements, rng.randint(0, min(3, len(p)))))]
+            for subset in subsets:
+                s = set(subset)
+                covers = [(a, b) for a, b in lt if a in s and b in s
+                          and not any((a, c) in lt and (c, b) in lt for c in s)]
+                assert_same_poset(p.induced(s), label_level(s, covers))
+
+    def test_duplicate_chain_label_names_the_least(self):
+        # "c<d" and "a<b" are elements and also the labels of two chains
+        p = Poset(["c<d", "d", "c", "a<b", "b", "a"], [("a", "b"), ("c", "d")])
+        with pytest.raises(DuplicateElement) as err:
+            chain_poset(p)
+        assert err.value.args == ("duplicate element identifier 'a<b'",)
 
 
 class TestOrderStructure:

@@ -12,7 +12,6 @@ from posetcover.errors import (
 )
 from posetcover.fileio import complex_to_doc
 from posetcover.fixtures import fix_ce1, fix_trop
-from posetcover.generators import random_graded_poset, random_sheaf_morphism
 from posetcover.morphisms import PosetMorphism
 from posetcover.posets import Poset, rank_check
 from posetcover.subdivision import (
@@ -23,6 +22,7 @@ from posetcover.subdivision import (
     stellar_subdivide,
 )
 
+from generators import random_graded_poset, random_sheaf_morphism
 from oracles import (
     brute_chains,
     brute_closure_faces,
