@@ -14,7 +14,6 @@ import json
 import sys
 from collections import namedtuple
 from fractions import Fraction
-from pathlib import Path
 from random import Random
 
 from . import covers, dot, extend, fileio, fixtures, metric, posets, subdivision
@@ -27,9 +26,7 @@ from .errors import (
     TheoremViolation,
     ToolError,
 )
-from .metric import MetricGraph, MetricGraphMorphism, Point
-from .morphisms import PosetMorphism
-from .posets import Poset
+from .metric import MetricGraph, Point
 
 
 # verdict is pass, fail or error; dispatch fills in command from the
@@ -40,18 +37,18 @@ RunReport = namedtuple("RunReport", "verdict witnesses data command", defaults=(
 
 def _plain(value):
     """Make report values JSON-friendly and deterministic."""
+    if value is None or type(value) in (str, int, bool):
+        return value
     if hasattr(value, "_asdict"):
         out = {"kind": type(value).__name__}
         out.update({k: _plain(v) for k, v in value._asdict().items()})
         return out
     if isinstance(value, frozenset):
         return sorted(_plain(v) for v in value)
-    if isinstance(value, (set, tuple, list)):
+    if isinstance(value, (tuple, list)):
         return [_plain(v) for v in value]
-    if isinstance(value, Fraction):
-        return fileio.format_rational(value)
     if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
+        return {k: _plain(v) for k, v in sorted(value.items())}
     return value
 
 
@@ -79,46 +76,7 @@ def emit(report: RunReport, fmt: str, out=None):
         out.write(f"witness: {json.dumps(w, sort_keys=True, ensure_ascii=False)}\n")
 
 
-# ----- input resolution -------------------------------------------------------
-
-
-def _load(name: str):
-    return fileio.load_named(name, Path.cwd())
-
-
-def resolve_poset(name: str) -> Poset:
-    obj = _load(name)
-    got = fileio.as_poset(obj, name)
-    if got is None:
-        raise FormatError(f"{name!r} does not describe a poset")
-    return got
-
-
-def resolve_morphism(name: str) -> PosetMorphism:
-    obj = _load(name)
-    if isinstance(obj, PosetMorphism):
-        return obj
-    if isinstance(obj, MetricGraphMorphism):
-        return metric.morphism_face_poset(obj)
-    raise FormatError(f"{name!r} does not describe a morphism")
-
-
-def resolve_metric_morphism(name: str) -> MetricGraphMorphism:
-    obj = _load(name)
-    if isinstance(obj, MetricGraphMorphism):
-        return obj
-    raise FormatError(f"{name!r} does not describe a metric graph morphism")
-
-
-def resolve_index(name: str, carrier: Poset) -> covers.IndexMap:
-    obj = _load(name)
-    if isinstance(obj, covers.IndexMap):
-        if obj.poset != carrier:
-            raise FormatError(f"index map {name!r} lives on a different poset")
-        return obj
-    if isinstance(obj, dict):
-        return fileio.index_map_from_doc(obj, carrier)
-    raise FormatError(f"{name!r} does not describe an index map")
+# ----- argument parsing -------------------------------------------------------
 
 
 def _csv(text: str) -> list[str]:
@@ -138,7 +96,7 @@ def _parse_point(text: str) -> Point:
 
 def cmd_poset_validate(args) -> RunReport:
     try:
-        p = resolve_poset(args.poset)
+        p = fileio.resolve(args.poset, "poset")
     except FormatError:
         raise
     except ToolError as exc:
@@ -149,7 +107,7 @@ def cmd_poset_validate(args) -> RunReport:
 
 
 def cmd_poset_stats(args) -> RunReport:
-    p = resolve_poset(args.poset)
+    p = fileio.resolve(args.poset, "poset")
     data = {
         "elements": sorted(p.elements),
         "covers": [[a, b] for a, b in p._cover_pairs()],
@@ -168,7 +126,7 @@ def cmd_poset_stats(args) -> RunReport:
 
 
 def cmd_poset_upsets(args) -> RunReport:
-    p = resolve_poset(args.poset)
+    p = fileio.resolve(args.poset, "poset")
     # bitsets until the walk is done, so a walk cut short by its guard
     # has not built its up-sets as lists of names
     ups = list(posets.up_set_bits(p, connected_only=args.connected,
@@ -181,7 +139,7 @@ def cmd_poset_upsets(args) -> RunReport:
 
 def cmd_morphism_check(args) -> RunReport:
     try:
-        phi = resolve_morphism(args.morphism)
+        phi = fileio.resolve(args.morphism, "morphism")
     except NotMonotone as exc:
         return RunReport("fail",
                          witnesses=[{"error": "NotMonotone", "pair": list(exc.pair)}],
@@ -198,8 +156,8 @@ def cmd_morphism_check(args) -> RunReport:
 
 
 def cmd_cover_check(args) -> RunReport:
-    phi = resolve_morphism(args.morphism)
-    m = resolve_index(args.index, phi.source)
+    phi = fileio.resolve(args.morphism, "morphism")
+    m = fileio.resolve_index(args.index, phi.source)
     check = {"balanced": covers.is_balanced,
              "ibc": covers.is_ibc,
              "ibc-oracle": lambda phi, m: covers.is_ibc_oracle(phi, m, limit=args.oracle_limit),
@@ -208,8 +166,8 @@ def cmd_cover_check(args) -> RunReport:
 
 
 def cmd_cover_degree(args) -> RunReport:
-    phi = resolve_morphism(args.morphism)
-    report = covers.global_degree(phi, resolve_index(args.index, phi.source))
+    phi = fileio.resolve(args.morphism, "morphism")
+    report = covers.global_degree(phi, fileio.resolve_index(args.index, phi.source))
     data = {"per_target": dict(sorted(report.per_target_value.items())),
             "constant": report.constant}
     if report.constant:
@@ -220,7 +178,7 @@ def cmd_cover_degree(args) -> RunReport:
 
 
 def cmd_cover_search(args) -> RunReport:
-    found = covers.search_balanced(resolve_morphism(args.morphism), bound=args.bound)
+    found = covers.search_balanced(fileio.resolve(args.morphism, "morphism"), bound=args.bound)
     if found is None:
         return RunReport("fail",
                          witnesses=[{"result": "NoneFound", "bound": args.bound}])
@@ -228,8 +186,8 @@ def cmd_cover_search(args) -> RunReport:
 
 
 def cmd_extend(args) -> RunReport:
-    phi = resolve_morphism(args.morphism)
-    m = resolve_index(args.index, phi.source)
+    phi = fileio.resolve(args.morphism, "morphism")
+    m = fileio.resolve_index(args.index, phi.source)
     target_upset = (phi.source.up_set(_csv(args.upset))
                     if args.upset else frozenset(phi.source.elements))
     report = extend.extend_balanced(phi, m, target_upset)
@@ -243,8 +201,8 @@ def cmd_extend(args) -> RunReport:
 
 
 def cmd_lift(args) -> RunReport:
-    phi = resolve_morphism(args.morphism)
-    m = resolve_index(args.index, phi.source)
+    phi = fileio.resolve(args.morphism, "morphism")
+    m = fileio.resolve_index(args.index, phi.source)
     lift = {"up": extend.lift_upward_path, "path": extend.lift_path}[args.action]
     try:
         lifted = lift(phi, m, args.start, _csv(args.path))
@@ -258,7 +216,7 @@ def cmd_lift(args) -> RunReport:
 
 
 def cmd_connect_codimk(args) -> RunReport:
-    report = posets.connectivity(resolve_poset(args.poset), "codim", args.k)
+    report = posets.connectivity(fileio.resolve(args.poset, "poset"), "codim", args.k)
     if report.connected:
         return RunReport("pass", data={"k": args.k})
     return RunReport("fail", data={"k": args.k},
@@ -266,7 +224,7 @@ def cmd_connect_codimk(args) -> RunReport:
 
 
 def cmd_connect_strong(args) -> RunReport:
-    report = posets.connectivity(resolve_poset(args.poset), "strong")
+    report = posets.connectivity(fileio.resolve(args.poset, "poset"), "strong")
     if report.connected:
         return RunReport("pass")
     return RunReport("fail", witnesses=[{
@@ -277,8 +235,8 @@ def cmd_connect_strong(args) -> RunReport:
 def cmd_connect_lifting(args) -> RunReport:
     if args.mode == "codim" and args.k is None:
         raise FormatError("this action needs --k")
-    phi = resolve_morphism(args.morphism)
-    m = resolve_index(args.index, phi.source)
+    phi = fileio.resolve(args.morphism, "morphism")
+    m = fileio.resolve_index(args.index, phi.source)
     report = extend.check_connectivity_lifting(phi, m, args.mode, k=args.k)
     data = {"hypotheses": report.hypotheses,
             "conclusion": report.conclusion_holds,
@@ -291,14 +249,14 @@ def cmd_connect_lifting(args) -> RunReport:
 
 def cmd_subdivide_bcs(args) -> RunReport:
     if args.morphism:
-        bcs = subdivision.bcs_morphism(resolve_morphism(args.morphism))
+        bcs = subdivision.bcs_morphism(fileio.resolve(args.morphism, "morphism"))
         return RunReport("pass", data={
             "source_chains": len(bcs.source.elements),
             "target_chains": len(bcs.target.elements),
             "combinatorial": bool(bcs.is_combinatorial()),
             "morphism": fileio.morphism_to_doc(bcs),
         })
-    chains = subdivision.chain_poset(resolve_poset(args.poset))
+    chains = subdivision.chain_poset(fileio.resolve(args.poset, "poset"))
     return RunReport("pass", data={
         "chains": len(chains.poset.elements),
         "poset": fileio.poset_to_doc(chains.poset),
@@ -306,19 +264,17 @@ def cmd_subdivide_bcs(args) -> RunReport:
 
 
 def cmd_subdivide_stellar(args) -> RunReport:
-    obj = _load(args.complex)
-    if not isinstance(obj, subdivision.SimplicialComplex):
-        raise FormatError(f"{args.complex!r} does not describe a simplicial complex")
-    result = subdivision.stellar_subdivide(obj, frozenset(_csv(args.face)), args.vertex)
+    k = fileio.resolve(args.complex, "simplicial complex")
+    result = subdivision.stellar_subdivide(k, frozenset(_csv(args.face)), args.vertex)
     return RunReport("pass", data={
-        "faces_before": len(obj),
+        "faces_before": len(k),
         "faces_after": len(result),
         "complex": fileio.complex_to_doc(result),
     })
 
 
 def cmd_graph_refine(args) -> RunReport:
-    ref = metric.refine_to_combinatorial(resolve_metric_morphism(args.morphism))
+    ref = metric.refine_to_combinatorial(fileio.resolve(args.morphism, "metric graph morphism"))
     return RunReport("pass", data={
         "new_target_vertices": {k: [v[0], fileio.format_rational(v[1])]
                                 for k, v in sorted(ref.new_target_vertices.items())},
@@ -332,7 +288,7 @@ def cmd_graph_refine(args) -> RunReport:
 
 
 def cmd_graph_sample(args) -> RunReport:
-    phi = resolve_metric_morphism(args.morphism)
+    phi = fileio.resolve(args.morphism, "metric graph morphism")
     results = []
     mismatch = []
     points = ([_parse_point(args.point)] if args.point
@@ -350,15 +306,11 @@ def cmd_graph_sample(args) -> RunReport:
 
 def cmd_graph_poset(args) -> RunReport:
     if args.morphism:
-        pm = metric.morphism_face_poset(resolve_metric_morphism(args.morphism))
+        pm = metric.morphism_face_poset(fileio.resolve(args.morphism, "metric graph morphism"))
         return RunReport("pass", data={"morphism": fileio.morphism_to_doc(pm)})
-    obj = _load(args.graph)
-    if isinstance(obj, MetricGraphMorphism):
-        obj = obj.source
-    if not isinstance(obj, MetricGraph):
-        raise FormatError(f"{args.graph!r} does not describe a metric graph")
+    graph = fileio.resolve(args.graph, "metric graph")
     return RunReport("pass", data={
-        "poset": fileio.poset_to_doc(metric.graph_face_poset(obj), with_rank=True)})
+        "poset": fileio.poset_to_doc(metric.graph_face_poset(graph), with_rank=True)})
 
 
 # one fibre sample per point; 10 000 points take about 0.4 s in process on
@@ -386,7 +338,8 @@ def _random_points(graph: MetricGraph, count: int, seed: int) -> list[Point]:
 
 
 def cmd_export_dot(args) -> RunReport:
-    obj = resolve_morphism(args.morphism) if args.morphism else resolve_poset(args.poset)
+    obj = (fileio.resolve(args.morphism, "morphism") if args.morphism
+           else fileio.resolve(args.poset, "poset"))
     return RunReport("pass", data={"dot": dot.export_dot(obj, args.kind)})
 
 

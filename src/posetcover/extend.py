@@ -242,6 +242,16 @@ class LiftingReport(namedtuple("LiftingReport", "mode hypotheses conclusion_hold
         return all(self.hypotheses.values())
 
 
+def _first_connected_fibre(phi: PosetMorphism, betas, within):
+    """The least beta whose fibre inside within is non-empty and
+    connected, or None."""
+    for beta in sorted(betas):
+        fibre = phi.fibre(beta) & within
+        if fibre and len(phi.source.components(fibre)) == 1:
+            return beta
+    return None
+
+
 def check_connectivity_lifting(phi: PosetMorphism, m: IndexMap, mode: str, k: int | None = None) -> LiftingReport:
     """Verify the hypotheses of a connectivity-lifting statement, then
     independently verify its conclusion, and fail loudly if the hypotheses
@@ -260,12 +270,7 @@ def check_connectivity_lifting(phi: PosetMorphism, m: IndexMap, mode: str, k: in
         phi.restrict_corestrict(v).require_combinatorial(CorestrictionNotCombinatorial)
         image = phi.image(v)
         hyp = {"image connected": phi.target.is_connected(image)}
-        witness = None
-        for beta in sorted(image):
-            fibre = phi.fibre(beta) & v
-            if fibre and len(phi.source.components(fibre)) == 1:
-                witness = beta
-                break
+        witness = _first_connected_fibre(phi, image, v)
         hyp["some fibre connected"] = witness is not None
         conclusion = phi.source.is_connected(v)
         report = LiftingReport(mode, hyp, conclusion, witness)
@@ -280,12 +285,8 @@ def check_connectivity_lifting(phi: PosetMorphism, m: IndexMap, mode: str, k: in
             "target codim-k connected": connectivity(phi.target, "codim", k).connected,
         }
         level = phi.source.up_set(source_rank.level(source_rank.dim - k))
-        witness = None
-        for beta in sorted(phi.target.up_set(target_rank.level(target_rank.dim - k))):
-            fibre = phi.fibre(beta) & level
-            if fibre and len(phi.source.components(fibre)) == 1:
-                witness = beta
-                break
+        witness = _first_connected_fibre(
+            phi, phi.target.up_set(target_rank.level(target_rank.dim - k)), level)
         hyp["some fibre connected at level"] = witness is not None
         conclusion = connectivity(phi.source, "codim", k).connected
         report = LiftingReport(mode, hyp, conclusion, witness)

@@ -1,10 +1,21 @@
 """Reading and writing the JSON documents the CLI consumes and emits.
 
 All files are UTF-8 JSON.  Rationals travel as "p/q" or plain integer
-strings.  Wherever a document embeds a poset or metric graph, a string may
-stand in for it: either a bundled fixture name or a path resolved relative
-to the referencing file.  Identifiers must be JSON strings inside the
-expected lists and objects; anything else raises FormatError.
+strings.  Identifiers must be JSON strings inside the expected lists and
+objects; anything else raises FormatError.
+
+Every object the tool reads, whether a CLI argument or the source or
+target of a morphism document, is a reference that ``resolve`` reads
+through the one table ``KINDS``.  A reference is a bundled fixture name
+or a path, relative to the referencing file (on the command line, to the
+working directory); an embedded poset or metric graph may also be an
+inline document, parsed as ``INLINE`` says.  A ``/source`` or ``/target``
+suffix on a morphism fixture or document names that side itself.  Each
+kind of slot accepts the loaded types of its row, each with its
+conversion: a metric graph becomes its face poset, and a metric graph
+morphism its face-poset morphism.  A morphism in a slot that accepts its
+sides is refused with the hint to name a side.  Index maps need the
+poset they live on, and ``resolve_index`` reads them.
 """
 
 from __future__ import annotations
@@ -17,7 +28,7 @@ from pathlib import Path
 from . import fixtures
 from .covers import IndexMap
 from .errors import FormatError, ToolError
-from .metric import MetricGraph, MetricGraphMorphism, Point, graph_face_poset
+from .metric import MetricGraph, MetricGraphMorphism, Point, graph_face_poset, morphism_face_poset
 from .morphisms import PosetMorphism
 from .posets import Poset, rank_check
 from .subdivision import SimplicialComplex
@@ -105,8 +116,8 @@ def poset_to_doc(p: Poset, with_rank: bool = False) -> dict:
 
 
 def morphism_from_doc(doc, base: Path | None = None) -> PosetMorphism:
-    source = _resolve_poset(_require(doc, "source", "morphism"), base)
-    target = _resolve_poset(_require(doc, "target", "morphism"), base)
+    source = resolve(_require(doc, "source", "morphism"), "poset", base)
+    target = resolve(_require(doc, "target", "morphism"), "poset", base)
     mapping = _keyed(_require(doc, "map", "morphism"), "morphism map")
     for value in mapping.values():
         _string(value, "a morphism map value")
@@ -207,8 +218,8 @@ def _point_to_doc(p: Point):
 
 
 def metric_morphism_from_doc(doc, base: Path | None = None) -> MetricGraphMorphism:
-    source = _resolve_metric_graph(_require(doc, "source", "metric morphism"), base)
-    target = _resolve_metric_graph(_require(doc, "target", "metric morphism"), base)
+    source = resolve(_require(doc, "source", "metric morphism"), "metric graph", base)
+    target = resolve(_require(doc, "target", "metric morphism"), "metric graph", base)
     vertex_images = {
         v: _point_from_doc(img)
         for v, img in _keyed(_require(doc, "vertex_images", "metric morphism"),
@@ -259,66 +270,70 @@ def _load_json(path: Path):
         raise FormatError(f"{path} nests deeper than the JSON parser allows") from None
 
 
-def _resolve_poset(value, base: Path | None) -> Poset:
+def _itself(obj):
+    return obj
+
+
+# kind: {loaded type the kind accepts: its conversion}
+KINDS = {
+    "poset": {Poset: _itself, MetricGraph: graph_face_poset},
+    "morphism": {PosetMorphism: _itself, MetricGraphMorphism: morphism_face_poset},
+    "metric graph": {MetricGraph: _itself},
+    "metric graph morphism": {MetricGraphMorphism: _itself},
+    "simplicial complex": {SimplicialComplex: _itself},
+}
+
+# the kinds a morphism document embeds, with the parser of an inline one
+INLINE = {"poset": poset_from_doc, "metric graph": metric_graph_from_doc}
+
+
+def resolve(value, kind: str, base: Path | None = None):
+    """The object of the given kind that value stands for: an inline
+    document, or a name for load_named, converted as KINDS says."""
     if isinstance(value, dict):
-        return poset_from_doc(value)
-    if isinstance(value, str):
-        obj = load_named(value, base)
-        got = as_poset(obj, value)
-        if got is not None:
-            return got
-    raise FormatError(f"cannot interpret {value!r} as a poset")
+        return INLINE[kind](value)
+    accepts = KINDS[kind]
+    obj = load_named(value, base) if isinstance(value, str) else None
+    convert = accepts.get(type(obj))
+    if convert is not None:
+        return convert(obj)
+    if isinstance(obj, (PosetMorphism, MetricGraphMorphism)) and type(obj.source) in accepts:
+        raise FormatError(f"{value!r} is a morphism; use {value}/source or {value}/target")
+    raise FormatError(f"{value!r} does not describe a {kind}")
 
 
-def _resolve_metric_graph(value, base: Path | None) -> MetricGraph:
-    if isinstance(value, dict):
-        return metric_graph_from_doc(value)
-    if isinstance(value, str):
-        obj = load_named(value, base)
-        if isinstance(obj, MetricGraph):
-            return obj
-        if isinstance(obj, MetricGraphMorphism):
-            raise FormatError(f"{value!r} is a morphism, expected a metric graph")
-    raise FormatError(f"cannot interpret {value!r} as a metric graph")
-
-
-def as_poset(obj, label: str):
-    """Coerce a loaded object to a poset when the intent is unambiguous."""
-    if isinstance(obj, Poset):
+def resolve_index(name: str, carrier: Poset) -> IndexMap:
+    """The index map on carrier that name stands for: an index map
+    fixture on that poset, or a document of values."""
+    obj = load_named(name)
+    if isinstance(obj, IndexMap):
+        if obj.poset != carrier:
+            raise FormatError(f"index map {name!r} lives on a different poset")
         return obj
-    if isinstance(obj, MetricGraph):
-        return graph_face_poset(obj)
-    if isinstance(obj, (PosetMorphism, MetricGraphMorphism)):
-        raise FormatError(
-            f"{label!r} is a morphism; use {label}/source or {label}/target"
-        )
-    return None
+    if isinstance(obj, dict):
+        return index_map_from_doc(obj, carrier)
+    raise FormatError(f"{name!r} does not describe an index map")
 
 
 def load_named(name: str, base: Path | None = None):
-    """Load a fixture by name or a document by path.
+    """Load a fixture by name or a document by path, relative to base (by
+    default the working directory).
 
-    Morphism fixtures accept /source and /target suffixes that select the
-    corresponding poset (face poset for the metric fixture).
+    A /source or /target suffix on a morphism fixture, or on a morphism
+    document where the name without it is a file, selects that side.
     """
-    side = None
-    stem = name
-    if name.endswith("/source") or name.endswith("/target"):
-        stem, side = name.rsplit("/", 1)
-    if stem in fixtures.FIXTURES:
-        obj = fixtures.load_fixture(stem)
-        if side is None:
-            return obj
-        if isinstance(obj, PosetMorphism):
-            return getattr(obj, side)
-        if isinstance(obj, MetricGraphMorphism):
-            return graph_face_poset(getattr(obj, side))
-        raise FormatError(f"fixture {stem!r} has no {side} side")
-    path = Path(name)
-    if base is not None and not path.is_absolute():
-        path = base / path
-    doc = _load_json(path)
-    return document_from_doc(doc, path.parent)
+    if name in fixtures.FIXTURES:
+        return fixtures.load_fixture(name)
+    path = (Path.cwd() if base is None else base) / name
+    stem, _, side = name.rpartition("/")
+    # a file has no children, so a path whose parent is a file cannot exist
+    if side in ("source", "target") and (stem in fixtures.FIXTURES or path.parent.is_file()):
+        obj = load_named(stem, base)
+        if not isinstance(obj, (PosetMorphism, MetricGraphMorphism)):
+            what = "fixture" if stem in fixtures.FIXTURES else "document"
+            raise FormatError(f"{what} {stem!r} has no {side} side")
+        return getattr(obj, side)
+    return document_from_doc(_load_json(path), path.parent)
 
 
 def document_from_doc(doc, base: Path | None = None):

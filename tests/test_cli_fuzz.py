@@ -121,7 +121,8 @@ def names(doc):
 def arguments(draw, pool):
     """The arguments after the action word of every (command, action) of
     cli.COMMANDS, over the placeholder file names P (poset), M (morphism),
-    I (index map), G (metric morphism) and C (complex)."""
+    I (index map), G (metric morphism) and C (complex), where a poset or
+    graph may also be drawn as a side of M or G (M/source, G/target)."""
     word = st.sampled_from(pool)
     csv = st.lists(word, max_size=3).map(",".join)
     small = st.integers(-1, 3).map(str)
@@ -131,9 +132,12 @@ def arguments(draw, pool):
     def pick(*choices):
         return draw(st.sampled_from(choices))
 
+    def poset():
+        return pick("P", pick("M/source", "M/target", "G/source", "G/target"))
+
     # each option draws its own arguments only when it is the one picked
     return {
-        **{("poset", action): lambda: ["P", *pick([], ["--connected"], ["--oracle-limit", "4"])]
+        **{("poset", action): lambda: [poset(), *pick([], ["--connected"], ["--oracle-limit", "4"])]
            for action in ("validate", "stats", "upsets")},
         ("morphism", "check"): lambda: ["--morphism", "M"],
         **{("cover", action): lambda: ["--morphism", "M", "--index", "I"]
@@ -144,11 +148,11 @@ def arguments(draw, pool):
         **{("lift", action): lambda: ["--morphism", "M", "--index", "I",
                                       "--start", draw(word), "--path", draw(csv)]
            for action in ("up", "path")},
-        ("connect", "codimk"): lambda: ["--poset", "P", "--k", draw(small)],
-        ("connect", "strong"): lambda: ["--poset", "P"],
+        ("connect", "codimk"): lambda: ["--poset", poset(), "--k", draw(small)],
+        ("connect", "strong"): lambda: ["--poset", poset()],
         ("connect", "lifting"): lambda: ["--morphism", "M", "--index", "I",
                                          "--mode", pick("one-fibre", "codim"), "--k", draw(small)],
-        ("subdivide", "bcs"): lambda: pick(["--poset", "P"], ["--morphism", "M"],
+        ("subdivide", "bcs"): lambda: pick(["--poset", poset()], ["--morphism", "M"],
                                            ["--poset", "M"]),
         ("subdivide", "stellar"): lambda: ["--complex", "C", "--face", draw(faces),
                                            "--vertex", pick("w", "v0")],
@@ -156,8 +160,9 @@ def arguments(draw, pool):
         ("graph", "sample"): lambda: ["--morphism", "G", *pick(
             ["--random", draw(small), "--seed", "1"], ["--point", draw(word)],
             ["--point", draw(word) + ":1/2"])],
-        ("graph", "poset"): lambda: [pick("--morphism", "--graph"), "G"],
-        ("export", "dot"): lambda: [*pick(["--poset", "P"], ["--morphism", "M"],
+        ("graph", "poset"): lambda: [pick("--morphism", "--graph"),
+                                     pick("G", "G/source", "G/target")],
+        ("export", "dot"): lambda: [*pick(["--poset", poset()], ["--morphism", "M"],
                                           ["--morphism", "P"]),
                                     "--kind", pick("hasse", "covering", "comparability")],
         **{("fixtures", action): lambda: [] for action in ("list", "run")},
@@ -175,6 +180,13 @@ def commands(draw, pool):
     options = arguments(draw, pool)
     command, action = draw(st.sampled_from(list(options)))
     return [command, *([action] if action else []), *options[command, action]()]
+
+
+def placed(arg, files):
+    """arg with its placeholder, alone or before a side suffix, replaced by
+    the placeholder's file."""
+    stem, slash, side = arg.partition("/")
+    return files[stem] + slash + side if stem in files else arg
 
 
 def run(argv):
@@ -205,7 +217,7 @@ def test_every_subcommand_exits_cleanly(data):
         for key, doc in docs.items():
             files[key] = str(Path(tmp) / f"{key}.json")
             Path(files[key]).write_text(json.dumps(doc), encoding="utf-8")
-        argv = [files.get(a, a) for a in argv]
+        argv = [placed(a, files) for a in argv]
         code, out = run(argv)
         assert (code, out) == run(argv)
     assert code in (0, 1, 2), out

@@ -17,6 +17,7 @@ FIXTURE_COMMANDS = [
     ["poset", "validate", "FIX-TROP/target"],
     ["poset", "stats", "FIX-TROP/target"],
     ["poset", "stats", "FIX-IDREAD/source"],
+    ["poset", "stats", "FIX-GRAPH/source"],
     ["poset", "upsets", "FIX-TROP/target"],
     ["poset", "upsets", "FIX-CE1/source"],
     ["poset", "upsets", "FIX-IDREAD/source", "--connected"],
@@ -52,6 +53,7 @@ FIXTURE_COMMANDS = [
     ["graph", "sample", "--morphism", "FIX-GRAPH", "--point", "t:5/2"],
     ["graph", "sample", "--morphism", "FIX-GRAPH", "--random", "10", "--seed", "3"],
     ["graph", "poset", "--morphism", "FIX-GRAPH"],
+    ["graph", "poset", "--graph", "FIX-GRAPH/source"],
     ["export", "dot", "--poset", "FIX-TROP/target", "--kind", "covering"],
     ["export", "dot", "--morphism", "FIX-TROP", "--kind", "hasse"],
     ["export", "dot", "--morphism", "FIX-IDREAD", "--kind", "comparability"],

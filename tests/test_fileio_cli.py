@@ -19,7 +19,7 @@ from posetcover.errors import (
     UnknownElement,
 )
 from posetcover.fixtures import fix_graph, fix_trop, fix_trop_m
-from posetcover.metric import morphism_face_poset
+from posetcover.metric import graph_face_poset, morphism_face_poset
 from posetcover.morphisms import PosetMorphism
 from posetcover.posets import Poset
 
@@ -93,8 +93,9 @@ class TestDocuments:
 
     def test_fixture_reference_sides(self):
         assert fileio.load_named("FIX-TROP/target") == fix_trop().target
-        face = fileio.load_named("FIX-GRAPH/source")
-        assert isinstance(face, Poset)
+        side = fileio.load_named("FIX-GRAPH/source")
+        assert side is fix_graph().source
+        assert fileio.resolve("FIX-GRAPH/source", "poset") == graph_face_poset(side)
 
 
 class TestDot:

@@ -1,0 +1,187 @@
+"""What a reference may stand for: every kind of slot of ``fileio.KINDS``
+against every type a reference can load, as a CLI argument and, for the
+kinds that a morphism document embeds, as the document's ``source``.
+Each case is accepted as it is, converted, or refused with its text.
+Sides of morphism documents are read like sides of fixtures."""
+
+import json
+
+import pytest
+
+from posetcover import cli, fileio, fixtures
+from posetcover.errors import FormatError
+from posetcover.fixtures import fix_trop
+from posetcover.metric import (
+    MetricGraph,
+    MetricGraphMorphism,
+    graph_face_poset,
+    morphism_face_poset,
+)
+from posetcover.morphisms import PosetMorphism
+from posetcover.posets import Poset
+from posetcover.subdivision import SimplicialComplex
+
+# one reference of each type that a reference can load; the complex and
+# the index document have no fixture and are written to files
+LOADED = {
+    "Poset": "FIX-TROP/target",
+    "PosetMorphism": "FIX-TROP",
+    "MetricGraph": "FIX-GRAPH/source",
+    "MetricGraphMorphism": "FIX-GRAPH",
+    "IndexMap": "FIX-TROP-M",
+    "SimplicialComplex": "complex.json",
+    "index document": "index.json",
+}
+
+
+def _itself(obj):
+    return obj
+
+
+# the accepted (kind, loaded type) pairs and their conversions
+ACCEPTED = {
+    ("poset", "Poset"): _itself,
+    ("poset", "MetricGraph"): graph_face_poset,
+    ("morphism", "PosetMorphism"): _itself,
+    ("morphism", "MetricGraphMorphism"): morphism_face_poset,
+    ("metric graph", "MetricGraph"): _itself,
+    ("metric graph morphism", "MetricGraphMorphism"): _itself,
+    ("simplicial complex", "SimplicialComplex"): _itself,
+}
+
+# the refused pairs whose sides the slot accepts, refused with the hint
+HINTED = {("poset", "PosetMorphism"), ("poset", "MetricGraphMorphism"),
+          ("metric graph", "MetricGraphMorphism")}
+
+# one command per kind that reads its argument into a slot of that kind
+COMMAND = {
+    "poset": lambda ref: ["poset", "stats", ref],
+    "morphism": lambda ref: ["morphism", "check", "--morphism", ref],
+    "metric graph": lambda ref: ["graph", "poset", "--graph", ref],
+    "metric graph morphism": lambda ref: ["graph", "refine", "--morphism", ref],
+    "simplicial complex": lambda ref: ["subdivide", "stellar", "--complex", ref,
+                                       "--face", "1", "--vertex", "p"],
+}
+
+
+TO_DOC = {Poset: fileio.poset_to_doc, PosetMorphism: fileio.morphism_to_doc,
+          MetricGraph: fileio.metric_graph_to_doc,
+          MetricGraphMorphism: fileio.metric_morphism_to_doc,
+          SimplicialComplex: fileio.complex_to_doc}
+
+
+def _doc(obj):
+    """A loaded object as its document, so that objects without an
+    equality compare by value."""
+    return TO_DOC[type(obj)](obj)
+
+
+def _identity_doc(kind, obj):
+    """The fields besides source and target of a morphism document from
+    obj to itself; empty where obj is None."""
+    if kind == "poset":
+        return {"map": {x: x for x in (obj.elements if obj else ())}}
+    edges = obj.edges.items() if obj else ()
+    return {"vertex_images": {v: v for v in (obj.vertices if obj else ())},
+            "edge_images": {eid: {"edge": eid, "from": "0", "to": str(e.length), "slope": 1}
+                            for eid, e in edges}}
+
+
+def _run(argv, capsys):
+    code = cli.main(["--format", "machine", *argv])
+    return code, capsys.readouterr().out
+
+
+@pytest.fixture
+def references(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "complex.json").write_text(fileio.dumps(
+        {"vertices": ["1", "2", "3"], "maximal_faces": [["1", "2", "3"]]}))
+    (tmp_path / "index.json").write_text(fileio.dumps({"values": {"A1": 3}}))
+    return tmp_path
+
+
+CASES = [(kind, loaded) for kind in fileio.KINDS for loaded in LOADED]
+
+
+def test_the_cases_cover_the_table():
+    assert set(COMMAND) == set(fileio.KINDS)
+    assert {kind for kind, _ in ACCEPTED} == set(fileio.KINDS)
+
+
+@pytest.mark.parametrize("kind,loaded", CASES, ids=[f"{k}-{t}" for k, t in CASES])
+def test_a_slot_accepts_converts_or_refuses(kind, loaded, references, capsys):
+    ref = LOADED[loaded]
+    convert = ACCEPTED.get((kind, loaded))
+    if (kind, loaded) in HINTED:
+        detail = f"{ref!r} is a morphism; use {ref}/source or {ref}/target"
+    else:
+        detail = f"{ref!r} does not describe a {kind}"
+
+    # as a CLI argument
+    code, out = _run(COMMAND[kind](ref), capsys)
+    if convert is not None:
+        expected = convert(fileio.load_named(ref))
+        assert _doc(fileio.resolve(ref, kind)) == _doc(expected)
+        assert code in (0, 1), out
+    else:
+        with pytest.raises(FormatError) as refused:
+            fileio.resolve(ref, kind)
+        assert str(refused.value) == detail
+        assert code == 2
+        assert json.loads(out)["witnesses"] == [{"error": "FormatError", "detail": detail}]
+
+    # as the source of a morphism document, for the kinds a document embeds
+    if kind not in ("poset", "metric graph"):
+        return
+    source = convert(fileio.load_named(ref)) if convert is not None else None
+    doc = {"source": ref, "target": ref, **_identity_doc(kind, source)}
+    (references / "phi.json").write_text(fileio.dumps(doc))
+    command = {"poset": "morphism", "metric graph": "metric graph morphism"}[kind]
+    code, out = _run(COMMAND[command]("phi.json"), capsys)
+    if convert is not None:
+        assert _doc(fileio.load_named("phi.json").source) == _doc(source)
+        assert code == 0, out
+    else:
+        assert code == 2
+        assert json.loads(out)["witnesses"] == [{"error": "FormatError", "detail": detail}]
+
+
+@pytest.mark.parametrize("fixture,to_doc", [("FIX-TROP", fileio.morphism_to_doc),
+                                            ("FIX-GRAPH", fileio.metric_morphism_to_doc)])
+def test_the_sides_of_a_morphism_document_load_as_the_hint_says(fixture, to_doc, references,
+                                                                capsys):
+    (references / "m.json").write_text(fileio.dumps(to_doc(fixtures.load_fixture(fixture))))
+    code, out = _run(["poset", "stats", "m.json"], capsys)
+    assert code == 2
+    hint = "'m.json' is a morphism; use m.json/source or m.json/target"
+    assert json.loads(out)["witnesses"] == [{"error": "FormatError", "detail": hint}]
+    for side in ("source", "target"):
+        code, out = _run(["poset", "stats", f"m.json/{side}"], capsys)
+        assert code == 0
+        assert out == _run(["poset", "stats", f"{fixture}/{side}"], capsys)[1]
+
+
+def test_a_path_that_exists_wins_over_a_side(references, capsys):
+    (references / "d.json").mkdir()
+    (references / "d.json" / "source").write_text(fileio.dumps(
+        {"elements": ["x"], "covers": []}))
+    code, out = _run(["poset", "stats", "d.json/source"], capsys)
+    assert code == 0 and json.loads(out)["data"]["elements"] == ["x"]
+
+
+def test_a_fixture_side_wins_over_a_path(references, capsys):
+    (references / "FIX-TROP").mkdir()
+    (references / "FIX-TROP" / "target").write_text(fileio.dumps(
+        {"elements": ["x"], "covers": []}))
+    code, out = _run(["poset", "stats", "FIX-TROP/target"], capsys)
+    assert code == 0
+    assert json.loads(out)["data"]["elements"] == sorted(fix_trop().target.elements)
+
+
+def test_a_document_that_is_no_morphism_has_no_sides(references, capsys):
+    (references / "p.json").write_text(fileio.dumps(fileio.poset_to_doc(fix_trop().target)))
+    code, out = _run(["poset", "stats", "p.json/source"], capsys)
+    assert code == 2
+    assert json.loads(out)["witnesses"] == [
+        {"error": "FormatError", "detail": "document 'p.json' has no source side"}]
