@@ -138,13 +138,16 @@ def _value_list(phi: PosetMorphism, m: IndexMap) -> list:
 
 
 def _push_plan(phi: PosetMorphism):
-    """Split the source indices, top first in (depth, id) order, into the
-    free elements, whose image is maximal so no balancing condition binds
-    them, and the (alpha, cover groups) pairs of all the others."""
-    depth = phi.source._depth
+    """The one top-down walk of the source: its indices in (-height, id)
+    order, so every element comes after the elements covering it, split
+    into the free elements, whose image is maximal so no balancing
+    condition binds them, and the (alpha, cover groups) pairs of all the
+    others."""
+    height = phi.source._height
     groups = _cover_groups(phi)
     free, plan = [], []
-    for i in sorted(range(len(depth)), key=lambda i: (depth[i], i)):
+    # a reversed sort keeps equal heights in index order
+    for i in sorted(range(len(height)), key=height.__getitem__, reverse=True):
         if groups[i]:
             plan.append((i, groups[i]))
         else:
@@ -166,14 +169,6 @@ def _push_down(plan, values: list):
                 return None
         values[alpha] = total
     return values
-
-
-def _pushed_index_map(phi: PosetMorphism, free, plan, values: list) -> IndexMap:
-    """The total index map of pushed-down values, keyed free elements
-    first and then in plan order."""
-    ids = phi.source._ids
-    order = free + [alpha for alpha, _ in plan]
-    return IndexMap.total(phi.source, {ids[i]: values[i] for i in order})
 
 
 def is_balanced(phi: PosetMorphism, m: IndexMap) -> Check:
@@ -381,11 +376,14 @@ def search_balanced(
     if bound < 1:
         raise ValueError(f"bound must be at least 1, got {bound}")
     free, plan = _push_plan(phi)
-    free.sort()
 
-    states = bound ** len(free)
-    if states > state_limit:
-        raise OracleSizeExceeded(states, state_limit)
+    # bound ** len(free) only as far as the limit: the full power of many
+    # free elements is too large to compute, let alone print
+    states = 1
+    for _ in free:
+        states *= bound
+        if states > state_limit:
+            raise OracleSizeExceeded(f"{bound}**{len(free)}", state_limit, "search states")
 
     # values by index, so comparing lists compares in element order
     best = None
@@ -401,4 +399,4 @@ def search_balanced(
             best = values
     if best is None:
         return None
-    return _pushed_index_map(phi, free, plan, best)
+    return IndexMap.total(phi.source, dict(zip(phi.source._ids, best)))

@@ -1,8 +1,9 @@
 """Extension of balanced maps and path lifting.
 
-Extension walks the missing elements in decreasing rank order so every
-element covering the current one already has a value; each candidate value
-comes from one cover of the image, and the extension succeeds at an element
+Extension walks the missing elements along the top-down plan of the
+balancing push in ``covers`` ((-height, id) order), so every element
+covering the current one already has a value; each candidate value comes
+from one cover of the image, and the extension succeeds at an element
 exactly when all candidates agree.  When the hypotheses of the extension
 theorem hold at every step the result is marked ``guaranteed``; otherwise
 extension is attempted anyway and the report says ``opportunistic``.
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .covers import IndexMap, _cover_groups, _value_list, is_balanced
+from .covers import IndexMap, _push_plan, _value_list, is_balanced
 from .errors import (
     CorestrictionNotCombinatorial,
     MaxElementsUncovered,
@@ -78,21 +79,18 @@ def extend_balanced(phi: PosetMorphism, m: IndexMap, target_upset) -> ExtensionR
     source, target = phi.source, phi.target
     ids, t_ids = source._ids, target._ids
     image_of, t_above = phi._image_of, target._above
-    cover_groups = _cover_groups(phi)
     values = dict(m.values)
     known = _value_list(phi, m)  # by index; None while unvalued
     valued = source._bits(m.domain)
+    todo = source._bits(w) & ~valued
+    free, plan = _push_plan(phi)
+    unconstrained = [ids[i] for i in free if todo >> i & 1]
     conflicts = []
-    unconstrained = []
     guaranteed = True
-    height = source._height
-    todo = sorted(bit_indices(source._bits(w) & ~valued), key=lambda i: (-height[i], i))
-    for i in todo:
-        alpha = ids[i]
-        groups = cover_groups[i]
-        if not groups:
-            unconstrained.append(alpha)
+    for i, groups in plan:
+        if not todo >> i & 1:
             continue
+        alpha = ids[i]
         if guaranteed:
             # the theorem's hypothesis: the up-set of phi(alpha) punctured
             # at phi(alpha) is connected and its preimage already valued

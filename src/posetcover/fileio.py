@@ -21,6 +21,7 @@ poset they live on, and ``resolve_index`` reads them.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -34,6 +35,17 @@ from .posets import Poset, rank_check
 from .subdivision import SimplicialComplex
 
 
+# Python's limit on the digits of an int read from text, which already
+# refuses a longer numerator; a larger exponent is refused before Fraction
+# expands it
+MAX_EXPONENT = 4300
+# Fraction's decimal spelling with an exponent, the exponent captured: the
+# one spelling whose value can outgrow its text.  Compiled on first use (by
+# re's cache), so a CLI process that reads no such spelling never pays for it
+_EXPONENT_FORM = (r"(?i)\s*[-+]?(?=\d|\.\d)\d*(?:_\d+)*(?:\.(?:\d+(?:_\d+)*)?)?"
+                  r"e([-+]?\d+(?:_\d+)*)\s*")
+
+
 def parse_rational(text) -> Fraction:
     # bool is an int, but a JSON true or false is no rational
     if isinstance(text, int) and not isinstance(text, bool):
@@ -45,6 +57,10 @@ def parse_rational(text) -> Fraction:
             if text.isascii() and num.removeprefix("-").isdigit() and (
                     not slash or den.isdigit() and den.strip("0")):
                 return Fraction(int(num), int(den or 1))
+            form = re.fullmatch(_EXPONENT_FORM, text)
+            if form and abs(int(form[1])) > MAX_EXPONENT:
+                raise FormatError(f"bad rational {text!r}: exponent above {MAX_EXPONENT} "
+                                  "in magnitude")
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise FormatError(f"bad rational {text!r}: {exc}") from None

@@ -156,7 +156,7 @@ class Poset:
         self._order_ix = order
         # filled on first use; declared here because a later write keeps the
         # compact attribute layout that writing to __dict__ would give up
-        self._height_memo = self._depth_memo = self._covers_memo = None
+        self._height_memo = self._covers_memo = None
         # strict reachability over covers as bitsets; a cover i < j is
         # redundant when j is also reachable through another cover of i
         above = [0] * n
@@ -239,27 +239,14 @@ class Poset:
         """Length of the longest cover chain from a minimal element up to
         each element, by index."""
         if self._height_memo is None:
-            self._height_memo = self._longest(self._order_ix, self._down_ix)
+            height = [0] * len(self._ids)
+            down = self._down_ix
+            for i in self._order_ix:  # every lower cover before its element
+                for j in down[i]:
+                    if height[j] >= height[i]:
+                        height[i] = height[j] + 1
+            self._height_memo = height
         return self._height_memo
-
-    @property
-    def _depth(self) -> list[int]:
-        """Length of the longest cover chain from each element up to a
-        maximal element, by index."""
-        if self._depth_memo is None:
-            self._depth_memo = self._longest(reversed(self._order_ix), self._up_ix)
-        return self._depth_memo
-
-    @staticmethod
-    def _longest(order, steps) -> list[int]:
-        """Longest chain lengths along ``steps`` (lower or upper covers),
-        filled in an order that lists every step before its element."""
-        length = [0] * len(steps)
-        for i in order:
-            for j in steps[i]:
-                if length[j] >= length[i]:
-                    length[i] = length[j] + 1
-        return length
 
     # ----- order queries -------------------------------------------------
 

@@ -14,9 +14,11 @@ from __future__ import annotations
 
 from random import Random
 
-from posetcover.covers import IndexMap, _push_down, _push_plan, _pushed_index_map, is_balanced
+from posetcover.covers import IndexMap, _push_down, _push_plan, is_balanced
 from posetcover.morphisms import PosetMorphism
 from posetcover.posets import Poset, connectivity
+
+from oracles import longest_chains
 
 
 def random_graded_poset(rng: Random, max_elements: int = 10, max_rank: int = 2) -> Poset:
@@ -106,10 +108,9 @@ def random_sheaf_morphism(
     partition = {}
     # maximal elements first (depth 0), so everything covering delta is
     # already done
-    depth, ids = target._depth, target._ids
-    for t in sorted(range(len(ids)), key=lambda t: (depth[t], t)):
-        delta = ids[t]
-        above = [partition[ids[c]] for c in target._up_ix[t]]
+    _, depth = longest_chains(target.elements, target.covers)
+    for delta in sorted(target.elements, key=lambda e: (depth[e], e)):
+        above = [partition[c] for c in target.covers_of(delta)]
         if not above:
             partition[delta] = _random_partition(rng, sheets)
             continue
@@ -144,12 +145,16 @@ def random_index_map(rng: Random, poset: Poset, hi: int = 3) -> IndexMap:
 def random_balanced_map(rng: Random, phi: PosetMorphism, hi: int = 3):
     """Try to build a total balanced map by choosing top values and pushing
     them down the fibres; None when the random choice is inconsistent."""
+    source = phi.source
     free, plan = _push_plan(phi)
-    values = [0] * len(phi.source)
-    for alpha in free:
+    # the values are drawn in (depth, id) order: another order would change
+    # every seeded instance the tests use
+    _, depth = longest_chains(source.elements, source.covers)
+    values = [0] * len(source)
+    for alpha in sorted(free, key=lambda i: (depth[source._ids[i]], i)):
         values[alpha] = rng.randint(1, hi)
     if _push_down(plan, values) is None:
         return None
-    m = _pushed_index_map(phi, free, plan, values)
+    m = IndexMap.total(source, dict(zip(source._ids, values)))
     assert is_balanced(phi, m)
     return m

@@ -31,10 +31,11 @@ from posetcover.fixtures import (
     fix_trop_m,
 )
 from posetcover.morphisms import PosetMorphism
-from posetcover.posets import Poset
+from posetcover.posets import Poset, rank_check
 
 from generators import (
     random_balanced_map,
+    random_graded_poset,
     random_index_map,
     random_sheaf_morphism,
 )
@@ -272,6 +273,57 @@ class TestSearchBalanced:
         found = search_balanced(fix_trop(), bound=3)
         assert found.values != fix_trop_m().values
         assert global_degree(fix_trop(), found).degree == 2
+
+
+    def test_least_solution_against_enumeration(self):
+        """On small morphisms the search returns the first balanced map of
+        the lexicographic enumeration in element order, or None when the
+        enumeration finds none."""
+        # two least solutions of alpha = a + b = p1 + p2 + p3 at bound 3,
+        # (a, b) = (1, 2) and (2, 1): the walk reaches b (height 2, above
+        # u < v) before a, so the first solution it finds is not the least
+        source = Poset(["alpha", "a", "b", "u", "v", "p1", "p2", "p3"],
+                       [("alpha", "a"), ("alpha", "b"), ("u", "v"), ("v", "b"),
+                        ("alpha", "p1"), ("alpha", "p2"), ("alpha", "p3")])
+        swapped = PosetMorphism(source, Poset(["y", "z", "w"], [("y", "z"), ("y", "w")]),
+                                {"alpha": "y", "a": "z", "b": "z", "u": "z", "v": "z",
+                                 "p1": "w", "p2": "w", "p3": "w"})
+        assert _least_by_enumeration(swapped, 3)["a"] == 1
+        assert search_balanced(swapped, bound=3).values == _least_by_enumeration(swapped, 3)
+
+        rng = Random(36)
+        outcomes = {"found": 0, "none": 0}
+        while sum(outcomes.values()) < 80:
+            if rng.random() < 0.5:
+                phi = random_sheaf_morphism(rng, random_graded_poset(rng, 6, max_rank=3))
+            else:  # a graded poset onto a chain by its rank, often with no solution
+                p = random_graded_poset(rng, 10, max_rank=3)
+                rank = rank_check(p).rank
+                top = max(rank.values())
+                chain = Poset([f"c{i}" for i in range(top + 1)],
+                              [(f"c{i}", f"c{i + 1}") for i in range(top)])
+                phi = PosetMorphism(p, chain, {e: f"c{r}" for e, r in rank.items()})
+            bound = rng.randint(2, 3)
+            if bound ** len(phi.source) > 3 ** 8:
+                continue
+            least = _least_by_enumeration(phi, bound)
+            found = search_balanced(phi, bound=bound)
+            assert (found and found.values) == least
+            outcomes["found" if least else "none"] += 1
+        assert min(outcomes.values()) >= 10, outcomes
+
+
+def _least_by_enumeration(phi, bound):
+    """The first total map with values in 1..bound, in lexicographic
+    element order, that meets every balancing condition, each read off the
+    cover pairs: alpha's value against the sum over the covers of alpha in
+    the fibre of a cover beta of its image.  None if there is none."""
+    order = sorted(phi.source.elements)
+    conditions = [(alpha, [g for g in phi.source.covers_of(alpha) if phi(g) == beta])
+                  for alpha in order for beta in phi.target.covers_of(phi(alpha))]
+    return next((values for values in _all_assignments(order, bound)
+                 if all(values[a] == sum(values[g] for g in above) for a, above in conditions)),
+                None)
 
 
 def _all_assignments(order, bound):

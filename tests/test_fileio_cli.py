@@ -9,6 +9,7 @@ from random import Random
 import pytest
 
 from posetcover import cli, dot, extend, fileio, fixtures, posets, subdivision
+from posetcover.covers import DEFAULT_SEARCH_STATES
 from posetcover.dot import export_dot
 from posetcover.errors import (
     CycleDetected,
@@ -655,6 +656,39 @@ def test_random_points_above_the_cap_are_refused(capsys):
     assert code == 2 and elapsed < 1
     assert payload["witnesses"] == [{"error": "OracleSizeExceeded", "detail": str(
         OracleSizeExceeded(limit + 1, limit, "--random"))}]
+
+
+@pytest.mark.parametrize("bound", [2, 100, 10 ** 100])
+def test_search_on_many_free_elements_stops_at_the_state_guard(bound, tmp_path, capsys):
+    # every element of an antichain is free, so the search space is bound ** 3000
+    poset = {"elements": [f"a{i:04d}" for i in range(3000)], "covers": []}
+    path = tmp_path / "antichain_identity.json"
+    path.write_text(fileio.dumps({"source": poset, "target": poset,
+                                  "map": {x: x for x in poset["elements"]}}))
+    start = time.monotonic()
+    code = cli.main(["--format", "machine", "cover", "search", "--morphism", str(path),
+                     "--bound", str(bound)])
+    elapsed = time.monotonic() - start
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 2 and elapsed < 1
+    assert payload["witnesses"] == [{"error": "OracleSizeExceeded", "detail": str(
+        OracleSizeExceeded(f"{bound}**3000", DEFAULT_SEARCH_STATES, "search states"))}]
+
+
+@pytest.mark.parametrize("value", ["1e10000000", "1e999999999", "1e-999999999"])
+def test_exponents_above_the_limit_are_usage_errors(value, tmp_path, capsys):
+    path = tmp_path / "graph.json"
+    path.write_text(fileio.dumps({"vertices": ["u", "v"],
+                                  "edges": [{"id": "t", "a": "u", "b": "v", "length": value}]}))
+    detail = str(FormatError(f"bad rational {value!r}: exponent above 4300 in magnitude"))
+    for argv in (["graph", "poset", "--graph", str(path)],
+                 ["graph", "sample", "--morphism", "FIX-GRAPH", "--point", f"t:{value}"]):
+        start = time.monotonic()
+        code = cli.main(["--format", "machine", *argv])
+        elapsed = time.monotonic() - start
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 2 and elapsed < 1
+        assert payload["witnesses"] == [{"error": "FormatError", "detail": detail}]
 
 
 def poset_with_comparable_pairs(pairs: int) -> dict:

@@ -362,6 +362,41 @@ def test_witness_lists_against_oracles():
         assert kinds[kind], kind
 
 
+def test_extension_into_a_proper_up_set_against_the_oracle():
+    """Extension over an up-set that holds the domain but not the whole
+    source: the walk skips the elements outside it."""
+    kinds = Counter()
+    for family in FAMILIES + [truncated, extra_tops]:
+        rng = Random(f"proper extension/{family.__name__}")
+        for _ in range(60):
+            phi = family(rng)
+            if defects(phi):
+                continue
+            source, target, mapping = phi.source, phi.target, phi.mapping
+            elements = sorted(source.elements)
+            pushed = random_balanced_map(rng, phi)
+            values = pushed.values if pushed else {x: rng.randint(1, 3) for x in elements}
+            domain = source.up_set(list(source.max_elements())
+                                   + [x for x in elements if rng.random() < 0.2])
+            m = IndexMap(source, {x: values[x] for x in domain})
+            if brute_balance_violations(source.covers, target.covers, mapping, m.values):
+                continue
+            upset = domain | source.up_set([x for x in elements if rng.random() < 0.3])
+            if len(upset) == len(source):
+                continue
+            report = extend_balanced(phi, m, upset)
+            assert (report.extended.values, report.mode,
+                    [tuple(c) for c in report.conflicts], report.unconstrained) == brute_extension(
+                source.elements, source.covers, target.elements, target.covers, mapping,
+                m.values, upset)
+            assert report.extended.domain <= upset
+            kinds[report.mode + (" with conflicts" if report.conflicts else "")] += 1
+            kinds["grown"] += len(report.extended.domain) > len(domain)
+    print(dict(sorted(kinds.items())))
+    for kind in ("guaranteed", "opportunistic with conflicts", "grown"):
+        assert kinds[kind] >= 5, kind
+
+
 def test_strong_connectivity_by_merged_covers():
     """The punctured up-set test of strong connectivity and extension
     against components grown by breadth-first search."""
