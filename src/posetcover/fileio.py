@@ -1,8 +1,10 @@
 """Reading and writing the JSON documents the CLI consumes and emits.
 
 All files are UTF-8 JSON.  Rationals travel as "p/q" or plain integer
-strings.  Identifiers must be JSON strings inside the expected lists and
-objects; anything else raises FormatError.
+strings, and a value the writer could not write, one whose numerator or
+denominator has more than MAX_DIGITS digits, is refused when read.
+Identifiers must be JSON strings inside the expected lists and objects;
+anything else raises FormatError.
 
 Every object the tool reads, whether a CLI argument or the source or
 target of a morphism document, is a reference that ``resolve`` reads
@@ -35,15 +37,22 @@ from .posets import Poset, rank_check
 from .subdivision import SimplicialComplex
 
 
-# Python's limit on the digits of an int read from text, which already
-# refuses a longer numerator; a larger exponent is refused before Fraction
-# expands it
-MAX_EXPONENT = 4300
+# Python's limit on the digits of an int read from or written as text.
+# Reading a longer numerator already fails.  A decimal exponent above it in
+# magnitude is refused before Fraction expands it, and a value whose
+# numerator or denominator has more digits, which could not be written, after
+MAX_DIGITS = 4300
 # Fraction's decimal spelling with an exponent, the exponent captured: the
 # one spelling whose value can outgrow its text.  Compiled on first use (by
 # re's cache), so a CLI process that reads no such spelling never pays for it
 _EXPONENT_FORM = (r"(?i)\s*[-+]?(?=\d|\.\d)\d*(?:_\d+)*(?:\.(?:\d+(?:_\d+)*)?)?"
                   r"e([-+]?\d+(?:_\d+)*)\s*")
+
+
+def _too_long(n: int) -> bool:
+    """Whether n has more than MAX_DIGITS decimal digits; 10**MAX_DIGITS
+    exceeds 2**(3 * MAX_DIGITS), so the bit length screens out the rest."""
+    return n.bit_length() > 3 * MAX_DIGITS and abs(n) >= 10 ** MAX_DIGITS
 
 
 def parse_rational(text) -> Fraction:
@@ -53,17 +62,22 @@ def parse_rational(text) -> Fraction:
     if isinstance(text, str):
         num, slash, den = text.partition("/")
         try:
-            # format_rational's form is read without Fraction's regular expression
+            # format_rational's form is read without Fraction's regular
+            # expression; int() bounds its digits, and reducing only shrinks them
             if text.isascii() and num.removeprefix("-").isdigit() and (
                     not slash or den.isdigit() and den.strip("0")):
                 return Fraction(int(num), int(den or 1))
             form = re.fullmatch(_EXPONENT_FORM, text)
-            if form and abs(int(form[1])) > MAX_EXPONENT:
-                raise FormatError(f"bad rational {text!r}: exponent above {MAX_EXPONENT} "
+            if form and abs(int(form[1])) > MAX_DIGITS:
+                raise FormatError(f"bad rational {text!r}: exponent above {MAX_DIGITS} "
                                   "in magnitude")
-            return Fraction(text)
+            value = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise FormatError(f"bad rational {text!r}: {exc}") from None
+        if _too_long(value.numerator) or _too_long(value.denominator):
+            raise FormatError(f"bad rational {text!r}: more than {MAX_DIGITS} digits "
+                              "in its numerator or denominator")
+        return value
     raise FormatError(f"rationals must be strings like '3' or '5/2', got {text!r}")
 
 
@@ -193,15 +207,34 @@ def complex_to_doc(k: SimplicialComplex) -> dict:
 # ----- metric graphs ----------------------------------------------------------
 
 
+def _rational_reader():
+    """parse_rational behind a memo of the strings it has read: a document
+    repeats few distinct rationals.  Only successes are kept, so an error,
+    and which value raises first, is that of parsing every value."""
+    memo = {}
+
+    def read(text) -> Fraction:
+        # strings only: true, 1 and 1.0 are one dict key
+        if type(text) is not str:
+            return parse_rational(text)
+        value = memo.get(text)
+        if value is None:
+            value = memo[text] = parse_rational(text)
+        return value
+
+    return read
+
+
 def metric_graph_from_doc(doc) -> MetricGraph:
     vertices = _strings(_require(doc, "vertices", "metric graph"), "metric graph vertices")
+    rational = _rational_reader()
     edges = []
     for e in _list(_require(doc, "edges", "metric graph"), "metric graph edges"):
         edges.append((
             _string(_require(e, "id", "edge"), "an edge id"),
             _string(_require(e, "a", "edge"), "an edge endpoint"),
             _string(_require(e, "b", "edge"), "an edge endpoint"),
-            parse_rational(_require(e, "length", "edge")),
+            rational(_require(e, "length", "edge")),
         ))
     return MetricGraph(vertices, edges)
 
@@ -216,13 +249,13 @@ def metric_graph_to_doc(g: MetricGraph) -> dict:
     }
 
 
-def _point_from_doc(value) -> Point:
+def _point_from_doc(value, rational) -> Point:
     if isinstance(value, str):
         return Point.at_vertex(value)
     if isinstance(value, dict):
         return Point.interior(
             _string(_require(value, "edge", "point"), "a point edge"),
-            parse_rational(_require(value, "pos", "point")),
+            rational(_require(value, "pos", "point")),
         )
     raise FormatError(f"bad point {value!r}")
 
@@ -236,8 +269,9 @@ def _point_to_doc(p: Point):
 def metric_morphism_from_doc(doc, base: Path | None = None) -> MetricGraphMorphism:
     source = resolve(_require(doc, "source", "metric morphism"), "metric graph", base)
     target = resolve(_require(doc, "target", "metric morphism"), "metric graph", base)
+    rational = _rational_reader()
     vertex_images = {
-        v: _point_from_doc(img)
+        v: _point_from_doc(img, rational)
         for v, img in _keyed(_require(doc, "vertex_images", "metric morphism"),
                              "vertex_images").items()
     }
@@ -246,8 +280,8 @@ def metric_morphism_from_doc(doc, base: Path | None = None) -> MetricGraphMorphi
         slope = _require(img, "slope", "edge image")
         edge_images[e] = (
             _string(_require(img, "edge", "edge image"), "an edge image edge"),
-            parse_rational(_require(img, "from", "edge image")),
-            parse_rational(_require(img, "to", "edge image")),
+            rational(_require(img, "from", "edge image")),
+            rational(_require(img, "to", "edge image")),
             slope,
         )
     return MetricGraphMorphism(source, target, vertex_images, edge_images)

@@ -7,6 +7,8 @@ position is an integer over one denominator D_t: the least common multiple
 of the denominators of t's length, of the interior vertex images on t and
 of the endpoints of every edge image onto t.  A source edge of slope s onto
 t then works in units of 1/(s*D_t), so pulling a cut back is a subtraction.
+The constructor checks each edge image in integers over its own
+denominator and keeps them; the grid only rescales them to D_t.
 `fractions.Fraction` appears only at the boundary: edge lengths, edge image
 endpoints, point positions, the keys of a refinement's new vertices,
 cut-vertex names and error texts.  There is no floating point anywhere.
@@ -19,6 +21,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter, namedtuple
 from fractions import Fraction
+from itertools import count
 from math import lcm
 
 from .errors import (
@@ -118,12 +121,19 @@ class MetricGraph:
 
 
 def graph_face_poset(graph: MetricGraph) -> Poset:
-    """Vertices at rank 0, edges at rank 1, covers given by incidence."""
-    covers = set()
-    for eid, e in graph.edges.items():
-        covers.add((e.a, eid))
-        covers.add((e.b, eid))
-    return Poset(list(graph.vertices) + sorted(graph.edges), sorted(covers))
+    """Vertices at rank 0, edges at rank 1, covers given by incidence, once
+    for a loop."""
+    elements = list(graph.vertices) + sorted(graph.edges)
+    index = dict(zip(sorted(elements), count()))
+    up = [[] for _ in elements]
+    # edges in label order, so each vertex's list comes out ascending
+    for eid in elements[len(graph.vertices):]:
+        a, b, _ = graph.edges[eid]
+        i = index[eid]
+        up[index[a]].append(i)
+        if b != a:
+            up[index[b]].append(i)
+    return Poset._from_index(elements, up)
 
 
 # A morphism in integers, per target edge t in units of 1/D_t: ``scale``
@@ -132,6 +142,14 @@ def graph_face_poset(graph: MetricGraph) -> Poset:
 # ``points`` counts the places, ``spans`` lists the (low, high) ends of the
 # edge images onto each t, and ``cells`` counts the cell map's images.
 _Grid = namedtuple("_Grid", "scale images places points spans cells")
+
+
+def _lies_inside(image: Point, t: str, pos: int, den: int) -> bool:
+    """Whether image is the point at pos/den strictly inside edge t."""
+    if image.vertex is not None or image.edge != t:
+        return False
+    q = _fraction(image.position)
+    return q.numerator * den == pos * q.denominator
 
 
 class MetricGraphMorphism:
@@ -147,7 +165,11 @@ class MetricGraphMorphism:
             if v not in self.vertex_images:
                 raise UnknownElement(v)
             target.check_point(self.vertex_images[v])
-        for eid, edge in source.edges.items():
+        # each edge image in integers over its own denominator, (t, start,
+        # end, den): the checks run on them, and _grid() rescales them to D_t
+        self._units = units = {}
+        images = self.vertex_images
+        for eid, (a, b, length) in source.edges.items():
             if eid not in edge_images:
                 raise UnknownElement(eid)
             t, start, end, slope = edge_images[eid]
@@ -156,45 +178,38 @@ class MetricGraphMorphism:
             start, end = _fraction(start), _fraction(end)
             if not isinstance(slope, int) or isinstance(slope, bool) or slope < 1:
                 raise SlopeNotIntegral(eid, f"slope must be a positive integer, got {slope!r}")
-            tlen = target.edges[t].length
-            # the checks run on integers over one denominator for this edge
-            den = lcm(tlen.denominator, start.denominator, end.denominator)
-            s, e, top = _scaled(start, den), _scaled(end, den), _scaled(tlen, den)
+            u, w, tlen = target.edges[t]
+            sd, ed, td = start.denominator, end.denominator, tlen.denominator
+            den = lcm(td, sd, ed)
+            s = start.numerator * (den // sd)
+            e = end.numerator * (den // ed)
+            top = tlen.numerator * (den // td)
             if s == e:
                 raise DegenerateImage(eid)
             if not (0 <= s <= top and 0 <= e <= top):
                 raise EndpointMismatch(eid, f"image [{start}, {end}] leaves edge {t!r} of length {tlen}")
-            length = edge.length
             if abs(e - s) * length.denominator != slope * length.numerator * den:
                 raise SlopeNotIntegral(
                     eid,
                     f"|{end} - {start}| != slope {slope} x length {length}",
                 )
-            for endpoint, pos in ((edge.a, s), (edge.b, e)):
-                image = self.vertex_images[endpoint]
-                if not self._lies_at(image, t, pos, den, top):
+            for endpoint, pos in ((a, s), (b, e)):
+                image = images[endpoint]
+                # an end of t is that vertex, anything else a point inside t
+                if not (image == (u, None, None) if pos == 0 else
+                        image == (w, None, None) if pos == top else
+                        _lies_inside(image, t, pos, den)):
                     raise EndpointMismatch(
                         eid,
                         f"endpoint {endpoint!r} maps to {image!r} "
                         f"but the edge image puts it at {self._point_at(t, pos, den)!r}",
                     )
             self.edge_images[eid] = EdgeImage(t, start, end, slope)
+            units[eid] = (t, s, e, den)
         unknown = ((self.vertex_images.keys() - source._vertex_set)
                    | (set(edge_images) - source.edges.keys()))
         if unknown:
             raise UnknownElement(min(unknown))
-
-    def _lies_at(self, image: Point, t: str, pos: int, den: int, top: int) -> bool:
-        """Whether image is the point at pos/den on target edge t of length
-        top/den."""
-        if 0 < pos < top:
-            if image.vertex is not None or image.edge != t:
-                return False
-            q = _fraction(image.position)
-            return q.numerator * den == pos * q.denominator
-        e = self.target.edges[t]
-        return (image.vertex == (e.a if pos == 0 else e.b)
-                and image.edge is None and image.position is None)
 
     def _point_at(self, t: str, num: int, den: int) -> Point:
         """The point at num/den on target edge t."""
@@ -206,25 +221,27 @@ class MetricGraphMorphism:
         return Point.interior(t, Fraction(num, den))
 
     def _grid(self) -> _Grid:
-        """The morphism in integers, built on first use."""
+        """The morphism in integers, built on first use from the
+        constructor's per-edge integers, which it replaces."""
         if self._grid_memo is None:
+            units, self._units = self._units, None
             scale = {t: e.length.denominator for t, e in self.target.edges.items()}
             for img in self.vertex_images.values():
                 if not img.is_vertex:
                     scale[img.edge] = lcm(scale[img.edge], _fraction(img.position).denominator)
-            for img in self.edge_images.values():
-                scale[img.edge] = lcm(scale[img.edge], img.start.denominator, img.end.denominator)
+            for t, _, _, den in units.values():
+                scale[t] = lcm(scale[t], den)
             places = {}
             for v, img in self.vertex_images.items():
                 places[v] = ((None, img.vertex) if img.is_vertex else
                              (img.edge, _scaled(_fraction(img.position), scale[img.edge])))
             images = {}
             spans = {}
-            for eid, img in self.edge_images.items():
-                den = scale[img.edge]
-                s, e = _scaled(img.start, den), _scaled(img.end, den)
-                images[eid] = (img.edge, s, e)
-                spans.setdefault(img.edge, []).append((min(s, e), max(s, e)))
+            for eid, (t, s, e, den) in units.items():
+                k = scale[t] // den
+                s, e = s * k, e * k
+                images[eid] = (t, s, e)
+                spans.setdefault(t, []).append((s, e) if s < e else (e, s))
             cells = Counter(image for _, image in _cell_map(self))
             self._grid_memo = _Grid(scale, images, places, Counter(places.values()), spans,
                                     cells)
@@ -297,14 +314,29 @@ def _fresh(name, taken):
     return name
 
 
-def _split_graph(graph: MetricGraph, cuts: dict, units: dict, taken: set):
+def _rationals():
+    """A maker of Fraction(num, den) that makes each distinct pair once: a
+    refinement repeats few piece lengths and cut positions."""
+    made = {}
+
+    def rational(num: int, den: int) -> Fraction:
+        q = made.get((num, den))
+        if q is None:
+            q = made[num, den] = Fraction(num, den)
+        return q
+
+    return rational
+
+
+def _split_graph(graph: MetricGraph, cuts: dict, units: dict, taken: set, rational):
     """Split the edges of a graph at interior positions.
 
     ``cuts`` maps an edge to its ascending cut positions and ``units`` to
     (den, length): the positions and the edge's length are integers in
-    units of 1/den.  Returns the new graph, the piece table, the cut-vertex
-    names keyed by (edge, integer position), and the new vertices with
-    their (edge, Fraction position).
+    units of 1/den, and ``rational`` makes their Fractions.  Returns the
+    new graph, the piece table, the cut-vertex names keyed by (edge,
+    integer position), and the new vertices with their (edge, Fraction
+    position).
     """
     vertices = list(graph.vertices)
     new_edges = []
@@ -321,7 +353,7 @@ def _split_graph(graph: MetricGraph, cuts: dict, units: dict, taken: set):
         den, length = units[eid]
         names = [edge.a]
         for p in positions:
-            at = Fraction(p, den)
+            at = rational(p, den)
             v = _fresh(f"{eid}@{at}", taken)
             cut_names[(eid, p)] = v
             new_vertices[v] = (eid, at)
@@ -333,7 +365,7 @@ def _split_graph(graph: MetricGraph, cuts: dict, units: dict, taken: set):
         for i in range(len(stops) - 1):
             pid = _fresh(f"{eid}.{i + 1}", taken)
             ids.append(pid)
-            new_edges.append((pid, names[i], names[i + 1], Fraction(stops[i + 1] - stops[i], den)))
+            new_edges.append((pid, names[i], names[i + 1], rational(stops[i + 1] - stops[i], den)))
         pieces[eid] = tuple(ids)
     return MetricGraph(vertices, new_edges), pieces, cut_names, new_vertices
 
@@ -353,8 +385,14 @@ def refine_to_combinatorial(phi: MetricGraphMorphism) -> Refinement:
     cells, and inputs outside the one-round construction's scope (such as
     an edge wrapped onto a loop) raise NotCombinatorial with the least
     failing edge, the first witness of the face-poset morphism.
+
+    The refined morphism goes through the checking constructor.  Its
+    rationals are shared: each end of an edge image is 0 or its target
+    piece's own length, and each distinct length and cut position is one
+    Fraction.
     """
     grid = phi._grid()
+    rational = _rationals()
     target_cuts = {}
     for t, pos in grid.places.values():
         if t is not None:
@@ -364,7 +402,7 @@ def refine_to_combinatorial(phi: MetricGraphMorphism) -> Refinement:
     units = {t: (grid.scale[t], _scaled(phi.target.edges[t].length, grid.scale[t]))
              for t in target_cuts}
     new_target, target_pieces, target_cut_names, new_target_vertices = _split_graph(
-        phi.target, target_cuts, units, taken)
+        phi.target, target_cuts, units, taken, rational)
 
     # a cut q inside the image of a source edge of slope s from S to E lies
     # at |q - S| in the edge's units of 1/(s*D_t)
@@ -379,30 +417,32 @@ def refine_to_combinatorial(phi: MetricGraphMorphism) -> Refinement:
             source_units[eid] = (phi.edge_images[eid].slope * grid.scale[t], hi - lo)
     taken_src = set(phi.source.vertices) | set(phi.source.edges)
     new_source, source_pieces, source_cut_names, new_source_vertices = _split_graph(
-        phi.source, source_cuts, source_units, taken_src)
+        phi.source, source_cuts, source_units, taken_src, rational)
 
     # every interior image, old or new, is a target cut: a refined vertex
+    at_cut = {key: Point.at_vertex(name) for key, name in target_cut_names.items()}
     vertex_images = {}
     for v in phi.source.vertices:
         t, pos = grid.places[v]
-        vertex_images[v] = (phi.vertex_images[v] if t is None
-                            else Point.at_vertex(target_cut_names[(t, pos)]))
+        vertex_images[v] = phi.vertex_images[v] if t is None else at_cut[(t, pos)]
     for (eid, x), name in source_cut_names.items():
         t, s, e = grid.images[eid]
-        vertex_images[name] = Point.at_vertex(target_cut_names[(t, s + x if s < e else s - x)])
+        vertex_images[name] = at_cut[(t, s + x if s < e else s - x)]
 
+    # a piece runs from one target cut (or end) to the next, so it covers
+    # one whole target piece, from 0 to its length or back
+    zero = Fraction(0)
     edge_images = {}
     for eid, (t, s, e) in grid.images.items():
         cuts = target_cuts.get(t, ())
-        den, step = grid.scale[t], 1 if s < e else -1
         slope = phi.edge_images[eid].slope
+        pieces = target_pieces[t]
         stops = [0, *source_cuts.get(eid, ()), abs(e - s)]
         for pid, x0, x1 in zip(source_pieces[eid], stops, stops[1:]):
-            q0, q1 = s + step * x0, s + step * x1
-            idx = bisect_right(cuts, min(q0, q1))
-            base = cuts[idx - 1] if idx else 0
-            edge_images[pid] = (target_pieces[t][idx], Fraction(q0 - base, den),
-                                Fraction(q1 - base, den), slope)
+            onto = pieces[bisect_right(cuts, s + x0 if s < e else s - x1)]
+            length = new_target.edges[onto].length
+            edge_images[pid] = ((onto, zero, length, slope) if s < e
+                                else (onto, length, zero, slope))
 
     refined = MetricGraphMorphism(new_source, new_target, vertex_images, edge_images)
     # the rule of the docstring; vertices pass and edges are maximal, so

@@ -691,6 +691,24 @@ def test_exponents_above_the_limit_are_usage_errors(value, tmp_path, capsys):
         assert payload["witnesses"] == [{"error": "FormatError", "detail": detail}]
 
 
+@pytest.mark.parametrize("value,code", [("1e4300", 2), ("1e4299", 0)])
+def test_only_rationals_the_writer_can_write_are_read(value, code, tmp_path, capsys):
+    # 10^4300 has 4301 digits, one more than str() writes
+    segment = {"vertices": ["u", "v"], "edges": [{"id": "t", "a": "u", "b": "v", "length": value}]}
+    path = tmp_path / "segment.json"
+    path.write_text(fileio.dumps({
+        "source": segment, "target": segment, "vertex_images": {"u": "u", "v": "v"},
+        "edge_images": {"t": {"edge": "t", "from": "0", "to": value, "slope": 1}}}))
+    assert cli.main(["--format", "machine", "graph", "refine", "--morphism", str(path)]) == code
+    payload = json.loads(capsys.readouterr().out)
+    if code:
+        detail = str(FormatError(f"bad rational {value!r}: more than 4300 digits "
+                                 "in its numerator or denominator"))
+        assert payload["witnesses"] == [{"error": "FormatError", "detail": detail}]
+    else:
+        assert payload["data"]["morphism"]["edge_images"]["t"]["to"] == "1" + "0" * 4299
+
+
 def poset_with_comparable_pairs(pairs: int) -> dict:
     """A chain as long as the count allows, then two-element chains for
     the rest of the pairs."""

@@ -1,6 +1,7 @@
 """Metric graphs, the combinatorial refinement, fibre sampling, and the
 slope-to-multiplicity bridge."""
 
+import json
 import pytest
 from fractions import Fraction
 from random import Random
@@ -27,7 +28,7 @@ from posetcover.metric import (
     refine_to_combinatorial,
     sample_fibre,
 )
-from posetcover.posets import rank_check
+from posetcover.posets import Poset, rank_check
 
 
 def segment(length=2):
@@ -381,6 +382,76 @@ def test_refinement_matches_the_fraction_oracle():
             expected["edge_images"])
         assert fileio.dumps(fileio.metric_morphism_to_doc(ref.morphism)) == \
             fileio.dumps(fileio.metric_morphism_to_doc(oracle))
+
+
+def test_refined_covers_round_trip_through_the_document_writer():
+    _, covers = differential_covers()
+    for phi in covers:
+        refined = refine_to_combinatorial(phi).morphism
+        text = fileio.dumps(fileio.metric_morphism_to_doc(refined))
+        loaded = fileio.metric_morphism_from_doc(json.loads(text))
+        assert fileio.dumps(fileio.metric_morphism_to_doc(loaded)) == text
+        assert loaded._grid() == refined._grid()
+
+
+def test_face_posets_match_a_build_from_the_incidence_pairs():
+    _, covers = differential_covers()
+    loop = whole_edge_morphism([("t", "u", "u")], [("e", "A", "A", "t")], {"A": "u"})
+    morphisms = [fix_graph(), refine_to_combinatorial(fix_graph()).morphism, loop, *covers]
+    for g in (g for phi in morphisms for g in (phi.source, phi.target)):
+        built = graph_face_poset(g)
+        reference = Poset(list(g.vertices) + sorted(g.edges),
+                          {(x, eid) for eid, (a, b, _) in g.edges.items() for x in (a, b)})
+        assert built == reference
+        assert built.elements == reference.elements and built.covers == reference.covers
+
+
+# the rational slots of the FIX-GRAPH document, other spellings of the
+# values in them, and bad values (a JSON true is also a 1)
+RATIONAL_SLOTS = [("source", "edges", 0, "length"), ("source", "edges", 1, "length"),
+                  ("target", "edges", 0, "length"), ("vertex_images", "B", "pos"),
+                  ("edge_images", "e", "from"), ("edge_images", "e", "to"),
+                  ("edge_images", "f", "from"), ("edge_images", "f", "to")]
+RESPELLINGS = {"0": ["0", "0/5", 0], "2": ["2", "4/2", 2], "3": ["3", "6/2", 3]}
+BAD_RATIONALS = [True, False, 1.5, "1/0", "x", "-1", 1, None, ["2"]]
+
+
+def test_the_documents_rational_memo_changes_no_outcome(monkeypatch):
+    """Loading through the memo gives the morphism, or the first error,
+    that parsing every value on its own gives."""
+    rng = Random(97)
+    base = fileio.metric_morphism_to_doc(fix_graph())
+    docs = [base]
+    for _ in range(400):
+        doc = json.loads(json.dumps(base))
+        for *path, key in RATIONAL_SLOTS:
+            slot = doc
+            for step in path:
+                slot = slot[step]
+            slot[key] = rng.choice(RESPELLINGS[slot[key]] if rng.random() < 0.9
+                                   else BAD_RATIONALS + ["0", "2", "3"])
+        docs.append(doc)
+
+    def outcomes():
+        results = []
+        for doc in docs:
+            try:
+                phi = fileio.metric_morphism_from_doc(doc)
+            except Exception as exc:
+                results.append((type(exc), str(exc)))
+            else:
+                rationals = [e.length for g in (phi.source, phi.target) for e in g.edges.values()]
+                rationals += [x for img in phi.edge_images.values() for x in img[1:3]]
+                rationals += [p.position for p in phi.vertex_images.values() if not p.is_vertex]
+                assert all(type(x) is Fraction for x in rationals)
+                results.append(fileio.dumps(fileio.metric_morphism_to_doc(phi)))
+        return results
+
+    memoized = outcomes()
+    monkeypatch.setattr(fileio, "_rational_reader", lambda: fileio.parse_rational)
+    assert memoized == outcomes()
+    loaded = sum(isinstance(x, str) for x in memoized)
+    assert 100 < loaded < len(docs) - 100
 
 
 def whole_edge_morphism(target_edges, source_edges, vertex_map, cuts=()):

@@ -1,10 +1,11 @@
 """fileio.parse_rational reads the form format_rational writes (an
 optional "-", ASCII digits, and optionally "/" and a nonzero denominator)
 with integer arithmetic.  Every input must give the value, or the exception
-type and message, that reading it with Fraction(text) gives, with one
-deliberate difference: a decimal exponent above 4300 in magnitude is
-refused with FormatError, where Fraction would expand it for as long as it
-takes."""
+type and message, that reading it with Fraction(text) gives, with two
+deliberate differences, both refused with FormatError: a decimal exponent
+above 4300 in magnitude, which Fraction would expand for as long as it
+takes, and a value whose numerator or denominator has more than 4300
+digits, which Fraction reads but str() cannot write."""
 
 import time
 from fractions import Fraction
@@ -47,7 +48,7 @@ def assert_same(text):
     "-0", "3/6", "1/0", "0/0", "1/00", "-0/5", "007/010", " 3", "3\n", "+3", "1.5", "1e3",
     "1_0", "٣", "1/٣", "²", "−5", "-", "--1", "", "/", "1/", "/2", "1/-2", "1/2/3",
     "9" * 5000, "-" + "9" * 5000, "1/" + "9" * 5000, True, False, None, 3, -7, 1.5, ["1"],
-    "1e4300", "-1E-4300", "1.e5", "٣e٣", "1e4301/2", "x1e99999"])
+    "1e4299", "1e-4299", "1.e5", "٣e٣", "1e4301/2", "x1e99999"])
 def test_parse_rational_matches_the_fraction_parser(text):
     assert_same(text)
 
@@ -56,12 +57,21 @@ def test_parse_rational_matches_the_fraction_parser(text):
     "1e10000000", "1e999999999", "1e-999999999", "1E4301", "-.5e+4301", " 2.5e-4_301\n",
     "1e" + "9" * 4300])
 def test_exponents_above_the_limit_are_refused(text):
-    """The one deliberate difference from the Fraction reference."""
+    """The first deliberate difference from the Fraction reference."""
     start = time.monotonic()
     with pytest.raises(FormatError) as raised:
         parse_rational(text)
     assert time.monotonic() - start < 1
     assert str(raised.value) == f"bad rational {text!r}: exponent above 4300 in magnitude"
+
+
+@pytest.mark.parametrize("text", ["1e4300", "-1E-4300", "12.5e4299"])
+def test_values_with_too_many_digits_are_refused(text):
+    """The second deliberate difference: 10^4300 has 4301 digits."""
+    with pytest.raises(FormatError) as raised:
+        parse_rational(text)
+    assert str(raised.value) == (f"bad rational {text!r}: more than 4300 digits "
+                                 "in its numerator or denominator")
 
 
 @settings(max_examples=500, derandomize=True, database=None, deadline=None,
