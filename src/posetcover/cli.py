@@ -13,10 +13,10 @@ import argparse
 import json
 import sys
 from collections import namedtuple
-from fractions import Fraction
-from random import Random
 
-from . import covers, dot, extend, fileio, fixtures, metric, posets, subdivision
+# a handler imports what only its own command uses, so that a process
+# loads the modules of the one command it runs
+from . import covers, dot, fileio, posets
 from .errors import (
     CorestrictionNotCombinatorial,
     FormatError,
@@ -26,7 +26,6 @@ from .errors import (
     TheoremViolation,
     ToolError,
 )
-from .metric import MetricGraph, Point
 
 
 # verdict is pass, fail or error; dispatch fills in command from the
@@ -83,7 +82,9 @@ def _csv(text: str) -> list[str]:
     return [part for part in (text or "").split(",") if part]
 
 
-def _parse_point(text: str) -> Point:
+def _parse_point(text: str):
+    from .metric import Point
+
     if ":" in text:
         edge, _, pos = text.rpartition(":")
         return Point.interior(edge, fileio.parse_rational(pos))
@@ -186,6 +187,8 @@ def cmd_cover_search(args) -> RunReport:
 
 
 def cmd_extend(args) -> RunReport:
+    from . import extend
+
     phi = fileio.resolve(args.morphism, "morphism")
     m = fileio.resolve_index(args.index, phi.source)
     target_upset = (phi.source.up_set(_csv(args.upset))
@@ -201,6 +204,8 @@ def cmd_extend(args) -> RunReport:
 
 
 def cmd_lift(args) -> RunReport:
+    from . import extend
+
     phi = fileio.resolve(args.morphism, "morphism")
     m = fileio.resolve_index(args.index, phi.source)
     lift = {"up": extend.lift_upward_path, "path": extend.lift_path}[args.action]
@@ -233,6 +238,8 @@ def cmd_connect_strong(args) -> RunReport:
 
 
 def cmd_connect_lifting(args) -> RunReport:
+    from . import extend
+
     if args.mode == "codim" and args.k is None:
         raise FormatError("this action needs --k")
     phi = fileio.resolve(args.morphism, "morphism")
@@ -248,6 +255,8 @@ def cmd_connect_lifting(args) -> RunReport:
 
 
 def cmd_subdivide_bcs(args) -> RunReport:
+    from . import subdivision
+
     if args.morphism:
         bcs = subdivision.bcs_morphism(fileio.resolve(args.morphism, "morphism"))
         return RunReport("pass", data={
@@ -264,6 +273,8 @@ def cmd_subdivide_bcs(args) -> RunReport:
 
 
 def cmd_subdivide_stellar(args) -> RunReport:
+    from . import subdivision
+
     k = fileio.resolve(args.complex, "simplicial complex")
     result = subdivision.stellar_subdivide(k, frozenset(_csv(args.face)), args.vertex)
     return RunReport("pass", data={
@@ -274,6 +285,8 @@ def cmd_subdivide_stellar(args) -> RunReport:
 
 
 def cmd_graph_refine(args) -> RunReport:
+    from . import metric
+
     ref = metric.refine_to_combinatorial(fileio.resolve(args.morphism, "metric graph morphism"))
     return RunReport("pass", data={
         "new_target_vertices": {k: [v[0], fileio.format_rational(v[1])]
@@ -288,6 +301,8 @@ def cmd_graph_refine(args) -> RunReport:
 
 
 def cmd_graph_sample(args) -> RunReport:
+    from . import metric
+
     phi = fileio.resolve(args.morphism, "metric graph morphism")
     results = []
     mismatch = []
@@ -305,6 +320,8 @@ def cmd_graph_sample(args) -> RunReport:
 
 
 def cmd_graph_poset(args) -> RunReport:
+    from . import metric
+
     if args.morphism:
         pm = metric.morphism_face_poset(fileio.resolve(args.morphism, "metric graph morphism"))
         return RunReport("pass", data={"morphism": fileio.morphism_to_doc(pm)})
@@ -318,7 +335,12 @@ def cmd_graph_poset(args) -> RunReport:
 RANDOM_POINT_LIMIT = 10_000
 
 
-def _random_points(graph: MetricGraph, count: int, seed: int) -> list[Point]:
+def _random_points(graph, count: int, seed: int) -> list:
+    from fractions import Fraction
+    from random import Random
+
+    from .metric import Point
+
     if count < 1:
         raise FormatError(f"--random must be at least 1, got {count}")
     if count > RANDOM_POINT_LIMIT:
@@ -344,12 +366,16 @@ def cmd_export_dot(args) -> RunReport:
 
 
 def cmd_fixtures_list(args) -> RunReport:
+    from . import fixtures
+
     listing = {name: type(fixtures.load_fixture(name)).__name__
                for name in sorted(fixtures.FIXTURES)}
     return RunReport("pass", data={"fixtures": listing})
 
 
 def cmd_fixtures_run(args) -> RunReport:
+    from . import fixtures
+
     rows = fixtures.FIXTURE_ROWS
     names = args.names or sorted(rows)
     unknown = [n for n in names if n not in rows]

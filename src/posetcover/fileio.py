@@ -24,17 +24,14 @@ from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
+from functools import cache
 from json.encoder import encode_basestring
 from pathlib import Path
 
-from . import fixtures
 from .covers import IndexMap
 from .errors import FormatError, ToolError
-from .metric import MetricGraph, MetricGraphMorphism, Point, graph_face_poset, morphism_face_poset
 from .morphisms import PosetMorphism
 from .posets import Poset, rank_check
-from .subdivision import SimplicialComplex
 
 
 # Python's limit on the digits of an int read from or written as text.
@@ -55,33 +52,44 @@ def _too_long(n: int) -> bool:
     return n.bit_length() > 3 * MAX_DIGITS and abs(n) >= 10 ** MAX_DIGITS
 
 
-def parse_rational(text) -> Fraction:
-    # bool is an int, but a JSON true or false is no rational
-    if isinstance(text, int) and not isinstance(text, bool):
-        return Fraction(text)
-    if isinstance(text, str):
-        num, slash, den = text.partition("/")
-        try:
-            # format_rational's form is read without Fraction's regular
-            # expression; int() bounds its digits, and reducing only shrinks them
-            if text.isascii() and num.removeprefix("-").isdigit() and (
-                    not slash or den.isdigit() and den.strip("0")):
-                return Fraction(int(num), int(den or 1))
-            form = re.fullmatch(_EXPONENT_FORM, text)
-            if form and abs(int(form[1])) > MAX_DIGITS:
-                raise FormatError(f"bad rational {text!r}: exponent above {MAX_DIGITS} "
-                                  "in magnitude")
-            value = Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise FormatError(f"bad rational {text!r}: {exc}") from None
-        if _too_long(value.numerator) or _too_long(value.denominator):
-            raise FormatError(f"bad rational {text!r}: more than {MAX_DIGITS} digits "
-                              "in its numerator or denominator")
-        return value
-    raise FormatError(f"rationals must be strings like '3' or '5/2', got {text!r}")
+@cache
+def _rational_parser():
+    """parse_rational, built on first use: fractions loads only in a
+    process that reads a rational, and no import runs per value."""
+    from fractions import Fraction
+
+    def parse(text) -> Fraction:
+        # bool is an int, but a JSON true or false is no rational
+        if isinstance(text, int) and not isinstance(text, bool):
+            return Fraction(text)
+        if isinstance(text, str):
+            num, slash, den = text.partition("/")
+            try:
+                # format_rational's form is read without Fraction's regular
+                # expression; int() bounds its digits, and reducing only shrinks them
+                if text.isascii() and num.removeprefix("-").isdigit() and (
+                        not slash or den.isdigit() and den.strip("0")):
+                    return Fraction(int(num), int(den or 1))
+                form = re.fullmatch(_EXPONENT_FORM, text)
+                if form and abs(int(form[1])) > MAX_DIGITS:
+                    raise FormatError(f"bad rational {text!r}: exponent above {MAX_DIGITS} "
+                                      "in magnitude")
+                value = Fraction(text)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise FormatError(f"bad rational {text!r}: {exc}") from None
+            if _too_long(value.numerator) or _too_long(value.denominator):
+                raise FormatError(f"bad rational {text!r}: more than {MAX_DIGITS} digits "
+                                  "in its numerator or denominator")
+            return value
+        raise FormatError(f"rationals must be strings like '3' or '5/2', got {text!r}")
+    return parse
 
 
-def format_rational(value: Fraction) -> str:
+def parse_rational(text):
+    return _rational_parser()(text)
+
+
+def format_rational(value) -> str:
     return str(value)
 
 
@@ -185,7 +193,9 @@ def index_map_to_doc(m: IndexMap) -> dict:
 # ----- simplicial complexes --------------------------------------------------
 
 
-def complex_from_doc(doc) -> SimplicialComplex:
+def complex_from_doc(doc):
+    from .subdivision import SimplicialComplex
+
     vertices = _strings(_require(doc, "vertices", "simplicial complex"), "complex vertices")
     maximal = _list(_require(doc, "maximal_faces", "simplicial complex"), "maximal faces")
     maximal = [tuple(_strings(f, "a maximal face")) for f in maximal]
@@ -195,7 +205,7 @@ def complex_from_doc(doc) -> SimplicialComplex:
     return SimplicialComplex.from_maximal(vertices, maximal)
 
 
-def complex_to_doc(k: SimplicialComplex) -> dict:
+def complex_to_doc(k) -> dict:
     # a face is maximal when no face drops one member to reach it
     maximal = k.faces - {f - {v} for f in k.faces for v in f}
     return {
@@ -212,20 +222,23 @@ def _rational_reader():
     repeats few distinct rationals.  Only successes are kept, so an error,
     and which value raises first, is that of parsing every value."""
     memo = {}
+    parse = _rational_parser()
 
-    def read(text) -> Fraction:
+    def read(text):
         # strings only: true, 1 and 1.0 are one dict key
         if type(text) is not str:
-            return parse_rational(text)
+            return parse(text)
         value = memo.get(text)
         if value is None:
-            value = memo[text] = parse_rational(text)
+            value = memo[text] = parse(text)
         return value
 
     return read
 
 
-def metric_graph_from_doc(doc) -> MetricGraph:
+def metric_graph_from_doc(doc):
+    from .metric import MetricGraph
+
     vertices = _strings(_require(doc, "vertices", "metric graph"), "metric graph vertices")
     rational = _rational_reader()
     edges = []
@@ -239,7 +252,7 @@ def metric_graph_from_doc(doc) -> MetricGraph:
     return MetricGraph(vertices, edges)
 
 
-def metric_graph_to_doc(g: MetricGraph) -> dict:
+def metric_graph_to_doc(g) -> dict:
     return {
         "vertices": list(g.vertices),
         "edges": [
@@ -249,7 +262,7 @@ def metric_graph_to_doc(g: MetricGraph) -> dict:
     }
 
 
-def _point_from_doc(value, rational) -> Point:
+def _point_from_doc(value, rational, Point):
     if isinstance(value, str):
         return Point.at_vertex(value)
     if isinstance(value, dict):
@@ -260,18 +273,20 @@ def _point_from_doc(value, rational) -> Point:
     raise FormatError(f"bad point {value!r}")
 
 
-def _point_to_doc(p: Point):
+def _point_to_doc(p):
     if p.is_vertex:
         return p.vertex
     return {"edge": p.edge, "pos": format_rational(p.position)}
 
 
-def metric_morphism_from_doc(doc, base: Path | None = None) -> MetricGraphMorphism:
+def metric_morphism_from_doc(doc, base: Path | None = None):
+    from .metric import MetricGraphMorphism, Point
+
     source = resolve(_require(doc, "source", "metric morphism"), "metric graph", base)
     target = resolve(_require(doc, "target", "metric morphism"), "metric graph", base)
     rational = _rational_reader()
     vertex_images = {
-        v: _point_from_doc(img, rational)
+        v: _point_from_doc(img, rational, Point)
         for v, img in _keyed(_require(doc, "vertex_images", "metric morphism"),
                              "vertex_images").items()
     }
@@ -287,7 +302,7 @@ def metric_morphism_from_doc(doc, base: Path | None = None) -> MetricGraphMorphi
     return MetricGraphMorphism(source, target, vertex_images, edge_images)
 
 
-def metric_morphism_to_doc(phi: MetricGraphMorphism) -> dict:
+def metric_morphism_to_doc(phi) -> dict:
     return {
         "source": metric_graph_to_doc(phi.source),
         "target": metric_graph_to_doc(phi.target),
@@ -316,6 +331,9 @@ def _load_json(path: Path):
         raise FormatError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path} is not valid JSON: {exc}") from None
+    except ValueError as exc:
+        # bytes that are no UTF-8, or an integer longer than int() reads
+        raise FormatError(f"cannot read {path}: {exc}") from None
     except RecursionError:
         raise FormatError(f"{path} nests deeper than the JSON parser allows") from None
 
@@ -324,13 +342,26 @@ def _itself(obj):
     return obj
 
 
-# kind: {loaded type the kind accepts: its conversion}
+def _face_poset(obj):
+    """The face poset of a metric graph, or the face-poset morphism of a
+    metric graph morphism; metric has loaded, since obj is one of its
+    objects."""
+    from . import metric
+
+    if isinstance(obj, metric.MetricGraph):
+        return metric.graph_face_poset(obj)
+    return metric.morphism_face_poset(obj)
+
+
+# kind: {name of a loaded type the kind accepts: its conversion}.  Types go
+# by name, so that the table loads no module: no object of a type exists
+# before the type's module has loaded.
 KINDS = {
-    "poset": {Poset: _itself, MetricGraph: graph_face_poset},
-    "morphism": {PosetMorphism: _itself, MetricGraphMorphism: morphism_face_poset},
-    "metric graph": {MetricGraph: _itself},
-    "metric graph morphism": {MetricGraphMorphism: _itself},
-    "simplicial complex": {SimplicialComplex: _itself},
+    "poset": {"Poset": _itself, "MetricGraph": _face_poset},
+    "morphism": {"PosetMorphism": _itself, "MetricGraphMorphism": _face_poset},
+    "metric graph": {"MetricGraph": _itself},
+    "metric graph morphism": {"MetricGraphMorphism": _itself},
+    "simplicial complex": {"SimplicialComplex": _itself},
 }
 
 # the kinds a morphism document embeds, with the parser of an inline one
@@ -344,10 +375,11 @@ def resolve(value, kind: str, base: Path | None = None):
         return INLINE[kind](value)
     accepts = KINDS[kind]
     obj = load_named(value, base) if isinstance(value, str) else None
-    convert = accepts.get(type(obj))
+    convert = accepts.get(type(obj).__name__)
     if convert is not None:
         return convert(obj)
-    if isinstance(obj, (PosetMorphism, MetricGraphMorphism)) and type(obj.source) in accepts:
+    # the morphism kind accepts exactly the types with a source and a target
+    if type(obj).__name__ in KINDS["morphism"] and type(obj.source).__name__ in accepts:
         raise FormatError(f"{value!r} is a morphism; use {value}/source or {value}/target")
     raise FormatError(f"{value!r} does not describe a {kind}")
 
@@ -365,22 +397,40 @@ def resolve_index(name: str, carrier: Poset) -> IndexMap:
     raise FormatError(f"{name!r} does not describe an index map")
 
 
+# every bundled fixture name starts with it
+FIXTURE_PREFIX = "FIX-"
+
+
+def _is_fixture(name: str) -> bool:
+    """Whether name is a bundled fixture; any name without FIXTURE_PREFIX is
+    told apart without loading the fixtures, and with them the metric
+    graph code."""
+    if not name.startswith(FIXTURE_PREFIX):
+        return False
+    from . import fixtures
+
+    return name in fixtures.FIXTURES
+
+
 def load_named(name: str, base: Path | None = None):
     """Load a fixture by name or a document by path, relative to base (by
-    default the working directory).
+    default the working directory).  A fixture wins over a file of the
+    same name.
 
     A /source or /target suffix on a morphism fixture, or on a morphism
     document where the name without it is a file, selects that side.
     """
-    if name in fixtures.FIXTURES:
-        return fixtures.load_fixture(name)
+    if _is_fixture(name):
+        from .fixtures import load_fixture
+
+        return load_fixture(name)
     path = (Path.cwd() if base is None else base) / name
     stem, _, side = name.rpartition("/")
     # a file has no children, so a path whose parent is a file cannot exist
-    if side in ("source", "target") and (stem in fixtures.FIXTURES or path.parent.is_file()):
+    if side in ("source", "target") and (_is_fixture(stem) or path.parent.is_file()):
         obj = load_named(stem, base)
-        if not isinstance(obj, (PosetMorphism, MetricGraphMorphism)):
-            what = "fixture" if stem in fixtures.FIXTURES else "document"
+        if type(obj).__name__ not in KINDS["morphism"]:
+            what = "fixture" if _is_fixture(stem) else "document"
             raise FormatError(f"{what} {stem!r} has no {side} side")
         return getattr(obj, side)
     return document_from_doc(_load_json(path), path.parent)

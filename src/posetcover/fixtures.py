@@ -8,11 +8,9 @@ tO.  Index-map fixtures carry the -M suffix.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .covers import IndexMap
-from .metric import MetricGraph, MetricGraphMorphism, Point
 from .morphisms import PosetMorphism
 from .posets import Poset
 
@@ -169,12 +167,17 @@ def fix_lift_m() -> IndexMap:
 
 
 @lru_cache(maxsize=None)
-def fix_graph() -> MetricGraphMorphism:
+def fix_graph():
     """Degree-mixing map of metric graphs whose face-poset morphism is not
     combinatorial before refinement: one source vertex sits over an
     interior point of the target edge.  The concrete lengths are a
     modelling choice; the combinatorics and the fibre counts are what
     matter."""
+    # imported here, so that the poset fixtures load no metric graph code
+    from fractions import Fraction
+
+    from .metric import MetricGraph, MetricGraphMorphism, Point
+
     target = MetricGraph(["u", "v"], [("t", "u", "v", Fraction(3))])
     source = MetricGraph(["A", "B", "C"],
                          [("e", "A", "B", Fraction(2)), ("f", "A", "C", Fraction(3))])

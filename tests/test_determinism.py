@@ -3,7 +3,9 @@ fixture command, two inputs with several candidate witnesses of which the
 least must be reported, and two stellar subdivisions, one of a missing
 face, run in child processes under different PYTHONHASHSEED values and
 must print the same bytes.
-Together the commands run every action of the CLI's command table."""
+Together the commands run every action of the CLI's command table, and
+each action, run as the only command of a fresh process, prints what it
+prints in process."""
 
 import json
 import os
@@ -126,9 +128,31 @@ def test_output_is_independent_of_the_hash_seed(tmp_path):
     assert "face ['1', '4'] is not in the complex" in runs[0]
 
 
-def test_the_commands_run_every_action_of_the_command_table(tmp_path):
-    def action(argv):
-        return argv[0], None if None in cli.COMMANDS[argv[0]].actions else argv[1]
+def action(argv):
+    return argv[0], None if None in cli.COMMANDS[argv[0]].actions else argv[1]
 
+
+def test_the_commands_run_every_action_of_the_command_table(tmp_path):
     table = {(command, a) for command, spec in cli.COMMANDS.items() for a in spec.actions}
     assert {action(argv) for argv in FIXTURE_COMMANDS + witness_inputs(tmp_path)} == table
+
+
+def test_each_action_run_first_in_a_fresh_process_prints_what_it_prints_in_process(
+        tmp_path, capsys):
+    """A command imports the modules it uses when it runs, so each action
+    runs as the only command of a new process: one that relied on a module
+    an earlier command had loaded would fail there."""
+    first = {}
+    for argv in FIXTURE_COMMANDS + witness_inputs(tmp_path):
+        first.setdefault(action(argv), argv)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    for argv in first.values():
+        argv = ["--format", "machine", *argv]
+        code = cli.main(argv)
+        in_process = capsys.readouterr().out
+        # an import a handler lacks is an internal error in both processes
+        assert code in (0, 1, 2), (argv, in_process)
+        done = subprocess.run([sys.executable, "-m", "posetcover.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stdout) == (code, in_process), (argv, done.stderr)

@@ -407,6 +407,22 @@ def test_deeply_nested_json_is_a_usage_error(tmp_path, capsys):
         FormatError(f"{path} nests deeper than the JSON parser allows"))}]
 
 
+# json.loads raises a plain ValueError, not JSONDecodeError, on both
+@pytest.mark.parametrize("content", [
+    b'{"elements": [' + b"1" * 4301 + b'], "covers": []}',
+    b'\xff{"elements": [], "covers": []}',
+], ids=["integer-of-4301-digits", "not-utf-8"])
+def test_an_unreadable_document_is_a_usage_error_naming_its_file(content, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    code = cli.main(["--format", "machine", "poset", "stats", str(path)])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 2 and payload["verdict"] == "error"
+    [witness] = payload["witnesses"]
+    assert witness["error"] == "FormatError"
+    assert witness["detail"].startswith(f"cannot read {path}: ")
+
+
 # JSON of the wrong type where identifiers or containers are expected
 WRONGLY_TYPED = [
     (["morphism", "check", "--morphism"],

@@ -1,13 +1,18 @@
 """The package runs on the standard library alone: importing the CLI loads
 no module from outside it, nor the heavy introspection modules that
 ``dataclasses`` pulls in, nor ``typing``, and the project declares no
-dependencies."""
+dependencies.  A command loads only the modules it uses: a poset, morphism
+or cover command on document files loads neither the metric graph code nor
+``fractions``."""
 
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from posetcover import fileio
+from posetcover.fixtures import fix_graph, fix_trop, fix_trop_m
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -24,6 +29,44 @@ def test_the_cli_imports_only_the_standard_library():
     assert "posetcover" in loaded
     assert loaded - set(sys.stdlib_module_names) <= {"posetcover", "__main__"}
     assert not loaded & {"dataclasses", "inspect", "typing"}
+
+
+# runs one command, then writes its exit code and the loaded modules to stderr
+RUN = ("import json, sys; from posetcover import cli; code = cli.main(sys.argv[1:]); "
+       "sys.stderr.write(json.dumps([code, sorted(sys.modules)]))")
+
+# what the metric graph, extension and subdivision commands use, and the
+# rationals that metric graphs are measured in
+HEAVY = {"posetcover.metric", "posetcover.extend", "posetcover.subdivision",
+         "fractions", "decimal"}
+
+
+def _run(argv):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-S", "-c", RUN, "--format", "machine", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    code, loaded = json.loads(done.stderr)
+    return code, set(loaded)
+
+
+def test_a_command_on_documents_loads_only_the_modules_it_uses(tmp_path):
+    docs = {"phi.json": fileio.morphism_to_doc(fix_trop()),
+            "m.json": {"values": fix_trop_m().values},
+            "p.json": fileio.poset_to_doc(fix_trop().source),
+            "g.json": fileio.metric_morphism_to_doc(fix_graph())}
+    for name, doc in docs.items():
+        (tmp_path / name).write_text(fileio.dumps(doc), encoding="utf-8")
+    phi, m, p, g = (str(tmp_path / name) for name in docs)
+    for argv in (["poset", "stats", p], ["morphism", "check", "--morphism", phi],
+                 ["cover", "balanced", "--morphism", phi, "--index", m]):
+        code, loaded = _run(argv)
+        assert code == 0, argv
+        assert not loaded & HEAVY, (argv, sorted(loaded & HEAVY))
+    # the guard sees the modules a command does load
+    code, loaded = _run(["graph", "refine", "--morphism", g])
+    assert code == 0
+    assert "posetcover.metric" in loaded
 
 
 def test_the_project_declares_no_dependencies():
