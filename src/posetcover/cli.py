@@ -34,30 +34,25 @@ from .errors import (
 RunReport = namedtuple("RunReport", "verdict witnesses data command", defaults=((), {}, ""))
 
 
-def _plain(value):
-    """Make report values JSON-friendly and deterministic."""
-    if value is None or type(value) in (str, int, bool):
-        return value
-    if hasattr(value, "_asdict"):
-        out = {"kind": type(value).__name__}
-        out.update({k: _plain(v) for k, v in value._asdict().items()})
-        return out
-    if isinstance(value, frozenset):
-        return sorted(_plain(v) for v in value)
-    if isinstance(value, (tuple, list)):
-        return [_plain(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in sorted(value.items())}
-    return value
+def _plain(witness):
+    """A witness as JSON values.  A record becomes an object with its type
+    name as "kind" and a frozenset field as a sorted list; any other
+    witness, like every report's data, is built from JSON values already."""
+    if not hasattr(witness, "_asdict"):
+        return witness
+    out = {"kind": type(witness).__name__}
+    for key, value in witness._asdict().items():
+        out[key] = sorted(value) if isinstance(value, frozenset) else value
+    return out
 
 
 def _payload(report: RunReport) -> dict:
-    """The machine report as plain JSON values."""
+    """The machine report as JSON values."""
     return {
         "command": report.command,
         "verdict": report.verdict,
-        "witnesses": _plain(report.witnesses),
-        "data": _plain(report.data),
+        "witnesses": [_plain(w) for w in report.witnesses],
+        "data": report.data,
     }
 
 
@@ -69,7 +64,7 @@ def emit(report: RunReport, fmt: str, out=None):
         return
     out.write(f"command: {report.command}\n")
     out.write(f"verdict: {report.verdict}\n")
-    for key, value in payload["data"].items():
+    for key, value in sorted(report.data.items()):
         out.write(f"{key}: {json.dumps(value, sort_keys=True, ensure_ascii=False)}\n")
     for w in payload["witnesses"]:
         out.write(f"witness: {json.dumps(w, sort_keys=True, ensure_ascii=False)}\n")
@@ -196,8 +191,7 @@ def cmd_extend(args) -> RunReport:
     report = extend.extend_balanced(phi, m, target_upset)
     assigned = {k: v for k, v in report.extended.values.items() if k not in m.domain}
     data = {"mode": report.mode,
-            "assigned": dict(sorted(assigned.items())),
-            "unconstrained": sorted(report.unconstrained)}
+            "assigned": dict(sorted(assigned.items()))}
     if report.conflicts:
         return RunReport("fail", witnesses=list(report.conflicts), data=data)
     return RunReport("pass", data=data)
@@ -295,7 +289,6 @@ def cmd_graph_refine(args) -> RunReport:
                                 for k, v in sorted(ref.new_source_vertices.items())},
         "target_pieces": {k: list(v) for k, v in sorted(ref.target_pieces.items())},
         "source_pieces": {k: list(v) for k, v in sorted(ref.source_pieces.items())},
-        "combinatorial": True,
         "morphism": fileio.metric_morphism_to_doc(ref.morphism),
     })
 

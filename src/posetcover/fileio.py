@@ -12,24 +12,26 @@ through the one table ``KINDS``.  A reference is a bundled fixture name
 or a path, relative to the referencing file (on the command line, to the
 working directory); an embedded poset or metric graph may also be an
 inline document, parsed as ``INLINE`` says.  A ``/source`` or ``/target``
-suffix on a morphism fixture or document names that side itself.  Each
-kind of slot accepts the loaded types of its row, each with its
-conversion: a metric graph becomes its face poset, and a metric graph
-morphism its face-poset morphism.  A morphism in a slot that accepts its
-sides is refused with the hint to name a side.  Index maps need the
-poset they live on, and ``resolve_index`` reads them.
+suffix on a morphism fixture or document names that side itself.  A
+document that names itself, directly or through other documents, is
+refused.  Each kind of slot accepts the loaded types of its row, each
+with its conversion: a metric graph becomes its face poset, and a metric
+graph morphism its face-poset morphism.  A morphism in a slot that
+accepts its sides is refused with the hint to name a side.  Index maps
+need the poset they live on, and ``resolve_index`` reads them.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 from functools import cache
 from json.encoder import encode_basestring
 from pathlib import Path
 
 from .covers import IndexMap
-from .errors import FormatError, ToolError
+from .errors import DuplicateElement, FormatError, ToolError
 from .morphisms import PosetMorphism
 from .posets import Poset, rank_check
 
@@ -153,9 +155,9 @@ def poset_to_doc(p: Poset, with_rank: bool = False) -> dict:
     return doc
 
 
-def morphism_from_doc(doc, base: Path | None = None) -> PosetMorphism:
-    source = resolve(_require(doc, "source", "morphism"), "poset", base)
-    target = resolve(_require(doc, "target", "morphism"), "poset", base)
+def morphism_from_doc(doc, chain: tuple[Path, ...] = ()) -> PosetMorphism:
+    source = resolve(_require(doc, "source", "morphism"), "poset", chain)
+    target = resolve(_require(doc, "target", "morphism"), "poset", chain)
     mapping = _keyed(_require(doc, "map", "morphism"), "morphism map")
     for value in mapping.values():
         _string(value, "a morphism map value")
@@ -180,16 +182,6 @@ def index_map_from_doc(doc, poset: Poset) -> IndexMap:
     return IndexMap(poset, values)
 
 
-def index_map_to_doc(m: IndexMap) -> dict:
-    generators = sorted(
-        x for x in m.domain if not any(m.poset.lt(y, x) for y in m.domain)
-    )
-    return {
-        "domain_upset_generators": generators,
-        "values": dict(sorted(m.values.items())),
-    }
-
-
 # ----- simplicial complexes --------------------------------------------------
 
 
@@ -197,9 +189,16 @@ def complex_from_doc(doc):
     from .subdivision import SimplicialComplex
 
     vertices = _strings(_require(doc, "vertices", "simplicial complex"), "complex vertices")
+    seen = set()
+    for v in vertices:
+        if v in seen:
+            raise DuplicateElement(v)
+        seen.add(v)
     maximal = _list(_require(doc, "maximal_faces", "simplicial complex"), "maximal faces")
     maximal = [tuple(_strings(f, "a maximal face")) for f in maximal]
-    undeclared = {v for f in maximal for v in f} - set(vertices)
+    if not all(maximal):
+        raise FormatError("a maximal face must have at least one vertex")
+    undeclared = {v for f in maximal for v in f} - seen
     if undeclared:
         raise FormatError(f"maximal faces use undeclared vertex {min(undeclared)!r}")
     return SimplicialComplex.from_maximal(vertices, maximal)
@@ -279,11 +278,11 @@ def _point_to_doc(p):
     return {"edge": p.edge, "pos": format_rational(p.position)}
 
 
-def metric_morphism_from_doc(doc, base: Path | None = None):
+def metric_morphism_from_doc(doc, chain: tuple[Path, ...] = ()):
     from .metric import MetricGraphMorphism, Point
 
-    source = resolve(_require(doc, "source", "metric morphism"), "metric graph", base)
-    target = resolve(_require(doc, "target", "metric morphism"), "metric graph", base)
+    source = resolve(_require(doc, "source", "metric morphism"), "metric graph", chain)
+    target = resolve(_require(doc, "target", "metric morphism"), "metric graph", chain)
     rational = _rational_reader()
     vertex_images = {
         v: _point_from_doc(img, rational, Point)
@@ -368,13 +367,13 @@ KINDS = {
 INLINE = {"poset": poset_from_doc, "metric graph": metric_graph_from_doc}
 
 
-def resolve(value, kind: str, base: Path | None = None):
+def resolve(value, kind: str, chain: tuple[Path, ...] = ()):
     """The object of the given kind that value stands for: an inline
     document, or a name for load_named, converted as KINDS says."""
     if isinstance(value, dict):
         return INLINE[kind](value)
     accepts = KINDS[kind]
-    obj = load_named(value, base) if isinstance(value, str) else None
+    obj = load_named(value, chain) if isinstance(value, str) else None
     convert = accepts.get(type(obj).__name__)
     if convert is not None:
         return convert(obj)
@@ -412,10 +411,13 @@ def _is_fixture(name: str) -> bool:
     return name in fixtures.FIXTURES
 
 
-def load_named(name: str, base: Path | None = None):
-    """Load a fixture by name or a document by path, relative to base (by
-    default the working directory).  A fixture wins over a file of the
-    same name.
+def load_named(name: str, chain: tuple[Path, ...] = ()):
+    """Load a fixture by name or a document by path.  chain holds the
+    files being loaded, each named by the one before it: a path is
+    relative to the folder of the last (with none, to the working
+    directory), and a file already on the chain is refused, since
+    loading it would never end.  A fixture wins over a file of the same
+    name.
 
     A /source or /target suffix on a morphism fixture, or on a morphism
     document where the name without it is a file, selects that side.
@@ -424,26 +426,28 @@ def load_named(name: str, base: Path | None = None):
         from .fixtures import load_fixture
 
         return load_fixture(name)
-    path = (Path.cwd() if base is None else base) / name
+    path = (chain[-1].parent if chain else Path.cwd()) / name
     stem, _, side = name.rpartition("/")
     # a file has no children, so a path whose parent is a file cannot exist
     if side in ("source", "target") and (_is_fixture(stem) or path.parent.is_file()):
-        obj = load_named(stem, base)
+        obj = load_named(stem, chain)
         if type(obj).__name__ not in KINDS["morphism"]:
             what = "fixture" if _is_fixture(stem) else "document"
             raise FormatError(f"{what} {stem!r} has no {side} side")
         return getattr(obj, side)
-    return document_from_doc(_load_json(path), path.parent)
+    if os.path.realpath(path) in map(os.path.realpath, chain):
+        raise FormatError("reference cycle: " + " -> ".join(map(str, (*chain, path))))
+    return document_from_doc(_load_json(path), (*chain, path))
 
 
-def document_from_doc(doc, base: Path | None = None):
+def document_from_doc(doc, chain: tuple[Path, ...] = ()):
     """Detect the document kind from its fields."""
     if not isinstance(doc, dict):
         raise FormatError("top-level document must be a JSON object")
     if "map" in doc:
-        return morphism_from_doc(doc, base)
+        return morphism_from_doc(doc, chain)
     if "vertex_images" in doc:
-        return metric_morphism_from_doc(doc, base)
+        return metric_morphism_from_doc(doc, chain)
     if "maximal_faces" in doc:
         return complex_from_doc(doc)
     if "edges" in doc:

@@ -113,12 +113,6 @@ class MetricGraph:
             if not 0 < pos.numerator * length.denominator < length.numerator * pos.denominator:
                 raise ValueError(f"position {p.position} not interior to edge {p.edge!r}")
 
-    def cell_of(self, p: Point) -> str:
-        """The face-poset element a point lies in: the vertex itself or the
-        carrying edge."""
-        self.check_point(p)
-        return p.vertex if p.is_vertex else p.edge
-
 
 def graph_face_poset(graph: MetricGraph) -> Poset:
     """Vertices at rank 0, edges at rank 1, covers given by incidence, once
@@ -249,17 +243,6 @@ class MetricGraphMorphism:
 
     def __repr__(self):
         return f"MetricGraphMorphism({self.source!r} -> {self.target!r})"
-
-    def point_image(self, p: Point) -> Point:
-        self.source.check_point(p)
-        if p.is_vertex:
-            return self.vertex_images[p.vertex]
-        grid = self._grid()
-        t, s, e = grid.images[p.edge]
-        den, x = grid.scale[t], _fraction(p.position)
-        step = self.edge_images[p.edge].slope * (1 if e > s else -1)
-        return self._point_at(t, s * x.denominator + step * x.numerator * den,
-                              den * x.denominator)
 
 
 def _cell_map(phi: MetricGraphMorphism):

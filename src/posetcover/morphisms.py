@@ -196,14 +196,6 @@ class PosetMorphism:
                         return ids[x], ids[y]
         raise AssertionError("a bijective down-set above a failure has no reversed pair")
 
-    def preimage_components(self, beta: str) -> list[frozenset]:
-        """Connected components of the preimage of the principal up-set at
-        beta, sorted by least member."""
-        target, source = self.target, self.source
-        j = target._ix(beta)
-        preimage = self._preimage_bits(bit_indices(target._above[j] | 1 << j))
-        return [frozenset(source._labels(c)) for c in source._component_bits(preimage)]
-
     def is_open(self) -> Check:
         """A morphism of posets is open iff the image of every principal
         up-set is an up-set; images distribute over unions, so checking

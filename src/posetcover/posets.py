@@ -305,16 +305,9 @@ class Poset:
         i, j = self._ix(a), self._ix(b)
         return bool(self._above[i] >> j & 1)
 
-    def comparable(self, a: str, b: str) -> bool:
-        return self.leq(a, b) or self.leq(b, a)
-
     def covers_of(self, a: str) -> tuple[str, ...]:
         """Elements covering a."""
         return tuple(map(self._ids.__getitem__, self._up_ix[self._ix(a)]))
-
-    def cocovers_of(self, a: str) -> tuple[str, ...]:
-        """Elements covered by a."""
-        return tuple(map(self._ids.__getitem__, self._down_ix[self._ix(a)]))
 
     def up_set(self, generators: Iterable[str]) -> frozenset:
         return frozenset(self._labels(self._closure(generators, self._above)))
@@ -327,10 +320,6 @@ class Poset:
 
     def min_elements(self) -> tuple[str, ...]:
         return tuple(compress(self._ids, [not d for d in self._down_ix]))
-
-    def is_up_set(self, subset: Iterable[str]) -> bool:
-        s = frozenset(subset)
-        return self._closure(s, self._above) == self._bits(s)
 
     def require_up_set(self, subset: Iterable[str]) -> frozenset:
         """The subset as a frozenset; raises NotUpSet with the least member

@@ -51,10 +51,6 @@ class SimplicialComplex:
                 faces.update(map(frozenset, combinations(f, r)))
         return cls(faces)
 
-    @classmethod
-    def full_simplex(cls, vertices) -> "SimplicialComplex":
-        return cls.from_maximal(vertices, [tuple(vertices)])
-
     def __len__(self):
         return len(self.faces)
 

@@ -137,18 +137,51 @@ def test_the_commands_run_every_action_of_the_command_table(tmp_path):
     assert {action(argv) for argv in FIXTURE_COMMANDS + witness_inputs(tmp_path)} == table
 
 
+def json_values(value) -> bool:
+    """Whether value is built only from dicts keyed by strings, lists,
+    tuples, strings, ints, bools and None; a record, a frozenset or a
+    Fraction is not."""
+    if value is None or type(value) in (str, int, bool):
+        return True
+    if type(value) in (list, tuple):
+        return all(map(json_values, value))
+    if type(value) is dict:
+        return all(type(k) is str and json_values(v) for k, v in value.items())
+    return False
+
+
+# the data keys of the actions whose constant fields were dropped
+DATA_KEYS = {
+    ("graph", "refine"): {"new_target_vertices", "new_source_vertices", "target_pieces",
+                          "source_pieces", "morphism"},
+    ("extend", None): {"mode", "assigned"},
+}
+
+
 def test_each_action_run_first_in_a_fresh_process_prints_what_it_prints_in_process(
         tmp_path, capsys):
     """A command imports the modules it uses when it runs, so each action
     runs as the only command of a new process: one that relied on a module
-    an earlier command had loaded would fail there."""
+    an earlier command had loaded would fail there.
+
+    The machine report passes a handler's data to the writer as it is and
+    turns only record witnesses into objects, so each action's data and
+    witnesses must be JSON values, which the writer renders as json does."""
     first = {}
     for argv in FIXTURE_COMMANDS + witness_inputs(tmp_path):
         first.setdefault(action(argv), argv)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    for argv in first.values():
+    for key, argv in first.items():
         argv = ["--format", "machine", *argv]
+        report, _ = cli.dispatch(cli.shared_parser().parse_args(argv))
+        assert json_values(report.data), argv
+        assert all(json_values(cli._plain(w)) for w in report.witnesses), argv
+        payload = cli._payload(report)
+        assert fileio.dumps(payload) == json.dumps(
+            payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+        if key in DATA_KEYS:
+            assert set(report.data) == DATA_KEYS[key]
         code = cli.main(argv)
         in_process = capsys.readouterr().out
         # an import a handler lacks is an internal error in both processes

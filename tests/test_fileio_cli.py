@@ -13,6 +13,7 @@ from posetcover.covers import DEFAULT_SEARCH_STATES
 from posetcover.dot import export_dot
 from posetcover.errors import (
     CycleDetected,
+    DuplicateElement,
     FormatError,
     NotCombinatorial,
     OracleSizeExceeded,
@@ -49,15 +50,16 @@ class TestDocuments:
 
     def test_index_map_round_trip(self):
         m = fix_trop_m()
-        doc = fileio.index_map_to_doc(m)
-        assert doc["domain_upset_generators"] == ["A1", "B1", "C1", "C2"]
+        doc = {"domain_upset_generators": ["A1", "B1", "C1", "C2"],
+               "values": {"A1": 3, "B1": 3, "C1": 1, "C2": 2,
+                          "s1": 2, "s2": 1, "t1": 1, "t2": 2}}
         loaded = fileio.index_map_from_doc(doc, m.poset)
         assert loaded.values == m.values
 
     def test_index_values_must_cover_domain(self):
         m = fix_trop_m()
-        doc = fileio.index_map_to_doc(m)
-        del doc["values"]["A1"]
+        doc = {"domain_upset_generators": ["A1", "B1", "C1", "C2"],
+               "values": {"B1": 3, "C1": 1, "C2": 2, "s1": 2, "s2": 1, "t1": 1, "t2": 2}}
         with pytest.raises(FormatError):
             fileio.index_map_from_doc(doc, m.poset)
 
@@ -150,7 +152,7 @@ class TestDot:
                   [(f"e{labels[a]}", f"e{labels[b]}") for a, b in p.covers])
         order = sorted(q.elements)
         expected = [(a, b) for i, a in enumerate(order) for b in order[i + 1:]
-                    if q.comparable(a, b)]
+                    if q.leq(a, b) or q.leq(b, a)]
         assert dot._edge_pairs(q, "comparability") == expected
 
 
@@ -586,6 +588,22 @@ def test_undeclared_complex_vertices_are_usage_errors(tmp_path, capsys):
     assert code == 2
     assert payload["witnesses"] == [{"error": "FormatError", "detail": str(FormatError(
         "maximal faces use undeclared vertex '2'"))}]
+
+
+@pytest.mark.parametrize("doc,witness", [
+    ({"vertices": ["a", "a", "b"], "maximal_faces": [["a", "b"]]},
+     {"error": "DuplicateElement", "detail": str(DuplicateElement("a"))}),
+    ({"vertices": ["a", "b"], "maximal_faces": [["a", "b"], []]},
+     {"error": "FormatError", "detail": "a maximal face must have at least one vertex"}),
+], ids=["repeated-vertex", "empty-face"])
+def test_malformed_complexes_are_usage_errors(doc, witness, tmp_path, capsys):
+    path = tmp_path / "complex.json"
+    path.write_text(fileio.dumps(doc))
+    code = cli.main(["--format", "machine", "subdivide", "stellar", "--complex", str(path),
+                     "--face", "a", "--vertex", "p"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert payload["witnesses"] == [witness]
 
 
 @pytest.mark.parametrize("argv", [

@@ -102,7 +102,8 @@ def test_stellar_subdivision_of_a_thirteen_vertex_simplex(tmp_path, capsys):
 
 
 def test_face_poset_of_a_thirteen_vertex_simplex():
-    k = SimplicialComplex.full_simplex(thirteen_vertices())
+    vertices = thirteen_vertices()
+    k = SimplicialComplex.from_maximal(vertices, [vertices])
     start = time.monotonic()
     p = simplicial_face_poset(k)
     elapsed = time.monotonic() - start

@@ -80,12 +80,6 @@ class TestBuild:
                 {"x": ("t", Fraction(1), Fraction(1), 1)},
             )
 
-    def test_point_image(self):
-        phi = fix_graph()
-        assert phi.point_image(Point.interior("e", Fraction(1, 2))) == \
-            Point.interior("t", Fraction(1, 2))
-        assert phi.point_image(Point.at_vertex("C")) == Point.at_vertex("v")
-
 
 class TestFacePoset:
     def test_fixture_incidences(self):
@@ -272,7 +266,8 @@ def test_fibre_count_matches_the_face_poset_fibre():
         points = [Point.at_vertex(v) for v in phi.target.vertices]
         points += random_points(rng, phi.target, 10)
         for y in points:
-            assert sample_fibre(phi, y).poset == len(face.fibre(phi.target.cell_of(y)))
+            cell = y.vertex if y.is_vertex else y.edge
+            assert sample_fibre(phi, y).poset == len(face.fibre(cell))
 
 
 def random_cycle_cover(rng: Random, n_edges: int, sheets: int, wind: bool):

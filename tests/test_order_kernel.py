@@ -198,7 +198,8 @@ class TestComponentsAndFibres:
             t_leq = reachability(target.elements, target.covers)
             for beta in target.elements:
                 over = {x for x in source.elements if (beta, phi(x)) in t_leq}
-                assert phi.preimage_components(beta) == brute_poset_components(
+                preimage = phi.preimage(phi.target.up_set([beta]))
+                assert phi.source.components(preimage) == brute_poset_components(
                     source.elements, source.covers, over)
 
 

@@ -5,6 +5,7 @@ Each case is accepted as it is, converted, or refused with its text.
 Sides of morphism documents are read like sides of fixtures."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -185,3 +186,48 @@ def test_a_document_that_is_no_morphism_has_no_sides(references, capsys):
     assert code == 2
     assert json.loads(out)["witnesses"] == [
         {"error": "FormatError", "detail": "document 'p.json' has no source side"}]
+
+
+# documents that name themselves, directly or through another: {file:
+# document}, the file a command names, and the files of the chain that
+# closes the cycle
+POINT = {"elements": ["x"], "covers": []}
+CYCLES = {
+    "a-side-of-itself": ({"m.json": {"source": "m.json/source", "target": POINT,
+                                     "map": {"x": "x"}}},
+                         "m.json", ["m.json", "m.json"]),
+    "itself-as-a-whole": ({"m.json": {"source": "m.json", "target": POINT, "map": {}}},
+                          "m.json", ["m.json", "m.json"]),
+    "each-other": ({"a.json": {"source": "b.json/source", "target": POINT, "map": {"x": "x"}},
+                    "b.json": {"source": "a.json/source", "target": POINT, "map": {"x": "x"}}},
+                   "a.json", ["a.json", "b.json", "a.json"]),
+    "metric-sides": ({"g.json": {"source": "g.json/source", "target": "g.json/target",
+                                 "vertex_images": {}, "edge_images": {}}},
+                     "g.json", ["g.json", "g.json"]),
+}
+
+
+@pytest.mark.parametrize("shape", CYCLES)
+def test_a_reference_cycle_is_a_usage_error_naming_the_chain(shape, references, capsys):
+    documents, ref, chain = CYCLES[shape]
+    for name, doc in documents.items():
+        (references / name).write_text(fileio.dumps(doc))
+    detail = "reference cycle: " + " -> ".join(str(Path.cwd() / name) for name in chain)
+    commands = [["morphism", "check", "--morphism", ref], ["poset", "stats", f"{ref}/source"]]
+    if "vertex_images" in documents[ref]:
+        commands.append(["graph", "refine", "--morphism", ref])
+    for argv in commands:
+        code, out = _run(argv, capsys)
+        assert code == 2, (argv, out)
+        assert json.loads(out)["witnesses"] == [{"error": "FormatError", "detail": detail}]
+
+
+def test_a_file_named_twice_without_a_cycle_loads(references, capsys):
+    (references / "p.json").write_text(fileio.dumps(POINT))
+    (references / "m.json").write_text(fileio.dumps(
+        {"source": "p.json", "target": "p.json", "map": {"x": "x"}}))
+    (references / "n.json").write_text(fileio.dumps(
+        {"source": "m.json/source", "target": "m.json/target", "map": {"x": "x"}}))
+    for ref in ("m.json", "n.json"):
+        code, out = _run(["morphism", "check", "--morphism", ref], capsys)
+        assert code == 0, out

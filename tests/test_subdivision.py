@@ -34,7 +34,7 @@ from oracles import (
 
 
 def three_simplex():
-    return SimplicialComplex.full_simplex(["1", "2", "3", "4"])
+    return SimplicialComplex.from_maximal("1234", ["1234"])
 
 
 def random_complex(rng):
@@ -251,6 +251,7 @@ class TestComplex:
     def test_face_guard(self):
         # a 17-vertex face has 2^17 - 1 non-empty subsets, above the limit
         with pytest.raises(OracleSizeExceeded) as raised:
-            SimplicialComplex.full_simplex([f"v{i:02d}" for i in range(17)])
+            vertices = [f"v{i:02d}" for i in range(17)]
+            SimplicialComplex.from_maximal(vertices, [vertices])
         assert str(raised.value) == (
             "subsets of maximal faces 131071 exceeds oracle limit 100000")
