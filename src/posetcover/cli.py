@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from collections import namedtuple
+from functools import cache
 
 # a handler imports what only its own command uses, so that a process
 # loads the modules of the one command it runs
@@ -21,6 +22,7 @@ from .errors import (
     CorestrictionNotCombinatorial,
     FormatError,
     NoLiftExists,
+    NotGraded,
     NotMonotone,
     OracleSizeExceeded,
     TheoremViolation,
@@ -56,8 +58,8 @@ def _payload(report: RunReport) -> dict:
     }
 
 
-def emit(report: RunReport, fmt: str, out=None):
-    out = out or sys.stdout
+def emit(report: RunReport, fmt: str):
+    out = sys.stdout
     payload = _payload(report)
     if fmt == "machine":
         out.write(fileio.dumps(payload))
@@ -99,13 +101,13 @@ def cmd_poset_validate(args) -> RunReport:
         return RunReport("fail", witnesses=[{"error": type(exc).__name__,
                                              "detail": str(exc)}])
     return RunReport("pass", data={
-        "elements": len(p.elements), "covers": len(p.covers)})
+        "elements": len(p.elements), "covers": sum(map(len, p._up_ix))})
 
 
 def cmd_poset_stats(args) -> RunReport:
     p = fileio.resolve(args.poset, "poset")
     data = {
-        "elements": sorted(p.elements),
+        "elements": list(p._ids),
         "covers": [[a, b] for a, b in p._cover_pairs()],
         "max": p.max_elements(),
         "min": p.min_elements(),
@@ -113,11 +115,10 @@ def cmd_poset_stats(args) -> RunReport:
     }
     try:
         rank = posets.rank_check(p)
-        data.update(graded=True, dim=rank.dim, pure=rank.pure,
-                    rank=dict(sorted(rank.rank.items())))
+        data.update(graded=True, dim=rank.dim, pure=rank.pure, rank=rank.rank)
         data["strongly_connected"] = posets.connectivity(p, "strong").connected
-    except ToolError as exc:
-        data.update(graded=False, not_graded_witness=list(getattr(exc, "pair", ())))
+    except NotGraded as exc:
+        data.update(graded=False, not_graded_witness=list(exc.pair))
     return RunReport("pass", data=data)
 
 
@@ -164,7 +165,7 @@ def cmd_cover_check(args) -> RunReport:
 def cmd_cover_degree(args) -> RunReport:
     phi = fileio.resolve(args.morphism, "morphism")
     report = covers.global_degree(phi, fileio.resolve_index(args.index, phi.source))
-    data = {"per_target": dict(sorted(report.per_target_value.items())),
+    data = {"per_target": report.per_target_value,
             "constant": report.constant}
     if report.constant:
         data["degree"] = report.degree
@@ -178,7 +179,7 @@ def cmd_cover_search(args) -> RunReport:
     if found is None:
         return RunReport("fail",
                          witnesses=[{"result": "NoneFound", "bound": args.bound}])
-    return RunReport("pass", data={"values": dict(sorted(found.values.items()))})
+    return RunReport("pass", data={"values": found.values})
 
 
 def cmd_extend(args) -> RunReport:
@@ -190,8 +191,7 @@ def cmd_extend(args) -> RunReport:
                     if args.upset else frozenset(phi.source.elements))
     report = extend.extend_balanced(phi, m, target_upset)
     assigned = {k: v for k, v in report.extended.values.items() if k not in m.domain}
-    data = {"mode": report.mode,
-            "assigned": dict(sorted(assigned.items()))}
+    data = {"mode": report.mode, "assigned": assigned}
     if report.conflicts:
         return RunReport("fail", witnesses=list(report.conflicts), data=data)
     return RunReport("pass", data=data)
@@ -284,11 +284,11 @@ def cmd_graph_refine(args) -> RunReport:
     ref = metric.refine_to_combinatorial(fileio.resolve(args.morphism, "metric graph morphism"))
     return RunReport("pass", data={
         "new_target_vertices": {k: [v[0], fileio.format_rational(v[1])]
-                                for k, v in sorted(ref.new_target_vertices.items())},
+                                for k, v in ref.new_target_vertices.items()},
         "new_source_vertices": {k: [v[0], fileio.format_rational(v[1])]
-                                for k, v in sorted(ref.new_source_vertices.items())},
-        "target_pieces": {k: list(v) for k, v in sorted(ref.target_pieces.items())},
-        "source_pieces": {k: list(v) for k, v in sorted(ref.source_pieces.items())},
+                                for k, v in ref.new_source_vertices.items()},
+        "target_pieces": {k: list(v) for k, v in ref.target_pieces.items()},
+        "source_pieces": {k: list(v) for k, v in ref.source_pieces.items()},
         "morphism": fileio.metric_morphism_to_doc(ref.morphism),
     })
 
@@ -361,8 +361,7 @@ def cmd_export_dot(args) -> RunReport:
 def cmd_fixtures_list(args) -> RunReport:
     from . import fixtures
 
-    listing = {name: type(fixtures.load_fixture(name)).__name__
-               for name in sorted(fixtures.FIXTURES)}
+    listing = {name: type(fixtures.load_fixture(name)).__name__ for name in fixtures.FIXTURES}
     return RunReport("pass", data={"fixtures": listing})
 
 
@@ -496,16 +495,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_PARSER = None
-
-
+@cache
 def shared_parser() -> argparse.ArgumentParser:
     """The parser of build_parser, built on first use and then shared by
     every main() call and fixture row of the process."""
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = build_parser()
-    return _PARSER
+    return build_parser()
 
 
 def dispatch(args) -> tuple[RunReport, int]:

@@ -61,8 +61,8 @@ class IndexMap:
         return m
 
     @classmethod
-    def constant(cls, poset: Poset, value: int = 1) -> "IndexMap":
-        return cls(poset, {e: value for e in poset.elements})
+    def constant(cls, poset: Poset) -> "IndexMap":
+        return cls(poset, dict.fromkeys(poset.elements, 1))
 
     def is_total(self) -> bool:
         return len(self.domain) == len(self.poset)
@@ -359,14 +359,11 @@ def global_degree(phi: PosetMorphism, m: IndexMap) -> DegreeReport:
     return DegreeReport(per, constant, counts.pop() if constant and counts else None)
 
 
-def search_balanced(
-    phi: PosetMorphism,
-    bound: int = DEFAULT_SEARCH_BOUND,
-    state_limit: int = DEFAULT_SEARCH_STATES,
-):
+def search_balanced(phi: PosetMorphism, bound: int = DEFAULT_SEARCH_BOUND):
     """Exhaustive search for a total balanced index map with values in
     1..bound; returns the least solution in lexicographic element order,
-    or None.
+    or None.  More than DEFAULT_SEARCH_STATES assignments of the free
+    elements raise OracleSizeExceeded.
 
     Elements whose image is maximal in the target carry no balancing
     constraint of their own, so they are the free variables; every other
@@ -382,8 +379,9 @@ def search_balanced(
     states = 1
     for _ in free:
         states *= bound
-        if states > state_limit:
-            raise OracleSizeExceeded(f"{bound}**{len(free)}", state_limit, "search states")
+        if states > DEFAULT_SEARCH_STATES:
+            raise OracleSizeExceeded(f"{bound}**{len(free)}", DEFAULT_SEARCH_STATES,
+                                     "search states")
 
     # values by index, so comparing lists compares in element order
     best = None

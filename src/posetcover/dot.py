@@ -58,7 +58,7 @@ def _poset_dot(p: Poset, kind: str) -> str:
     lines = [("digraph" if directed else "graph") + " poset {"]
     if directed:
         lines.append("  rankdir=BT;")
-    for e in sorted(p.elements):
+    for e in p._ids:
         lines.append(f"  {_quote(e)};")
     for a, b in _edge_pairs(p, kind):
         lines.append(f"  {_quote(a)} {arrow} {_quote(b)};")
@@ -76,7 +76,7 @@ def _morphism_dot(phi: PosetMorphism, kind: str) -> str:
     def cluster(tag, poset):
         lines.append(f"  subgraph cluster_{tag} {{")
         lines.append(f'    label="{tag}";')
-        for e in sorted(poset.elements):
+        for e in poset._ids:
             lines.append(f"    {_quote(tag + ':' + e)} [label={_quote(e)}];")
         for a, b in _edge_pairs(poset, kind):
             lines.append(f"    {_quote(tag + ':' + a)} {arrow} {_quote(tag + ':' + b)};")
@@ -84,7 +84,7 @@ def _morphism_dot(phi: PosetMorphism, kind: str) -> str:
 
     cluster("source", phi.source)
     cluster("target", phi.target)
-    for x in sorted(phi.source.elements):
+    for x in phi.source._ids:
         lines.append(
             f"  {_quote('source:' + x)} {arrow} {_quote('target:' + phi.mapping[x])} [style=dashed];"
         )

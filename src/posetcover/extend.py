@@ -32,8 +32,7 @@ ExtensionConflict = namedtuple("ExtensionConflict", "alpha beta1 beta2 sum1 sum2
 
 
 # mode is "guaranteed" or "opportunistic"
-class ExtensionReport(namedtuple("ExtensionReport", "extended mode conflicts unconstrained",
-                                 defaults=((), ()))):
+class ExtensionReport(namedtuple("ExtensionReport", "extended mode conflicts unconstrained")):
     __slots__ = ()
 
     def __bool__(self):
@@ -175,15 +174,16 @@ def lift_upward_path(phi: PosetMorphism, m: IndexMap, alpha: str, target_path) -
 def _lift_step(phi: PosetMorphism, valued: int, start: int, a: int, b: int) -> list[int]:
     """The source indices lifting the strict step a < b of target indices
     from start (not repeated), cover by cover along a saturated chain: over
-    each cover, the least valued element that covers the lift so far."""
+    each cover, the least valued element that covers the lift so far.  The
+    map is balanced, so the valued elements covering the lift over a cover
+    of its image sum to its value, at least 1: one always exists."""
     source, target, image_of = phi.source, phi.target, phi._image_of
     lift = [start]
     for nu in _saturated_chain(target, a, b)[1:]:
         g = next((g for g in source._up_ix[lift[-1]]
                   if image_of[g] == nu and valued >> g & 1), None)
         if g is None:
-            raise NoLiftExists(f"no valued preimage of {target._ids[nu]!r} covers "
-                               f"{source._ids[lift[-1]]!r}")
+            raise AssertionError("a balanced map has a valued element without a valued cover")
         lift.append(g)
     return lift[1:]
 
@@ -221,9 +221,11 @@ def lift_path(phi: PosetMorphism, m: IndexMap, alpha: str, target_path) -> Path:
             lift.extend(source._ids[g] for g in up)
             current = lift[-1]
         elif phi.target.lt(b, a):
+            # psi maps down(current) onto the down-set of a in the image,
+            # which holds b, so exactly one option exists
             options = [g for g in psi.source.down_set([current]) if phi(g) == b]
             if not options:
-                raise NoLiftExists(f"no preimage of {b!r} below {current!r} in the domain")
+                raise AssertionError("a combinatorial corestriction misses a lower image")
             current = min(options)
             lift.append(current)
         else:
@@ -231,8 +233,7 @@ def lift_path(phi: PosetMorphism, m: IndexMap, alpha: str, target_path) -> Path:
     return Path.through(phi.source, lift)
 
 
-class LiftingReport(namedtuple("LiftingReport", "mode hypotheses conclusion_holds witness_fibre",
-                               defaults=(None,))):
+class LiftingReport(namedtuple("LiftingReport", "mode hypotheses conclusion_holds witness_fibre")):
     __slots__ = ()
 
     @property

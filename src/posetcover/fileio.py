@@ -14,11 +14,13 @@ working directory); an embedded poset or metric graph may also be an
 inline document, parsed as ``INLINE`` says.  A ``/source`` or ``/target``
 suffix on a morphism fixture or document names that side itself.  A
 document that names itself, directly or through other documents, is
-refused.  Each kind of slot accepts the loaded types of its row, each
-with its conversion: a metric graph becomes its face poset, and a metric
-graph morphism its face-poset morphism.  A morphism in a slot that
-accepts its sides is refused with the hint to name a side.  Index maps
-need the poset they live on, and ``resolve_index`` reads them.
+refused, and so is a chain of references more than REFERENCE_DEPTH_LIMIT
+files deep; one load reads each file once, however often it is named.
+Each kind of slot accepts the loaded types of its row, each with its
+conversion: a metric graph becomes its face poset, and a metric graph
+morphism its face-poset morphism.  A morphism in a slot that accepts its
+sides is refused with the hint to name a side.  Index maps need the
+poset they live on, and ``resolve_index`` reads them.
 """
 
 from __future__ import annotations
@@ -144,20 +146,20 @@ def poset_from_doc(doc) -> Poset:
 
 def poset_to_doc(p: Poset, with_rank: bool = False) -> dict:
     doc = {
-        "elements": sorted(p.elements),
+        "elements": list(p._ids),
         "covers": [[a, b] for a, b in p._cover_pairs()],
     }
     if with_rank:
         try:
-            doc["rank"] = dict(sorted(rank_check(p).rank.items()))
+            doc["rank"] = rank_check(p).rank
         except ToolError:
             pass
     return doc
 
 
-def morphism_from_doc(doc, chain: tuple[Path, ...] = ()) -> PosetMorphism:
-    source = resolve(_require(doc, "source", "morphism"), "poset", chain)
-    target = resolve(_require(doc, "target", "morphism"), "poset", chain)
+def morphism_from_doc(doc, loads: _Loads | None = None) -> PosetMorphism:
+    source = resolve(_require(doc, "source", "morphism"), "poset", loads)
+    target = resolve(_require(doc, "target", "morphism"), "poset", loads)
     mapping = _keyed(_require(doc, "map", "morphism"), "morphism map")
     for value in mapping.values():
         _string(value, "a morphism map value")
@@ -168,7 +170,7 @@ def morphism_to_doc(phi: PosetMorphism) -> dict:
     return {
         "source": poset_to_doc(phi.source),
         "target": poset_to_doc(phi.target),
-        "map": dict(sorted(phi.mapping.items())),
+        "map": dict(phi.mapping),
     }
 
 
@@ -278,11 +280,11 @@ def _point_to_doc(p):
     return {"edge": p.edge, "pos": format_rational(p.position)}
 
 
-def metric_morphism_from_doc(doc, chain: tuple[Path, ...] = ()):
+def metric_morphism_from_doc(doc, loads: _Loads | None = None):
     from .metric import MetricGraphMorphism, Point
 
-    source = resolve(_require(doc, "source", "metric morphism"), "metric graph", chain)
-    target = resolve(_require(doc, "target", "metric morphism"), "metric graph", chain)
+    source = resolve(_require(doc, "source", "metric morphism"), "metric graph", loads)
+    target = resolve(_require(doc, "target", "metric morphism"), "metric graph", loads)
     rational = _rational_reader()
     vertex_images = {
         v: _point_from_doc(img, rational, Point)
@@ -305,9 +307,7 @@ def metric_morphism_to_doc(phi) -> dict:
     return {
         "source": metric_graph_to_doc(phi.source),
         "target": metric_graph_to_doc(phi.target),
-        "vertex_images": {
-            v: _point_to_doc(p) for v, p in sorted(phi.vertex_images.items())
-        },
+        "vertex_images": {v: _point_to_doc(p) for v, p in phi.vertex_images.items()},
         "edge_images": {
             e: {
                 "edge": img.edge,
@@ -315,7 +315,7 @@ def metric_morphism_to_doc(phi) -> dict:
                 "to": format_rational(img.end),
                 "slope": img.slope,
             }
-            for e, img in sorted(phi.edge_images.items())
+            for e, img in phi.edge_images.items()
         },
     }
 
@@ -367,13 +367,13 @@ KINDS = {
 INLINE = {"poset": poset_from_doc, "metric graph": metric_graph_from_doc}
 
 
-def resolve(value, kind: str, chain: tuple[Path, ...] = ()):
+def resolve(value, kind: str, loads: _Loads | None = None):
     """The object of the given kind that value stands for: an inline
     document, or a name for load_named, converted as KINDS says."""
     if isinstance(value, dict):
         return INLINE[kind](value)
     accepts = KINDS[kind]
-    obj = load_named(value, chain) if isinstance(value, str) else None
+    obj = load_named(value, loads) if isinstance(value, str) else None
     convert = accepts.get(type(obj).__name__)
     if convert is not None:
         return convert(obj)
@@ -411,13 +411,30 @@ def _is_fixture(name: str) -> bool:
     return name in fixtures.FIXTURES
 
 
-def load_named(name: str, chain: tuple[Path, ...] = ()):
-    """Load a fixture by name or a document by path.  chain holds the
-    files being loaded, each named by the one before it: a path is
-    relative to the folder of the last (with none, to the working
-    directory), and a file already on the chain is refused, since
-    loading it would never end.  A fixture wins over a file of the same
-    name.
+# the most files a chain of references may hold, each named by the one
+# before it; each file takes a few stack frames, so the deepest chain
+# stays far inside Python's recursion limit
+REFERENCE_DEPTH_LIMIT = 64
+
+
+class _Loads:
+    """The files of one load.  chain holds those being loaded, each named
+    by the one before it, with their real paths; done holds those loaded,
+    by their real path and that of the folder their references are read
+    from, so that a file named again is not read again."""
+
+    def __init__(self):
+        self.chain = []
+        self.done = {}
+
+
+def load_named(name: str, loads: _Loads | None = None):
+    """Load a fixture by name or a document by path.  A path is relative
+    to the folder of the file that names it (on the command line, to the
+    working directory).  A file that names itself, directly or through
+    others, is refused, since loading it would never end, and so is a file
+    more than REFERENCE_DEPTH_LIMIT files down a chain of references.  A
+    fixture wins over a file of the same name.
 
     A /source or /target suffix on a morphism fixture, or on a morphism
     document where the name without it is a file, selects that side.
@@ -426,28 +443,43 @@ def load_named(name: str, chain: tuple[Path, ...] = ()):
         from .fixtures import load_fixture
 
         return load_fixture(name)
-    path = (chain[-1].parent if chain else Path.cwd()) / name
+    if loads is None:
+        loads = _Loads()
+    chain = loads.chain
+    path = (chain[-1][0].parent if chain else Path.cwd()) / name
     stem, _, side = name.rpartition("/")
     # a file has no children, so a path whose parent is a file cannot exist
     if side in ("source", "target") and (_is_fixture(stem) or path.parent.is_file()):
-        obj = load_named(stem, chain)
+        obj = load_named(stem, loads)
         if type(obj).__name__ not in KINDS["morphism"]:
             what = "fixture" if _is_fixture(stem) else "document"
             raise FormatError(f"{what} {stem!r} has no {side} side")
         return getattr(obj, side)
-    if os.path.realpath(path) in map(os.path.realpath, chain):
-        raise FormatError("reference cycle: " + " -> ".join(map(str, (*chain, path))))
-    return document_from_doc(_load_json(path), (*chain, path))
+    real = os.path.realpath(path)
+    key = (real, os.path.realpath(path.parent))
+    if key in loads.done:
+        return loads.done[key]
+    if any(real == r for _, r in chain):
+        raise FormatError("reference cycle: " + " -> ".join(
+            [str(p) for p, _ in chain] + [str(path)]))
+    if len(chain) == REFERENCE_DEPTH_LIMIT:
+        raise FormatError(f"reference depth {len(chain) + 1} exceeds the limit "
+                          f"{REFERENCE_DEPTH_LIMIT} at {path}")
+    # an error ends the whole load, so the chain is only unwound on success
+    chain.append((path, real))
+    obj = loads.done[key] = document_from_doc(_load_json(path), loads)
+    chain.pop()
+    return obj
 
 
-def document_from_doc(doc, chain: tuple[Path, ...] = ()):
+def document_from_doc(doc, loads: _Loads | None = None):
     """Detect the document kind from its fields."""
     if not isinstance(doc, dict):
         raise FormatError("top-level document must be a JSON object")
     if "map" in doc:
-        return morphism_from_doc(doc, chain)
+        return morphism_from_doc(doc, loads)
     if "vertex_images" in doc:
-        return metric_morphism_from_doc(doc, chain)
+        return metric_morphism_from_doc(doc, loads)
     if "maximal_faces" in doc:
         return complex_from_doc(doc)
     if "edges" in doc:

@@ -58,7 +58,7 @@ def fix_ce1() -> PosetMorphism:
 
 @lru_cache(maxsize=None)
 def fix_ce1_m() -> IndexMap:
-    return IndexMap.constant(fix_ce1().source, 1)
+    return IndexMap.constant(fix_ce1().source)
 
 
 @lru_cache(maxsize=None)

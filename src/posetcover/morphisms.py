@@ -45,7 +45,7 @@ class PosetMorphism:
             for e in mapping:
                 if e not in source:
                     raise UnknownElement(e)
-            image_of = [t_index[mapping[x]] for x in source._ids]
+            raise AssertionError("mapping refused but no witness found")
         # monotone on covers implies monotone everywhere; the covers come
         # in sorted order, so the first failure is the least failing pair
         t_above = target._above
@@ -79,9 +79,7 @@ class PosetMorphism:
     def __repr__(self):
         return f"PosetMorphism({self.source!r} -> {self.target!r})"
 
-    def image(self, subset=None) -> frozenset:
-        if subset is None:
-            subset = self.source.elements
+    def image(self, subset) -> frozenset:
         return frozenset(self.mapping[x] for x in subset)
 
     def fibre(self, beta: str) -> frozenset:

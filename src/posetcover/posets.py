@@ -156,7 +156,7 @@ class Poset:
         self._order_ix = order
         # filled on first use; declared here because a later write keeps the
         # compact attribute layout that writing to __dict__ would give up
-        self._height_memo = self._covers_memo = None
+        self._height_memo = None
         # strict reachability over covers as bitsets; a cover i < j is
         # redundant when j is also reachable through another cover of i
         above = [0] * n
@@ -225,9 +225,7 @@ class Poset:
 
     @property
     def covers(self) -> frozenset:
-        if self._covers_memo is None:
-            self._covers_memo = frozenset(self._cover_pairs())
-        return self._covers_memo
+        return frozenset(self._cover_pairs())
 
     def _cover_pairs(self) -> list[tuple[str, str]]:
         """The cover pairs in sorted order, read off the index lists."""
@@ -295,7 +293,7 @@ class Poset:
         return self._ids == other._ids and self._up_ix == other._up_ix
 
     def __hash__(self):
-        return hash((self._ids, self.covers))
+        return hash((self._ids, tuple(map(tuple, self._up_ix))))
 
     def leq(self, a: str, b: str) -> bool:
         i, j = self._ix(a), self._ix(b)

@@ -106,9 +106,10 @@ ChainPoset = namedtuple("ChainPoset", "poset chain_of top_of")
 _chain_label = "<".join
 
 
-def chain_poset(p: Poset, limit: int = DEFAULT_CHAIN_LIMIT) -> ChainPoset:
+def chain_poset(p: Poset) -> ChainPoset:
     """All non-empty strict chains of p, ordered by subchain inclusion;
-    a chain covers each chain it becomes with one member dropped."""
+    a chain covers each chain it becomes with one member dropped.  More
+    than DEFAULT_CHAIN_LIMIT chains raise OracleSizeExceeded."""
     ids, below, order = p._ids, p._below, p._order_ix
     # the chains that end at i are i alone and each chain ending below i
     # with i appended; they are counted before any is built
@@ -119,8 +120,8 @@ def chain_poset(p: Poset, limit: int = DEFAULT_CHAIN_LIMIT) -> ChainPoset:
         under[i] = bit_indices(below[i])
         number[i] = 1 + sum(map(number.__getitem__, under[i]))
         total += number[i]
-        if total > limit:
-            raise OracleSizeExceeded(limit + 1, limit)
+        if total > DEFAULT_CHAIN_LIMIT:
+            raise OracleSizeExceeded(DEFAULT_CHAIN_LIMIT + 1, DEFAULT_CHAIN_LIMIT)
     # chains are numbered as they are made; the chain c + i drops to c,
     # and to d + i for each chain d that c drops to, or to i alone when c
     # is a single element
@@ -154,14 +155,14 @@ def chain_poset(p: Poset, limit: int = DEFAULT_CHAIN_LIMIT) -> ChainPoset:
     )
 
 
-def bcs_morphism(phi: PosetMorphism, limit: int = DEFAULT_CHAIN_LIMIT) -> PosetMorphism:
+def bcs_morphism(phi: PosetMorphism) -> PosetMorphism:
     """The induced map on barycentric subdivisions, defined elementwise on
     chains.  Needs a combinatorial morphism: every chain lies inside a
     principal down-set, where the map is injective, so strict chains stay
     strict."""
     phi.require_combinatorial()
-    source = chain_poset(phi.source, limit)
-    target = chain_poset(phi.target, limit)
+    source = chain_poset(phi.source)
+    target = chain_poset(phi.target)
     image = phi.mapping.__getitem__
     mapping = {lbl: _chain_label(map(image, chain)) for lbl, chain in source.chain_of.items()}
     return PosetMorphism(source.poset, target.poset, mapping)

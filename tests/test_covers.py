@@ -4,6 +4,7 @@ balanced-map search."""
 import pytest
 from random import Random
 
+from posetcover import covers
 from posetcover.covers import (
     IndexMap,
     branch_locus_check,
@@ -51,6 +52,12 @@ class TestIndexMap:
         phi = fix_trop()
         with pytest.raises(InvalidIndexMap):
             IndexMap(phi.source, {"s1": 0})
+
+    def test_balancing_needs_a_map_on_the_source(self):
+        with pytest.raises(InvalidIndexMap) as err:
+            is_balanced(fix_trop(), fix_ce1_m())
+        assert str(err.value) == ("index map lives on a different poset than the "
+                                  "morphism source")
 
     def test_total_guard(self):
         phi = fix_trop()
@@ -265,9 +272,10 @@ class TestSearchBalanced:
         assert found is not None
         assert set(found.values.values()) == {1}
 
-    def test_state_guard(self):
+    def test_state_guard(self, monkeypatch):
+        monkeypatch.setattr(covers, "DEFAULT_SEARCH_STATES", 10)
         with pytest.raises(OracleSizeExceeded):
-            search_balanced(fix_open(), bound=4, state_limit=10)
+            search_balanced(fix_open(), bound=4)
 
     def test_fixture_values_are_balanced_but_not_least(self):
         found = search_balanced(fix_trop(), bound=3)

@@ -1,8 +1,10 @@
 """Machine output must not depend on the string-hash seed: every bundled
 fixture command, two inputs with several candidate witnesses of which the
-least must be reported, and two stellar subdivisions, one of a missing
-face, run in child processes under different PYTHONHASHSEED values and
-must print the same bytes.
+least must be reported, two stellar subdivisions, one of a missing face,
+and three documents for the stats of an ungraded poset, a morphism that
+is not monotone and an extension from the top values, run in child
+processes under different PYTHONHASHSEED values and must print the same
+bytes.
 Together the commands run every action of the CLI's command table, and
 each action, run as the only command of a fresh process, prints what it
 prints in process."""
@@ -36,6 +38,7 @@ FIXTURE_COMMANDS = [
     ["cover", "ibc-oracle", "--morphism", "FIX-CE2", "--index", "FIX-CE2-M"],
     ["cover", "ibc-oracle", "--morphism", "FIX-TROP", "--index", "FIX-TROP-M"],
     ["cover", "degree", "--morphism", "FIX-TROP", "--index", "FIX-TROP-M"],
+    ["cover", "degree", "--morphism", "FIX-CE1", "--index", "FIX-CE1-M"],
     ["cover", "search", "--morphism", "FIX-OPEN", "--bound", "4"],
     ["cover", "search", "--morphism", "FIX-TROP", "--bound", "3"],
     ["extend", "--morphism", "FIX-IDREAD", "--index", "FIX-IDREAD-M"],
@@ -49,6 +52,7 @@ FIXTURE_COMMANDS = [
     ["connect", "strong", "--poset", "FIX-IDREAD/target"],
     ["connect", "codimk", "--poset", "FIX-TROP/target", "--k", "1"],
     ["connect", "lifting", "--morphism", "FIX-TROP", "--index", "FIX-TROP-M"],
+    ["connect", "lifting", "--morphism", "FIX-SIMPLE-EXT", "--index", "FIX-SIMPLE-EXT-M"],
     ["subdivide", "bcs", "--poset", "FIX-TROP/target"],
     ["subdivide", "bcs", "--morphism", "FIX-TROP"],
     ["graph", "refine", "--morphism", "FIX-GRAPH"],
@@ -82,8 +86,10 @@ def witness_inputs(tmp_path):
     """Three incomparable elements below a top, onto a four-chain (the
     inverse is not monotone at the top), a poset with two redundant
     covers, a tetrahedron for stellar subdivision (no fixture is a
-    simplicial complex), and a path of three edges where the face to
-    subdivide is missing."""
+    simplicial complex), a path of three edges where the face to
+    subdivide is missing, a poset whose cover d < c skips a rank, a map
+    that reverses a cover, and the values of FIX-TROP on its top elements
+    only."""
     morphism = {
         "source": {"elements": ["x", "y", "z", "a"],
                    "covers": [["x", "a"], ["y", "a"], ["z", "a"]]},
@@ -99,12 +105,22 @@ def witness_inputs(tmp_path):
         {"vertices": ["1", "2", "3", "4"], "maximal_faces": [["1", "2", "3", "4"]]}))
     (tmp_path / "path.json").write_text(fileio.dumps(
         {"vertices": ["1", "2", "3", "4"], "maximal_faces": [["1", "2"], ["2", "3"], ["3", "4"]]}))
+    (tmp_path / "ungraded.json").write_text(fileio.dumps(
+        {"elements": ["a", "b", "c", "d"], "covers": [["a", "b"], ["b", "c"], ["d", "c"]]}))
+    chain = {"elements": ["a", "b"], "covers": [["a", "b"]]}
+    (tmp_path / "reversed.json").write_text(fileio.dumps(
+        {"source": chain, "target": chain, "map": {"a": "b", "b": "a"}}))
+    (tmp_path / "trop_tops.json").write_text(fileio.dumps(
+        {"values": {"s1": 2, "s2": 1, "t1": 1, "t2": 2}}))
     return [["morphism", "check", "--morphism", str(tmp_path / "onto_chain.json")],
             ["poset", "validate", str(tmp_path / "redundant.json")],
             ["subdivide", "stellar", "--complex", str(tmp_path / "simplex.json"),
              "--face", "1,2,3", "--vertex", "p"],
             ["subdivide", "stellar", "--complex", str(tmp_path / "path.json"),
-             "--face", "1,4", "--vertex", "p"]]
+             "--face", "1,4", "--vertex", "p"],
+            ["poset", "stats", str(tmp_path / "ungraded.json")],
+            ["morphism", "check", "--morphism", str(tmp_path / "reversed.json")],
+            ["extend", "--morphism", "FIX-TROP", "--index", str(tmp_path / "trop_tops.json")]]
 
 
 def run_all(commands, hash_seed):
@@ -126,6 +142,10 @@ def test_output_is_independent_of_the_hash_seed(tmp_path):
     assert "('a', 'c')" in runs[0]
     # the missing face is named with its vertices sorted
     assert "face ['1', '4'] is not in the complex" in runs[0]
+    # the least cover that skips a rank, and the cover a map reverses
+    compact = runs[0].replace(" ", "").replace("\n", "")
+    assert '"not_graded_witness":["d","c"]' in compact
+    assert '"error":"NotMonotone","pair":["a","b"]' in compact
 
 
 def action(argv):

@@ -9,9 +9,11 @@ from posetcover.errors import (
     MaxElementsUncovered,
     NotBalancedInput,
     NotCombinatorial,
+    NoLiftExists,
     NotInDomain,
     PathNotFromImage,
     PathNotIncreasing,
+    UnknownElement,
 )
 from posetcover.extend import (
     Path,
@@ -264,6 +266,29 @@ class TestLiftPath:
     def test_length_zero(self):
         lifted = lift_path(fix_trop(), fix_trop_m(), "t2", ["t"])
         assert lifted.steps == ("t2",)
+
+    def test_errors(self):
+        phi, m = fix_trop(), fix_trop_m()
+        with pytest.raises(PathNotFromImage) as err:
+            lift_path(phi, m, "s1", ["B", "t"])
+        assert str(err.value) == "path must start at 's', got 'B'"
+        with pytest.raises(PathNotFromImage) as err:
+            lift_path(phi, m, "s1", [])
+        assert str(err.value) == "path must start at 's', got None"
+        with pytest.raises(UnknownElement) as err:
+            lift_path(phi, m, "s1", ["s", "Z"])
+        assert err.value.element == "Z"
+        # s and t are incomparable, so the path takes no step between them
+        with pytest.raises(PathNotIncreasing) as err:
+            lift_path(phi, m, "s1", ["s", "t"])
+        assert err.value.pair == ("s", "t")
+
+    def test_a_path_outside_the_image_of_the_domain_has_no_lift(self):
+        # the edge values live on s1, s2, t1 and t2, whose image misses B
+        with pytest.raises(NoLiftExists) as err:
+            lift_path(fix_trop(), trop_edge_values(), "s1", ["s", "B", "t"])
+        assert str(err.value) == ("no lift exists: path element 'B' lies outside the image "
+                                  "of the domain")
 
 
 class TestPathType:

@@ -790,7 +790,7 @@ def test_parser_is_built_once_per_process(monkeypatch, capsys):
         return build()
 
     monkeypatch.setattr(cli, "build_parser", counting)
-    monkeypatch.setattr(cli, "_PARSER", None)
+    cli.shared_parser.cache_clear()
     assert cli.main(["--format", "machine", "morphism", "check", "--morphism", "FIX-TROP"]) == 0
     assert cli.main(["--format", "machine", "poset", "validate", "FIX-TROP/target"]) == 0
     capsys.readouterr()

@@ -42,7 +42,7 @@ def test_sheaf_morphisms_are_combinatorial_open_onto():
         phi = random_sheaf_morphism(rng)
         assert phi.is_combinatorial()
         assert phi.is_open()
-        assert phi.image() == frozenset(phi.target.elements)
+        assert phi.image(phi.source.elements) == frozenset(phi.target.elements)
         assert phi.target.is_connected()
 
 

@@ -51,6 +51,12 @@ class TestBuild:
         with pytest.raises(UnknownElement):
             PosetMorphism(chain, chain, {"A": "A"})
 
+    def test_a_key_outside_the_source_is_named(self):
+        chain = Poset(["A", "B"], [("A", "B")])
+        with pytest.raises(UnknownElement) as err:
+            PosetMorphism(chain, chain, {"A": "A", "B": "B", "C": "B"})
+        assert err.value.element == "C"
+
 
 class TestCombinatorial:
     def test_trop_is_combinatorial(self):
@@ -162,7 +168,7 @@ class TestRestrictCorestrict:
         phi = fix_trop()
         psi = phi.restrict_corestrict(frozenset(phi.source.elements))
         assert psi.source == phi.source
-        assert frozenset(psi.target.elements) == phi.image()
+        assert frozenset(psi.target.elements) == phi.image(phi.source.elements)
 
     def test_requires_up_set(self):
         phi = fix_trop()

@@ -5,6 +5,9 @@ Each case is accepted as it is, converted, or refused with its text.
 Sides of morphism documents are read like sides of fixtures."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -231,3 +234,55 @@ def test_a_file_named_twice_without_a_cycle_loads(references, capsys):
     for ref in ("m.json", "n.json"):
         code, out = _run(["morphism", "check", "--morphism", ref], capsys)
         assert code == 0, out
+
+
+# a child loads the chain that f0.json starts and prints its exit code, the
+# number of files it read and its witnesses: each run gets a stack of its
+# own, and a load that rereads files ends at the timeout
+CHAIN_CHILD = """
+import io, json, sys
+from contextlib import redirect_stdout
+from posetcover import cli, fileio
+read = []
+load = fileio._load_json
+fileio._load_json = lambda path: read.append(path) or load(path)
+out = io.StringIO()
+with redirect_stdout(out):
+    code = cli.main(["--format", "machine", "morphism", "check", "--morphism", "f0.json"])
+print(json.dumps([code, len(read), json.loads(out.getvalue())["witnesses"]]))
+"""
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def load_chain(folder: Path, count: int, both_sides: bool):
+    """Write f0.json ... f{count - 1}.json, each naming the source, and
+    with both_sides also the target, of the next, the last one a map of
+    POINT; return what CHAIN_CHILD prints for them."""
+    for i in range(count):
+        doc = {"source": POINT, "target": POINT, "map": {"x": "x"}}
+        if i + 1 < count:
+            doc["source"] = f"f{i + 1}.json/source"
+            if both_sides:
+                doc["target"] = f"f{i + 1}.json/target"
+        (folder / f"f{i}.json").write_text(fileio.dumps(doc))
+    done = subprocess.run([sys.executable, "-c", CHAIN_CHILD], cwd=folder,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_a_file_named_on_both_sides_is_read_once(references):
+    # each file names the next twice, which read as named would read the
+    # last file 2**39 times
+    assert load_chain(references, 40, both_sides=True) == [0, 40, []]
+
+
+def test_a_chain_of_references_is_read_to_the_depth_limit(references):
+    limit = fileio.REFERENCE_DEPTH_LIMIT
+    assert load_chain(references, limit, both_sides=False) == [0, limit, []]
+    code, read, witnesses = load_chain(references, 1000, both_sides=False)
+    detail = (f"reference depth {limit + 1} exceeds the limit {limit} "
+              f"at {Path.cwd() / f'f{limit}.json'}")
+    assert (code, read) == (2, limit)
+    assert witnesses == [{"error": "FormatError", "detail": detail}]

@@ -10,6 +10,7 @@ from posetcover.errors import (
     OracleSizeExceeded,
     VertexClash,
 )
+from posetcover import subdivision
 from posetcover.fileio import complex_to_doc
 from posetcover.fixtures import fix_ce1, fix_trop
 from posetcover.morphisms import PosetMorphism
@@ -72,17 +73,20 @@ class TestChainPoset:
             assert report.rank[label] == len(content) - 1
         assert report.pure and report.dim == 3
 
-    def test_size_guard(self):
+    def test_size_guard(self, monkeypatch):
         poset = simplicial_face_poset(three_simplex())
+        monkeypatch.setattr(subdivision, "DEFAULT_CHAIN_LIMIT", 10)
         with pytest.raises(OracleSizeExceeded):
-            chain_poset(poset, limit=10)
+            chain_poset(poset)
 
-    def test_size_guard_boundary(self):
+    def test_size_guard_boundary(self, monkeypatch):
         # three chains: A, B and A<B
         p = Poset(["A", "B"], [("A", "B")])
-        assert len(chain_poset(p, limit=3).poset.elements) == 3
+        monkeypatch.setattr(subdivision, "DEFAULT_CHAIN_LIMIT", 3)
+        assert len(chain_poset(p).poset.elements) == 3
+        monkeypatch.setattr(subdivision, "DEFAULT_CHAIN_LIMIT", 2)
         with pytest.raises(OracleSizeExceeded) as raised:
-            chain_poset(p, limit=2)
+            chain_poset(p)
         assert str(raised.value) == "instance size 3 exceeds oracle limit 2"
 
     def test_least_repeated_label_is_the_duplicate(self):
