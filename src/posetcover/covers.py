@@ -14,6 +14,11 @@ a balanced map is an indexed branched cover as soon as its branch
 condition holds (the main theorem; a balanced combinatorial map is open),
 and an unbalanced one is summed only on the up(alpha) that hold a defect.
 Other morphisms are decided by splitting every preimage into components.
+
+Balancing is the one walk that `is_balanced`, the fast pass of `is_ibc`,
+and `extend_balanced`, the path lifts and connectivity lifting in
+``extend`` share.  `_balance_violations` walks it once per morphism and
+index map and keeps the witnesses on the map.
 """
 
 from __future__ import annotations
@@ -53,6 +58,10 @@ class IndexMap:
         self.poset = poset
         self.domain = domain
         self.values = dict(values)
+        # (morphism, balancing witnesses) of the last morphism this map was
+        # balanced against, kept by covers._balance_violations; the values
+        # never change, so the witnesses stay valid for that morphism
+        self._balance_memo = None
 
     @classmethod
     def total(cls, poset: Poset, values: dict) -> "IndexMap":
@@ -95,9 +104,16 @@ class IndexMap:
         return IndexMap(self.poset, {x: self.values[x] for x in v})
 
 
+def _require_on_source(phi: PosetMorphism, m: IndexMap) -> None:
+    """Refuse an index map that lives on another poset than the source."""
+    if m.poset != phi.source:
+        raise InvalidIndexMap("index map lives on a different poset than the morphism source")
+
+
 def local_degree(phi: PosetMorphism, m: IndexMap, subset: Iterable[str], y: str) -> int:
     """Sum of multiplicities over the fibre of y inside the subset; the
     empty sum is 0."""
+    _require_on_source(phi, m)
     if y not in phi.target:
         raise UnknownElement(y)
     total = 0
@@ -133,8 +149,7 @@ def _cover_groups(phi: PosetMorphism) -> list:
 
 def _value_list(phi: PosetMorphism, m: IndexMap) -> list:
     """The values of m by source index; None off the domain."""
-    get = m.values.get
-    return [get(x) for x in phi.source._ids]
+    return list(map(m.values.get, phi.source._ids))
 
 
 def _push_plan(phi: PosetMorphism):
@@ -175,28 +190,42 @@ def is_balanced(phi: PosetMorphism, m: IndexMap) -> Check:
     """The balancing condition: for alpha in the domain and every beta
     covering phi(alpha), the value at alpha equals the multiplicity sum of
     the elements covering alpha in the fibre of beta."""
-    if m.poset != phi.source:
-        raise InvalidIndexMap("index map lives on a different poset than the morphism source")
-    witnesses = _balance_violations(phi, _value_list(phi, m))
+    witnesses = _balance_violations(phi, m)
     if witnesses:
         return Check.failed(witnesses)
     return Check.passed()
 
 
-def _balance_violations(phi: PosetMorphism, values: list) -> list:
-    """The BalanceViolation witnesses of values, a list by source index
-    with None off the domain, in (alpha, beta) order."""
+def _balance_violations(phi: PosetMorphism, m: IndexMap) -> tuple:
+    """The BalanceViolation witnesses of m, in (alpha, beta) order: the one
+    balancing entry.  The cover groups are walked once per morphism and
+    map; the witnesses are kept on m for the last morphism it was balanced
+    against, so later calls with that morphism read them back."""
+    memo = m._balance_memo
+    if memo is not None and memo[0] is phi:
+        return memo[1]
+    _require_on_source(phi, m)
+    witnesses = _walk_balance(phi, _value_list(phi, m))
+    m._balance_memo = phi, witnesses
+    return witnesses
+
+
+def _walk_balance(phi: PosetMorphism, values: list) -> tuple:
+    """The walk of _balance_violations over values, a list by source index
+    with None off the domain; an unvalued alpha has no condition, and the
+    covers of a valued one are valued, because the domain is an up-set."""
     groups = _cover_groups(phi)
+    value = values.__getitem__
     ids, t_ids = phi.source._ids, phi.target._ids
     witnesses = []
     for alpha, lhs in enumerate(values):
         if lhs is None:
             continue
         for beta, group in groups[alpha]:
-            rhs = sum([values[g] for g in group])  # the domain is an up-set
+            rhs = sum(map(value, group))
             if rhs != lhs:
                 witnesses.append(BalanceViolation(ids[alpha], t_ids[beta], lhs, rhs))
-    return witnesses
+    return tuple(witnesses)
 
 
 class BranchReport(namedtuple("BranchReport", "ok witnesses branch_locus")):
@@ -267,13 +296,14 @@ def is_ibc(phi: PosetMorphism, m: IndexMap) -> Check:
     map is open, so the theorem's openness hypothesis needs no test of its
     own), and an unbalanced one is summed only on the up(alpha) that hold
     a defect.  Other morphisms split each preimage by search."""
+    _require_on_source(phi, m)
     m.require_total()
     witnesses = list(branch_locus_check(phi).witnesses)
     values = _value_list(phi, m)
     if phi._non_bijective():
         witnesses += _scanned_mismatches(phi, values)
     else:
-        unbalanced = phi.source._bits(w.alpha for w in _balance_violations(phi, values))
+        unbalanced = phi.source._bits(w.alpha for w in _balance_violations(phi, m))
         witnesses += _up_set_mismatches(phi, values, unbalanced)
     if witnesses:
         return Check.failed(witnesses)
@@ -313,17 +343,25 @@ def _up_set_mismatches(phi: PosetMorphism, values: list, unbalanced: int) -> lis
     return found
 
 
-def _scanned_mismatches(phi: PosetMorphism, values: list) -> list:
-    """The DegreeMismatch witnesses of any morphism: the preimage of every
-    principal up-set, built top down in one pass, split into its
-    components by breadth-first search."""
+def _up_set_preimages(phi: PosetMorphism) -> list:
+    """The source bitset over the principal up-set of every target element,
+    by target index, built top down in one pass: the fibre joined with the
+    preimages of the up-sets of the covers."""
     target = phi.target
     preimages = list(phi._fibres)
     for j in reversed(target._order_ix):
         for c in target._up_ix[j]:
             preimages[j] |= preimages[c]
+    return preimages
+
+
+def _scanned_mismatches(phi: PosetMorphism, values: list) -> list:
+    """The DegreeMismatch witnesses of any morphism: the preimage of every
+    principal up-set, built top down in one pass, split into its
+    components by breadth-first search."""
+    preimages = _up_set_preimages(phi)
     found = []
-    for j, beta in enumerate(target._ids):
+    for j, beta in enumerate(phi.target._ids):
         found += _constancy_witnesses(phi, values, preimages[j], lambda: beta)
     return found
 
@@ -331,6 +369,7 @@ def _scanned_mismatches(phi: PosetMorphism, values: list) -> list:
 def is_ibc_oracle(phi: PosetMorphism, m: IndexMap, limit: int = DEFAULT_ORACLE_LIMIT) -> Check:
     """Exhaustive indexed-branched-cover decision: every connected up-set
     of the target, every component of its preimage."""
+    _require_on_source(phi, m)
     m.require_total()
     branch = branch_locus_check(phi)
     witnesses = list(branch.witnesses)
@@ -350,6 +389,7 @@ DegreeReport = namedtuple("DegreeReport", "per_target_value constant degree")
 
 def global_degree(phi: PosetMorphism, m: IndexMap) -> DegreeReport:
     """Multiplicity count of every fibre; the degree when constant."""
+    _require_on_source(phi, m)
     m.require_total()
     per = {beta: 0 for beta in phi.target.elements}
     for x in phi.source.elements:

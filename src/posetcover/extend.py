@@ -2,18 +2,26 @@
 
 Extension walks the missing elements along the top-down plan of the
 balancing push in ``covers`` ((-height, id) order), so every element
-covering the current one already has a value; each candidate value comes
-from one cover of the image, and the extension succeeds at an element
-exactly when all candidates agree.  When the hypotheses of the extension
-theorem hold at every step the result is marked ``guaranteed``; otherwise
-extension is attempted anyway and the report says ``opportunistic``.
+covering the current one already has a value; each cover of the image
+gives one sum, over the elements covering the current one in its fibre,
+and the extension succeeds at an element exactly when all sums agree on a
+positive value.  When the hypotheses of the extension theorem hold at
+every step the result is marked ``guaranteed``; otherwise extension is
+attempted anyway and the report says ``opportunistic``.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .covers import IndexMap, _push_plan, _value_list, is_balanced
+from .covers import (
+    IndexMap,
+    _balance_violations,
+    _push_plan,
+    _require_on_source,
+    _up_set_preimages,
+    _value_list,
+)
 from .errors import (
     CorestrictionNotCombinatorial,
     MaxElementsUncovered,
@@ -67,6 +75,7 @@ def extend_balanced(phi: PosetMorphism, m: IndexMap, target_upset) -> ExtensionR
     agreed value is not positive), and such elements stay unvalued.
     """
     phi.require_combinatorial()
+    _require_on_source(phi, m)
     w = phi.source.require_up_set(target_upset)
     if not m.domain <= w:
         raise ValueError("the target up-set must contain the index map domain")
@@ -77,44 +86,35 @@ def extend_balanced(phi: PosetMorphism, m: IndexMap, target_upset) -> ExtensionR
 
     source, target = phi.source, phi.target
     ids, t_ids = source._ids, target._ids
-    image_of, t_above = phi._image_of, target._above
+    image_of, fibres, t_above = phi._image_of, phi._fibres, target._above
     values = dict(m.values)
     known = _value_list(phi, m)  # by index; None while unvalued
+    value = known.__getitem__
     valued = source._bits(m.domain)
     todo = source._bits(w) & ~valued
     free, plan = _push_plan(phi)
     unconstrained = [ids[i] for i in free if todo >> i & 1]
+    up_preimages = _up_set_preimages(phi)
     conflicts = []
     guaranteed = True
     for i, groups in plan:
         if not todo >> i & 1:
             continue
-        alpha = ids[i]
         if guaranteed:
             # the theorem's hypothesis: the up-set of phi(alpha) punctured
             # at phi(alpha) is connected and its preimage already valued
             y = image_of[i]
             guaranteed = (target._punctured_connected(y)
-                          and not phi._preimage_bits(bit_indices(t_above[y])) & ~valued)
-        candidates = []
-        for beta, above in groups:
-            got = [known[g] for g in above]
-            candidates.append((t_ids[beta], None if None in got else sum(got)))
-        sums = [(b, c) for b, c in candidates if c is not None]
-        distinct = sorted({c for _, c in sums})
-        if len(sums) == len(candidates) and len(distinct) == 1 and distinct[0] >= 1:
-            values[alpha] = known[i] = distinct[0]
+                          and not up_preimages[y] & ~(fibres[y] | valued))
+        try:
+            sums = {sum(map(value, above)) for _, above in groups}
+        except TypeError:  # a cover left unvalued by a conflict holds None
+            sums = None
+        if sums and len(sums) == 1 and (total := sums.pop()) >= 1:
+            values[ids[i]] = known[i] = total
             valued |= 1 << i
-            continue
-        if len(distinct) >= 2:
-            (b1, c1) = next(x for x in sums if x[1] == distinct[0])
-            (b2, c2) = next(x for x in sums if x[1] == distinct[-1])
-            first, second = sorted([(b1, c1), (b2, c2)])
-            conflicts.append(ExtensionConflict(alpha, first[0], second[0], first[1], second[1]))
         else:
-            # a candidate was unavailable or the agreed sum was zero
-            b, c = candidates[0]
-            conflicts.append(ExtensionConflict(alpha, b, b, c, c))
+            conflicts.append(_conflict(ids[i], groups, known, t_ids))
 
     extended = IndexMap(source, values)
     if not conflicts:
@@ -130,10 +130,31 @@ def extend_balanced(phi: PosetMorphism, m: IndexMap, target_upset) -> ExtensionR
     return ExtensionReport(extended, mode, conflicts, unconstrained)
 
 
+def _conflict(alpha: str, groups, known: list, t_ids) -> ExtensionConflict:
+    """The conflict at alpha, whose cover groups do not agree on one
+    positive sum.  Two distinct sums name the least and the greatest, each
+    at its first cover; otherwise a cover had no value or the agreed sum was
+    zero, and the first cover is named twice with its sum (None when one
+    of its elements has no value)."""
+    candidates = []
+    for beta, above in groups:
+        got = [known[g] for g in above]
+        candidates.append((t_ids[beta], None if None in got else sum(got)))
+    sums = [(b, c) for b, c in candidates if c is not None]
+    distinct = sorted({c for _, c in sums})
+    if len(distinct) >= 2:
+        (b1, c1) = next(x for x in sums if x[1] == distinct[0])
+        (b2, c2) = next(x for x in sums if x[1] == distinct[-1])
+        first, second = sorted([(b1, c1), (b2, c2)])
+        return ExtensionConflict(alpha, first[0], second[0], first[1], second[1])
+    b, c = candidates[0]
+    return ExtensionConflict(alpha, b, b, c, c)
+
+
 def _require_balanced(phi: PosetMorphism, m: IndexMap) -> None:
-    balanced = is_balanced(phi, m)
-    if not balanced:
-        raise NotBalancedInput(balanced.witnesses[0])
+    witnesses = _balance_violations(phi, m)
+    if witnesses:
+        raise NotBalancedInput(witnesses[0])
 
 
 def _saturated_chain(p: Poset, lo: int, hi: int) -> list[int]:
@@ -150,6 +171,7 @@ def lift_upward_path(phi: PosetMorphism, m: IndexMap, alpha: str, target_path) -
     """Lift a strictly increasing target path starting at the image of
     alpha; strict steps are refined to saturated cover chains and lifted
     cover by cover, choosing the least valued preimage."""
+    _require_on_source(phi, m)
     steps = list(target_path)
     for b in steps:
         if b not in phi.target:
@@ -195,6 +217,7 @@ def lift_path(phi: PosetMorphism, m: IndexMap, alpha: str, target_path) -> Path:
     isomorphism of the restricted-corestricted morphism, which must be
     combinatorial or the operation refuses with the witness.
     """
+    _require_on_source(phi, m)
     v = m.domain
     psi = phi.restrict_corestrict(v)
     psi.require_combinatorial(CorestrictionNotCombinatorial)

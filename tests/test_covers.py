@@ -1,7 +1,8 @@
-"""Index maps, local degrees, balancing, branched-cover decisions, and the
-balanced-map search."""
+"""Index maps, local degrees, balancing and the routines that share its
+walk, branched-cover decisions, and the balanced-map search."""
 
 import pytest
+from collections import Counter
 from random import Random
 
 from posetcover import covers
@@ -17,10 +18,17 @@ from posetcover.covers import (
 )
 from posetcover.errors import (
     InvalidIndexMap,
+    NotBalancedInput,
     NotUpSet,
     OracleSizeExceeded,
     PartialIndexMap,
     ValueMissing,
+)
+from posetcover.extend import (
+    check_connectivity_lifting,
+    extend_balanced,
+    lift_path,
+    lift_upward_path,
 )
 from posetcover.fixtures import (
     fix_ce1,
@@ -68,6 +76,99 @@ class TestIndexMap:
         m = fix_trop_m()
         sub = m.restricted(m.poset.up_set(["C1"]))
         assert sub.values == {"C1": 1, "t1": 1}
+
+
+ON_ANOTHER_POSET = "index map lives on a different poset than the morphism source"
+
+
+def glued_at_the_bottom():
+    """{a < x, a < y} onto {b < t}: two sheets glued at a."""
+    source = Poset(["a", "x", "y"], [("a", "x"), ("a", "y")])
+    target = Poset(["b", "t"], [("b", "t")])
+    return PosetMorphism(source, target, {"a": "b", "x": "t", "y": "t"})
+
+
+class TestMapOnAnotherPoset:
+    """Every routine of a morphism and an index map refuses a map that
+    lives on another poset than the source, with the same error."""
+
+    def refuses(self, call, m=None):
+        phi = glued_at_the_bottom()
+        with pytest.raises(InvalidIndexMap) as err:
+            call(phi, m or IndexMap(Poset(["q"], []), {"q": 1}))
+        assert str(err.value) == ON_ANOTHER_POSET
+
+    def test_is_balanced(self):
+        self.refuses(is_balanced)
+
+    def test_is_ibc(self):
+        self.refuses(is_ibc)
+
+    def test_is_ibc_oracle(self):
+        self.refuses(is_ibc_oracle)
+
+    def test_local_degree(self):
+        self.refuses(lambda phi, m: local_degree(phi, m, ["a"], "b"))
+
+    def test_global_degree_of_a_same_labelled_map(self):
+        # the labels match the source, but the map lives on an antichain
+        antichain = Poset(["a", "x", "y"], [])
+        self.refuses(global_degree, IndexMap.constant(antichain))
+
+    def test_extend_balanced(self):
+        self.refuses(lambda phi, m: extend_balanced(phi, m, phi.source.elements))
+
+    def test_lift_path(self):
+        self.refuses(lambda phi, m: lift_path(phi, m, "q", ["b"]))
+
+    def test_lift_upward_path(self):
+        self.refuses(lambda phi, m: lift_upward_path(phi, m, "q", ["b"]))
+
+    def test_check_connectivity_lifting(self):
+        self.refuses(lambda phi, m: check_connectivity_lifting(phi, m, "one-fibre"))
+
+
+def trop_maps():
+    """The balanced map of fix_trop and a copy with one top value raised."""
+    m = fix_trop_m()
+    return m, IndexMap(m.poset, {**m.values, "t2": 3})
+
+
+class TestBalanceOnce:
+    def test_kept_witnesses_belong_to_their_morphism(self):
+        trop = fix_trop()
+        identity = PosetMorphism.identity(trop.source)
+        for m in trop_maps():
+            for check, phi in [(is_balanced, trop), (is_ibc, identity), (is_balanced, trop),
+                               (is_balanced, identity), (is_ibc, trop), (is_ibc, identity),
+                               (is_balanced, identity), (is_balanced, trop)]:
+                fresh = IndexMap(m.poset, m.values)
+                assert check(phi, m) == check(phi, fresh)
+                assert type(covers._balance_violations(phi, m)) is tuple
+                assert type(check(phi, m).witnesses) is tuple
+
+    def test_one_walk_per_morphism_and_map(self, monkeypatch):
+        walks = Counter()
+        walk = covers._walk_balance
+
+        def counted(phi, values):
+            walks[tuple(values)] += 1
+            return walk(phi, values)
+
+        monkeypatch.setattr(covers, "_walk_balance", counted)
+        phi = fix_trop()
+        balanced, perturbed = (IndexMap(m.poset, m.values) for m in trop_maps())
+        assert is_balanced(phi, balanced) and is_ibc(phi, balanced)
+        extend_balanced(phi, balanced, phi.source.elements)
+        lift_path(phi, balanced, "s1", ["s", "B", "t"])
+        check_connectivity_lifting(phi, balanced, "one-fibre")
+        assert not is_balanced(phi, perturbed) and not is_ibc(phi, perturbed)
+        for refused in (lambda: extend_balanced(phi, perturbed, phi.source.elements),
+                        lambda: lift_path(phi, perturbed, "s1", ["s", "B", "t"]),
+                        lambda: check_connectivity_lifting(phi, perturbed, "one-fibre")):
+            with pytest.raises(NotBalancedInput):
+                refused()
+        assert sorted(walks.values()) == [1, 1]
 
 
 class TestLocalDegree:

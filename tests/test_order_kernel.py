@@ -50,6 +50,24 @@ def oracle_defects(phi):
                                        phi.target.elements, phi.target.covers, phi.mapping)
 
 
+def conflict_shapes(report):
+    """The shape of every extension conflict: two cover groups with
+    different sums, or the first group named twice with its sum, which is
+    0 when the group is empty and otherwise None or a positive sum beside
+    a group holding an element left unvalued by an earlier conflict.  On a
+    combinatorial morphism every cover of an element lies in some group,
+    so an empty group is named only beside such an unvalued one."""
+    shapes = Counter()
+    for c in report.conflicts:
+        if c.sum1 != c.sum2:
+            shapes["disagreeing sums"] += 1
+        elif c.sum1 == 0:
+            shapes["zero sum"] += 1
+        else:
+            shapes["unvalued cover"] += 1
+    return shapes
+
+
 def merge(poset, keep, drop):
     """The poset with ``drop`` identified with ``keep``.  Both must have the
     same rank in a graded poset, so covers still join consecutive ranks and
@@ -340,6 +358,7 @@ def witness_kinds(rng, phi) -> Counter:
                 [tuple(c) for c in report.conflicts], report.unconstrained) == brute_extension(
             s_elements, s_covers, t_elements, t_covers, mapping, m.values, s_elements)
         kinds[f"{report.mode} extension" + (" with conflicts" if report.conflicts else "")] += 1
+        kinds += conflict_shapes(report)
     return kinds
 
 
@@ -359,7 +378,8 @@ def test_witness_lists_against_oracles():
     for kind in ("not injective", "not surjective", "inverse not monotone",
                  "not open", "balance violation", "degree mismatch", "oracle degree mismatch",
                  "ibc scanned", "ibc balanced", "ibc by up-set components",
-                 "guaranteed extension", "opportunistic extension with conflicts"):
+                 "guaranteed extension", "opportunistic extension with conflicts",
+                 "disagreeing sums", "unvalued cover", "zero sum"):
         assert kinds[kind], kind
 
 
@@ -393,9 +413,12 @@ def test_extension_into_a_proper_up_set_against_the_oracle():
             assert report.extended.domain <= upset
             kinds[report.mode + (" with conflicts" if report.conflicts else "")] += 1
             kinds["grown"] += len(report.extended.domain) > len(domain)
+            kinds += conflict_shapes(report)
     print(dict(sorted(kinds.items())))
     for kind in ("guaranteed", "opportunistic with conflicts", "grown"):
         assert kinds[kind] >= 5, kind
+    for kind in ("disagreeing sums", "unvalued cover", "zero sum"):
+        assert kinds[kind], kind
 
 
 def test_strong_connectivity_by_merged_covers():
