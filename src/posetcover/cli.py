@@ -17,7 +17,7 @@ from functools import cache
 
 # a handler imports what only its own command uses, so that a process
 # loads the modules of the one command it runs
-from . import covers, dot, fileio, posets
+from . import dot, fileio, posets
 from .errors import (
     CorestrictionNotCombinatorial,
     FormatError,
@@ -153,6 +153,8 @@ def cmd_morphism_check(args) -> RunReport:
 
 
 def cmd_cover_check(args) -> RunReport:
+    from . import covers
+
     phi = fileio.resolve(args.morphism, "morphism")
     m = fileio.resolve_index(args.index, phi.source)
     check = {"balanced": covers.is_balanced,
@@ -163,6 +165,8 @@ def cmd_cover_check(args) -> RunReport:
 
 
 def cmd_cover_degree(args) -> RunReport:
+    from . import covers
+
     phi = fileio.resolve(args.morphism, "morphism")
     report = covers.global_degree(phi, fileio.resolve_index(args.index, phi.source))
     data = {"per_target": report.per_target_value,
@@ -175,10 +179,13 @@ def cmd_cover_degree(args) -> RunReport:
 
 
 def cmd_cover_search(args) -> RunReport:
-    found = covers.search_balanced(fileio.resolve(args.morphism, "morphism"), bound=args.bound)
+    from . import covers
+
+    bound = covers.DEFAULT_SEARCH_BOUND if args.bound is None else args.bound
+    found = covers.search_balanced(fileio.resolve(args.morphism, "morphism"), bound=bound)
     if found is None:
         return RunReport("fail",
-                         witnesses=[{"result": "NoneFound", "bound": args.bound}])
+                         witnesses=[{"result": "NoneFound", "bound": bound}])
     return RunReport("pass", data={"values": found.values})
 
 
@@ -439,7 +446,7 @@ COMMANDS = {
         "degree": ("cmd_cover_degree", (("index",),)),
         "search": ("cmd_cover_search", ()),
     }, [required(MORPHISM), INDEX,
-        ("--bound", {"type": int, "default": covers.DEFAULT_SEARCH_BOUND}), ORACLE_LIMIT]),
+        ("--bound", {"type": int}), ORACLE_LIMIT]),
     "extend": Command("extend a balanced map over a larger up-set", {
         None: ("cmd_extend", ()),
     }, [required(MORPHISM), required(INDEX),

@@ -125,28 +125,6 @@ def local_degree(phi: PosetMorphism, m: IndexMap, subset: Iterable[str], y: str)
     return total
 
 
-def _cover_groups(phi: PosetMorphism) -> list:
-    """For every source element, as indices: the elements covering it,
-    grouped by the element covering its image that they map to, one
-    (beta, group) pair per cover beta of the image, betas and group members
-    ascending.  Empty groups stay, because their sum of 0 is a real witness.
-    One pass over the covers of each element and of its image buckets the
-    covers, once per morphism."""
-    groups = phi._cover_groups_memo
-    if groups is None:
-        image_of, t_up = phi._image_of, phi.target._up_ix
-        groups = []
-        for i, ups in enumerate(phi.source._up_ix):
-            buckets = {beta: [] for beta in t_up[image_of[i]]}
-            for g in ups:
-                bucket = buckets.get(image_of[g])
-                if bucket is not None:
-                    bucket.append(g)
-            groups.append(list(buckets.items()))
-        phi._cover_groups_memo = groups
-    return groups
-
-
 def _value_list(phi: PosetMorphism, m: IndexMap) -> list:
     """The values of m by source index; None off the domain."""
     return list(map(m.values.get, phi.source._ids))
@@ -159,7 +137,7 @@ def _push_plan(phi: PosetMorphism):
     condition binds them, and the (alpha, cover groups) pairs of all the
     others."""
     height = phi.source._height
-    groups = _cover_groups(phi)
+    groups = phi._cover_groups
     free, plan = [], []
     # a reversed sort keeps equal heights in index order
     for i in sorted(range(len(height)), key=height.__getitem__, reverse=True):
@@ -214,7 +192,7 @@ def _walk_balance(phi: PosetMorphism, values: list) -> tuple:
     """The walk of _balance_violations over values, a list by source index
     with None off the domain; an unvalued alpha has no condition, and the
     covers of a valued one are valued, because the domain is an up-set."""
-    groups = _cover_groups(phi)
+    groups = phi._cover_groups
     value = values.__getitem__
     ids, t_ids = phi.source._ids, phi.target._ids
     witnesses = []
@@ -300,7 +278,7 @@ def is_ibc(phi: PosetMorphism, m: IndexMap) -> Check:
     m.require_total()
     witnesses = list(branch_locus_check(phi).witnesses)
     values = _value_list(phi, m)
-    if phi._non_bijective():
+    if phi._non_bijective:
         witnesses += _scanned_mismatches(phi, values)
     else:
         unbalanced = phi.source._bits(w.alpha for w in _balance_violations(phi, m))

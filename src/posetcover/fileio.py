@@ -32,7 +32,6 @@ from functools import cache
 from json.encoder import encode_basestring
 from pathlib import Path
 
-from .covers import IndexMap
 from .errors import DuplicateElement, FormatError, ToolError
 from .morphisms import PosetMorphism
 from .posets import Poset, rank_check
@@ -174,7 +173,9 @@ def morphism_to_doc(phi: PosetMorphism) -> dict:
     }
 
 
-def index_map_from_doc(doc, poset: Poset) -> IndexMap:
+def index_map_from_doc(doc, poset: Poset):
+    from .covers import IndexMap
+
     generators = doc.get("domain_upset_generators")
     values = dict(_keyed(_require(doc, "values", "index map"), "index map values"))
     if generators is not None:
@@ -219,22 +220,13 @@ def complex_to_doc(k) -> dict:
 
 
 def _rational_reader():
-    """parse_rational behind a memo of the strings it has read: a document
-    repeats few distinct rationals.  Only successes are kept, so an error,
-    and which value raises first, is that of parsing every value."""
-    memo = {}
+    """parse_rational with a cache of the strings it has read: a document
+    repeats few distinct rationals.  Other values are parsed directly, as
+    true, 1 and 1.0 would be one cache key.  A cache keeps no error, so an
+    error, and which value raises first, is that of parsing every value."""
     parse = _rational_parser()
-
-    def read(text):
-        # strings only: true, 1 and 1.0 are one dict key
-        if type(text) is not str:
-            return parse(text)
-        value = memo.get(text)
-        if value is None:
-            value = memo[text] = parse(text)
-        return value
-
-    return read
+    strings = cache(parse)
+    return lambda text: strings(text) if type(text) is str else parse(text)
 
 
 def metric_graph_from_doc(doc):
@@ -383,11 +375,11 @@ def resolve(value, kind: str, loads: _Loads | None = None):
     raise FormatError(f"{value!r} does not describe a {kind}")
 
 
-def resolve_index(name: str, carrier: Poset) -> IndexMap:
+def resolve_index(name: str, carrier: Poset):
     """The index map on carrier that name stands for: an index map
     fixture on that poset, or a document of values."""
     obj = load_named(name)
-    if isinstance(obj, IndexMap):
+    if type(obj).__name__ == "IndexMap":
         if obj.poset != carrier:
             raise FormatError(f"index map {name!r} lives on a different poset")
         return obj

@@ -8,7 +8,7 @@ tO.  Index-map fixtures carry the -M suffix.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 
 from .covers import IndexMap
 from .morphisms import PosetMorphism
@@ -23,7 +23,7 @@ def _drop_subscripts(source: Poset, target: Poset) -> PosetMorphism:
     return PosetMorphism(source, target, mapping)
 
 
-@lru_cache(maxsize=None)
+@cache
 def fix_trop() -> PosetMorphism:
     """Degree-3 branched covering of posets: two segments glued over a
     path, subscripted elements over unsubscripted ones."""
@@ -39,7 +39,7 @@ def fix_trop() -> PosetMorphism:
     return _drop_subscripts(gamma, delta)
 
 
-@lru_cache(maxsize=None)
+@cache
 def fix_trop_m() -> IndexMap:
     return IndexMap.total(fix_trop().source, {
         "A1": 3, "B1": 3, "C1": 1, "C2": 2,
@@ -47,7 +47,7 @@ def fix_trop_m() -> IndexMap:
     })
 
 
-@lru_cache(maxsize=None)
+@cache
 def fix_ce1() -> PosetMorphism:
     """Balanced but not an indexed branched cover (two points folding onto
     a segment); the morphism is not combinatorial."""
@@ -56,12 +56,12 @@ def fix_ce1() -> PosetMorphism:
     return _drop_subscripts(sigma, delta)
 
 
-@lru_cache(maxsize=None)
+@cache
 def fix_ce1_m() -> IndexMap:
     return IndexMap.constant(fix_ce1().source)
 
 
-@lru_cache(maxsize=None)
+@cache
 def fix_ce2() -> PosetMorphism:
     """An indexed branched cover that is not balanced; also not
     combinatorial."""
@@ -73,12 +73,12 @@ def fix_ce2() -> PosetMorphism:
     return _drop_subscripts(sigma, delta)
 
 
-@lru_cache(maxsize=None)
+@cache
 def fix_ce2_m() -> IndexMap:
     return IndexMap.total(fix_ce2().source, {"A1": 2, "A2": 2, "B1": 1, "B2": 2, "B3": 1})
 
 
-@lru_cache(maxsize=None)
+@cache
 def fix_idread() -> PosetMorphism:
     """Connected domain where a balanced map extends over one bottom
     element but conflicts over the other two."""
@@ -98,7 +98,7 @@ def fix_idread() -> PosetMorphism:
     return _drop_subscripts(sigma, delta)
 
 
-@lru_cache(maxsize=None)
+@cache
 def fix_idread_m() -> IndexMap:
     return IndexMap(fix_idread().source, {
         "A1": 3, "B1": 2, "B2": 1, "C1": 1, "C2": 2,
@@ -106,7 +106,7 @@ def fix_idread_m() -> IndexMap:
     })
 
 
-@lru_cache(maxsize=None)
+@cache
 def fix_simple_ext() -> PosetMorphism:
     """Identity morphism on a disconnected-domain extension example: the
     balanced map on the two arms disagrees at the bottom."""
@@ -115,12 +115,12 @@ def fix_simple_ext() -> PosetMorphism:
     return PosetMorphism.identity(p)
 
 
-@lru_cache(maxsize=None)
+@cache
 def fix_simple_ext_m() -> IndexMap:
     return IndexMap(fix_simple_ext().source, {"alpha": 2, "A": 2, "beta": 1, "B": 1})
 
 
-@lru_cache(maxsize=None)
+@cache
 def fix_open() -> PosetMorphism:
     """A combinatorial morphism that is not an open map, so no balanced
     map exists for it."""
@@ -138,7 +138,7 @@ def fix_open() -> PosetMorphism:
     return _drop_subscripts(sigma, delta)
 
 
-@lru_cache(maxsize=None)
+@cache
 def fix_lift() -> PosetMorphism:
     """A combinatorial morphism with an up-set whose restricted morphism is
     not combinatorial, so a downward path fails to lift."""
@@ -159,14 +159,14 @@ def fix_lift() -> PosetMorphism:
 FIX_LIFT_UPSET = frozenset({"B2", "C1", "alpha2", "beta1", "beta2"})
 
 
-@lru_cache(maxsize=None)
+@cache
 def fix_lift_m() -> IndexMap:
     values = {x: 1 for x in FIX_LIFT_UPSET}
     values["C1"] = 2
     return IndexMap(fix_lift().source, values)
 
 
-@lru_cache(maxsize=None)
+@cache
 def fix_graph():
     """Degree-mixing map of metric graphs whose face-poset morphism is not
     combinatorial before refinement: one source vertex sits over an

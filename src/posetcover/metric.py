@@ -21,6 +21,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter, namedtuple
 from fractions import Fraction
+from functools import cache, cached_property
 from itertools import count
 from math import lcm
 
@@ -154,13 +155,12 @@ class MetricGraphMorphism:
         self.target = target
         self.vertex_images = dict(vertex_images)
         self.edge_images = {}
-        self._grid_memo = None
         for v in source.vertices:
             if v not in self.vertex_images:
                 raise UnknownElement(v)
             target.check_point(self.vertex_images[v])
         # each edge image in integers over its own denominator, (t, start,
-        # end, den): the checks run on them, and _grid() rescales them to D_t
+        # end, den): the checks run on them, and _grid rescales them to D_t
         self._units = units = {}
         images = self.vertex_images
         for eid, (a, b, length) in source.edges.items():
@@ -214,32 +214,30 @@ class MetricGraphMorphism:
             return Point.at_vertex(e.b)
         return Point.interior(t, Fraction(num, den))
 
+    @cached_property
     def _grid(self) -> _Grid:
         """The morphism in integers, built on first use from the
         constructor's per-edge integers, which it replaces."""
-        if self._grid_memo is None:
-            units, self._units = self._units, None
-            scale = {t: e.length.denominator for t, e in self.target.edges.items()}
-            for img in self.vertex_images.values():
-                if not img.is_vertex:
-                    scale[img.edge] = lcm(scale[img.edge], _fraction(img.position).denominator)
-            for t, _, _, den in units.values():
-                scale[t] = lcm(scale[t], den)
-            places = {}
-            for v, img in self.vertex_images.items():
-                places[v] = ((None, img.vertex) if img.is_vertex else
-                             (img.edge, _scaled(_fraction(img.position), scale[img.edge])))
-            images = {}
-            spans = {}
-            for eid, (t, s, e, den) in units.items():
-                k = scale[t] // den
-                s, e = s * k, e * k
-                images[eid] = (t, s, e)
-                spans.setdefault(t, []).append((s, e) if s < e else (e, s))
-            cells = Counter(image for _, image in _cell_map(self))
-            self._grid_memo = _Grid(scale, images, places, Counter(places.values()), spans,
-                                    cells)
-        return self._grid_memo
+        units, self._units = self._units, None
+        scale = {t: e.length.denominator for t, e in self.target.edges.items()}
+        for img in self.vertex_images.values():
+            if not img.is_vertex:
+                scale[img.edge] = lcm(scale[img.edge], _fraction(img.position).denominator)
+        for t, _, _, den in units.values():
+            scale[t] = lcm(scale[t], den)
+        places = {}
+        for v, img in self.vertex_images.items():
+            places[v] = ((None, img.vertex) if img.is_vertex else
+                         (img.edge, _scaled(_fraction(img.position), scale[img.edge])))
+        images = {}
+        spans = {}
+        for eid, (t, s, e, den) in units.items():
+            k = scale[t] // den
+            s, e = s * k, e * k
+            images[eid] = (t, s, e)
+            spans.setdefault(t, []).append((s, e) if s < e else (e, s))
+        cells = Counter(image for _, image in _cell_map(self))
+        return _Grid(scale, images, places, Counter(places.values()), spans, cells)
 
     def __repr__(self):
         return f"MetricGraphMorphism({self.source!r} -> {self.target!r})"
@@ -295,20 +293,6 @@ def _fresh(name, taken):
         name += "'"
     taken.add(name)
     return name
-
-
-def _rationals():
-    """A maker of Fraction(num, den) that makes each distinct pair once: a
-    refinement repeats few piece lengths and cut positions."""
-    made = {}
-
-    def rational(num: int, den: int) -> Fraction:
-        q = made.get((num, den))
-        if q is None:
-            q = made[num, den] = Fraction(num, den)
-        return q
-
-    return rational
 
 
 def _split_graph(graph: MetricGraph, cuts: dict, units: dict, taken: set, rational):
@@ -374,8 +358,8 @@ def refine_to_combinatorial(phi: MetricGraphMorphism) -> Refinement:
     piece's own length, and each distinct length and cut position is one
     Fraction.
     """
-    grid = phi._grid()
-    rational = _rationals()
+    grid = phi._grid
+    rational = cache(Fraction)
     target_cuts = {}
     for t, pos in grid.places.values():
         if t is not None:
@@ -455,7 +439,7 @@ def sample_fibre(phi: MetricGraphMorphism, y: Point) -> FibreSample:
     combinatorial morphism the counts agree at every point; mismatches are
     legitimate output for non-combinatorial input."""
     phi.target.check_point(y)
-    grid = phi._grid()
+    grid = phi._grid
     if y.is_vertex:
         geometric = grid.points[(None, y.vertex)]
         cell = y.vertex

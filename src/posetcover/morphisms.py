@@ -14,6 +14,7 @@ name the witness.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cached_property
 
 from .checks import Check
 from .errors import NotCombinatorial, NotMonotone, UnknownElement
@@ -62,10 +63,6 @@ class PosetMorphism:
         self._fibres = fibres = [0] * len(target)
         for i, j in enumerate(image_of):
             fibres[j] |= 1 << i
-        # the balancing cover groups of covers._cover_groups and the bitset
-        # of _non_bijective, built on first use; declared here so that
-        # writing them keeps the compact layout
-        self._cover_groups_memo = self._non_bijective_memo = None
 
     @classmethod
     def identity(cls, p: Poset) -> "PosetMorphism":
@@ -98,30 +95,47 @@ class PosetMorphism:
             bits |= fibres[j]
         return bits
 
+    @cached_property
     def _non_bijective(self) -> int:
         """The source elements whose principal down-set does not map
-        bijectively onto the down-set of their image, as a bitset; built
-        once per morphism.  The image of down(x) is the image of x joined
-        with the images of the down-sets of its lower covers, so one
-        bottom-up pass with one OR per lower cover builds them all; the map
-        is bijective there when the image has as many members as down(x)
-        and is all of the down-set of phi(x) (it always lies inside it)."""
-        bad = self._non_bijective_memo
-        if bad is None:
-            source, t_below = self.source, self.target._below
-            s_below, down, image_of = source._below, source._down_ix, self._image_of
-            images = [0] * len(image_of)
-            bad = 0
-            for i in source._order_ix:
-                y = image_of[i]
-                img = 1 << y
-                for c in down[i]:
-                    img |= images[c]
-                images[i] = img
-                if img != t_below[y] | 1 << y or img.bit_count() != s_below[i].bit_count() + 1:
-                    bad |= 1 << i
-            self._non_bijective_memo = bad
+        bijectively onto the down-set of their image, as a bitset.  The
+        image of down(x) is the image of x joined with the images of the
+        down-sets of its lower covers, so one bottom-up pass with one OR per
+        lower cover builds them all; the map is bijective there when the
+        image has as many members as down(x) and is all of the down-set of
+        phi(x) (it always lies inside it)."""
+        source, t_below = self.source, self.target._below
+        s_below, down, image_of = source._below, source._down_ix, self._image_of
+        images = [0] * len(image_of)
+        bad = 0
+        for i in source._order_ix:
+            y = image_of[i]
+            img = 1 << y
+            for c in down[i]:
+                img |= images[c]
+            images[i] = img
+            if img != t_below[y] | 1 << y or img.bit_count() != s_below[i].bit_count() + 1:
+                bad |= 1 << i
         return bad
+
+    @cached_property
+    def _cover_groups(self) -> list:
+        """For every source element, as indices: the elements covering it,
+        grouped by the element covering its image that they map to, one
+        (beta, group) pair per cover beta of the image, betas and group
+        members ascending.  Empty groups stay, because their sum of 0 is a
+        real balancing witness.  One pass over the covers of each element
+        and of its image buckets the covers."""
+        image_of, t_up = self._image_of, self.target._up_ix
+        groups = []
+        for i, ups in enumerate(self.source._up_ix):
+            buckets = {beta: [] for beta in t_up[image_of[i]]}
+            for g in ups:
+                bucket = buckets.get(image_of[g])
+                if bucket is not None:
+                    bucket.append(g)
+            groups.append(list(buckets.items()))
+        return groups
 
     def is_combinatorial(self) -> Check:
         """Does the map send every principal down-set isomorphically onto
@@ -136,7 +150,7 @@ class PosetMorphism:
         So an element that is bijective itself fails only through the
         inverse, and does so exactly when a non-bijective element lies
         below it; only there are pairs compared, to name the witness."""
-        bad = self._non_bijective()
+        bad = self._non_bijective
         if not bad:
             return Check.passed()
         s_above, s_below = self.source._above, self.source._below

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
+from functools import cached_property
 from heapq import heappop, heappush
 from itertools import compress, count
 
@@ -154,9 +155,6 @@ class Poset:
         if len(order) != n:
             raise CycleDetected(self._find_cycle())
         self._order_ix = order
-        # filled on first use; declared here because a later write keeps the
-        # compact attribute layout that writing to __dict__ would give up
-        self._height_memo = None
         # strict reachability over covers as bitsets; a cover i < j is
         # redundant when j is also reachable through another cover of i
         above = [0] * n
@@ -232,19 +230,17 @@ class Poset:
         ids = self._ids
         return [(ids[i], ids[j]) for i, ups in enumerate(self._up_ix) for j in ups]
 
-    @property
+    @cached_property
     def _height(self) -> list[int]:
         """Length of the longest cover chain from a minimal element up to
         each element, by index."""
-        if self._height_memo is None:
-            height = [0] * len(self._ids)
-            down = self._down_ix
-            for i in self._order_ix:  # every lower cover before its element
-                for j in down[i]:
-                    if height[j] >= height[i]:
-                        height[i] = height[j] + 1
-            self._height_memo = height
-        return self._height_memo
+        height = [0] * len(self._ids)
+        down = self._down_ix
+        for i in self._order_ix:  # every lower cover before its element
+            for j in down[i]:
+                if height[j] >= height[i]:
+                    height[i] = height[j] + 1
+        return height
 
     # ----- order queries -------------------------------------------------
 
@@ -256,9 +252,13 @@ class Poset:
 
     def _bits(self, subset: Iterable[str]) -> int:
         """The bitset of a collection of elements."""
+        index = self._index
         bits = 0
         for x in subset:
-            bits |= 1 << self._ix(x)
+            i = index.get(x)
+            if i is None:
+                raise UnknownElement(x)
+            bits |= 1 << i
         return bits
 
     def _labels(self, bits: int) -> Iterator[str]:
@@ -270,9 +270,12 @@ class Poset:
     def _closure(self, subset: Iterable[str], reach: list[int]) -> int:
         """The bitset of the subset and everything ``reach`` (``_above`` or
         ``_below``) holds for its members."""
+        index = self._index
         bits = 0
         for x in subset:
-            i = self._ix(x)
+            i = index.get(x)
+            if i is None:
+                raise UnknownElement(x)
             bits |= reach[i] | 1 << i
         return bits
 

@@ -107,6 +107,20 @@ class TestRefine:
         assert pm.is_combinatorial()
         assert pm("e") == "t.1" and pm("f.1") == "t.1" and pm("f.2") == "t.2"
 
+    def test_new_names_taken_in_the_target_get_primes(self):
+        phi = fix_graph()
+        target = MetricGraph(["u", "v", "t@2"], [("t", "u", "v", Fraction(3)),
+                                                 ("t.1", "v", "t@2", Fraction(1))])
+        ref = refine_to_combinatorial(MetricGraphMorphism(
+            phi.source, target, phi.vertex_images, phi.edge_images))
+        assert ref.new_target_vertices == {"t@2'": ("t", Fraction(2))}
+        assert ref.target_pieces == {"t": ("t.1'", "t.2"), "t.1": ("t.1",)}
+        assert ref.source_pieces == {"e": ("e",), "f": ("f.1", "f.2")}
+        assert ref.target.edges["t.1'"] == ("u", "t@2'", 2)
+        assert ref.morphism.vertex_images["B"] == Point.at_vertex("t@2'")
+        assert {e: img.edge for e, img in ref.morphism.edge_images.items()} == {
+            "e": "t.1'", "f.1": "t.1'", "f.2": "t.2"}
+
     def test_lengths_preserved(self):
         phi = fix_graph()
         ref = refine_to_combinatorial(phi)
@@ -386,7 +400,7 @@ def test_refined_covers_round_trip_through_the_document_writer():
         text = fileio.dumps(fileio.metric_morphism_to_doc(refined))
         loaded = fileio.metric_morphism_from_doc(json.loads(text))
         assert fileio.dumps(fileio.metric_morphism_to_doc(loaded)) == text
-        assert loaded._grid() == refined._grid()
+        assert loaded._grid == refined._grid
 
 
 def test_face_posets_match_a_build_from_the_incidence_pairs():
@@ -587,6 +601,10 @@ INVALID = [
         "a": Point.at_vertex("u"), "b": Point.at_vertex("v")}),
      EndpointMismatch,
      "edge 'x': endpoint 'b' maps to Point(v) but the edge image puts it at Point(t @ 1)"),
+    ("endpoint-interior-for-second-vertex", lambda n: _morphism(n, images=lambda n: {
+        "a": Point.at_vertex("u"), "b": Point.interior("t", n(Fraction(1)))}),
+     EndpointMismatch,
+     "edge 'x': endpoint 'b' maps to Point(t @ 1) but the edge image puts it at Point(v)"),
     ("image-not-interior", lambda n: _morphism(n, images=_at(Fraction(2))),
      ValueError, "position 2 not interior to edge 't'"),
     ("image-at-zero", lambda n: _morphism(n, images=_at(Fraction(0))),

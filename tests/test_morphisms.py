@@ -12,7 +12,7 @@ from posetcover.fixtures import (
     fix_open,
     fix_trop,
 )
-from posetcover.metric import graph_face_poset, morphism_face_poset
+from posetcover.metric import MetricGraphMorphism, graph_face_poset, morphism_face_poset
 from posetcover.fixtures import fix_graph
 from posetcover.morphisms import PosetMorphism
 from posetcover.posets import Poset, rank_check
@@ -199,3 +199,27 @@ class TestForestProperty:
             preimage = phi.preimage(path)
             induced = phi.source.induced(preimage)
             assert is_forest(induced.elements, sorted(induced.covers))
+
+
+def test_cached_values_belong_to_their_object():
+    """A derived value is built once per object: a second read returns the
+    same object, an equal object built separately builds its own, and the
+    grid of a metric morphism takes over the constructor's per-edge
+    integers."""
+    for phi in (fix_trop(), fix_ce1(), fix_open()):
+        twin = PosetMorphism(Poset(phi.source.elements, phi.source.covers),
+                             Poset(phi.target.elements, phi.target.covers), phi.mapping)
+        for p, q in ((phi.source, twin.source), (phi.target, twin.target)):
+            assert p == q and p._height is p._height
+            assert q._height == p._height and q._height is not p._height
+        for name in ("_non_bijective", "_cover_groups"):
+            assert getattr(phi, name) is getattr(phi, name)
+            assert getattr(twin, name) == getattr(phi, name)
+        assert twin._cover_groups is not phi._cover_groups
+    graph = fix_graph()
+    twin = MetricGraphMorphism(graph.source, graph.target, graph.vertex_images,
+                               graph.edge_images)
+    assert twin._units is not None
+    grid = twin._grid
+    assert twin._units is None and twin._grid is grid
+    assert graph._grid == grid and graph._grid is not grid

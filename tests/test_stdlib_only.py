@@ -69,6 +69,18 @@ def test_a_command_on_documents_loads_only_the_modules_it_uses(tmp_path):
     assert "posetcover.metric" in loaded
 
 
+def test_only_a_command_on_an_index_map_loads_the_cover_code(tmp_path):
+    docs = {"phi.json": fileio.morphism_to_doc(fix_trop()),
+            "m.json": {"values": fix_trop_m().values},
+            "p.json": fileio.poset_to_doc(fix_trop().source)}
+    for name, doc in docs.items():
+        (tmp_path / name).write_text(fileio.dumps(doc), encoding="utf-8")
+    phi, m, p = (str(tmp_path / name) for name in docs)
+    for argv in (["poset", "stats", p], ["morphism", "check", "--morphism", phi]):
+        assert "posetcover.covers" not in _run(argv)[1], argv
+    assert "posetcover.covers" in _run(["cover", "balanced", "--morphism", phi, "--index", m])[1]
+
+
 def test_the_project_declares_no_dependencies():
     lines = (ROOT / "pyproject.toml").read_text(encoding="utf-8").splitlines()
     assert "dependencies = []" in lines
