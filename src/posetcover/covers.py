@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable
-from itertools import compress, product
+from itertools import product
 
 from .checks import Check
 from .errors import (
@@ -33,7 +33,6 @@ from .errors import (
     NotUpSet,
     OracleSizeExceeded,
     PartialIndexMap,
-    UnknownElement,
     ValueMissing,
 )
 from .morphisms import PosetMorphism
@@ -112,17 +111,11 @@ def _require_on_source(phi: PosetMorphism, m: IndexMap) -> None:
 
 def local_degree(phi: PosetMorphism, m: IndexMap, subset: Iterable[str], y: str) -> int:
     """Sum of multiplicities over the fibre of y inside the subset; the
-    empty sum is 0."""
+    empty sum is 0, and the least member of that fibre without a value
+    raises ValueMissing."""
     _require_on_source(phi, m)
-    if y not in phi.target:
-        raise UnknownElement(y)
-    total = 0
-    for x in subset:
-        if x not in phi.source:
-            raise UnknownElement(x)
-        if phi(x) == y:
-            total += m[x]
-    return total
+    fibre = phi._fibres[phi.target._ix(y)] & phi.source._bits(subset)
+    return sum(map(m.__getitem__, phi.source._labels(fibre)))
 
 
 def _value_list(phi: PosetMorphism, m: IndexMap) -> list:
@@ -206,18 +199,10 @@ def _walk_balance(phi: PosetMorphism, values: list) -> tuple:
     return tuple(witnesses)
 
 
-class BranchReport(namedtuple("BranchReport", "ok witnesses branch_locus")):
-    __slots__ = ()
-
-    def __bool__(self):
-        return self.ok
-
-
-def branch_locus_check(phi: PosetMorphism) -> BranchReport:
+def branch_locus_check(phi: PosetMorphism) -> Check:
     """A poset morphism is a branched cover relative to the complement of
     the maximal target elements iff every fibre over a maximal target
-    element consists of maximal source elements.  The branch locus reported
-    is always that safe superset, not a minimal one."""
+    element consists of maximal source elements."""
     source, target = phi.source, phi.target
     witnesses = []
     for j, ups in enumerate(target._up_ix):
@@ -225,8 +210,9 @@ def branch_locus_check(phi: PosetMorphism) -> BranchReport:
             for i in bit_indices(phi._fibres[j]):
                 if source._up_ix[i]:
                     witnesses.append(BranchDefect(target._ids[j], source._ids[i]))
-    locus = frozenset(compress(target._ids, target._up_ix))
-    return BranchReport(not witnesses, tuple(witnesses), locus)
+    if witnesses:
+        return Check.failed(witnesses)
+    return Check.passed()
 
 
 def _degree_mismatch(phi: PosetMorphism, values: list, component: int):
@@ -349,8 +335,7 @@ def is_ibc_oracle(phi: PosetMorphism, m: IndexMap, limit: int = DEFAULT_ORACLE_L
     of the target, every component of its preimage."""
     _require_on_source(phi, m)
     m.require_total()
-    branch = branch_locus_check(phi)
-    witnesses = list(branch.witnesses)
+    witnesses = list(branch_locus_check(phi).witnesses)
     target = phi.target
     values = _value_list(phi, m)
     for upset in up_set_bits(target, connected_only=True, limit=limit):

@@ -32,7 +32,7 @@ from functools import cache
 from json.encoder import encode_basestring
 from pathlib import Path
 
-from .errors import DuplicateElement, FormatError, ToolError
+from .errors import DuplicateElement, FormatError
 from .morphisms import PosetMorphism
 from .posets import Poset, rank_check
 
@@ -149,10 +149,7 @@ def poset_to_doc(p: Poset, with_rank: bool = False) -> dict:
         "covers": [[a, b] for a, b in p._cover_pairs()],
     }
     if with_rank:
-        try:
-            doc["rank"] = rank_check(p).rank
-        except ToolError:
-            pass
+        doc["rank"] = rank_check(p).rank
     return doc
 
 

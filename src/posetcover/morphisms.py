@@ -77,15 +77,15 @@ class PosetMorphism:
         return f"PosetMorphism({self.source!r} -> {self.target!r})"
 
     def image(self, subset) -> frozenset:
-        return frozenset(self.mapping[x] for x in subset)
+        source = self.source
+        return frozenset(map(self.mapping.__getitem__, source._labels(source._bits(subset))))
 
     def fibre(self, beta: str) -> frozenset:
         return frozenset(self.source._labels(self._fibres[self.target._ix(beta)]))
 
     def preimage(self, subset) -> frozenset:
-        index = self.target._index
         return frozenset(self.source._labels(
-            self._preimage_bits(index[y] for y in subset if y in index)))
+            self._preimage_bits(bit_indices(self.target._bits(subset)))))
 
     def _preimage_bits(self, target_indices) -> int:
         """The source bitset over the given target element indices."""

@@ -78,6 +78,15 @@ def _walked_covers(covers, index: dict) -> set:
     return pairs
 
 
+def _least(labels: set):
+    """The least of a set of labels; labels that do not compare with one
+    another are ordered by type name, then by repr."""
+    try:
+        return min(labels)
+    except TypeError:
+        return min(labels, key=lambda x: (type(x).__name__, repr(x)))
+
+
 class Poset:
     """Immutable finite poset.
 
@@ -251,14 +260,18 @@ class Poset:
         return i
 
     def _bits(self, subset: Iterable[str]) -> int:
-        """The bitset of a collection of elements."""
+        """The bitset of a collection of elements: the one reader of a set
+        of labels.  A set has no order, so UnknownElement names the least
+        label that is no element, whatever order the collection walks in."""
         index = self._index
+        if iter(subset) is subset:
+            subset = list(subset)  # a failed pass walks them again
         bits = 0
-        for x in subset:
-            i = index.get(x)
-            if i is None:
-                raise UnknownElement(x)
-            bits |= 1 << i
+        try:
+            for i in map(index.__getitem__, subset):
+                bits |= 1 << i
+        except (KeyError, TypeError):
+            raise UnknownElement(_least(set(subset).difference(index))) from None
         return bits
 
     def _labels(self, bits: int) -> Iterator[str]:
@@ -267,16 +280,11 @@ class Poset:
             return map(self._ids.__getitem__, bit_indices(bits))
         return compress(self._ids, _flags(bits))
 
-    def _closure(self, subset: Iterable[str], reach: list[int]) -> int:
-        """The bitset of the subset and everything ``reach`` (``_above`` or
+    def _closure(self, bits: int, reach: list[int]) -> int:
+        """The bitset joined with everything ``reach`` (``_above`` or
         ``_below``) holds for its members."""
-        index = self._index
-        bits = 0
-        for x in subset:
-            i = index.get(x)
-            if i is None:
-                raise UnknownElement(x)
-            bits |= reach[i] | 1 << i
+        for i in bit_indices(bits):
+            bits |= reach[i]
         return bits
 
     def __contains__(self, x):
@@ -311,10 +319,10 @@ class Poset:
         return tuple(map(self._ids.__getitem__, self._up_ix[self._ix(a)]))
 
     def up_set(self, generators: Iterable[str]) -> frozenset:
-        return frozenset(self._labels(self._closure(generators, self._above)))
+        return frozenset(self._labels(self._closure(self._bits(generators), self._above)))
 
     def down_set(self, generators: Iterable[str]) -> frozenset:
-        return frozenset(self._labels(self._closure(generators, self._below)))
+        return frozenset(self._labels(self._closure(self._bits(generators), self._below)))
 
     def max_elements(self) -> tuple[str, ...]:
         return tuple(compress(self._ids, [not u for u in self._up_ix]))
@@ -325,14 +333,13 @@ class Poset:
     def require_up_set(self, subset: Iterable[str]) -> frozenset:
         """The subset as a frozenset; raises NotUpSet with the least member
         that has a cover outside it, and the least such cover."""
-        s = frozenset(subset)
-        bits = self._bits(s)
-        if self._closure(s, self._above) != bits:
+        bits = self._bits(subset)
+        if self._closure(bits, self._above) != bits:
             for i in bit_indices(bits):
                 for j in self._up_ix[i]:
                     if not bits >> j & 1:
                         raise NotUpSet(self._ids[i], self._ids[j])
-        return s
+        return frozenset(self._labels(bits))
 
     # ----- connectivity ---------------------------------------------------
 

@@ -98,8 +98,8 @@ def simplicial_face_poset(complex_: SimplicialComplex) -> Poset:
 
 
 # the poset of non-empty strict chains, with back-references to the chain
-# contents and each chain's top element
-ChainPoset = namedtuple("ChainPoset", "poset chain_of top_of")
+# contents
+ChainPoset = namedtuple("ChainPoset", "poset chain_of")
 
 
 # the label of a chain: its members joined by "<"
@@ -151,7 +151,6 @@ def chain_poset(p: Poset) -> ChainPoset:
     return ChainPoset(
         poset=Poset._from_index(map(labels.__getitem__, by_label), up),
         chain_of=dict(zip(labels, chains)),
-        top_of={lbl: c[-1] for lbl, c in zip(labels, chains)},
     )
 
 

@@ -12,6 +12,7 @@ the balancing criterion provably agree.
 
 from __future__ import annotations
 
+from itertools import permutations
 from random import Random
 
 from posetcover.covers import IndexMap, _push_down, _push_plan, is_balanced
@@ -158,3 +159,26 @@ def random_balanced_map(rng: Random, phi: PosetMorphism, hi: int = 3):
     m = IndexMap.total(source, dict(zip(source._ids, values)))
     assert is_balanced(phi, m)
     return m
+
+
+def all_posets(n: int):
+    """One poset on the labels e0 .. e(n-1) per isomorphism class of
+    n-element posets.  Every class has a natural labelling, one where i < j
+    in the order implies i < j as numbers, so the strict orders are drawn
+    from the transitive sets of such pairs, and a class is known by the
+    least sorted pair list any relabelling of it gives."""
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    relabellings = list(permutations(range(n)))
+    names = [f"e{i}" for i in range(n)]
+    seen = set()
+    for mask in range(1 << len(pairs)):
+        less = {pair for k, pair in enumerate(pairs) if mask >> k & 1}
+        if any((a, d) not in less for a, b in less for c, d in less if b == c):
+            continue
+        key = min(tuple(sorted((p[a], p[b]) for a, b in less)) for p in relabellings)
+        if key in seen:
+            continue
+        seen.add(key)
+        covers = [(names[a], names[b]) for a, b in less
+                  if not any((a, c) in less and (c, b) in less for c in range(n))]
+        yield Poset(names, covers)

@@ -1,10 +1,11 @@
 """Machine output must not depend on the string-hash seed: every bundled
 fixture command, two inputs with several candidate witnesses of which the
 least must be reported, two stellar subdivisions, one of a missing face,
-and three documents for the stats of an ungraded poset, a morphism that
-is not monotone and an extension from the top values, run in child
-processes under different PYTHONHASHSEED values and must print the same
-bytes.
+three documents for the stats of an ungraded poset, a morphism that is
+not monotone and an extension from the top values, and three sets of
+element names with several unknown names, run in child processes under
+different PYTHONHASHSEED values and must print the same bytes.  Nor may
+it depend on the order of a document's keys, elements and covers.
 Together the commands run every action of the CLI's command table, and
 each action, run as the only command of a fresh process, prints what it
 prints in process."""
@@ -14,8 +15,11 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from random import Random
 
 from posetcover import cli, fileio
+
+from generators import random_balanced_map, random_sheaf_morphism
 
 FIXTURE_COMMANDS = [
     ["poset", "validate", "FIX-TROP/target"],
@@ -88,8 +92,10 @@ def witness_inputs(tmp_path):
     covers, a tetrahedron for stellar subdivision (no fixture is a
     simplicial complex), a path of three edges where the face to
     subdivide is missing, a poset whose cover d < c skips a rank, a map
-    that reverses a cover, and the values of FIX-TROP on its top elements
-    only."""
+    that reverses a cover, the values of FIX-TROP on its top elements
+    only, and three sets with the unknown names mm, kk and jj least:
+    index-map keys, the generators of an extension's up-set and those of
+    an index map's domain."""
     morphism = {
         "source": {"elements": ["x", "y", "z", "a"],
                    "covers": [["x", "a"], ["y", "a"], ["z", "a"]]},
@@ -112,6 +118,10 @@ def witness_inputs(tmp_path):
         {"source": chain, "target": chain, "map": {"a": "b", "b": "a"}}))
     (tmp_path / "trop_tops.json").write_text(fileio.dumps(
         {"values": {"s1": 2, "s2": 1, "t1": 1, "t2": 2}}))
+    (tmp_path / "unknown_keys.json").write_text(fileio.dumps(
+        {"values": {"zz": 1, "qq": 2, "A1": 3, "mm": 1}}))
+    (tmp_path / "unknown_generators.json").write_text(fileio.dumps(
+        {"domain_upset_generators": ["yy", "s1", "nn", "jj"], "values": {"s1": 1}}))
     return [["morphism", "check", "--morphism", str(tmp_path / "onto_chain.json")],
             ["poset", "validate", str(tmp_path / "redundant.json")],
             ["subdivide", "stellar", "--complex", str(tmp_path / "simplex.json"),
@@ -120,7 +130,13 @@ def witness_inputs(tmp_path):
              "--face", "1,4", "--vertex", "p"],
             ["poset", "stats", str(tmp_path / "ungraded.json")],
             ["morphism", "check", "--morphism", str(tmp_path / "reversed.json")],
-            ["extend", "--morphism", "FIX-TROP", "--index", str(tmp_path / "trop_tops.json")]]
+            ["extend", "--morphism", "FIX-TROP", "--index", str(tmp_path / "trop_tops.json")],
+            ["cover", "balanced", "--morphism", "FIX-TROP",
+             "--index", str(tmp_path / "unknown_keys.json")],
+            ["extend", "--morphism", "FIX-TROP", "--index", "FIX-TROP-M",
+             "--upset", "ww,pp,B1,kk"],
+            ["cover", "balanced", "--morphism", "FIX-TROP",
+             "--index", str(tmp_path / "unknown_generators.json")]]
 
 
 def run_all(commands, hash_seed):
@@ -134,8 +150,8 @@ def run_all(commands, hash_seed):
 
 def test_output_is_independent_of_the_hash_seed(tmp_path):
     commands = FIXTURE_COMMANDS + witness_inputs(tmp_path)
-    runs = [run_all(commands, seed) for seed in (0, 1, 2, 3)]
-    assert runs[0] == runs[1] == runs[2] == runs[3]
+    runs = [run_all(commands, seed) for seed in range(6)]
+    assert all(run == runs[0] for run in runs)
     # the two witness inputs report the least offending pair
     assert "X <= Y but x !<= y" in runs[0]
     assert '"error":"RedundantCover"' in runs[0].replace(" ", "")
@@ -146,6 +162,54 @@ def test_output_is_independent_of_the_hash_seed(tmp_path):
     compact = runs[0].replace(" ", "").replace("\n", "")
     assert '"not_graded_witness":["d","c"]' in compact
     assert '"error":"NotMonotone","pair":["a","b"]' in compact
+    # a set of names reports the least unknown one
+    for least in ("mm", "kk", "jj"):
+        assert f'"detail":"unknownelement\'{least}\'"' in compact
+
+
+def shuffled(doc, rng):
+    """The document with its keys, element lists and cover lists in a
+    random order."""
+    if isinstance(doc, dict):
+        keys = list(doc)
+        rng.shuffle(keys)
+        return {k: shuffled(doc[k], rng) for k in keys}
+    if isinstance(doc, list) and all(isinstance(x, (str, list)) for x in doc):
+        return rng.sample(doc, len(doc))  # the pairs inside keep their order
+    return doc
+
+
+SHUFFLED_COMMANDS = [["morphism", "check", "--morphism", "{m}"],
+                     ["cover", "balanced", "--morphism", "{m}", "--index", "{i}"],
+                     ["cover", "ibc", "--morphism", "{m}", "--index", "{i}"],
+                     ["export", "dot", "--morphism", "{m}", "--kind", "hasse"],
+                     ["subdivide", "bcs", "--morphism", "{m}"]]
+
+
+def test_output_is_independent_of_document_order(tmp_path):
+    """Random glued morphisms and index maps, written three times with
+    their keys, elements and covers in different orders, each copy run in
+    its own process under another hash seed, print the same bytes."""
+    rng = Random(2024)
+    docs = []
+    for _ in range(4):
+        phi = random_sheaf_morphism(rng, max_sheets=3)
+        m = random_balanced_map(rng, phi)
+        values = dict(m.values) if m else {x: rng.randint(1, 2) for x in phi.source.elements}
+        docs.append((fileio.morphism_to_doc(phi), {"values": values}))
+    runs = []
+    for copy in range(3):
+        folder = tmp_path / f"copy{copy}"
+        folder.mkdir()
+        commands = []
+        for k, (morphism, index) in enumerate(docs):
+            paths = {"m": folder / f"morphism{k}.json", "i": folder / f"index{k}.json"}
+            # json, not fileio, writes the keys in the shuffled order
+            paths["m"].write_text(json.dumps(shuffled(morphism, rng) if copy else morphism))
+            paths["i"].write_text(json.dumps(shuffled(index, rng) if copy else index))
+            commands += [[a.format(**paths) for a in argv] for argv in SHUFFLED_COMMANDS]
+        runs.append(run_all(commands, copy))
+    assert runs[0] == runs[1] == runs[2]
 
 
 def action(argv):

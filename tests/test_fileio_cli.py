@@ -425,29 +425,53 @@ def test_an_unreadable_document_is_a_usage_error_naming_its_file(content, tmp_pa
     assert witness["detail"].startswith(f"cannot read {path}: ")
 
 
-# JSON of the wrong type where identifiers or containers are expected
+def _bad_point_doc():
+    doc = fileio.metric_morphism_to_doc(fix_graph())
+    doc["vertex_images"]["A"] = 5
+    return doc
+
+
+# JSON of the wrong type where identifiers or containers are expected, text
+# that is no JSON, and documents of another kind than the command reads;
+# the document is the last argument, written as it is when it is a string,
+# and its path fills {path} in the witness
 WRONGLY_TYPED = [
     (["morphism", "check", "--morphism"],
      {"source": "FIX-CE1/source", "target": "FIX-CE1/target",
-      "map": {"A1": ["A"], "A2": "A", "B1": "B"}}),
+      "map": {"A1": ["A"], "A2": "A", "B1": "B"}},
+     "a morphism map value must be a string, got ['A']"),
     (["graph", "poset", "--graph"],
-     {"vertices": ["u", "v"], "edges": [{"id": ["x"], "a": "u", "b": "v", "length": "1"}]}),
+     {"vertices": ["u", "v"], "edges": [{"id": ["x"], "a": "u", "b": "v", "length": "1"}]},
+     "an edge id must be a string, got ['x']"),
     (["cover", "balanced", "--morphism", "FIX-CE1", "--index"],
-     {"domain_upset_generators": 5, "values": {"A1": 1, "A2": 1, "B1": 1}}),
+     {"domain_upset_generators": 5, "values": {"A1": 1, "A2": 1, "B1": 1}},
+     "domain_upset_generators must be a list of strings, got 5"),
     (["cover", "balanced", "--morphism", "FIX-CE1", "--index"],
-     {"values": [1]}),
+     {"values": [1]},
+     "index map values must be an object keyed by strings, got [1]"),
+    (["poset", "stats"], '{"elements": [',
+     "{path} is not valid JSON: Expecting value: line 1 column 15 (char 14)"),
+    (["poset", "stats"], [1, 2], "top-level document must be a JSON object"),
+    (["poset", "stats"], {"foo": 1}, "unrecognized document; no known field combination"),
+    (["cover", "balanced", "--morphism", "FIX-TROP", "--index"],
+     {"elements": ["a"], "covers": []}, "'{path}' does not describe an index map"),
+    (["cover", "balanced", "--index", "FIX-CE1-M", "--morphism"],
+     fileio.morphism_to_doc(fix_trop()), "index map 'FIX-CE1-M' lives on a different poset"),
+    (["graph", "refine", "--morphism"], _bad_point_doc(), "bad point 5"),
 ]
 
 
-@pytest.mark.parametrize("argv,doc", WRONGLY_TYPED,
-                         ids=["map-value-list", "edge-id-list", "generators-int", "values-list"])
-def test_wrongly_typed_documents_are_usage_errors(argv, doc, tmp_path, capsys):
+@pytest.mark.parametrize("argv,doc,detail", WRONGLY_TYPED,
+                         ids=["map-value-list", "edge-id-list", "generators-int", "values-list",
+                              "json-syntax", "top-level-list", "no-known-fields",
+                              "index-names-a-poset", "index-on-another-poset", "bad-point"])
+def test_wrongly_typed_documents_are_usage_errors(argv, doc, detail, tmp_path, capsys):
     path = tmp_path / "doc.json"
-    path.write_text(fileio.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else fileio.dumps(doc))
     code = cli.main(["--format", "machine", *argv, str(path)])
     payload = json.loads(capsys.readouterr().out)
     assert code == 2 and payload["verdict"] == "error"
-    assert payload["witnesses"][0]["error"] == "FormatError"
+    assert payload["witnesses"] == [{"error": "FormatError", "detail": detail.format(path=path)}]
 
 
 def test_long_cycle_fails_validation_with_witness(tmp_path, capsys):

@@ -7,6 +7,7 @@ from posetcover.covers import is_balanced
 from posetcover.posets import connectivity, rank_check
 
 from generators import (
+    all_posets,
     random_balanced_map,
     random_connected_graded_poset,
     random_graded_poset,
@@ -56,3 +57,9 @@ def test_balanced_generator():
             produced += 1
             assert is_balanced(phi, m)
     assert produced >= 10
+
+
+def test_all_posets_has_one_poset_per_isomorphism_class():
+    # unlabelled posets on 1 .. 5 elements, OEIS A000112
+    assert [sum(1 for _ in all_posets(n)) for n in range(1, 6)] == [1, 2, 5, 16, 63]
+    assert all(len(p) == 4 for p in all_posets(4))

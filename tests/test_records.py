@@ -37,9 +37,9 @@ def _command(argv):
 CASES = {
     "passing Check is true": (lambda: bool(Check.passed()), True),
     "failing Check is false": (lambda: bool(Check.failed(["w"])), False),
-    "passing BranchReport is true": (
+    "passing branch locus check is true": (
         lambda: bool(covers.branch_locus_check(fixtures.load_fixture("FIX-TROP"))), True),
-    "failing BranchReport is false": (
+    "failing branch locus check is false": (
         lambda: bool(covers.branch_locus_check(_collapsed_chain())), False),
     "passing ExtensionReport is true": (lambda: bool(_extension("FIX-TROP")), True),
     "failing ExtensionReport is false": (lambda: bool(_extension("FIX-SIMPLE-EXT")), False),

@@ -51,7 +51,7 @@ class TestChainPoset:
         chains = chain_poset(p)
         assert sorted(chains.poset.elements) == ["A", "A<B", "B"]
         assert chains.poset.covers == {("A", "A<B"), ("B", "A<B")}
-        assert chains.top_of["A<B"] == "B"
+        assert chains.chain_of["A<B"] == ("A", "B")
 
     def test_antichain(self):
         p = Poset(["a", "b", "c"], [])
@@ -108,7 +108,6 @@ class TestChainPoset:
             for label, c in chains.chain_of.items():
                 assert label == "<".join(c)
                 assert all((a, b) in leq for a, b in zip(c, c[1:]))
-                assert chains.top_of[label] == c[-1]
             content = {label: frozenset(c) for label, c in chains.chain_of.items()}
             assert {(content[a], content[b]) for a, b in chains.poset.covers} == (
                 brute_codim_one_pairs(brute))
