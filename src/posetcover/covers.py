@@ -1,10 +1,12 @@
 """Index maps, local degrees, balancing, and the branched-cover decisions.
 
 `is_ibc` reduces the definition to principal up-sets of the target; the
-exhaustive oracle runs the definition verbatim over every connected
-up-set.  Both evaluate constancy of the local degree over the image of
-each preimage component, and they provably agree on combinatorial
-morphisms, which is what the differential test suite generates.
+exhaustive oracle checks it on every connected up-set and every component
+of its preimage, which it merges as the up-set walk grows the up-set (see
+`is_ibc_oracle`).  Both test constancy of the local degree over the image
+of each preimage component, a sum of popcounts (``_degree_mismatch``),
+and they provably agree on combinatorial morphisms, which is what the
+differential test suite generates.
 
 On a combinatorial morphism `is_ibc` uses the paper's local statements.
 The preimage of up(beta) splits into the up-sets up(alpha) over the fibre
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable
+from functools import cache
 from itertools import product
 
 from .checks import Check
@@ -36,7 +39,7 @@ from .errors import (
     ValueMissing,
 )
 from .morphisms import PosetMorphism
-from .posets import DEFAULT_ORACLE_LIMIT, Poset, bit_indices, up_set_bits
+from .posets import DEFAULT_ORACLE_LIMIT, Poset, bit_indices, up_set_walk
 
 DEFAULT_SEARCH_BOUND = 8
 DEFAULT_SEARCH_STATES = 1_000_000
@@ -215,36 +218,58 @@ def branch_locus_check(phi: PosetMorphism) -> Check:
     return Check.passed()
 
 
-def _degree_mismatch(phi: PosetMorphism, values: list, component: int):
+def _degree_tables(phi: PosetMorphism, values: list) -> list:
+    """For every target index, the (value, source bitset) pairs of its
+    fibre, one pair per value, so a local degree is a sum of popcounts."""
+    tables = [{} for _ in phi._fibres]
+    for x, (y, v) in enumerate(zip(phi._image_of, values)):
+        table = tables[y]
+        table[v] = table.get(v, 0) | 1 << x
+    return [list(table.items()) for table in tables]
+
+
+def _degree_mismatch(phi: PosetMorphism, tables: list, component: int, image: int):
     """Is the local degree constant over the image of the component (a
-    source bitset)?  One pass sums the local degree of every image
-    element; returns None, or the least image element, the least one whose
-    degree differs, and the two degrees."""
-    image_of = phi._image_of
-    degree = {}
-    for x in bit_indices(component):
-        y = image_of[x]
-        degree[y] = degree.get(y, 0) + values[x]
-    if len(set(degree.values())) <= 1:
-        return None
-    image = sorted(degree)
-    y1, d1 = image[0], degree[image[0]]
-    y2 = next(y for y in image if degree[y] != d1)
-    t_ids = phi.target._ids
-    return t_ids[y1], t_ids[y2], d1, degree[y2]
+    source bitset)?  ``image`` is a target bitset that holds that image;
+    the degree at each of its members, lowest first, is summed by
+    popcount, a degree of 0 marks a member outside the image (every value
+    is at least 1), and the first degree that differs ends the walk.
+    Returns None, or the least image element, the least one whose degree
+    differs, and the two degrees."""
+    first = None
+    while image:
+        low = image & -image
+        image ^= low
+        y = low.bit_length() - 1
+        degree = 0
+        for v, bits in tables[y]:
+            degree += v * (component & bits).bit_count()
+        if not degree:
+            continue
+        if first is None:
+            first, d1 = y, degree
+        elif degree != d1:
+            t_ids = phi.target._ids
+            return t_ids[first], t_ids[y], d1, degree
+    return None
 
 
-def _constancy_witnesses(phi: PosetMorphism, values: list, preimage: int, label) -> list:
-    """A DegreeMismatch for every component of the preimage (a source
-    bitset) whose local degree is not constant; ``label()`` names the
-    target set the preimage is taken of."""
-    source = phi.source
+def _constancy_witnesses(phi: PosetMorphism, tables: list, components, image: int,
+                         label) -> list:
+    """A DegreeMismatch for every component (a source bitset, its image
+    inside the target bitset ``image``) whose local degree is not
+    constant, by least member; ``label()`` names the target set the
+    components split the preimage of."""
     found = []
-    for component in source._component_bits(preimage):
-        bad = _degree_mismatch(phi, values, component)
+    for component in components:
+        bad = _degree_mismatch(phi, tables, component, image)
         if bad:
-            found.append(DegreeMismatch(label(), frozenset(source._labels(component)), *bad))
-    return found
+            found.append((component & -component, component, bad))
+    if not found:
+        return found
+    # disjoint components, so their lowest bits order them by least member
+    return [DegreeMismatch(label(), frozenset(phi.source._labels(component)), *bad)
+            for _, component, bad in sorted(found)]
 
 
 def is_ibc(phi: PosetMorphism, m: IndexMap) -> Check:
@@ -288,22 +313,20 @@ def _up_set_mismatches(phi: PosetMorphism, values: list, unbalanced: int) -> lis
     over y, and a component without an unbalanced element has constant
     degree; only the up(alpha) with alpha below an unbalanced element are
     summed."""
-    source = phi.source
-    s_above, s_below = source._above, source._below
+    s_above, s_below = phi.source._above, phi.source._below
     suspects = unbalanced
     for x in bit_indices(unbalanced):
         suspects |= s_below[x]
     found = []
     if not suspects:
         return found
-    t_ids = phi.target._ids
+    tables = _degree_tables(phi, values)
+    t_above, t_ids = phi.target._above, phi.target._ids
     for j, fibre in enumerate(phi._fibres):
-        # disjoint components, so their lowest bits order them by least member
         ups = [s_above[a] | 1 << a for a in bit_indices(fibre & suspects)]
-        for component in sorted(ups, key=lambda c: c & -c):
-            bad = _degree_mismatch(phi, values, component)
-            if bad:
-                found.append(DegreeMismatch(t_ids[j], frozenset(source._labels(component)), *bad))
+        if ups:
+            found += _constancy_witnesses(phi, tables, ups, t_above[j] | 1 << j,
+                                          lambda: t_ids[j])
     return found
 
 
@@ -323,25 +346,38 @@ def _scanned_mismatches(phi: PosetMorphism, values: list) -> list:
     """The DegreeMismatch witnesses of any morphism: the preimage of every
     principal up-set, built top down in one pass, split into its
     components by breadth-first search."""
-    preimages = _up_set_preimages(phi)
+    source, target = phi.source, phi.target
+    tables = _degree_tables(phi, values)
     found = []
-    for j, beta in enumerate(phi.target._ids):
-        found += _constancy_witnesses(phi, values, preimages[j], lambda: beta)
+    for j, preimage in enumerate(_up_set_preimages(phi)):
+        found += _constancy_witnesses(phi, tables, source._component_bits(preimage),
+                                      target._above[j] | 1 << j, lambda: target._ids[j])
     return found
 
 
 def is_ibc_oracle(phi: PosetMorphism, m: IndexMap, limit: int = DEFAULT_ORACLE_LIMIT) -> Check:
     """Exhaustive indexed-branched-cover decision: every connected up-set
-    of the target, every component of its preimage."""
+    of the target, every component of its preimage.
+
+    ``up_set_walk`` grows each up-set U by one closed up-set up(i), so the
+    preimage of U grows by the preimage of up(i).  Preimages of up-sets
+    are up-sets, so the components of the preimage of up(i), split once
+    per target element, merge into those of U's wherever they meet: a few
+    ANDs and ORs per up-set, not a search."""
     _require_on_source(phi, m)
     m.require_total()
     witnesses = list(branch_locus_check(phi).witnesses)
-    target = phi.target
-    values = _value_list(phi, m)
-    for upset in up_set_bits(target, connected_only=True, limit=limit):
-        preimage = phi._preimage_bits(bit_indices(upset))
+    source, target = phi.source, phi.target
+    tables = _degree_tables(phi, _value_list(phi, m))
+    preimages = _up_set_preimages(phi)
+
+    @cache
+    def pieces(j):
+        return source._component_bits(preimages[j])
+
+    for upset, parts in up_set_walk(target, True, limit, pieces):
         witnesses += _constancy_witnesses(
-            phi, values, preimage, lambda: frozenset(target._labels(upset)))
+            phi, tables, parts, upset, lambda: frozenset(target._labels(upset)))
     if witnesses:
         return Check.failed(witnesses)
     return Check.passed()

@@ -266,11 +266,13 @@ class LiftingReport(namedtuple("LiftingReport", "mode hypotheses conclusion_hold
 
 def _first_connected_fibre(phi: PosetMorphism, betas, within):
     """The least beta whose fibre inside within is non-empty and
-    connected, or None."""
-    for beta in sorted(betas):
-        fibre = phi.fibre(beta) & within
-        if fibre and len(phi.source.components(fibre)) == 1:
-            return beta
+    connected, or None; target indices ascend in label order."""
+    source = phi.source
+    within = source._bits(within)
+    for j in bit_indices(phi.target._bits(betas)):
+        fibre = phi._fibres[j] & within
+        if fibre and source._is_connected_bits(fibre):
+            return phi.target._ids[j]
     return None
 
 

@@ -84,16 +84,10 @@ class PosetMorphism:
         return frozenset(self.source._labels(self._fibres[self.target._ix(beta)]))
 
     def preimage(self, subset) -> frozenset:
-        return frozenset(self.source._labels(
-            self._preimage_bits(bit_indices(self.target._bits(subset)))))
-
-    def _preimage_bits(self, target_indices) -> int:
-        """The source bitset over the given target element indices."""
-        fibres = self._fibres
         bits = 0
-        for j in target_indices:
-            bits |= fibres[j]
-        return bits
+        for j in bit_indices(self.target._bits(subset)):
+            bits |= self._fibres[j]
+        return frozenset(self.source._labels(bits))
 
     @cached_property
     def _non_bijective(self) -> int:
@@ -238,8 +232,13 @@ class PosetMorphism:
 
     def restrict_corestrict(self, upset) -> "PosetMorphism":
         """Restrict to an up-set of the source and corestrict to its image,
-        both taken with their induced orders."""
-        v = self.source.require_up_set(upset)
-        sub_source = self.source.induced(v)
+        both taken with their induced orders: the morphism itself when the
+        up-set is the whole source and its image the whole target."""
+        source = self.source
+        bits = source._require_up_set_bits(upset)
+        if bits == (1 << len(source)) - 1 and all(self._fibres):
+            return self
+        v = frozenset(source._labels(bits))
+        sub_source = source.induced(v)
         sub_target = self.target.induced(self.image(v))
         return PosetMorphism(sub_source, sub_target, {x: self.mapping[x] for x in v})

@@ -87,6 +87,24 @@ def _least(labels: set):
         return min(labels, key=lambda x: (type(x).__name__, repr(x)))
 
 
+def _merged(parts: list, pieces) -> list:
+    """The components of a union of up-sets: ``parts``, the components so
+    far, joined by ``pieces``, each a connected up-set.  An up-set holds
+    the upper end of every comparable pair that starts in it, so two
+    up-sets are joined by a comparable pair exactly when they meet; each
+    piece absorbs every part it meets."""
+    for piece in pieces:
+        kept = []
+        for part in parts:
+            if part & piece:
+                piece |= part
+            else:
+                kept.append(part)
+        kept.append(piece)
+        parts = kept
+    return parts
+
+
 class Poset:
     """Immutable finite poset.
 
@@ -333,13 +351,17 @@ class Poset:
     def require_up_set(self, subset: Iterable[str]) -> frozenset:
         """The subset as a frozenset; raises NotUpSet with the least member
         that has a cover outside it, and the least such cover."""
+        return frozenset(self._labels(self._require_up_set_bits(subset)))
+
+    def _require_up_set_bits(self, subset: Iterable[str]) -> int:
+        """The bitset of ``require_up_set``."""
         bits = self._bits(subset)
         if self._closure(bits, self._above) != bits:
             for i in bit_indices(bits):
                 for j in self._up_ix[i]:
                     if not bits >> j & 1:
                         raise NotUpSet(self._ids[i], self._ids[j])
-        return frozenset(self._labels(bits))
+        return bits
 
     # ----- connectivity ---------------------------------------------------
 
@@ -384,31 +406,10 @@ class Poset:
 
     def _punctured_connected(self, i: int) -> bool:
         """Is the punctured up-set of element i non-empty and connected?
-
         It is the union of the closed up-sets of the covers of i, each
-        connected through its least element, and two of them are joined by
-        a comparable pair exactly when they meet (an up-set holds the upper
-        end of any pair that starts in it).  So the covers are merged into
-        one reach bitset, a cover joining once its up-set meets the reach,
-        until none is left (connected) or none of the rest joins."""
-        above = self._above
-        rest = self._up_ix[i]
-        if not rest:
-            return False
-        reach = above[rest[0]] | 1 << rest[0]
-        rest = rest[1:]
-        while rest:
-            left = []
-            for c in rest:
-                closed = above[c] | 1 << c
-                if closed & reach:
-                    reach |= closed
-                else:
-                    left.append(c)
-            if len(left) == len(rest):
-                return False
-            rest = left
-        return True
+        connected through its least element, so ``_merged`` splits it."""
+        above, ups = self._above, self._up_ix[i]
+        return bool(ups) and len(_merged([], [above[c] | 1 << c for c in ups])) == 1
 
     def is_connected(self, subset: Iterable[str] | None = None) -> bool:
         return self._is_connected_bits(self._pool(subset))
@@ -509,8 +510,7 @@ def enumerate_up_sets(
     connected are yielded.  This is the oracle support for the exhaustive
     indexed-branched-cover check, hence the size guard.
     """
-    for bits in up_set_bits(p, connected_only, limit):
-        yield frozenset(p._labels(bits))
+    return (frozenset(p._labels(up)) for up, _ in up_set_walk(p, connected_only, limit))
 
 
 def up_set_bits(
@@ -518,34 +518,58 @@ def up_set_bits(
     connected_only: bool = False,
     limit: int = DEFAULT_ORACLE_LIMIT,
 ) -> Iterator[int]:
-    """The up-sets of ``enumerate_up_sets`` as bitsets, in the same order:
-    a depth-first walk over antichains from an explicit stack, each
-    antichain extended by its candidates in sorted order.  A walk that
-    would visit more than UP_SET_WALK_LIMIT up-sets, the empty one
-    included, raises OracleSizeExceeded with the count it reached."""
+    """The up-sets of ``enumerate_up_sets`` as bitsets, in the same order."""
+    return (up for up, _ in up_set_walk(p, connected_only, limit))
+
+
+def up_set_walk(
+    p: Poset,
+    connected_only: bool = False,
+    limit: int = DEFAULT_ORACLE_LIMIT,
+    pieces=None,
+) -> Iterator[tuple[int, list]]:
+    """Every up-set of p as a bitset, one per antichain of generators: a
+    depth-first walk from an explicit stack, each antichain extended by its
+    candidates in sorted order, the empty up-set first.  A walk that would
+    visit more than UP_SET_WALK_LIMIT up-sets, the empty one included,
+    raises OracleSizeExceeded with the count it reached.
+
+    Adding element i to an antichain joins the closed up-set of i to its
+    up-set; with connected_only, every frame keeps the components of its
+    up-set, merges that piece in (``_merged``) and yields the up-set only
+    when one component is left.  Each up-set comes with ``parts``, the
+    components of the union over the antichain of ``pieces(i)``, connected
+    up-sets of another poset (the preimage of up(i), say) merged the same
+    way; empty without pieces."""
     n = len(p)
     if n > limit:
         raise OracleSizeExceeded(n, limit)
     above, below = p._above, p._below
     walked = 1
     if not connected_only:
-        yield 0
-    # one frame per antichain on the current path: its up-set, and the
-    # candidates, elements after its last member comparable to no member
-    stack = [(0, (1 << n) - 1)]
+        yield 0, []
+    # one frame per antichain on the current path: its up-set, the
+    # candidates (elements after its last member comparable to no member),
+    # the components of its up-set (with connected_only) and its parts
+    stack = [(0, (1 << n) - 1, [], [])]
     while stack:
-        up, candidates = stack[-1]
+        up, candidates, comps, parts = stack[-1]
         if not candidates:
             stack.pop()
             continue
         low = candidates & -candidates
         candidates ^= low
-        stack[-1] = (up, candidates)
+        stack[-1] = (up, candidates, comps, parts)
         walked += 1
         if walked > UP_SET_WALK_LIMIT:
             raise OracleSizeExceeded(walked, UP_SET_WALK_LIMIT, "up-sets walked")
         i = low.bit_length() - 1
-        grown = up | above[i] | low
-        if not connected_only or p._is_connected_bits(grown):
-            yield grown
-        stack.append((grown, candidates & ~(above[i] | below[i])))
+        closed = above[i] | low
+        if connected_only:
+            comps = _merged(comps, (closed,))
+        if pieces is not None:
+            parts = _merged(parts, pieces(i))
+        grown = up | closed
+        if not connected_only or len(comps) == 1:
+            yield grown, parts
+        stack.append((grown, candidates & ~(above[i] | below[i]), comps, parts))

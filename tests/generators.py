@@ -12,7 +12,7 @@ the balancing criterion provably agree.
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import permutations, product
 from random import Random
 
 from posetcover.covers import IndexMap, _push_down, _push_plan, is_balanced
@@ -182,3 +182,14 @@ def all_posets(n: int):
         covers = [(names[a], names[b]) for a, b in less
                   if not any((a, c) in less and (c, b) in less for c in range(n))]
         yield Poset(names, covers)
+
+
+def all_morphisms(s: Poset, t: Poset):
+    """Every order-preserving map from s to t, with the images of the
+    elements of s, in sorted order, running through the elements of t in
+    lexicographic order."""
+    sources = sorted(s.elements)
+    for images in product(sorted(t.elements), repeat=len(sources)):
+        mapping = dict(zip(sources, images))
+        if all(t.leq(mapping[a], mapping[b]) for a, b in s.covers):
+            yield PosetMorphism(s, t, mapping)

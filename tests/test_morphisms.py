@@ -170,6 +170,21 @@ class TestRestrictCorestrict:
         assert psi.source == phi.source
         assert frozenset(psi.target.elements) == phi.image(phi.source.elements)
 
+    def test_whole_source_of_an_onto_map_is_the_map(self):
+        phi = fix_trop()
+        assert phi.restrict_corestrict(phi.source.elements) is phi
+        assert phi.restrict_corestrict(reversed(phi.source.elements)) is phi
+
+    def test_whole_source_of_a_map_not_onto_is_corestricted(self):
+        phi = fix_trop()
+        target = Poset(list(phi.target.elements) + ["X", "u"],
+                       phi.target.covers | {("C", "u"), ("X", "u")})
+        wider = PosetMorphism(phi.source, target, phi.mapping)
+        psi = wider.restrict_corestrict(phi.source.elements)
+        assert psi is not wider
+        assert psi.source == phi.source and psi.target == phi.target
+        assert psi.mapping == phi.mapping
+
     def test_requires_up_set(self):
         phi = fix_trop()
         with pytest.raises(NotUpSet):

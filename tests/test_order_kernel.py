@@ -4,7 +4,8 @@ strong connectivity by merged covers, the one-pass local degrees, and the
 full witness lists of combinatoriality, openness, balancing, both
 branched-cover decisions (and the fast paths of the principal one against
 its scan), up-set enumeration and extension, each against an independent
-oracle."""
+oracle.  The decisions and the up-set walk are also checked on every map
+and poset of a small world."""
 
 import pytest
 from collections import Counter
@@ -23,9 +24,15 @@ from posetcover.covers import (
 from posetcover.errors import NotUpSet, RedundantCover
 from posetcover.extend import extend_balanced
 from posetcover.morphisms import PosetMorphism
-from posetcover.posets import Poset, enumerate_up_sets, rank_check
+from posetcover.posets import Poset, enumerate_up_sets, rank_check, up_set_bits
 
-from generators import random_balanced_map, random_graded_poset, random_sheaf_morphism
+from generators import (
+    all_morphisms,
+    all_posets,
+    random_balanced_map,
+    random_graded_poset,
+    random_sheaf_morphism,
+)
 import test_posets
 from oracles import (
     brute_balance_violations,
@@ -427,3 +434,59 @@ def test_strong_connectivity_by_merged_covers():
     for p in test_posets.TestOrderStructure().posets():
         for i in range(len(p)):
             assert p._punctured_connected(i) == (len(p._component_bits(p._above[i])) == 1)
+
+
+# every map from a poset of at most 4 elements to one of at most 3, up to
+# isomorphism of both: 2436 maps
+SMALL_WORLD = [phi for s in range(1, 5) for t in range(1, 4)
+               for source in all_posets(s) for target in all_posets(t)
+               for phi in all_morphisms(source, target)]
+
+
+def small_world_index_maps(phi):
+    """The constant map, and for each image element the map with value 2 at
+    the least element of its fibre and 1 elsewhere: 7364 index maps over
+    the small world (all values 1-2 would be 34 716, too slow to run)."""
+    ones = dict.fromkeys(phi.source.elements, 1)
+    yield IndexMap.total(phi.source, ones)
+    for beta in sorted(set(phi.mapping.values())):
+        yield IndexMap.total(phi.source, {**ones, min(phi.fibre(beta)): 2})
+
+
+def test_both_decisions_on_every_small_map():
+    """The oracle against the definition over every connected up-set, and
+    is_ibc against its scan, on every total map of the small world."""
+    assert len(SMALL_WORLD) == 2436
+    kinds = Counter()
+    walks = {}
+    for phi in SMALL_WORLD:
+        source, target, mapping = phi.source, phi.target, phi.mapping
+        s_elements, s_covers = source.elements, source.covers
+        branch = brute_branch_defects(s_elements, s_covers, target.elements, target.covers,
+                                      mapping)
+        if target not in walks:
+            walks[target] = [(u, u) for u in brute_up_set_walk(target.elements, target.covers,
+                                                                True)]
+        connected = walks[target]
+        for m in small_world_index_maps(phi):
+            got = [tuple(w) for w in is_ibc_oracle(phi, m).witnesses]
+            assert got == branch + brute_degree_mismatches(s_elements, s_covers, mapping,
+                                                           m.values, connected)
+            ibc = is_ibc(phi, m).witnesses
+            assert list(ibc[len(branch):]) == _scanned_mismatches(phi, _value_list(phi, m))
+            kinds["oracle fails"] += bool(got)
+            kinds["is_ibc fails"] += bool(ibc)
+            kinds["oracle mismatches"] += len(got) - len(branch)
+            kinds["index maps"] += 1
+    assert kinds["index maps"] == 7364
+    assert kinds["oracle fails"] and kinds["is_ibc fails"] and kinds["oracle mismatches"]
+
+
+def test_the_shared_walk_on_every_small_poset():
+    """up_set_bits, plain and connected, against the recursive walk on one
+    poset per isomorphism class of at most 5 elements."""
+    for n in range(1, 6):
+        for p in all_posets(n):
+            for connected in (False, True):
+                got = [frozenset(p._labels(u)) for u in up_set_bits(p, connected)]
+                assert got == brute_up_set_walk(p.elements, p.covers, connected)
