@@ -17,7 +17,7 @@ from functools import cache
 
 # a handler imports what only its own command uses, so that a process
 # loads the modules of the one command it runs
-from . import dot, fileio, posets
+from . import fileio, posets
 from .errors import (
     CorestrictionNotCombinatorial,
     FormatError,
@@ -360,6 +360,8 @@ def _random_points(graph, count: int, seed: int) -> list:
 
 
 def cmd_export_dot(args) -> RunReport:
+    from . import dot
+
     obj = (fileio.resolve(args.morphism, "morphism") if args.morphism
            else fileio.resolve(args.poset, "poset"))
     return RunReport("pass", data={"dot": dot.export_dot(obj, args.kind)})
@@ -477,7 +479,7 @@ COMMANDS = {
         ("--random", {"type": int, "default": 100}), ("--seed", {"type": int, "default": 0})]),
     "export": Command("emit DOT text", {
         "dot": ("cmd_export_dot", (("poset", "morphism"),)),
-    }, [POSET, MORPHISM, ("--kind", {"choices": list(dot.KINDS), "default": "hasse"})]),
+    }, [POSET, MORPHISM, ("--kind", {"choices": list(posets.GRAPH_KINDS), "default": "hasse"})]),
     "fixtures": Command("list or re-verify the bundled fixtures", {
         "list": ("cmd_fixtures_list", ()),
         "run": ("cmd_fixtures_run", ()),

@@ -28,7 +28,6 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable
 from functools import cache
-from itertools import product
 
 from .checks import Check
 from .errors import (
@@ -145,9 +144,10 @@ def _push_plan(phi: PosetMorphism):
 
 
 def _push_down(plan, values: list):
-    """Push values, a list by source index, down the plan: each element
-    gets the common sum of its cover groups.  Returns the filled values, or
-    None as soon as a group sums below 1 or differs from the first group."""
+    """Settle the entries of a plan, or of one stage of it, in values, a
+    list by source index: each element gets the common sum of its cover
+    groups.  Returns the filled values, or None as soon as a group sums
+    below 1 or differs from the first group."""
     value = values.__getitem__
     for alpha, groups in plan:
         total = sum(map(value, groups[0][1]))
@@ -406,8 +406,10 @@ def search_balanced(phi: PosetMorphism, bound: int = DEFAULT_SEARCH_BOUND):
 
     Elements whose image is maximal in the target carry no balancing
     constraint of their own, so they are the free variables; every other
-    value is forced by the values above it and we only propagate and check
-    consistency.
+    value is forced by the values above it.  The free values are set depth
+    first, and each forced value is settled, and checked, as soon as the
+    last free value it depends on is set (see _search_stages), so a failed
+    check cuts off every assignment of the later free values.
     """
     if bound < 1:
         raise ValueError(f"bound must be at least 1, got {bound}")
@@ -422,18 +424,52 @@ def search_balanced(phi: PosetMorphism, bound: int = DEFAULT_SEARCH_BOUND):
             raise OracleSizeExceeded(f"{bound}**{len(free)}", DEFAULT_SEARCH_STATES,
                                      "search states")
 
-    # values by index, so comparing lists compares in element order
+    stages = _search_stages(phi, free, plan)
+    # values by index, so comparing lists compares in element order; a
+    # free value is 0 until it is set
+    values = [0] * len(phi.source)
     best = None
-    blank = [0] * len(phi.source)
-    for assignment in product(range(1, bound + 1), repeat=len(free)):
-        values = blank[:]
-        for alpha, v in zip(free, assignment):
-            values[alpha] = v
-        values = _push_down(plan, values)
-        if values is None or any(values[alpha] > bound for alpha, _ in plan):
+    # k free values are set and the first k + 1 stages settled; a loop,
+    # not a recursion, as there may be thousands of free elements
+    k = 0 if _settled(stages[0], values, bound) else -1
+    while k >= 0:
+        if k == len(free):
+            if best is None or values < best:
+                best = values[:]
+            k -= 1
             continue
-        if best is None or values < best:
-            best = values
+        alpha = free[k]
+        if values[alpha] == bound:
+            values[alpha] = 0
+            k -= 1
+            continue
+        values[alpha] += 1
+        if _settled(stages[k + 1], values, bound):
+            k += 1
     if best is None:
         return None
     return IndexMap.total(phi.source, dict(zip(phi.source._ids, best)))
+
+
+def _search_stages(phi: PosetMorphism, free: list, plan: list) -> list:
+    """The plan split by the last free element each entry depends on, in
+    the order of ``free``: stage k + 1 holds, in plan order, the entries
+    that become determined once free[k] is set, and stage 0 those that
+    depend on no free element.  The plan walks down, so the covers of an
+    entry come before it."""
+    last = [-1] * len(phi.source)
+    for k, alpha in enumerate(free):
+        last[alpha] = k
+    stages = [[] for _ in range(len(free) + 1)]
+    for entry in plan:
+        alpha, groups = entry
+        last[alpha] = max((last[g] for _, group in groups for g in group), default=-1)
+        stages[last[alpha] + 1].append(entry)
+    return stages
+
+
+def _settled(stage: list, values: list, bound: int) -> bool:
+    """Push the stage down (_push_down) and check that no value it settles
+    exceeds the bound."""
+    return (_push_down(stage, values) is not None
+            and all(values[alpha] <= bound for alpha, _ in stage))

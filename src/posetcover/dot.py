@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from .errors import OracleSizeExceeded
 from .morphisms import PosetMorphism
-from .posets import Poset, bit_indices
-
-KINDS = ("comparability", "covering", "hasse")
+from .posets import GRAPH_KINDS, Poset, bit_indices
 
 # the comparability graph prints one line per comparable pair, and a chain
 # of n elements has n(n-1)/2 of them; 447 elements make 99 681 pairs, which
@@ -34,7 +32,7 @@ def _edge_pairs(p: Poset, kind: str):
         ids = p._ids
         return sorted((ids[min(i, j)], ids[max(i, j)])
                       for i, up in enumerate(p._above) for j in bit_indices(up))
-    raise ValueError(f"unknown graph kind {kind!r}; pick one of {KINDS}")
+    raise ValueError(f"unknown graph kind {kind!r}; pick one of {GRAPH_KINDS}")
 
 
 def export_dot(obj, kind: str = "hasse") -> str:

@@ -105,6 +105,11 @@ def _merged(parts: list, pieces) -> list:
     return parts
 
 
+# the graphs of a poset that DOT export draws (``dot.export_dot``),
+# declared here so that the CLI lists them without loading ``dot``
+GRAPH_KINDS = ("comparability", "covering", "hasse")
+
+
 class Poset:
     """Immutable finite poset.
 
@@ -268,6 +273,15 @@ class Poset:
                 if height[j] >= height[i]:
                     height[i] = height[j] + 1
         return height
+
+    @cached_property
+    def _chain_poset(self):
+        """The poset of non-empty strict chains, built on first use and kept
+        here; ``subdivision.chain_poset`` reads it and applies the chain
+        limit at every call."""
+        from .subdivision import _build_chain_poset
+
+        return _build_chain_poset(self)
 
     # ----- order queries -------------------------------------------------
 

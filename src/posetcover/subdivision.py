@@ -109,7 +109,17 @@ _chain_label = "<".join
 def chain_poset(p: Poset) -> ChainPoset:
     """All non-empty strict chains of p, ordered by subchain inclusion;
     a chain covers each chain it becomes with one member dropped.  More
-    than DEFAULT_CHAIN_LIMIT chains raise OracleSizeExceeded."""
+    than DEFAULT_CHAIN_LIMIT chains raise OracleSizeExceeded.  The chain
+    poset is built once per poset and kept on it; the limit is read at
+    every call, so one kept under a higher limit is refused all the same."""
+    chains = p._chain_poset
+    if len(chains.chain_of) > DEFAULT_CHAIN_LIMIT:
+        raise OracleSizeExceeded(DEFAULT_CHAIN_LIMIT + 1, DEFAULT_CHAIN_LIMIT)
+    return chains
+
+
+def _build_chain_poset(p: Poset) -> ChainPoset:
+    """The chain poset of p, built for Poset._chain_poset to keep."""
     ids, below, order = p._ids, p._below, p._order_ix
     # the chains that end at i are i alone and each chain ending below i
     # with i appended; they are counted before any is built

@@ -12,6 +12,7 @@ the balancing criterion provably agree.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import permutations, product
 from random import Random
 
@@ -193,3 +194,12 @@ def all_morphisms(s: Poset, t: Poset):
         mapping = dict(zip(sources, images))
         if all(t.leq(mapping[a], mapping[b]) for a, b in s.covers):
             yield PosetMorphism(s, t, mapping)
+
+
+@cache
+def small_world() -> tuple:
+    """Every map from a poset of at most 4 elements to one of at most 3, up
+    to isomorphism of both: 2436 maps, built once per process."""
+    return tuple(phi for s in range(1, 5) for t in range(1, 4)
+                 for source in all_posets(s) for target in all_posets(t)
+                 for phi in all_morphisms(source, target))

@@ -74,7 +74,12 @@ def brute_poset_components(elements, covers, subset=None):
     """Components of the comparability graph, restricted to ``subset``
     when given (comparability taken in the whole poset)."""
     nodes = set(elements if subset is None else subset)
-    leq = reachability(elements, covers)
+    return comparability_components(reachability(elements, covers), nodes)
+
+
+def comparability_components(leq, nodes):
+    """Components of the comparability graph of ``leq``, a closed order
+    relation as pairs, restricted to ``nodes``."""
     edges = [(a, b) for (a, b) in leq if a != b and a in nodes and b in nodes]
     return brute_components(nodes, edges)
 
@@ -249,10 +254,11 @@ def brute_degree_mismatches(s_elements, s_covers, mapping, values, labelled_sets
     whose local degree (sum of values over the component and one fibre)
     is not constant over its image: y1 is the least image element and y2
     the least one whose degree differs from it."""
+    leq = reachability(s_elements, s_covers)
     found = []
     for label, targets in labelled_sets:
         preimage = {x for x in s_elements if mapping[x] in targets}
-        for comp in brute_poset_components(s_elements, s_covers, preimage):
+        for comp in comparability_components(leq, preimage):
             image = sorted({mapping[x] for x in comp})
             degree = {y: sum(values[x] for x in comp if mapping[x] == y) for y in image}
             y1 = image[0]
@@ -273,7 +279,7 @@ def brute_up_set_walk(elements, covers, connected_only=False):
 
     def walk(start, antichain):
         up = frozenset(x for x in elements if any((a, x) in leq for a in antichain))
-        if not connected_only or (up and len(brute_poset_components(elements, covers, up)) == 1):
+        if not connected_only or (up and len(comparability_components(leq, up)) == 1):
             found.append(up)
         for i in range(start, len(order)):
             e = order[i]

@@ -47,6 +47,7 @@ from generators import (
     random_graded_poset,
     random_index_map,
     random_sheaf_morphism,
+    small_world,
 )
 
 
@@ -419,6 +420,32 @@ class TestSearchBalanced:
             assert (found and found.values) == least
             outcomes["found" if least else "none"] += 1
         assert min(outcomes.values()) >= 10, outcomes
+
+    def test_every_small_map_against_enumeration(self):
+        found = Counter()
+        for bound in (1, 2, 3):
+            for phi in small_world():
+                least = _least_by_enumeration(phi, bound)
+                got = search_balanced(phi, bound=bound)
+                assert (got and got.values) == least
+                found[bound] += least is not None
+        assert found == {1: 806, 2: 864, 3: 869}
+
+    def test_thousands_of_free_elements(self):
+        # a loop, not one recursion per free element
+        source = Poset([f"a{i}" for i in range(3000)], [])
+        phi = PosetMorphism(source, Poset(["y"], []), dict.fromkeys(source.elements, "y"))
+        assert search_balanced(phi, bound=1).values == dict.fromkeys(source.elements, 1)
+
+    def test_disjoint_chains_are_still_refused(self):
+        # every assignment of the 7 tops balances, yet there are 8**7 of them
+        elements = [f"{c}{i}" for i in range(7) for c in "ab"]
+        source = Poset(elements, [(f"a{i}", f"b{i}") for i in range(7)])
+        phi = PosetMorphism(source, Poset(["x", "y"], [("x", "y")]),
+                            {e: "x" if e[0] == "a" else "y" for e in elements})
+        with pytest.raises(OracleSizeExceeded) as raised:
+            search_balanced(phi)
+        assert str(raised.value) == "search states 8**7 exceeds oracle limit 1000000"
 
 
 def _least_by_enumeration(phi, bound):

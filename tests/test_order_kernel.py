@@ -27,11 +27,11 @@ from posetcover.morphisms import PosetMorphism
 from posetcover.posets import Poset, enumerate_up_sets, rank_check, up_set_bits
 
 from generators import (
-    all_morphisms,
     all_posets,
     random_balanced_map,
     random_graded_poset,
     random_sheaf_morphism,
+    small_world,
 )
 import test_posets
 from oracles import (
@@ -436,11 +436,7 @@ def test_strong_connectivity_by_merged_covers():
             assert p._punctured_connected(i) == (len(p._component_bits(p._above[i])) == 1)
 
 
-# every map from a poset of at most 4 elements to one of at most 3, up to
-# isomorphism of both: 2436 maps
-SMALL_WORLD = [phi for s in range(1, 5) for t in range(1, 4)
-               for source in all_posets(s) for target in all_posets(t)
-               for phi in all_morphisms(source, target)]
+SMALL_WORLD = small_world()
 
 
 def small_world_index_maps(phi):

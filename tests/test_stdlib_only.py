@@ -35,10 +35,10 @@ def test_the_cli_imports_only_the_standard_library():
 RUN = ("import json, sys; from posetcover import cli; code = cli.main(sys.argv[1:]); "
        "sys.stderr.write(json.dumps([code, sorted(sys.modules)]))")
 
-# what the metric graph, extension and subdivision commands use, and the
-# rationals that metric graphs are measured in
+# what the metric graph, extension, subdivision and DOT export commands
+# use, and the rationals that metric graphs are measured in
 HEAVY = {"posetcover.metric", "posetcover.extend", "posetcover.subdivision",
-         "fractions", "decimal"}
+         "posetcover.dot", "fractions", "decimal"}
 
 
 def _run(argv):
@@ -67,6 +67,9 @@ def test_a_command_on_documents_loads_only_the_modules_it_uses(tmp_path):
     code, loaded = _run(["graph", "refine", "--morphism", g])
     assert code == 0
     assert "posetcover.metric" in loaded
+    code, loaded = _run(["export", "dot", "--morphism", phi])
+    assert code == 0
+    assert "posetcover.dot" in loaded
 
 
 def test_only_a_command_on_an_index_map_loads_the_cover_code(tmp_path):

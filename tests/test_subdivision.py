@@ -23,7 +23,7 @@ from posetcover.subdivision import (
     stellar_subdivide,
 )
 
-from generators import random_graded_poset, random_sheaf_morphism
+from generators import all_posets, random_graded_poset, random_sheaf_morphism, small_world
 from oracles import (
     brute_chains,
     brute_closure_faces,
@@ -99,18 +99,55 @@ class TestChainPoset:
     def test_against_brute_chains_and_covers(self):
         rng = Random(54)
         for _ in range(40):
-            p = random_graded_poset(rng, max_elements=8)
-            leq = reachability(p.elements, p.covers)
-            chains = chain_poset(p)
-            brute = brute_chains(p.elements, p.covers)
-            assert {frozenset(c) for c in chains.chain_of.values()} == set(brute)
-            assert list(chains.poset.elements) == sorted(chains.chain_of)
-            for label, c in chains.chain_of.items():
-                assert label == "<".join(c)
-                assert all((a, b) in leq for a, b in zip(c, c[1:]))
-            content = {label: frozenset(c) for label, c in chains.chain_of.items()}
-            assert {(content[a], content[b]) for a, b in chains.poset.covers} == (
-                brute_codim_one_pairs(brute))
+            _assert_chains_are_brute_chains(random_graded_poset(rng, max_elements=8))
+
+    def test_every_small_poset_against_brute_chains(self):
+        for n in range(1, 6):
+            for p in all_posets(n):
+                _assert_chains_are_brute_chains(p)
+
+    def test_built_once_per_poset(self, monkeypatch):
+        built = []
+
+        def counted(p):
+            built.append(p)
+            return build(p)
+
+        build = subdivision._build_chain_poset
+        monkeypatch.setattr(subdivision, "_build_chain_poset", counted)
+        phi = random_sheaf_morphism(Random(25))  # posets no other test has seen
+        first = chain_poset(phi.target)
+        bcs = bcs_morphism(phi)
+        assert chain_poset(phi.target) is first
+        assert bcs.target is first.poset
+        assert [p is phi.target for p in built] == [True, False]
+
+    def test_a_kept_chain_poset_meets_the_current_limit(self, monkeypatch):
+        poset = simplicial_face_poset(three_simplex())
+        kept = chain_poset(poset)
+        for limit in (148, 10):
+            monkeypatch.setattr(subdivision, "DEFAULT_CHAIN_LIMIT", limit)
+            with pytest.raises(OracleSizeExceeded) as raised:
+                chain_poset(poset)
+            assert str(raised.value) == f"instance size {limit + 1} exceeds oracle limit {limit}"
+        monkeypatch.setattr(subdivision, "DEFAULT_CHAIN_LIMIT", 149)
+        assert chain_poset(poset) is kept
+
+
+def _assert_chains_are_brute_chains(p):
+    """The chain poset of p against every chain and every codimension-one
+    pair found by filtering subsets."""
+    leq = reachability(p.elements, p.covers)
+    chains = chain_poset(p)
+    brute = brute_chains(p.elements, p.covers)
+    assert {frozenset(c) for c in chains.chain_of.values()} == set(brute)
+    assert list(chains.poset.elements) == sorted(chains.chain_of)
+    for label, c in chains.chain_of.items():
+        assert label == "<".join(c)
+        assert all((a, b) in leq for a, b in zip(c, c[1:]))
+    content = {label: frozenset(c) for label, c in chains.chain_of.items()}
+    assert {(content[a], content[b]) for a, b in chains.poset.covers} == (
+        brute_codim_one_pairs(brute))
 
 
 class TestBcsMorphism:
@@ -134,6 +171,12 @@ class TestBcsMorphism:
         rng = Random(51)
         for _ in range(15):
             phi = random_sheaf_morphism(rng)
+            assert bcs_morphism(phi).is_combinatorial()
+
+    def test_every_small_combinatorial_map(self):
+        combinatorial = [phi for phi in small_world() if phi.is_combinatorial()]
+        assert len(combinatorial) == 290
+        for phi in combinatorial:
             assert bcs_morphism(phi).is_combinatorial()
 
 
