@@ -1,21 +1,20 @@
 """Index maps, local degrees, balancing, and the branched-cover decisions.
 
-`is_ibc` reduces the definition to principal up-sets of the target; the
-exhaustive oracle checks it on every connected up-set and every component
-of its preimage, which it merges as the up-set walk grows the up-set (see
-`is_ibc_oracle`).  Both test constancy of the local degree over the image
-of each preimage component, a sum of popcounts (``_degree_mismatch``),
-and they provably agree on combinatorial morphisms, which is what the
-differential test suite generates.
+The exhaustive oracle checks the definition on every connected up-set of
+the target and every component of its preimage, which it merges as the
+up-set walk grows the up-set (see `is_ibc_oracle`).  It tests constancy
+of the local degree over the image of each preimage component, a sum of
+popcounts (``_degree_mismatch``).
 
-On a combinatorial morphism `is_ibc` uses the paper's local statements.
-The preimage of up(beta) splits into the up-sets up(alpha) over the fibre
-of beta, one component each, and along a cover of the image the local
-degree on up(alpha) changes only by the balancing defects inside it.  So
-a balanced map is an indexed branched cover as soon as its branch
-condition holds (the main theorem; a balanced combinatorial map is open),
-and an unbalanced one is summed only on the up(alpha) that hold a defect.
-Other morphisms are decided by splitting every preimage into components.
+`is_ibc` uses one of two proven procedures.  On a combinatorial morphism
+it uses the paper's local statements.  The preimage of up(beta) splits
+into the up-sets up(alpha) over the fibre of beta, one component each,
+and along a cover of the image the local degree on up(alpha) changes
+only by the balancing defects inside it.  So a balanced map is an
+indexed branched cover as soon as its branch condition holds (the main
+theorem; a balanced combinatorial map is open), and an unbalanced one is
+summed only on the up(alpha) that hold a defect.  Principal up-sets do
+not decide other morphisms, so `is_ibc` runs the oracle's walk on them.
 
 Balancing is the one walk that `is_balanced`, the fast pass of `is_ibc`,
 and `extend_balanced`, the path lifts and connectivity lifting in
@@ -273,27 +272,28 @@ def _constancy_witnesses(phi: PosetMorphism, tables: list, components, image: in
 
 
 def is_ibc(phi: PosetMorphism, m: IndexMap) -> Check:
-    """Indexed-branched-cover decision over the principal up-sets of the
-    target: the branched-cover condition must hold and the local degree of
-    every preimage component must be constant over its image.
+    """Indexed-branched-cover decision: the branched-cover condition must
+    hold and the local degree of every preimage component must be constant
+    over its image.
 
-    On a combinatorial morphism the components of the preimage of up(beta)
-    are the up(alpha) with phi(alpha) = beta, and along each cover of the
-    image the degree on up(alpha) changes by the balancing defects inside
-    up(alpha) (see _up_set_mismatches).  So a balanced map passes once its
-    branch condition holds, by the main theorem (a balanced combinatorial
-    map is open, so the theorem's openness hypothesis needs no test of its
-    own), and an unbalanced one is summed only on the up(alpha) that hold
-    a defect.  Other morphisms split each preimage by search."""
+    On a combinatorial morphism principal up-sets decide it.  The
+    components of the preimage of up(beta) are the up(alpha) with
+    phi(alpha) = beta, and along each cover of the image the degree on
+    up(alpha) changes by the balancing defects inside up(alpha) (see
+    _up_set_mismatches).  So a balanced map passes once its branch
+    condition holds, by the main theorem (a balanced combinatorial map is
+    open, so the theorem's openness hypothesis needs no test of its own),
+    and an unbalanced one is summed only on the up(alpha) that hold a
+    defect.  Any other morphism is decided by the oracle's walk over every
+    connected up-set, which UP_SET_WALK_LIMIT bounds; the oracle's element
+    limit does not apply."""
+    if phi._non_bijective:
+        return is_ibc_oracle(phi, m, limit=len(phi.target))
     _require_on_source(phi, m)
     m.require_total()
     witnesses = list(branch_locus_check(phi).witnesses)
-    values = _value_list(phi, m)
-    if phi._non_bijective:
-        witnesses += _scanned_mismatches(phi, values)
-    else:
-        unbalanced = phi.source._bits(w.alpha for w in _balance_violations(phi, m))
-        witnesses += _up_set_mismatches(phi, values, unbalanced)
+    unbalanced = phi.source._bits(w.alpha for w in _balance_violations(phi, m))
+    witnesses += _up_set_mismatches(phi, _value_list(phi, m), unbalanced)
     if witnesses:
         return Check.failed(witnesses)
     return Check.passed()
@@ -340,19 +340,6 @@ def _up_set_preimages(phi: PosetMorphism) -> list:
         for c in target._up_ix[j]:
             preimages[j] |= preimages[c]
     return preimages
-
-
-def _scanned_mismatches(phi: PosetMorphism, values: list) -> list:
-    """The DegreeMismatch witnesses of any morphism: the preimage of every
-    principal up-set, built top down in one pass, split into its
-    components by breadth-first search."""
-    source, target = phi.source, phi.target
-    tables = _degree_tables(phi, values)
-    found = []
-    for j, preimage in enumerate(_up_set_preimages(phi)):
-        found += _constancy_witnesses(phi, tables, source._component_bits(preimage),
-                                      target._above[j] | 1 << j, lambda: target._ids[j])
-    return found
 
 
 def is_ibc_oracle(phi: PosetMorphism, m: IndexMap, limit: int = DEFAULT_ORACLE_LIMIT) -> Check:

@@ -291,8 +291,45 @@ class TestIbc:
         check = is_ibc(fix_ce1(), fix_ce1_m())
         assert not check
         w = check.witnesses[0]
-        assert (w.beta, w.y1, w.y2, w.d1, w.d2) == ("A", "A", "B", 2, 1)
+        assert (w.beta, w.y1, w.y2, w.d1, w.d2) == (frozenset({"A", "B"}), "A", "B", 2, 1)
         assert w.component == {"A1", "A2", "B1"}
+
+    def test_principal_up_sets_do_not_decide_a_non_combinatorial_map(self):
+        # e3 over e2 is not above e1: the degree is constant over each
+        # principal up-set's preimage, but not over that of the whole target
+        source = Poset(["e0", "e1", "e2", "e3"], [("e0", "e2"), ("e1", "e2"), ("e0", "e3")])
+        target = Poset(["e0", "e1", "e2"], [("e0", "e2"), ("e1", "e2")])
+        phi = PosetMorphism(source, target, {"e0": "e0", "e1": "e1", "e2": "e2", "e3": "e2"})
+        m = IndexMap.total(source, {"e0": 2, "e1": 1, "e2": 1, "e3": 1})
+        check = is_ibc(phi, m)
+        assert not check and check.witnesses == is_ibc_oracle(phi, m).witnesses
+        assert check.witnesses == (covers.DegreeMismatch(
+            frozenset(target.elements), frozenset(source.elements), "e0", "e1", 2, 1),)
+
+    def test_non_combinatorial_maps_are_not_held_to_the_element_limit(self):
+        # the bottom cover of a 41-element chain folded onto a 40-element
+        # chain, whose 40 connected up-sets the walk visits at once
+        chain = [f"c{i:02d}" for i in range(40)]
+        folded = [f"x{i:02d}" for i in range(41)]
+        phi = PosetMorphism(Poset(folded, list(zip(folded, folded[1:]))),
+                            Poset(chain, list(zip(chain, chain[1:]))),
+                            {x: chain[max(i - 1, 0)] for i, x in enumerate(folded)})
+        m = IndexMap.total(phi.source, dict.fromkeys(folded, 1))
+        with pytest.raises(OracleSizeExceeded, match="instance size 40 exceeds oracle limit 16"):
+            is_ibc_oracle(phi, m)
+        assert is_ibc(phi, m).witnesses == (covers.DegreeMismatch(
+            frozenset(chain), frozenset(folded), "c00", "c01", 2, 1),)
+
+    def test_non_combinatorial_maps_stop_at_the_up_set_walk_guard(self):
+        # an 18-element antichain has 2**18 up-sets, one more than the walk
+        # may visit
+        antichain = [f"a{i:02d}" for i in range(18)]
+        phi = PosetMorphism(Poset(["b", *antichain], [("b", "a00")]), Poset(antichain, []),
+                            {"b": "a00", **{a: a for a in antichain}})
+        m = IndexMap.total(phi.source, dict.fromkeys(phi.source.elements, 1))
+        with pytest.raises(OracleSizeExceeded,
+                           match="up-sets walked 131073 exceeds oracle limit 131072"):
+            is_ibc(phi, m)
 
     def test_ce2(self):
         assert is_ibc(fix_ce2(), fix_ce2_m())

@@ -689,6 +689,43 @@ def test_up_set_walk_guard_stops_a_wide_antichain(tmp_path, capsys):
         OracleSizeExceeded(limit + 1, limit, "up-sets walked"))}]
 
 
+def _cover_ibc(tmp_path, capsys, source, target, mapping, values):
+    paths = {"morphism": tmp_path / "morphism.json", "index": tmp_path / "index.json"}
+    paths["morphism"].write_text(fileio.dumps({"source": source, "target": target,
+                                               "map": mapping}))
+    paths["index"].write_text(fileio.dumps({"values": values}))
+    code = cli.main(["--format", "machine", "cover", "ibc", "--morphism", str(paths["morphism"]),
+                     "--index", str(paths["index"])])
+    out, err = capsys.readouterr()
+    return code, json.loads(out), err
+
+
+def test_cover_ibc_walks_the_up_sets_of_a_non_combinatorial_map(tmp_path, capsys):
+    # degree 2 at e0 and 1 at e1 over the whole target, though every
+    # principal up-set's preimage has a constant degree
+    source = {"elements": ["e0", "e1", "e2", "e3"],
+              "covers": [["e0", "e2"], ["e1", "e2"], ["e0", "e3"]]}
+    target = {"elements": ["e0", "e1", "e2"], "covers": [["e0", "e2"], ["e1", "e2"]]}
+    code, payload, _ = _cover_ibc(tmp_path, capsys, source, target,
+                                  {"e0": "e0", "e1": "e1", "e2": "e2", "e3": "e2"},
+                                  {"e0": 2, "e1": 1, "e2": 1, "e3": 1})
+    assert code == 1
+    assert [(w["y1"], w["y2"], w["d1"], w["d2"]) for w in payload["witnesses"]] == [
+        ("e0", "e1", 2, 1)]
+
+
+def test_cover_ibc_on_a_non_combinatorial_map_stops_at_the_up_set_walk_guard(tmp_path, capsys):
+    antichain = [f"a{i:02d}" for i in range(18)]
+    code, payload, err = _cover_ibc(
+        tmp_path, capsys, {"elements": ["b", *antichain], "covers": [["b", "a00"]]},
+        {"elements": antichain, "covers": []}, {"b": "a00", **{a: a for a in antichain}},
+        dict.fromkeys(["b", *antichain], 1))
+    assert code == 2 and "Traceback" not in err
+    limit = posets.UP_SET_WALK_LIMIT
+    assert payload["witnesses"] == [{"error": "OracleSizeExceeded", "detail": str(
+        OracleSizeExceeded(limit + 1, limit, "up-sets walked"))}]
+
+
 def test_a_forty_vertex_face_stops_at_the_face_guard(tmp_path, capsys):
     vertices = [f"v{i:02d}" for i in range(40)]
     path = tmp_path / "simplex.json"

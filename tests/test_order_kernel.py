@@ -2,20 +2,20 @@
 components, fibres and preimages, the local test of combinatoriality,
 strong connectivity by merged covers, the one-pass local degrees, and the
 full witness lists of combinatoriality, openness, balancing, both
-branched-cover decisions (and the fast paths of the principal one against
-its scan), up-set enumeration and extension, each against an independent
-oracle.  The decisions and the up-set walk are also checked on every map
-and poset of a small world."""
+branched-cover decisions (is_ibc on principal up-sets where the map is
+combinatorial, and as the oracle elsewhere), up-set enumeration and
+extension, each against an independent oracle.  The decisions and the
+up-set walk are also checked on every map and poset of a small world,
+with the paper's equivalence and a counterexample for each hypothesis."""
 
 import pytest
 from collections import Counter
 from random import Random
 
 from posetcover.covers import (
+    BranchDefect,
     DegreeMismatch,
     IndexMap,
-    _scanned_mismatches,
-    _value_list,
     is_balanced,
     is_ibc,
     is_ibc_oracle,
@@ -335,24 +335,26 @@ def witness_kinds(rng, phi) -> Counter:
         kinds["balance violation"] += len(balance)
         if not m.is_total():
             continue
+        oracle = [tuple(w) for w in is_ibc_oracle(phi, m).witnesses]
+        assert oracle == branch + brute_degree_mismatches(s_elements, s_covers, mapping,
+                                                          m.values, [(u, u) for u in walks[True]])
+        kinds["oracle degree mismatch"] += len(oracle) - len(branch)
         got = [tuple(w) for w in is_ibc(phi, m).witnesses]
+        if not_combinatorial:
+            # principal up-sets do not decide these maps; is_ibc walks them
+            assert got == oracle
+            kinds["ibc walked"] += 1
+            continue
+        # on combinatorial maps is_ibc passes balanced maps at once and sums
+        # only the up(alpha) components, over principal up-sets only
         assert got == branch + brute_degree_mismatches(s_elements, s_covers, mapping,
                                                        m.values, principal)
+        assert bool(got) == bool(oracle)
         kinds["degree mismatch"] += len(got) - len(branch)
-        # on combinatorial maps is_ibc passes balanced maps at once and sums
-        # only the up(alpha) components; both must agree with the scan
-        assert got[len(branch):] == [tuple(w) for w in
-                                     _scanned_mismatches(phi, _value_list(phi, m))]
-        if not_combinatorial:
-            kinds["ibc scanned"] += 1
-        elif is_balanced(phi, m):
+        if is_balanced(phi, m):
             kinds["ibc balanced"] += 1
         else:
             kinds["ibc by up-set components"] += 1
-        got = [tuple(w) for w in is_ibc_oracle(phi, m).witnesses]
-        assert got == branch + brute_degree_mismatches(s_elements, s_covers, mapping, m.values,
-                                                       [(u, u) for u in walks[True]])
-        kinds["oracle degree mismatch"] += len(got) - len(branch)
 
     if not_combinatorial:
         return kinds
@@ -377,14 +379,14 @@ def test_witness_lists_against_oracles():
         for _ in range(60):
             found += witness_kinds(rng, family(rng))
         if family is extra_tops:
-            assert found["not open"] == 60 and not found["ibc scanned"]
+            assert found["not open"] == 60 and not found["ibc walked"]
         if family is dropped_cover:
             assert found["inverse not monotone"] >= 10
         kinds += found
     print(dict(sorted(kinds.items())))
     for kind in ("not injective", "not surjective", "inverse not monotone",
                  "not open", "balance violation", "degree mismatch", "oracle degree mismatch",
-                 "ibc scanned", "ibc balanced", "ibc by up-set components",
+                 "ibc walked", "ibc balanced", "ibc by up-set components",
                  "guaranteed extension", "opportunistic extension with conflicts",
                  "disagreeing sums", "unvalued cover", "zero sum"):
         assert kinds[kind], kind
@@ -451,10 +453,14 @@ def small_world_index_maps(phi):
 
 def test_both_decisions_on_every_small_map():
     """The oracle against the definition over every connected up-set, and
-    is_ibc against its scan, on every total map of the small world."""
+    is_ibc against the oracle, on every total map of the small world; in
+    the same pass, the paper's equivalence and a counterexample for each
+    of its hypotheses."""
     assert len(SMALL_WORLD) == 2436
     kinds = Counter()
     walks = {}
+    tally = Counter()
+    first = {}
     for phi in SMALL_WORLD:
         source, target, mapping = phi.source, phi.target, phi.mapping
         s_elements, s_covers = source.elements, source.covers
@@ -464,18 +470,42 @@ def test_both_decisions_on_every_small_map():
             walks[target] = [(u, u) for u in brute_up_set_walk(target.elements, target.covers,
                                                                 True)]
         connected = walks[target]
+        combinatorial, opened = bool(phi.is_combinatorial()), bool(phi.is_open())
         for m in small_world_index_maps(phi):
             got = [tuple(w) for w in is_ibc_oracle(phi, m).witnesses]
             assert got == branch + brute_degree_mismatches(s_elements, s_covers, mapping,
                                                            m.values, connected)
-            ibc = is_ibc(phi, m).witnesses
-            assert list(ibc[len(branch):]) == _scanned_mismatches(phi, _value_list(phi, m))
+            ibc = is_ibc(phi, m)
+            assert bool(ibc) == (not got)
+            if not combinatorial:
+                assert [tuple(w) for w in ibc.witnesses] == got
+            balanced = bool(is_balanced(phi, m))
+            tally[combinatorial, opened, balanced, bool(ibc)] += 1
+            if balanced != bool(ibc):
+                first.setdefault("balanced" if balanced else "ibc", (
+                    combinatorial, opened, sorted(s_elements), sorted(s_covers),
+                    sorted(target.elements), sorted(target.covers), mapping, m.values,
+                    ibc.witnesses))
             kinds["oracle fails"] += bool(got)
-            kinds["is_ibc fails"] += bool(ibc)
+            kinds["is_ibc fails"] += not ibc
             kinds["oracle mismatches"] += len(got) - len(branch)
             kinds["index maps"] += 1
     assert kinds["index maps"] == 7364
     assert kinds["oracle fails"] and kinds["is_ibc fails"] and kinds["oracle mismatches"]
+    # balanced <=> IBC on combinatorial open maps, and balanced => open on
+    # combinatorial maps
+    assert tally[True, True, True, True] == 504 and tally[True, True, False, False] == 76
+    assert not tally[True, True, True, False] and not tally[True, True, False, True]
+    assert not tally[True, False, True, True] and not tally[True, False, True, False]
+    # without openness: one point onto the bottom of a 2-chain is IBC, but
+    # the cover e0 < e1 of its image has nothing above the point
+    assert first["ibc"] == (True, False, ["e0"], [], ["e0", "e1"], [("e0", "e1")],
+                            {"e0": "e0"}, {"e0": 1}, ())
+    # without combinatoriality: a 2-chain onto a point is balanced and open,
+    # but its fibre holds a comparable pair, a branch defect
+    assert first["balanced"] == (False, True, ["e0", "e1"], [("e0", "e1")], ["e0"], [],
+                                 {"e0": "e0", "e1": "e0"}, {"e0": 1, "e1": 1},
+                                 (BranchDefect("e0", "e0"),))
 
 
 def test_the_shared_walk_on_every_small_poset():
