@@ -171,6 +171,10 @@ def cmd_cover_degree(args) -> RunReport:
     report = covers.global_degree(phi, fileio.resolve_index(args.index, phi.source))
     data = {"per_target": report.per_target_value,
             "constant": report.constant}
+    # the degree of each component, listed when the target has several
+    if report.per_component is not None and len(report.per_component) > 1:
+        data["per_component"] = [{"elements": sorted(comp), "degree": d}
+                                 for comp, d in report.per_component]
     if report.constant:
         data["degree"] = report.degree
         return RunReport("pass", data=data)

@@ -370,19 +370,31 @@ def is_ibc_oracle(phi: PosetMorphism, m: IndexMap, limit: int = DEFAULT_ORACLE_L
     return Check.passed()
 
 
-DegreeReport = namedtuple("DegreeReport", "per_target_value constant degree")
+DegreeReport = namedtuple("DegreeReport", "per_target_value constant degree per_component")
 
 
 def global_degree(phi: PosetMorphism, m: IndexMap) -> DegreeReport:
-    """Multiplicity count of every fibre; the degree when constant."""
+    """Multiplicity count of every fibre.  The paper's degree is one per
+    connected component of the target, so ``constant`` says whether the
+    count is constant on each component, and ``degree`` is the count when
+    it is the same everywhere.  Only when the counts differ are the
+    components found: ``per_component`` then pairs each, in the order of
+    ``Poset.components``, with its count, or None where the count varies;
+    otherwise it is None."""
     _require_on_source(phi, m)
     m.require_total()
     per = {beta: 0 for beta in phi.target.elements}
     for x in phi.source.elements:
         per[phi(x)] += m[x]
     counts = set(per.values())
-    constant = len(counts) <= 1
-    return DegreeReport(per, constant, counts.pop() if constant and counts else None)
+    if len(counts) <= 1:
+        return DegreeReport(per, True, counts.pop() if counts else None, None)
+    per_component = []
+    for comp in phi.target.components():
+        values = {per[beta] for beta in comp}
+        per_component.append((comp, values.pop() if len(values) == 1 else None))
+    constant = all(d is not None for _, d in per_component)
+    return DegreeReport(per, constant, None, tuple(per_component))
 
 
 def search_balanced(phi: PosetMorphism, bound: int = DEFAULT_SEARCH_BOUND):

@@ -29,7 +29,9 @@ import json
 import os
 import re
 from functools import cache
+from itertools import chain, repeat
 from json.encoder import encode_basestring
+from operator import itemgetter
 from pathlib import Path
 
 from .errors import DuplicateElement, FormatError
@@ -109,7 +111,7 @@ def _string(value, what):
 
 
 def _strings(value, what):
-    if not isinstance(value, (list, tuple)) or not all(isinstance(x, str) for x in value):
+    if not isinstance(value, (list, tuple)) or not all(map(isinstance, value, repeat(str))):
         raise FormatError(f"{what} must be a list of strings, got {value!r}")
     return value
 
@@ -121,7 +123,7 @@ def _list(value, what):
 
 
 def _keyed(value, what):
-    if not isinstance(value, dict) or not all(isinstance(k, str) for k in value):
+    if not isinstance(value, dict) or not all(map(isinstance, value, repeat(str))):
         raise FormatError(f"{what} must be an object keyed by strings, got {value!r}")
     return value
 
@@ -226,19 +228,33 @@ def _rational_reader():
     return lambda text: strings(text) if type(text) is str else parse(text)
 
 
+def _exact(objects, cls) -> bool:
+    """Whether every object is exactly a cls.  The metric readers read a
+    list of exact dicts, with exact strings where strings belong, in one
+    pass; any other input, or any error, goes to the field-by-field walk,
+    which alone raises, so the first error and its text are the walk's."""
+    return set(map(type, objects)) <= {cls}
+
+
 def metric_graph_from_doc(doc):
     from .metric import MetricGraph
 
     vertices = _strings(_require(doc, "vertices", "metric graph"), "metric graph vertices")
     rational = _rational_reader()
-    edges = []
-    for e in _list(_require(doc, "edges", "metric graph"), "metric graph edges"):
-        edges.append((
+    raw = _list(_require(doc, "edges", "metric graph"), "metric graph edges")
+    try:
+        edges = _exact(raw, dict) and [(e["id"], e["a"], e["b"], rational(e["length"]))
+                                       for e in raw]
+    except (KeyError, FormatError):
+        edges = None
+    # the columns id, a and b
+    if not edges or not _exact(chain(*list(zip(*edges))[:3]), str):
+        edges = [(
             _string(_require(e, "id", "edge"), "an edge id"),
             _string(_require(e, "a", "edge"), "an edge endpoint"),
             _string(_require(e, "b", "edge"), "an edge endpoint"),
             rational(_require(e, "length", "edge")),
-        ))
+        ) for e in raw]
     return MetricGraph(vertices, edges)
 
 
@@ -264,7 +280,7 @@ def _point_from_doc(value, rational, Point):
 
 
 def _point_to_doc(p):
-    if p.is_vertex:
+    if p.vertex is not None:
         return p.vertex
     return {"edge": p.edge, "pos": format_rational(p.position)}
 
@@ -276,19 +292,27 @@ def metric_morphism_from_doc(doc, loads: _Loads | None = None):
     target = resolve(_require(doc, "target", "metric morphism"), "metric graph", loads)
     rational = _rational_reader()
     vertex_images = {
-        v: _point_from_doc(img, rational, Point)
+        v: Point(img) if type(img) is str else _point_from_doc(img, rational, Point)
         for v, img in _keyed(_require(doc, "vertex_images", "metric morphism"),
                              "vertex_images").items()
     }
-    edge_images = {}
-    for e, img in _keyed(_require(doc, "edge_images", "metric morphism"), "edge_images").items():
-        slope = _require(img, "slope", "edge image")
-        edge_images[e] = (
-            _string(_require(img, "edge", "edge image"), "an edge image edge"),
-            rational(_require(img, "from", "edge image")),
-            rational(_require(img, "to", "edge image")),
-            slope,
-        )
+    raw = _keyed(_require(doc, "edge_images", "metric morphism"), "edge_images")
+    try:
+        edge_images = _exact(raw.values(), dict) and {
+            e: (img["edge"], rational(img["from"]), rational(img["to"]), img["slope"])
+            for e, img in raw.items()}
+    except (KeyError, FormatError):
+        edge_images = None
+    if not edge_images or not _exact(map(itemgetter(0), edge_images.values()), str):
+        edge_images = {}
+        for e, img in raw.items():
+            slope = _require(img, "slope", "edge image")
+            edge_images[e] = (
+                _string(_require(img, "edge", "edge image"), "an edge image edge"),
+                rational(_require(img, "from", "edge image")),
+                rational(_require(img, "to", "edge image")),
+                slope,
+            )
     return MetricGraphMorphism(source, target, vertex_images, edge_images)
 
 
@@ -486,38 +510,42 @@ def dumps(doc) -> str:
 
     The text is that of ``json.dumps(doc, sort_keys=True, indent=2,
     ensure_ascii=False)``, whose indented form runs on json's pure-Python
-    encoder; this writer keeps json's type order and its C string encoder.
+    encoder; this writer keeps json's C string encoder and type order, and
+    takes exact dicts and lists, most of a document, before any type test.
     Keys must be strings, and any other type raises TypeError."""
     return _render(doc, "\n") + "\n"
 
 
 def _render(value, pad: str) -> str:
-    if isinstance(value, str):
-        return encode_basestring(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return json.dumps(value)
+    kind = type(value)
+    if kind is not dict and kind is not list:
+        if isinstance(value, str):
+            return encode_basestring(value)
+        if value is None:
+            return "null"
+        if value is True:
+            return "true"
+        if value is False:
+            return "false"
+        if isinstance(value, int):
+            return int.__repr__(value)
+        if isinstance(value, float):
+            return json.dumps(value)
+        if isinstance(value, (list, tuple)):
+            kind = list
+        elif isinstance(value, dict):
+            kind = dict
+        else:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not value:
+        return "[]" if kind is list else "{}"
     # most members are plain strings, so they skip the call
     inner = pad + "  "
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
+    if kind is list:
         return "[" + inner + ("," + inner).join([
             encode_basestring(x) if type(x) is str else _render(x, inner)
             for x in value]) + pad + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        # encode_basestring raises TypeError on a key that is no string
-        return "{" + inner + ("," + inner).join([
-            encode_basestring(k) + ": "
-            + (encode_basestring(x) if type(x) is str else _render(x, inner))
-            for k, x in sorted(value.items())]) + pad + "}"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    # encode_basestring raises TypeError on a key that is no string
+    return "{" + inner + ("," + inner).join([
+        f"{encode_basestring(k)}: {encode_basestring(x) if type(x) is str else _render(x, inner)}"
+        for k, x in sorted(value.items())]) + pad + "}"

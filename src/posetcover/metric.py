@@ -39,6 +39,8 @@ from .posets import Poset
 Edge = namedtuple("Edge", "a b length")
 EdgeImage = namedtuple("EdgeImage", "edge start end slope")
 FibreSample = namedtuple("FibreSample", "geometric poset match")
+# builds an Edge or EdgeImage from a tuple, without the namedtuple's __new__
+_new = tuple.__new__
 
 
 def _fraction(value) -> Fraction:
@@ -84,9 +86,9 @@ class MetricGraph:
                 raise DuplicateElement(v)
             seen.add(v)
         self._vertex_set = seen
-        self.edges = {}
+        self.edges = built = {}
         for eid, a, b, length in edges:
-            if eid in self.edges or eid in seen:
+            if eid in built or eid in seen:
                 raise DuplicateElement(eid)
             if a not in seen:
                 raise UnknownElement(a)
@@ -95,7 +97,7 @@ class MetricGraph:
             length = _fraction(length)
             if length.numerator <= 0:
                 raise ValueError(f"edge {eid!r} must have positive length")
-            self.edges[eid] = Edge(a, b, length)
+            built[eid] = _new(Edge, (a, b, length))
 
     def __repr__(self):
         return f"MetricGraph({len(self.vertices)} vertices, {len(self.edges)} edges)"
@@ -143,8 +145,8 @@ def _lies_inside(image: Point, t: str, pos: int, den: int) -> bool:
     """Whether image is the point at pos/den strictly inside edge t."""
     if image.vertex is not None or image.edge != t:
         return False
-    q = _fraction(image.position)
-    return q.numerator * den == pos * q.denominator
+    num, qden = _fraction(image.position).as_integer_ratio()
+    return num * den == pos * qden
 
 
 class MetricGraphMorphism:
@@ -153,36 +155,41 @@ class MetricGraphMorphism:
     def __init__(self, source: MetricGraph, target: MetricGraph, vertex_images, edge_images):
         self.source = source
         self.target = target
-        self.vertex_images = dict(vertex_images)
-        self.edge_images = {}
+        self.vertex_images = images = dict(vertex_images)
+        self.edge_images = built = {}
+        vertex_set, target_edges = target._vertex_set, target.edges
         for v in source.vertices:
-            if v not in self.vertex_images:
+            if v not in images:
                 raise UnknownElement(v)
-            target.check_point(self.vertex_images[v])
+            # an image that names a target vertex passes as it is
+            img = images[v]
+            if type(img) is not Point or img.vertex is None or img.vertex not in vertex_set:
+                target.check_point(img)
         # each edge image in integers over its own denominator, (t, start,
         # end, den): the checks run on them, and _grid rescales them to D_t
         self._units = units = {}
-        images = self.vertex_images
         for eid, (a, b, length) in source.edges.items():
             if eid not in edge_images:
                 raise UnknownElement(eid)
             t, start, end, slope = edge_images[eid]
-            if t not in target.edges:
+            if t not in target_edges:
                 raise UnknownElement(t)
             start, end = _fraction(start), _fraction(end)
             if not isinstance(slope, int) or isinstance(slope, bool) or slope < 1:
                 raise SlopeNotIntegral(eid, f"slope must be a positive integer, got {slope!r}")
-            u, w, tlen = target.edges[t]
-            sd, ed, td = start.denominator, end.denominator, tlen.denominator
+            u, w, tlen = target_edges[t]
+            (sn, sd), (en, ed), (tn, td) = (start.as_integer_ratio(), end.as_integer_ratio(),
+                                            tlen.as_integer_ratio())
             den = lcm(td, sd, ed)
-            s = start.numerator * (den // sd)
-            e = end.numerator * (den // ed)
-            top = tlen.numerator * (den // td)
+            s = sn * (den // sd)
+            e = en * (den // ed)
+            top = tn * (den // td)
             if s == e:
                 raise DegenerateImage(eid)
             if not (0 <= s <= top and 0 <= e <= top):
                 raise EndpointMismatch(eid, f"image [{start}, {end}] leaves edge {t!r} of length {tlen}")
-            if abs(e - s) * length.denominator != slope * length.numerator * den:
+            ln, ld = length.as_integer_ratio()
+            if abs(e - s) * ld != slope * ln * den:
                 raise SlopeNotIntegral(
                     eid,
                     f"|{end} - {start}| != slope {slope} x length {length}",
@@ -198,7 +205,7 @@ class MetricGraphMorphism:
                         f"endpoint {endpoint!r} maps to {image!r} "
                         f"but the edge image puts it at {self._point_at(t, pos, den)!r}",
                     )
-            self.edge_images[eid] = EdgeImage(t, start, end, slope)
+            built[eid] = _new(EdgeImage, (t, start, end, slope))
             units[eid] = (t, s, e, den)
         unknown = ((self.vertex_images.keys() - source._vertex_set)
                    | (set(edge_images) - source.edges.keys()))
@@ -221,13 +228,13 @@ class MetricGraphMorphism:
         units, self._units = self._units, None
         scale = {t: e.length.denominator for t, e in self.target.edges.items()}
         for img in self.vertex_images.values():
-            if not img.is_vertex:
+            if img.vertex is None:
                 scale[img.edge] = lcm(scale[img.edge], _fraction(img.position).denominator)
         for t, _, _, den in units.values():
             scale[t] = lcm(scale[t], den)
         places = {}
         for v, img in self.vertex_images.items():
-            places[v] = ((None, img.vertex) if img.is_vertex else
+            places[v] = ((None, img.vertex) if img.vertex is not None else
                          (img.edge, _scaled(_fraction(img.position), scale[img.edge])))
         images = {}
         spans = {}
@@ -236,7 +243,9 @@ class MetricGraphMorphism:
             s, e = s * k, e * k
             images[eid] = (t, s, e)
             spans.setdefault(t, []).append((s, e) if s < e else (e, s))
-        cells = Counter(image for _, image in _cell_map(self))
+        # the cell map's images, as _cell_map gives them
+        cells = Counter(x if t is None else t for t, x in places.values())
+        cells.update(t for t, _, _ in images.values())
         return _Grid(scale, images, places, Counter(places.values()), spans, cells)
 
     def __repr__(self):
@@ -387,7 +396,7 @@ def refine_to_combinatorial(phi: MetricGraphMorphism) -> Refinement:
         phi.source, source_cuts, source_units, taken_src, rational)
 
     # every interior image, old or new, is a target cut: a refined vertex
-    at_cut = {key: Point.at_vertex(name) for key, name in target_cut_names.items()}
+    at_cut = {key: Point(name) for key, name in target_cut_names.items()}
     vertex_images = {}
     for v in phi.source.vertices:
         t, pos = grid.places[v]

@@ -383,6 +383,26 @@ class TestGlobalDegree:
         report = global_degree(fix_ce1(), fix_ce1_m())
         assert report.per_target_value == {"A": 2, "B": 1}
         assert not report.constant and report.degree is None
+        assert report.per_component == ((frozenset("AB"), None),)
+
+    def test_one_degree_per_component_of_the_target(self):
+        # a 2-chain over x < y and two points over an isolated z: the
+        # counts are 1 on the chain and 2 on z, each constant on its component
+        target = Poset(["x", "y", "z"], [("x", "y")])
+        source = Poset(["a", "b", "p", "q"], [("a", "b")])
+        phi = PosetMorphism(source, target, {"a": "x", "b": "y", "p": "z", "q": "z"})
+        m = IndexMap.constant(phi.source)
+        assert is_balanced(phi, m) and is_ibc(phi, m)
+        report = global_degree(phi, m)
+        assert report.constant and report.degree is None
+        assert report.per_component == ((frozenset("xy"), 1), (frozenset("z"), 2))
+        # one value on every fibre: a single degree, components not needed
+        equal = global_degree(phi, IndexMap(phi.source, {"a": 2, "b": 2, "p": 1, "q": 1}))
+        assert equal == ({"x": 2, "y": 2, "z": 2}, True, 2, None)
+        # a count that varies inside one component fails
+        varies = global_degree(phi, IndexMap(phi.source, {"a": 1, "b": 2, "p": 1, "q": 1}))
+        assert not varies.constant and varies.degree is None
+        assert varies.per_component == ((frozenset("xy"), None), (frozenset("z"), 2))
 
 
 class TestSearchBalanced:

@@ -1,14 +1,17 @@
 """Extension of balanced maps, path lifting, connectivity lifting."""
 
 import pytest
+from collections import Counter
+from itertools import product
 from random import Random
 
-from posetcover.covers import IndexMap, is_balanced, search_balanced
+from posetcover.covers import IndexMap, global_degree, is_balanced, search_balanced
 from posetcover.errors import (
     CorestrictionNotCombinatorial,
     MaxElementsUncovered,
     NotBalancedInput,
     NotCombinatorial,
+    NotGraded,
     NoLiftExists,
     NotInDomain,
     PathNotFromImage,
@@ -37,7 +40,7 @@ from posetcover.fixtures import (
 from posetcover.morphisms import PosetMorphism
 from posetcover.posets import Poset, connectivity, rank_check
 
-from generators import random_sheaf_morphism
+from generators import random_sheaf_morphism, small_world
 
 
 def trop_edge_values():
@@ -336,3 +339,48 @@ class TestConnectivityLifting:
             dim = rank_check(phi.target).dim
             for k in range(0, dim + 1):
                 check_connectivity_lifting(phi, m, "codim", k=k)
+
+
+def test_the_lifting_statements_on_every_small_map():
+    """The paper's statements over the small world, in one pass.  On each
+    combinatorial map with each balanced index map valued 1-2: extension
+    from the maximal elements, where guaranteed, never conflicts and gives
+    the map back; one-fibre connectivity lifting raises no
+    TheoremViolation; and the count is constant on each component of the
+    target.  On each graded poset: strongly connected implies pure and
+    connected in codimension k for 1 <= k <= d.  Codimension 0, the top
+    rank, is left out: with several maximal elements it is a disconnected
+    antichain."""
+    counts = Counter()
+    posets = set()
+    for phi in small_world():
+        for p in {phi.source, phi.target} - posets:
+            posets.add(p)
+            try:
+                rank = rank_check(p)
+            except NotGraded:
+                continue
+            if connectivity(p, "strong").connected:
+                counts["strongly connected"] += 1
+                assert rank.pure
+                assert all(connectivity(p, "codim", k).connected for k in range(1, rank.dim + 1))
+                counts["top rank disconnected"] += not connectivity(p, "codim", 0).connected
+        if not phi.is_combinatorial():
+            continue
+        counts["combinatorial"] += 1
+        elements = phi.source.elements
+        for values in product((1, 2), repeat=len(elements)):
+            m = IndexMap(phi.source, dict(zip(elements, values)))
+            if not is_balanced(phi, m):
+                continue
+            counts["balanced"] += 1
+            top = IndexMap(phi.source, {x: m[x] for x in phi.source.max_elements()})
+            report = extend_balanced(phi, top, elements)
+            if report.mode == "guaranteed":
+                counts["guaranteed"] += 1
+                assert not report.conflicts and report.extended.values == m.values
+            check_connectivity_lifting(phi, m, "one-fibre")
+            assert global_degree(phi, m).constant
+    assert len(posets) == 24
+    assert counts == {"strongly connected": 13, "top rank disconnected": 5,
+                      "combinatorial": 290, "balanced": 2001, "guaranteed": 1991}

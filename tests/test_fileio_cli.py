@@ -700,6 +700,23 @@ def _cover_ibc(tmp_path, capsys, source, target, mapping, values):
     return code, json.loads(out), err
 
 
+def test_cover_degree_gives_one_degree_per_target_component(tmp_path, capsys):
+    paths = {"morphism": tmp_path / "morphism.json", "index": tmp_path / "index.json"}
+    paths["morphism"].write_text(fileio.dumps({
+        "source": {"elements": ["a", "b", "p", "q"], "covers": [["a", "b"]]},
+        "target": {"elements": ["x", "y", "z"], "covers": [["x", "y"]]},
+        "map": {"a": "x", "b": "y", "p": "z", "q": "z"}}))
+    paths["index"].write_text(fileio.dumps({"values": {"a": 1, "b": 1, "p": 1, "q": 1}}))
+    code = cli.main(["--format", "machine", "cover", "degree",
+                     "--morphism", str(paths["morphism"]), "--index", str(paths["index"])])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0 and payload["verdict"] == "pass"
+    assert payload["data"] == {
+        "constant": True, "degree": None, "per_target": {"x": 1, "y": 1, "z": 2},
+        "per_component": [{"elements": ["x", "y"], "degree": 1},
+                          {"elements": ["z"], "degree": 2}]}
+
+
 def test_cover_ibc_walks_the_up_sets_of_a_non_combinatorial_map(tmp_path, capsys):
     # degree 2 at e0 and 1 at e1 over the whole target, though every
     # principal up-set's preimage has a constant degree

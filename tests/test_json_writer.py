@@ -7,6 +7,7 @@ strings, and values json cannot write, raise TypeError."""
 
 import json
 from collections import Counter, OrderedDict, namedtuple
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -56,5 +57,76 @@ def test_a_key_that_is_no_string_raises_type_error(doc):
 def test_a_value_json_cannot_write_raises_type_error(doc):
     with pytest.raises(TypeError):
         json.dumps(doc)
+    with pytest.raises(TypeError):
+        fileio.dumps(doc)
+
+
+class Fields(dict):
+    pass
+
+
+class Rows(list):
+    pass
+
+
+class Text(str):
+    def __str__(self):
+        return "not the text"
+
+
+class Count(int):
+    def __repr__(self):
+        return "not the number"
+
+
+class Ratio(float):
+    def __repr__(self):
+        return "not the float"
+
+
+class Backwards(list):
+    def __iter__(self):
+        return reversed(list(super().__iter__()))
+
+
+class Level(IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+# subclasses of every container and scalar, alone and inside exact ones:
+# the writer takes only exact dicts and lists out of json's type order
+DISPATCH = [
+    Fields(b=1, a=[2]),
+    Fields(),
+    Rows(),
+    Rows([Text("x"), Count(3), Ratio(0.5)]),
+    {"outer": Fields(inner=Rows([Fields(z=Text("y"))]))},
+    [Rows([1]), Fields(k=Backwards([1, 2, 3]))],
+    OrderedDict([("b", 1), ("a", OrderedDict(d=2, c=[]))]),
+    [Level.LOW, {"level": Level.HIGH}, Level],
+    (1, (2, ()), [(), {}], ("x",)),
+    {"a": Count(7), "b": [Text("")], "c": Ratio(2.0)},
+    [object()],
+    {"a": Fields(b={1, 2})},
+    Fields(a=Rows([b"x"])),
+]
+
+
+@pytest.mark.parametrize("doc", DISPATCH, ids=range(len(DISPATCH)))
+def test_the_type_dispatch_writes_what_json_writes(doc):
+    try:
+        expected = json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    except TypeError as exc:
+        with pytest.raises(TypeError) as caught:
+            fileio.dumps(doc)
+        assert caught.value.args == exc.args
+    else:
+        assert fileio.dumps(doc) == expected
+
+
+@pytest.mark.parametrize("doc", [Fields({1: "a"}), {"a": Fields({(1,): 2})},
+                                 [OrderedDict([("a", 1), (None, 2)])], Fields({Level.LOW: 1})])
+def test_a_key_that_is_no_string_in_a_dict_subclass_raises_type_error(doc):
     with pytest.raises(TypeError):
         fileio.dumps(doc)

@@ -3,6 +3,8 @@ slope-to-multiplicity bridge."""
 
 import json
 import pytest
+from collections import Counter
+from collections.abc import Mapping
 from fractions import Fraction
 from random import Random
 
@@ -13,6 +15,7 @@ from posetcover.errors import (
     DegenerateImage,
     DuplicateElement,
     EndpointMismatch,
+    FormatError,
     NotCombinatorial,
     SlopeNotIntegral,
     UnknownElement,
@@ -638,3 +641,268 @@ def test_invalid_metric_inputs_raise_the_same_error(build, error, text, spelling
         build(SPELLINGS[spelling])
     assert type(caught.value) is error
     assert str(caught.value) == text
+
+
+def _two_segments(vertex_images, edge_images, target_vertices=("u", "v")):
+    """Edges e (A to B, length 2) and f (A to C, length 3) onto the segment
+    t from u to v of length 3, as in FIX-GRAPH."""
+    source = MetricGraph(["A", "B", "C"], [("e", "A", "B", 2), ("f", "A", "C", 3)])
+    return MetricGraphMorphism(source, MetricGraph(target_vertices, [("t", "u", "v", 3)]),
+                               vertex_images, edge_images)
+
+
+GOOD_IMAGES = {"A": Point.at_vertex("u"), "B": Point.interior("t", 2), "C": Point.at_vertex("v")}
+GOOD_EDGE_IMAGES = {"e": ("t", 0, 2, 1), "f": ("t", 0, 3, 1)}
+
+# two defects each; the error is the one the checks meet first
+TWO_DEFECTS = [
+    ("duplicate-vertex-then-unknown-endpoint",
+     lambda: MetricGraph(["u", "v", "u"], [("t", "u", "w", 1)]),
+     DuplicateElement, ("duplicate element identifier 'u'",)),
+    ("unknown-endpoint-then-duplicate-edge",
+     lambda: MetricGraph(["u", "v"], [("t", "u", "w", 1), ("t", "u", "v", 1)]),
+     UnknownElement, ("unknown element 'w'",)),
+    ("both-endpoints-unknown", lambda: MetricGraph(["u"], [("t", "x", "y", 1)]),
+     UnknownElement, ("unknown element 'x'",)),
+    ("zero-length-then-edge-named-as-a-vertex",
+     lambda: MetricGraph(["u", "v"], [("t", "u", "v", 0), ("u", "u", "v", 1)]),
+     ValueError, ("edge 't' must have positive length",)),
+    ("bad-length-text-then-duplicate-edge",
+     lambda: MetricGraph(["u", "v"], [("t", "u", "v", "x"), ("t", "u", "v", 1)]),
+     ValueError, ("Invalid literal for Fraction: 'x'",)),
+    ("unknown-vertex-image-then-bool-slope",
+     lambda: _two_segments({**GOOD_IMAGES, "C": Point.at_vertex("w")},
+                           {**GOOD_EDGE_IMAGES, "f": ("t", 0, 3, True)}),
+     UnknownElement, ("unknown element 'w'",)),
+    ("missing-vertex-image-then-unknown-target-edge",
+     lambda: _two_segments({"A": Point.at_vertex("u"), "C": Point.at_vertex("v")},
+                           {**GOOD_EDGE_IMAGES, "e": ("zz", 0, 2, 1)}),
+     UnknownElement, ("unknown element 'B'",)),
+    ("image-at-an-end-then-unknown-edge-key",
+     lambda: _two_segments({**GOOD_IMAGES, "B": Point.interior("t", 3)},
+                           {**GOOD_EDGE_IMAGES, "g": ("t", 0, 1, 1)}),
+     ValueError, ("position 3 not interior to edge 't'",)),
+    ("endpoint-mismatch-then-degenerate-image",
+     lambda: _two_segments({**GOOD_IMAGES, "B": Point.interior("t", 1)},
+                           {**GOOD_EDGE_IMAGES, "f": ("t", 3, 3, 1)}),
+     EndpointMismatch,
+     ("edge 'e': endpoint 'B' maps to Point(t @ 1) but the edge image puts it at Point(t @ 2)",)),
+    ("degenerate-image-then-slope-mismatch",
+     lambda: _two_segments(GOOD_IMAGES, {"e": ("t", 2, 2, 1), "f": ("t", 0, 3, 2)}),
+     DegenerateImage, ("edge 'e' maps to a single point",)),
+    ("image-leaves-the-edge-then-slope-zero",
+     lambda: _two_segments(GOOD_IMAGES, {"e": ("t", 0, 4, 2), "f": ("t", 0, 3, 0)}),
+     EndpointMismatch, ("edge 'e': image [0, 4] leaves edge 't' of length 3",)),
+    ("missing-edge-image-then-unknown-vertex-key",
+     lambda: _two_segments({**GOOD_IMAGES, "Z": Point.at_vertex("u")},
+                           {"f": GOOD_EDGE_IMAGES["f"]}),
+     UnknownElement, ("unknown element 'e'",)),
+    ("float-slope-then-degenerate-image",
+     lambda: _two_segments(GOOD_IMAGES, {"e": ("t", 0, 2, 1.0), "f": ("t", 1, 1, 1)}),
+     SlopeNotIntegral, ("edge 'e': slope must be a positive integer, got 1.0",)),
+    ("slope-mismatch-then-endpoint-mismatch",
+     lambda: _two_segments(GOOD_IMAGES, {"e": ("t", 0, 2, 2), "f": ("t", 3, 0, 1)}),
+     SlopeNotIntegral, ("edge 'e': |2 - 0| != slope 2 x length 2",)),
+    ("wrong-end-vertex-then-unknown-keys",
+     lambda: _two_segments({**GOOD_IMAGES, "C": Point.at_vertex("u"), "Q": Point.at_vertex("u")},
+                           {**GOOD_EDGE_IMAGES, "h": ("t", 0, 1, 1)}),
+     EndpointMismatch,
+     ("edge 'f': endpoint 'C' maps to Point(u) but the edge image puts it at Point(v)",)),
+    # an image that is no Point is checked, not taken for a vertex
+    ("plain-tuple-image-then-unknown-vertex",
+     lambda: _two_segments({**GOOD_IMAGES, "A": ("u", None, None), "C": Point.at_vertex("w")},
+                           GOOD_EDGE_IMAGES),
+     AttributeError, ("'tuple' object has no attribute 'is_vertex'",)),
+    # a point with no vertex is an interior point, even where None names a
+    # target vertex
+    ("position-past-the-end-with-a-vertex-named-none",
+     lambda: _two_segments({**GOOD_IMAGES, "B": Point.interior("t", 7)},
+                           {**GOOD_EDGE_IMAGES, "e": ("t", 0, 7, 1)}, [None, "u", "v"]),
+     ValueError, ("position 7 not interior to edge 't'",)),
+]
+
+
+@pytest.mark.parametrize("build,error,args", [case[1:] for case in TWO_DEFECTS],
+                         ids=[case[0] for case in TWO_DEFECTS])
+def test_the_constructors_report_the_first_of_two_defects(build, error, args):
+    with pytest.raises(error) as caught:
+        build()
+    assert type(caught.value) is error and caught.value.args == args
+
+
+# ----- the metric readers against a field-by-field reference -------------------
+
+
+def _need(doc, key, kind):
+    if not isinstance(doc, dict) or key not in doc:
+        raise FormatError(f"{kind} document needs field {key!r}")
+    return doc[key]
+
+
+def _text(value, what):
+    if not isinstance(value, str):
+        raise FormatError(f"{what} must be a string, got {value!r}")
+    return value
+
+
+def _keys(value, what):
+    if not isinstance(value, dict) or not all(isinstance(k, str) for k in value):
+        raise FormatError(f"{what} must be an object keyed by strings, got {value!r}")
+    return value
+
+
+def reference_graph(doc):
+    """Reads a metric graph document one field at a time."""
+    vertices = _need(doc, "vertices", "metric graph")
+    if not isinstance(vertices, (list, tuple)) or not all(isinstance(v, str) for v in vertices):
+        raise FormatError(f"metric graph vertices must be a list of strings, got {vertices!r}")
+    edges = _need(doc, "edges", "metric graph")
+    if not isinstance(edges, (list, tuple)):
+        raise FormatError(f"metric graph edges must be a list, got {edges!r}")
+    return MetricGraph(vertices, [(_text(_need(e, "id", "edge"), "an edge id"),
+                                   _text(_need(e, "a", "edge"), "an edge endpoint"),
+                                   _text(_need(e, "b", "edge"), "an edge endpoint"),
+                                   fileio.parse_rational(_need(e, "length", "edge")))
+                                  for e in edges])
+
+
+def _reference_point(value):
+    if isinstance(value, str):
+        return Point.at_vertex(value)
+    if isinstance(value, dict):
+        return Point.interior(_text(_need(value, "edge", "point"), "a point edge"),
+                              fileio.parse_rational(_need(value, "pos", "point")))
+    raise FormatError(f"bad point {value!r}")
+
+
+def reference_morphism(doc):
+    """Reads a metric morphism document one field at a time; a side that
+    is no inline document goes to fileio.resolve."""
+    sides = [_need(doc, side, "metric morphism") for side in ("source", "target")]
+    source, target = (reference_graph(side) if isinstance(side, dict)
+                      else fileio.resolve(side, "metric graph") for side in sides)
+    images = _keys(_need(doc, "vertex_images", "metric morphism"), "vertex_images")
+    vertex_images = {v: _reference_point(img) for v, img in images.items()}
+    edge_images = {}
+    for e, img in _keys(_need(doc, "edge_images", "metric morphism"), "edge_images").items():
+        slope = _need(img, "slope", "edge image")
+        edge_images[e] = (_text(_need(img, "edge", "edge image"), "an edge image edge"),
+                          fileio.parse_rational(_need(img, "from", "edge image")),
+                          fileio.parse_rational(_need(img, "to", "edge image")), slope)
+    return MetricGraphMorphism(source, target, vertex_images, edge_images)
+
+
+class Name(str):
+    pass
+
+
+class Fields(Mapping):
+    """A mapping that is not a dict."""
+
+    def __init__(self, fields):
+        self._fields = fields
+
+    def __getitem__(self, key):
+        return self._fields[key]
+
+    def __iter__(self):
+        return iter(self._fields)
+
+    def __len__(self):
+        return len(self._fields)
+
+
+class Lenient(dict):
+    """A dict that makes up every missing field."""
+
+    def __missing__(self, key):
+        return "1"
+
+
+REPLACEMENTS = [None, True, 1, 1.5, "x", [], {}, "1/0", "1e5000"]
+DELETE = object()
+
+
+def _slots(node, path=()):
+    """The path of every value below node."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _slots(value, path + (key,))
+
+
+def _mutants(doc):
+    """Each change: delete a value or replace it, wrap an object in a
+    mapping that is no dict or in a dict subclass without the field, or
+    put a str subclass in place of a string."""
+    for path in _slots(doc):
+        *parent, key = path
+        replacements = list(REPLACEMENTS)
+        value = _at_path(doc, path)
+        if isinstance(value, dict):
+            replacements += [Fields(value), Lenient({k: value[k] for k in list(value)[1:]})]
+        if isinstance(value, str):
+            replacements.append(Name(value))
+        if isinstance(_at_path(doc, parent), dict):
+            yield ((path, DELETE),)
+        for replacement in replacements:
+            yield ((path, replacement),)
+
+
+def _at_path(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _apply(doc, changes):
+    doc = json.loads(json.dumps(doc))
+    for (*parent, key), replacement in changes:
+        holder = _at_path(doc, parent)
+        if replacement is DELETE:
+            del holder[key]
+        else:
+            holder[key] = replacement
+    return doc
+
+
+def _outcome(read, doc):
+    """What read makes of doc: its error and the error's args, or the
+    graph or morphism's data."""
+    try:
+        obj = read(doc)
+    except Exception as exc:
+        return type(exc), exc.args
+    if isinstance(obj, MetricGraph):
+        return "read", obj.vertices, obj.edges
+    return ("read", obj.source.vertices, obj.source.edges, obj.target.vertices,
+            obj.target.edges, obj.vertex_images, obj.edge_images)
+
+
+def test_the_metric_readers_match_a_field_by_field_reference():
+    """Every mutation of FIX-GRAPH's document, and every pair of defects in
+    different edges, reads to the reference's morphism or raises its
+    error, with the same text."""
+    doc = fileio.metric_morphism_to_doc(fix_graph())
+    singles = list(_mutants(doc))
+    per_edge = {edge: [c for c in singles if c[0][0][:3] == edge]
+                for edge in [("source", "edges", 0), ("source", "edges", 1)]}
+    images = {name: [c for c in singles if c[0][0][:2] == ("edge_images", name)]
+              for name in ("e", "f")}
+    pairs = ([a + b for a in per_edge[("source", "edges", 0)]
+              for b in per_edge[("source", "edges", 1)]]
+             + [a + b for a in images["e"] for b in images["f"]])
+    outcomes = Counter()
+    for changes in singles + pairs:
+        mutant = _apply(doc, changes)
+        expected = _outcome(reference_morphism, mutant)
+        assert _outcome(fileio.metric_morphism_from_doc, mutant) == expected, changes
+        for side in ("source", "target"):
+            graph = mutant.get(side)
+            assert (_outcome(fileio.metric_graph_from_doc, graph)
+                    == _outcome(reference_graph, graph)), (changes, side)
+        outcomes[expected[0] if expected[0] == "read" else expected[0].__name__] += 1
+    assert outcomes == {"read": 61, "FormatError": 5873, "UnknownElement": 326,
+                        "SlopeNotIntegral": 254, "DuplicateElement": 3, "EndpointMismatch": 1,
+                        "ValueError": 1}
