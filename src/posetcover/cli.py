@@ -126,8 +126,8 @@ def cmd_poset_upsets(args) -> RunReport:
     p = fileio.resolve(args.poset, "poset")
     # bitsets until the walk is done, so a walk cut short by its guard
     # has not built its up-sets as lists of names
-    ups = list(posets.up_set_bits(p, connected_only=args.connected,
-                                  limit=args.oracle_limit))
+    ups = [up for up, _ in posets.up_set_walk(p, connected_only=args.connected,
+                                              limit=args.oracle_limit)]
     return RunReport("pass", data={
         "count": len(ups),
         "up_sets": sorted([list(p._labels(u)) for u in ups]),

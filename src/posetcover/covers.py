@@ -313,10 +313,8 @@ def _up_set_mismatches(phi: PosetMorphism, values: list, unbalanced: int) -> lis
     over y, and a component without an unbalanced element has constant
     degree; only the up(alpha) with alpha below an unbalanced element are
     summed."""
-    s_above, s_below = phi.source._above, phi.source._below
-    suspects = unbalanced
-    for x in bit_indices(unbalanced):
-        suspects |= s_below[x]
+    s_above = phi.source._above
+    suspects = phi.source._closure(unbalanced, phi.source._below)
     found = []
     if not suspects:
         return found
@@ -328,18 +326,6 @@ def _up_set_mismatches(phi: PosetMorphism, values: list, unbalanced: int) -> lis
             found += _constancy_witnesses(phi, tables, ups, t_above[j] | 1 << j,
                                           lambda: t_ids[j])
     return found
-
-
-def _up_set_preimages(phi: PosetMorphism) -> list:
-    """The source bitset over the principal up-set of every target element,
-    by target index, built top down in one pass: the fibre joined with the
-    preimages of the up-sets of the covers."""
-    target = phi.target
-    preimages = list(phi._fibres)
-    for j in reversed(target._order_ix):
-        for c in target._up_ix[j]:
-            preimages[j] |= preimages[c]
-    return preimages
 
 
 def is_ibc_oracle(phi: PosetMorphism, m: IndexMap, limit: int = DEFAULT_ORACLE_LIMIT) -> Check:
@@ -356,7 +342,7 @@ def is_ibc_oracle(phi: PosetMorphism, m: IndexMap, limit: int = DEFAULT_ORACLE_L
     witnesses = list(branch_locus_check(phi).witnesses)
     source, target = phi.source, phi.target
     tables = _degree_tables(phi, _value_list(phi, m))
-    preimages = _up_set_preimages(phi)
+    preimages = target._spread(phi._fibres, upward=True)
 
     @cache
     def pieces(j):

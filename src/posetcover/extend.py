@@ -19,7 +19,6 @@ from .covers import (
     _balance_violations,
     _push_plan,
     _require_on_source,
-    _up_set_preimages,
     _value_list,
 )
 from .errors import (
@@ -94,7 +93,7 @@ def extend_balanced(phi: PosetMorphism, m: IndexMap, target_upset) -> ExtensionR
     todo = source._bits(w) & ~valued
     free, plan = _push_plan(phi)
     unconstrained = [ids[i] for i in free if todo >> i & 1]
-    up_preimages = _up_set_preimages(phi)
+    up_preimages = target._spread(fibres, upward=True)
     conflicts = []
     guaranteed = True
     for i, groups in plan:

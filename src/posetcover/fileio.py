@@ -139,9 +139,14 @@ def poset_from_doc(doc) -> Poset:
     except (TypeError, ValueError) as exc:
         raise FormatError(f"bad poset document: {exc}") from None
     if "rank" in doc and doc["rank"] is not None:
-        computed = rank_check(p).rank
-        if _keyed(doc["rank"], "rank") != computed:
-            raise FormatError("supplied rank disagrees with the computed rank function")
+        supplied, computed = _keyed(doc["rank"], "rank"), rank_check(p).rank
+        if supplied != computed:
+            # the least element whose rank is missing, extra or different
+            key = min(k for k in supplied.keys() | computed.keys()
+                      if k not in supplied or k not in computed or supplied[k] != computed[k])
+            shown = [repr(r[key]) if key in r else "no value" for r in (supplied, computed)]
+            raise FormatError("supplied rank disagrees with the computed rank function at "
+                              f"{key!r}: supplied {shown[0]}, computed {shown[1]}")
     return p
 
 

@@ -99,15 +99,10 @@ class PosetMorphism:
         image has as many members as down(x) and is all of the down-set of
         phi(x) (it always lies inside it)."""
         source, t_below = self.source, self.target._below
-        s_below, down, image_of = source._below, source._down_ix, self._image_of
-        images = [0] * len(image_of)
+        s_below, image_of = source._below, self._image_of
+        images = source._spread([1 << y for y in image_of], upward=False)
         bad = 0
-        for i in source._order_ix:
-            y = image_of[i]
-            img = 1 << y
-            for c in down[i]:
-                img |= images[c]
-            images[i] = img
+        for i, (y, img) in enumerate(zip(image_of, images)):
             if img != t_below[y] | 1 << y or img.bit_count() != s_below[i].bit_count() + 1:
                 bad |= 1 << i
         return bad
@@ -147,11 +142,9 @@ class PosetMorphism:
         bad = self._non_bijective
         if not bad:
             return Check.passed()
-        s_above, s_below = self.source._above, self.source._below
-        image_of, ids = self._image_of, self.source._ids
-        tainted = bad
-        for x in bit_indices(bad):
-            tainted |= s_above[x]
+        source = self.source
+        s_below, image_of, ids = source._below, self._image_of, source._ids
+        tainted = source._closure(bad, source._above)
         witnesses = []
         for i in bit_indices(tainted):
             alpha = ids[i]
@@ -211,13 +204,8 @@ class PosetMorphism:
         element with a cover outside the image, and its least such cover."""
         source, target = self.source, self.target
         image_of, t_above, t_up = self._image_of, target._above, target._up_ix
-        # images[i]: the image of up(i) as a target bitset, tops first
-        images = [0] * len(image_of)
-        for i in reversed(source._order_ix):
-            img = 1 << image_of[i]
-            for g in source._up_ix[i]:
-                img |= images[g]
-            images[i] = img
+        # images[i]: the image of up(i) as a target bitset
+        images = source._spread([1 << y for y in image_of], upward=True)
         witnesses = []
         for i, img in enumerate(images):
             y = image_of[i]

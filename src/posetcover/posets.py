@@ -16,7 +16,6 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from functools import cached_property
-from heapq import heappop, heappush
 from itertools import compress, count
 
 from .errors import (
@@ -120,7 +119,7 @@ class Poset:
     element i as bitsets, so order queries are bit tests and the object is
     safe to share between threads; ``_up_ix[i]`` and ``_down_ix[i]`` list
     the elements covering i and covered by i, ascending; ``_order_ix`` is a
-    topological order, least index first.
+    topological order, every element after its lower covers.
     """
 
     def __init__(self, elements: Iterable[str], covers: Iterable[tuple[str, str]]):
@@ -213,19 +212,16 @@ class Poset:
 
     @staticmethod
     def _topological_order(up, down) -> list[int]:
-        """Kahn's algorithm over the interned covers, taking the least ready
-        element first; the order comes out short when the covers have a
-        cycle."""
+        """Kahn's algorithm over the interned covers: the order grows while
+        it is walked, each element appended once its last lower cover is
+        placed; it comes out short when the covers have a cycle."""
         indeg = [len(d) for d in down]
-        ready = [i for i, d in enumerate(indeg) if not d]  # ascending: a heap
-        order = []
-        while ready:
-            i = heappop(ready)
-            order.append(i)
+        order = [i for i, d in enumerate(indeg) if not d]
+        for i in order:
             for j in up[i]:
                 indeg[j] -= 1
                 if not indeg[j]:
-                    heappush(ready, j)
+                    order.append(j)
         return order
 
     def _find_cycle(self):
@@ -311,6 +307,23 @@ class Poset:
         if _sparse(bits):
             return map(self._ids.__getitem__, bit_indices(bits))
         return compress(self._ids, _flags(bits))
+
+    def _spread(self, seeds: list[int], upward: bool) -> list[int]:
+        """Each element's seed joined with the seeds of every element above
+        it (upward) or below it, by index: one walk of the topological
+        order, one OR per cover.  The seeds are ints of any meaning, such
+        as bitsets over another poset."""
+        spread = list(seeds)
+        if upward:
+            order, near = reversed(self._order_ix), self._up_ix
+        else:
+            order, near = self._order_ix, self._down_ix
+        for i in order:
+            acc = spread[i]
+            for j in near[i]:
+                acc |= spread[j]
+            spread[i] = acc
+        return spread
 
     def _closure(self, bits: int, reach: list[int]) -> int:
         """The bitset joined with everything ``reach`` (``_above`` or
@@ -467,8 +480,8 @@ def rank_check(p: Poset) -> RankReport:
             if height[j] != height[i] + 1:
                 raise NotGraded((ids[i], ids[j]))
     maxdims = {height[i] for i, ups in enumerate(p._up_ix) if not ups}
-    rank = {ids[i]: height[i] for i in p._order_ix}
-    return RankReport(rank=rank, dim=max(height, default=-1), pure=len(maxdims) <= 1)
+    return RankReport(rank=dict(zip(ids, height)), dim=max(height, default=-1),
+                      pure=len(maxdims) <= 1)
 
 
 # ----- connectivity report ------------------------------------------------
@@ -525,15 +538,6 @@ def enumerate_up_sets(
     indexed-branched-cover check, hence the size guard.
     """
     return (frozenset(p._labels(up)) for up, _ in up_set_walk(p, connected_only, limit))
-
-
-def up_set_bits(
-    p: Poset,
-    connected_only: bool = False,
-    limit: int = DEFAULT_ORACLE_LIMIT,
-) -> Iterator[int]:
-    """The up-sets of ``enumerate_up_sets`` as bitsets, in the same order."""
-    return (up for up, _ in up_set_walk(p, connected_only, limit))
 
 
 def up_set_walk(

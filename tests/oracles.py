@@ -84,19 +84,6 @@ def comparability_components(leq, nodes):
     return brute_components(nodes, edges)
 
 
-def least_first_order(elements, covers):
-    """Topological order taking the least element whose lower covers are
-    all placed, by rescanning every unplaced element at each step."""
-    placed, order = set(), []
-    while len(order) < len(elements):
-        ready = [e for e in elements if e not in placed
-                 and all(a in placed for a, b in covers if b == e)]
-        e = min(ready)
-        placed.add(e)
-        order.append(e)
-    return order
-
-
 def brute_combinatorial_defects(s_elements, s_covers, t_elements, t_covers, mapping):
     """(alpha, reason, detail) for every source element whose principal
     down-set does not map isomorphically onto the down-set of its image,

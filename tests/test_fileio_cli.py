@@ -458,13 +458,26 @@ WRONGLY_TYPED = [
     (["cover", "balanced", "--index", "FIX-CE1-M", "--morphism"],
      fileio.morphism_to_doc(fix_trop()), "index map 'FIX-CE1-M' lives on a different poset"),
     (["graph", "refine", "--morphism"], _bad_point_doc(), "bad point 5"),
+    # a supplied rank function names the least element it gets wrong
+    (["poset", "stats"], {"elements": ["a", "b", "c"], "covers": [["a", "b"]], "rank": {"b": 1}},
+     "supplied rank disagrees with the computed rank function at 'a': "
+     "supplied no value, computed 0"),
+    (["poset", "stats"], {"elements": ["a", "b", "c"], "covers": [["a", "b"]],
+                          "rank": {"a": 0, "b": 1, "c": 0, "z": 2, "d": 5}},
+     "supplied rank disagrees with the computed rank function at 'd': "
+     "supplied 5, computed no value"),
+    (["poset", "stats"], {"elements": ["a", "b", "c"], "covers": [["a", "b"]],
+                          "rank": {"a": 0, "b": 2, "c": 1}},
+     "supplied rank disagrees with the computed rank function at 'b': "
+     "supplied 2, computed 1"),
 ]
 
 
 @pytest.mark.parametrize("argv,doc,detail", WRONGLY_TYPED,
                          ids=["map-value-list", "edge-id-list", "generators-int", "values-list",
                               "json-syntax", "top-level-list", "no-known-fields",
-                              "index-names-a-poset", "index-on-another-poset", "bad-point"])
+                              "index-names-a-poset", "index-on-another-poset", "bad-point",
+                              "rank-missing", "rank-extra", "rank-different"])
 def test_wrongly_typed_documents_are_usage_errors(argv, doc, detail, tmp_path, capsys):
     path = tmp_path / "doc.json"
     path.write_text(doc if isinstance(doc, str) else fileio.dumps(doc))

@@ -24,7 +24,7 @@ from posetcover.covers import (
 from posetcover.errors import NotUpSet, RedundantCover
 from posetcover.extend import extend_balanced
 from posetcover.morphisms import PosetMorphism
-from posetcover.posets import Poset, enumerate_up_sets, rank_check, up_set_bits
+from posetcover.posets import Poset, enumerate_up_sets, rank_check, up_set_walk
 
 from generators import (
     all_posets,
@@ -43,7 +43,6 @@ from oracles import (
     brute_openness_defects,
     brute_poset_components,
     brute_up_set_walk,
-    least_first_order,
     reachability,
 )
 
@@ -228,18 +227,47 @@ class TestComponentsAndFibres:
                     source.elements, source.covers, over)
 
 
+def wide_antichains():
+    """Antichains of shuffled names, alone and with three tops over a few
+    of their members."""
+    rng = Random(33)
+    for width in (1, 5, 40, 200):
+        names = [f"w{rng.randrange(10 ** 6):06d}" for _ in range(width)]
+        names = list(dict.fromkeys(names))
+        rng.shuffle(names)
+        tops = [f"t{i}" for i in range(3)]
+        covers = [(a, t) for t in tops for a in rng.sample(names, min(3, len(names)))]
+        yield Poset(names, [])
+        yield Poset(names + tops, covers)
+
+
 class TestOrderKernel:
     def test_order_on_wide_antichains(self):
-        rng = Random(33)
-        for width in (1, 5, 40, 200):
-            names = [f"w{rng.randrange(10 ** 6):06d}" for _ in range(width)]
-            names = list(dict.fromkeys(names))
-            rng.shuffle(names)
-            tops = [f"t{i}" for i in range(3)]
-            covers = [(a, t) for t in tops for a in rng.sample(names, min(3, len(names)))]
-            for elements, cs in ((names, []), (names + tops, covers)):
-                p = Poset(elements, cs)
-                assert [p._ids[i] for i in p._order_ix] == least_first_order(elements, cs)
+        for p in wide_antichains():
+            assert sorted(p._order_ix) == list(range(len(p)))
+            position = {i: k for k, i in enumerate(p._order_ix)}
+            assert all(position[i] < position[j] for i, ups in enumerate(p._up_ix) for j in ups)
+
+    def test_spread_against_reachability(self):
+        """Poset._spread, both ways, with random seeds: each element's seed
+        joined with those of every element above it, or below it."""
+        rng = Random(35)
+        posets = [p for n in range(1, 5) for p in all_posets(n)]
+        posets += wide_antichains()
+        posets += [random_graded_poset(rng, max_elements=12, max_rank=4) for _ in range(40)]
+        for p in posets:
+            leq = reachability(p.elements, p.covers)
+            seeds = [rng.getrandbits(8) for _ in p._ids]
+            seed = dict(zip(p._ids, seeds))
+            for upward in (True, False):
+                expected = []
+                for a in p._ids:
+                    joined = 0
+                    for b in p._ids:
+                        if ((a, b) if upward else (b, a)) in leq:
+                            joined |= seed[b]
+                    expected.append(joined)
+                assert p._spread(seeds, upward) == expected
 
     def test_order_queries_against_reachability(self):
         rng = Random(34)
@@ -509,10 +537,10 @@ def test_both_decisions_on_every_small_map():
 
 
 def test_the_shared_walk_on_every_small_poset():
-    """up_set_bits, plain and connected, against the recursive walk on one
+    """up_set_walk, plain and connected, against the recursive walk on one
     poset per isomorphism class of at most 5 elements."""
     for n in range(1, 6):
         for p in all_posets(n):
             for connected in (False, True):
-                got = [frozenset(p._labels(u)) for u in up_set_bits(p, connected)]
+                got = [frozenset(p._labels(u)) for u, _ in up_set_walk(p, connected)]
                 assert got == brute_up_set_walk(p.elements, p.covers, connected)

@@ -1,0 +1,34 @@
+"""The order structure has one owner: only ``posets`` and the chain
+builder in ``subdivision`` read a poset's topological order, every other
+pass along the order goes through ``Poset``, and no module keeps a heap."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "posetcover"
+
+
+def _trees():
+    for path in sorted(PACKAGE.glob("*.py")):
+        yield path.name, ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+
+def test_only_posets_and_the_chain_builder_read_the_order():
+    readers = {name for name, tree in _trees() for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and node.attr == "_order_ix"}
+    assert readers == {"posets.py", "subdivision.py"}
+
+
+def test_no_module_imports_heapq():
+    importers = set()
+    for name, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "heapq" for m in modules):
+                importers.add(name)
+    assert not importers

@@ -22,7 +22,7 @@ from posetcover.posets import (
     connectivity,
     enumerate_up_sets,
     rank_check,
-    up_set_bits,
+    up_set_walk,
 )
 from posetcover.subdivision import chain_poset
 
@@ -411,11 +411,11 @@ class TestEnumerateUpSets:
     def test_walk_guard(self):
         # the most up-sets a poset within the default limit has
         widest = Poset([f"x{i:02d}" for i in range(DEFAULT_ORACLE_LIMIT)], [])
-        assert sum(1 for _ in up_set_bits(widest)) == 2 ** DEFAULT_ORACLE_LIMIT < UP_SET_WALK_LIMIT
+        assert sum(1 for _ in up_set_walk(widest)) == 2 ** DEFAULT_ORACLE_LIMIT < UP_SET_WALK_LIMIT
         at_guard = Poset([f"x{i:02d}" for i in range(17)], [])
-        assert sum(1 for _ in up_set_bits(at_guard, limit=17)) == UP_SET_WALK_LIMIT
+        assert sum(1 for _ in up_set_walk(at_guard, limit=17)) == UP_SET_WALK_LIMIT
         over = Poset([f"x{i:02d}" for i in range(18)], [])
         for connected in (False, True):
             with pytest.raises(OracleSizeExceeded) as err:
-                list(up_set_bits(over, connected_only=connected, limit=18))
+                list(up_set_walk(over, connected_only=connected, limit=18))
             assert (err.value.size, err.value.limit) == (UP_SET_WALK_LIMIT + 1, UP_SET_WALK_LIMIT)
