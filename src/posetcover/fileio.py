@@ -139,7 +139,13 @@ def poset_from_doc(doc) -> Poset:
     except (TypeError, ValueError) as exc:
         raise FormatError(f"bad poset document: {exc}") from None
     if "rank" in doc and doc["rank"] is not None:
-        supplied, computed = _keyed(doc["rank"], "rank"), rank_check(p).rank
+        supplied = _keyed(doc["rank"], "rank")
+        # JSON true, false and 1.0 compare equal to ints, so the type is read
+        bad = [k for k, r in supplied.items() if type(r) is not int]
+        if bad:
+            key = min(bad)
+            raise FormatError(f"rank values must be integers, got {supplied[key]!r} at {key!r}")
+        computed = rank_check(p).rank
         if supplied != computed:
             # the least element whose rank is missing, extra or different
             key = min(k for k in supplied.keys() | computed.keys()

@@ -123,14 +123,16 @@ def graph_face_poset(graph: MetricGraph) -> Poset:
     elements = list(graph.vertices) + sorted(graph.edges)
     index = dict(zip(sorted(elements), count()))
     up = [[] for _ in elements]
+    rank = [0] * len(elements)
     # edges in label order, so each vertex's list comes out ascending
     for eid in elements[len(graph.vertices):]:
         a, b, _ = graph.edges[eid]
         i = index[eid]
+        rank[i] = 1
         up[index[a]].append(i)
         if b != a:
             up[index[b]].append(i)
-    return Poset._from_index(elements, up)
+    return Poset._from_index(elements, up, rank)
 
 
 # A morphism in integers, per target edge t in units of 1/D_t: ``scale``

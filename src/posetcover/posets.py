@@ -113,13 +113,18 @@ class Poset:
     """Immutable finite poset.
 
     ``elements`` keeps the input order; ``covers`` is a frozenset of pairs
-    ``(a, b)`` meaning b covers a, derived from ``_up_ix`` on first use.
-    Everything else is kept by index:
-    ``_above[i]`` and ``_below[i]`` are the strict up- and down-closures of
-    element i as bitsets, so order queries are bit tests and the object is
-    safe to share between threads; ``_up_ix[i]`` and ``_down_ix[i]`` list
-    the elements covering i and covered by i, ascending; ``_order_ix`` is a
-    topological order, every element after its lower covers.
+    ``(a, b)`` meaning b covers a, derived from ``_up_ix`` on each read.
+    Everything else is kept by index: ``_up_ix[i]`` and ``_down_ix[i]``
+    list the elements covering i and covered by i, ascending, and are built
+    with the poset.  ``_order_ix``, a topological order with every element
+    after its lower covers, and ``_above[i]`` and ``_below[i]``, the strict
+    up- and down-closures of element i as bitsets, are computed on first
+    read and kept, so order queries are bit tests.  The constructor reads
+    the order and ``_above`` at once, as they hold the checks on its
+    covers; a graded builder's covers need no check, so a chain poset or a
+    face poset computes none of the three until a caller reads it.  A first
+    read from two threads computes equal values, so the object is safe to
+    share between threads.
     """
 
     def __init__(self, elements: Iterable[str], covers: Iterable[tuple[str, str]]):
@@ -143,13 +148,15 @@ class Poset:
         return up
 
     @classmethod
-    def _from_index(cls, elements: Iterable[str], up: list[list[int]]) -> "Poset":
+    def _from_index(cls, elements: Iterable[str], up: list[list[int]],
+                    rank: list[int] | None = None) -> "Poset":
         """The poset on ``elements`` whose element i, in sorted order, is
         covered by the elements listed in ``up[i]``, ascending; its covers
-        are never spelled out as label pairs."""
+        are never spelled out as label pairs.  A graded builder passes the
+        rank of each element by index (see ``_build``)."""
         p = cls.__new__(cls)
         p._intern(elements)
-        p._build(up)
+        p._build(up, rank)
         return p
 
     def _intern(self, elements: Iterable[str]) -> None:
@@ -168,29 +175,61 @@ class Poset:
         self._ids = ids
         self._index = index
 
-    def _build(self, up: list[list[int]]) -> None:
-        """The order structure from ``up``, the elements covering each
-        element by index, ascending: the lower covers, a topological order
-        and the strict closures.  Raises CycleDetected, or RedundantCover
-        with the least redundant pair."""
-        ids = self._ids
-        n = len(ids)
-        down = [[] for _ in ids]
-        for i, ups in enumerate(up):
-            for j in ups:
-                down[j].append(i)  # i ascending, so every list comes out sorted
+    def _build(self, up: list[list[int]], rank: list[int] | None = None) -> None:
+        """The lower covers from ``up``, the elements covering each element
+        by index, ascending.  Covers from outside (no ``rank``) are checked
+        at once: reading the order and the up-closures raises CycleDetected,
+        or RedundantCover with the least redundant pair.  A builder that
+        knows a rank by index passes it instead, and every cover must raise
+        it by exactly one, which proves the covers acyclic and irredundant;
+        the order and the closures then wait for their first reader."""
+        down = [[] for _ in up]
+        if rank is None:
+            for i, ups in enumerate(up):
+                for j in ups:
+                    down[j].append(i)  # i ascending, so every list comes out sorted
+        else:
+            for i, ups in enumerate(up):
+                step = rank[i] + 1
+                for j in ups:
+                    if rank[j] != step:
+                        raise AssertionError(f"cover {(self._ids[i], self._ids[j])!r} "
+                                             "does not raise the rank by one")
+                    down[j].append(i)
         self._up_ix = up
         self._down_ix = down
+        if rank is None:
+            # covers from outside are checked now: a cycle, then a redundant cover
+            self._order_ix, self._above
 
-        order = self._topological_order(up, down)
-        if len(order) != n:
+    @cached_property
+    def _order_ix(self) -> list[int]:
+        """A topological order by Kahn's algorithm: the order grows while it
+        is walked, each element appended once its last lower cover is
+        placed.  It comes out short when the covers have a cycle, and then
+        raises CycleDetected."""
+        up = self._up_ix
+        indeg = list(map(len, self._down_ix))
+        order = [i for i, d in enumerate(indeg) if not d]
+        for i in order:
+            for j in up[i]:
+                indeg[j] -= 1
+                if not indeg[j]:
+                    order.append(j)
+        if len(order) != len(up):
             raise CycleDetected(self._find_cycle())
-        self._order_ix = order
-        # strict reachability over covers as bitsets; a cover i < j is
-        # redundant when j is also reachable through another cover of i
-        above = [0] * n
+        return order
+
+    @cached_property
+    def _above(self) -> list[int]:
+        """The strict up-closure of each element as a bitset, by index: one
+        walk down the order.  A cover i < j is redundant when j is also
+        reachable through another cover of i; raises RedundantCover with
+        the least redundant pair."""
+        up = self._up_ix
+        above = [0] * len(up)
         redundant = []
-        for i in reversed(order):
+        for i in reversed(self._order_ix):
             reach = covered = 0
             for j in up[i]:
                 covered |= 1 << j
@@ -198,31 +237,23 @@ class Poset:
             if reach & covered:
                 redundant.append((i, reach & covered))
             above[i] = reach | covered
-        below = [0] * n
-        for i in order:
+        if redundant:
+            i, implied = min(redundant)
+            raise RedundantCover((self._ids[i], self._ids[bit_indices(implied)[0]]))
+        return above
+
+    @cached_property
+    def _below(self) -> list[int]:
+        """The strict down-closure of each element as a bitset, by index:
+        one walk up the order."""
+        down = self._down_ix
+        below = [0] * len(down)
+        for i in self._order_ix:
             acc = 0
             for j in down[i]:
                 acc |= below[j] | 1 << j
             below[i] = acc
-        self._above = above
-        self._below = below
-        if redundant:
-            i, implied = min(redundant)
-            raise RedundantCover((ids[i], ids[bit_indices(implied)[0]]))
-
-    @staticmethod
-    def _topological_order(up, down) -> list[int]:
-        """Kahn's algorithm over the interned covers: the order grows while
-        it is walked, each element appended once its last lower cover is
-        placed; it comes out short when the covers have a cycle."""
-        indeg = [len(d) for d in down]
-        order = [i for i, d in enumerate(indeg) if not d]
-        for i in order:
-            for j in up[i]:
-                indeg[j] -= 1
-                if not indeg[j]:
-                    order.append(j)
-        return order
+        return below
 
     def _find_cycle(self):
         """Iterative depth-first search along covers, roots in input order;

@@ -90,8 +90,16 @@ def simplicial_face_poset(complex_: SimplicialComplex) -> Poset:
     """Face poset graded by cardinality minus one; covers are codimension-1
     inclusions.  Elements are the sorted vertex lists joined by commas."""
     label = {f: ",".join(sorted(f)) for f in complex_.faces}
-    covers = [(label[f - {v}], label[f]) for f in complex_.faces if len(f) > 1 for v in f]
-    return Poset(sorted(label.values()), covers)
+    # faces in label order, so each face's list of cofaces comes out
+    # ascending; labels that collide raise DuplicateElement in the build
+    faces = sorted(label, key=label.__getitem__)
+    index = dict(zip(faces, count()))
+    up = [[] for _ in faces]
+    for k, f in enumerate(faces):
+        if len(f) > 1:
+            for v in f:
+                up[index[f - {v}]].append(k)
+    return Poset._from_index(map(label.__getitem__, faces), up, [len(f) - 1 for f in faces])
 
 
 # ----- barycentric subdivision ---------------------------------------------
@@ -159,7 +167,8 @@ def _build_chain_poset(p: Poset) -> ChainPoset:
         for d in down[c]:
             up[position[d]].append(k)
     return ChainPoset(
-        poset=Poset._from_index(map(labels.__getitem__, by_label), up),
+        poset=Poset._from_index(map(labels.__getitem__, by_label), up,
+                                [len(chains[c]) - 1 for c in by_label]),
         chain_of=dict(zip(labels, chains)),
     )
 

@@ -616,6 +616,23 @@ def test_json_booleans_are_not_rationals(place, value, tmp_path, capsys):
         f"rationals must be strings like '3' or '5/2', got {value!r}"))}]
 
 
+@pytest.mark.parametrize("rank,key", [
+    ({"a": False, "b": True, "c": 0.0}, "a"),
+    ({"a": 0, "b": True, "c": 0}, "b"),
+    ({"a": 0, "b": 1, "c": 0.0}, "c"),
+    ({"a": 0, "b": "1", "c": None}, "b"),
+], ids=["booleans-and-float", "boolean", "float", "string-and-null"])
+def test_json_booleans_and_floats_are_not_ranks(rank, key, tmp_path, capsys):
+    path = tmp_path / "rank.json"
+    path.write_text(fileio.dumps({"elements": ["a", "b", "c"], "covers": [["a", "b"]],
+                                  "rank": rank}))
+    code = cli.main(["--format", "machine", "poset", "stats", str(path)])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert payload["witnesses"] == [{"error": "FormatError", "detail": str(FormatError(
+        f"rank values must be integers, got {rank[key]!r} at {key!r}"))}]
+
+
 def test_undeclared_complex_vertices_are_usage_errors(tmp_path, capsys):
     path = tmp_path / "complex.json"
     path.write_text(fileio.dumps({"vertices": ["1", "4"], "maximal_faces": [["1", "3", "2"]]}))

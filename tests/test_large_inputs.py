@@ -7,7 +7,9 @@ of a 3-sheet cover of a 500-edge metric cycle.  Every check on them is local to
 principal down-sets, punctured up-sets, covers, faces one member apart or
 one target edge, so each stays well inside a generous wall budget.  The
 refinements of a 2500-edge and a 5000-edge cover run in child processes,
-whose peak memory must stay linear in the cells."""
+whose peak memory must stay linear in the cells, and so do the chain poset
+of the boundary of the 6-simplex and the face poset of a 15-vertex
+simplex, whose peak memory must not grow with the square of their size."""
 
 import json
 import os
@@ -166,21 +168,30 @@ sys.stderr.write(f"{code} {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}\\
 REFINE_RSS_LIMIT_MIB = {2500: 300, 5000: 250}
 
 
+def run_in_a_child(child: str, *argv) -> tuple[int, float]:
+    """Run the source ``child`` with ``argv`` in a child process; returns
+    the number it reports before its peak and its peak resident set in
+    MiB."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", child, *map(str, argv)],
+        env=dict(os.environ, PYTHONPATH=str(src)), stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    value, peak_kib = map(int, done.stderr.split()[-2:])
+    return value, peak_kib / 1024
+
+
 def refine_in_a_child(n_edges: int, tmp_path) -> float:
     """Refine a 3-sheet winding cover of an n-edge cycle through the CLI in
     a child process; returns the child's peak resident set in MiB."""
     phi, _ = random_cycle_cover(Random(7), n_edges, 3, wind=True)
     path = tmp_path / "cover.json"
     path.write_text(fileio.dumps(fileio.metric_morphism_to_doc(phi)))
-    src = Path(__file__).resolve().parent.parent / "src"
-    done = subprocess.run(
-        [sys.executable, "-c", RSS_CHILD, "--format", "machine", "graph", "refine",
-         "--morphism", str(path)],
-        env=dict(os.environ, PYTHONPATH=str(src)), stdout=subprocess.DEVNULL,
-        stderr=subprocess.PIPE, text=True, timeout=120)
-    code, peak_kib = map(int, done.stderr.split()[-2:])
-    assert code == 0 and done.returncode == 0, done.stderr
-    return peak_kib / 1024
+    code, peak = run_in_a_child(RSS_CHILD, "--format", "machine", "graph", "refine",
+                                "--morphism", path)
+    assert code == 0
+    return peak
 
 
 def test_refining_a_2500_edge_cover_stays_under_the_memory_bound(tmp_path):
@@ -189,3 +200,43 @@ def test_refining_a_2500_edge_cover_stays_under_the_memory_bound(tmp_path):
 
 def test_refining_a_5000_edge_cover_stays_under_the_memory_bound(tmp_path):
     assert refine_in_a_child(5000, tmp_path) < REFINE_RSS_LIMIT_MIB[5000]
+
+
+# the child builds the face poset of the simplex on its first argument's
+# vertices (or of its boundary, with a second argument) and then, with a
+# second argument, its chain poset; it reports the number of elements and
+# its own peak resident set in KiB.  It reads VmHWM, the peak of its own
+# memory since it started: on Linux a child's ru_maxrss starts at the peak
+# of the process that spawned it, which a test run lifts past the bound
+FACE_CHILD = """
+import sys
+from posetcover.subdivision import SimplicialComplex, chain_poset, simplicial_face_poset
+vertices = [f"v{i:02d}" for i in range(int(sys.argv[1]))]
+chains = len(sys.argv) > 2
+facets = [[v for v in vertices if v != x] for x in vertices] if chains else [vertices]
+p = simplicial_face_poset(SimplicialComplex.from_maximal(vertices, facets))
+if chains:
+    p = chain_poset(p).poset
+with open("/proc/self/status") as status:
+    peak = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+sys.stderr.write(f"{len(p)} {peak}\\n")
+"""
+# peak MiB of either child; both builders pass a rank that every cover
+# raises by one, so neither poset builds its n-bit closures: the children
+# peak at 57 (chains) and 59 MiB (faces) on CPython 3.11, x86-64, against
+# 373 and 281 MiB when every build made them
+FACE_RSS_LIMIT_MIB = 150
+own_peak = pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                              reason="reads a process's own peak from /proc")
+
+
+@own_peak
+def test_the_chain_poset_of_the_boundary_of_the_6_simplex_stays_under_the_memory_bound():
+    size, peak = run_in_a_child(FACE_CHILD, 7, "chains")
+    assert size == 47_292 and peak < FACE_RSS_LIMIT_MIB, peak
+
+
+@own_peak
+def test_the_face_poset_of_a_15_vertex_simplex_stays_under_the_memory_bound():
+    size, peak = run_in_a_child(FACE_CHILD, 15)
+    assert size == 2 ** 15 - 1 and peak < FACE_RSS_LIMIT_MIB, peak

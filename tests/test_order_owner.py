@@ -1,6 +1,7 @@
 """The order structure has one owner: only ``posets`` and the chain
 builder in ``subdivision`` read a poset's topological order, every other
-pass along the order goes through ``Poset``, and no module keeps a heap."""
+pass along the order goes through ``Poset``, only ``posets`` produces the
+order and the closures, and no module keeps a heap."""
 
 import ast
 from pathlib import Path
@@ -17,6 +18,13 @@ def test_only_posets_and_the_chain_builder_read_the_order():
     readers = {name for name, tree in _trees() for node in ast.walk(tree)
                if isinstance(node, ast.Attribute) and node.attr == "_order_ix"}
     assert readers == {"posets.py", "subdivision.py"}
+
+
+def test_only_posets_produces_the_order_and_the_closures():
+    producers = {name for name, tree in _trees() for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                 and node.attr in ("_order_ix", "_above", "_below")}
+    assert producers <= {"posets.py"}
 
 
 def test_no_module_imports_heapq():

@@ -15,6 +15,7 @@ from posetcover.errors import (
 )
 from posetcover.fileio import poset_from_doc
 from posetcover.fixtures import fix_idread, fix_trop
+from posetcover.metric import MetricGraph, graph_face_poset
 from posetcover.posets import (
     DEFAULT_ORACLE_LIMIT,
     UP_SET_WALK_LIMIT,
@@ -24,17 +25,19 @@ from posetcover.posets import (
     rank_check,
     up_set_walk,
 )
-from posetcover.subdivision import chain_poset
+from posetcover.subdivision import chain_poset, simplicial_face_poset
 
 from generators import random_graded_poset, random_strongly_connected_poset
 from oracles import (
     brute_antichain_count,
     brute_chains,
+    brute_codim_one_pairs,
     brute_poset_components,
     brute_up_sets,
     longest_chains,
     reachability,
 )
+from test_subdivision import random_complex
 
 
 def two_chain():
@@ -182,10 +185,25 @@ def assert_same_poset(built, rebuilt):
     assert built == rebuilt and hash(built) == hash(rebuilt)
 
 
+def random_graph(rng):
+    """A seeded multigraph with loops, parallel edges and isolated
+    vertices, its vertices in shuffled input order."""
+    vertices = [f"v{i}" for i in range(rng.randint(1, 7))]
+    rng.shuffle(vertices)
+    edges = [(f"e{k}", rng.choice(vertices), rng.choice(vertices), 1)
+             for k in range(rng.randint(0, 9))]
+    return MetricGraph(vertices, edges)
+
+
+# the order structure a graded builder leaves to its first reader
+LAZY = ("_order_ix", "_above", "_below")
+
+
 class TestIndexLevelBuild:
-    """Chain posets and induced subposets are built from index adjacency;
-    they must equal the posets the constructor builds from their labels
-    and covers, found here by brute force."""
+    """Chain posets, face posets and induced subposets are built from index
+    adjacency; they must equal the posets the constructor builds from their
+    labels and covers, found here by brute force.  The graded builders
+    leave the order and the closures to their first reader."""
 
     def test_chain_posets_match_the_label_level_build(self):
         rng = Random(2024)
@@ -198,6 +216,41 @@ class TestIndexLevelBuild:
                 labels[chain] = "<".join(members)
             covers = [(labels[c - {x}], labels[c]) for c in labels if len(c) > 1 for x in c]
             assert_same_poset(chain_poset(p).poset, label_level(labels.values(), covers))
+
+    def test_graph_face_posets_match_the_label_level_build(self):
+        rng = Random(2026)
+        for _ in range(60):
+            g = random_graph(rng)
+            covers = {(x, eid) for eid, (a, b, _) in g.edges.items() for x in (a, b)}
+            assert_same_poset(graph_face_poset(g),
+                              Poset(list(g.vertices) + sorted(g.edges), covers))
+
+    def test_simplicial_face_posets_match_the_label_level_build(self):
+        rng = Random(2027)
+        for _ in range(60):
+            k = random_complex(rng)
+            label = {f: ",".join(sorted(f)) for f in k.faces}
+            covers = [(label[c], label[d]) for c, d in brute_codim_one_pairs(k.faces)]
+            assert_same_poset(simplicial_face_poset(k), label_level(label.values(), covers))
+
+    def test_graded_builds_leave_the_order_and_closures_to_their_first_reader(self):
+        rng = Random(2028)
+        for _ in range(20):
+            for built in (chain_poset(random_graded_poset(rng, max_elements=8, max_rank=3)).poset,
+                          graph_face_poset(random_graph(rng)),
+                          simplicial_face_poset(random_complex(rng))):
+                assert not set(LAZY) & vars(built).keys()
+
+    @pytest.mark.parametrize("up,rank,pair", [
+        ([[1], [2], []], [0, 1, 1], ("b", "c")),
+        ([[1], [2], []], [0, 2, 3], ("a", "b")),
+        ([[1], [0], []], [0, 1, 0], ("b", "a")),
+        ([[1, 2], [2], []], [0, 1, 2], ("a", "c")),
+    ], ids=["flat", "skip", "cycle", "redundant"])
+    def test_a_wrong_rank_is_an_internal_fault(self, up, rank, pair):
+        with pytest.raises(AssertionError) as err:
+            Poset._from_index(ABC, up, rank)
+        assert err.value.args == (f"cover {pair!r} does not raise the rank by one",)
 
     def test_induced_subposets_match_the_label_level_build(self):
         rng = Random(2025)

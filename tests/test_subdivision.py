@@ -257,6 +257,14 @@ class TestFacePoset:
                 assert report.pure
                 assert report.dim == base_report.dim
 
+    def test_least_colliding_label_is_the_duplicate(self):
+        # the vertices "b,c" and "a,b" are named like the edges {b, c} and {a, b}
+        k = SimplicialComplex.from_maximal(["a", "b", "c", "b,c", "a,b"],
+                                           [["b", "c"], ["a", "b"]])
+        with pytest.raises(DuplicateElement) as raised:
+            simplicial_face_poset(k)
+        assert raised.value.element == "a,b"
+
     def test_face_covers_against_all_pairs(self):
         rng = Random(55)
         for _ in range(20):
