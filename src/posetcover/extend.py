@@ -38,7 +38,7 @@ from .posets import Poset, bit_indices, connectivity, rank_check
 ExtensionConflict = namedtuple("ExtensionConflict", "alpha beta1 beta2 sum1 sum2")
 
 
-# mode is "guaranteed" or "opportunistic"
+# mode is "guaranteed" or "opportunistic"; unconstrained is always empty
 class ExtensionReport(namedtuple("ExtensionReport", "extended mode conflicts unconstrained")):
     __slots__ = ()
 
@@ -91,8 +91,9 @@ def extend_balanced(phi: PosetMorphism, m: IndexMap, target_upset) -> ExtensionR
     value = known.__getitem__
     valued = source._bits(m.domain)
     todo = source._bits(w) & ~valued
-    free, plan = _push_plan(phi)
-    unconstrained = [ids[i] for i in free if todo >> i & 1]
+    # the free elements of the plan are left out: on a combinatorial map an
+    # element over a maximal element is maximal, so it is in the domain
+    _, plan = _push_plan(phi)
     up_preimages = target._spread(fibres, upward=True)
     conflicts = []
     guaranteed = True
@@ -126,7 +127,7 @@ def extend_balanced(phi: PosetMorphism, m: IndexMap, target_upset) -> ExtensionR
                 "the openness corollary for balanced maps"
             )
     mode = "guaranteed" if guaranteed else "opportunistic"
-    return ExtensionReport(extended, mode, conflicts, unconstrained)
+    return ExtensionReport(extended, mode, conflicts, [])
 
 
 def _conflict(alpha: str, groups, known: list, t_ids) -> ExtensionConflict:

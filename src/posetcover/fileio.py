@@ -29,9 +29,8 @@ import json
 import os
 import re
 from functools import cache
-from itertools import chain, repeat
+from itertools import repeat
 from json.encoder import encode_basestring
-from operator import itemgetter
 from pathlib import Path
 
 from .errors import DuplicateElement, FormatError
@@ -135,7 +134,7 @@ def poset_from_doc(doc) -> Poset:
     elements = _strings(_require(doc, "elements", "poset"), "poset elements")
     covers = _list(_require(doc, "covers", "poset"), "poset covers")
     try:
-        p = Poset(elements, [tuple(_strings(c, "a cover pair")) for c in covers])
+        p = Poset(elements, [_strings(c, "a cover pair") for c in covers])
     except (TypeError, ValueError) as exc:
         raise FormatError(f"bad poset document: {exc}") from None
     if "rank" in doc and doc["rank"] is not None:
@@ -239,33 +238,26 @@ def _rational_reader():
     return lambda text: strings(text) if type(text) is str else parse(text)
 
 
-def _exact(objects, cls) -> bool:
-    """Whether every object is exactly a cls.  The metric readers read a
-    list of exact dicts, with exact strings where strings belong, in one
-    pass; any other input, or any error, goes to the field-by-field walk,
-    which alone raises, so the first error and its text are the walk's."""
-    return set(map(type, objects)) <= {cls}
-
-
 def metric_graph_from_doc(doc):
     from .metric import MetricGraph
 
     vertices = _strings(_require(doc, "vertices", "metric graph"), "metric graph vertices")
     rational = _rational_reader()
-    raw = _list(_require(doc, "edges", "metric graph"), "metric graph edges")
-    try:
-        edges = _exact(raw, dict) and [(e["id"], e["a"], e["b"], rational(e["length"]))
-                                       for e in raw]
-    except (KeyError, FormatError):
-        edges = None
-    # the columns id, a and b
-    if not edges or not _exact(chain(*list(zip(*edges))[:3]), str):
-        edges = [(
-            _string(_require(e, "id", "edge"), "an edge id"),
-            _string(_require(e, "a", "edge"), "an edge endpoint"),
-            _string(_require(e, "b", "edge"), "an edge endpoint"),
-            rational(_require(e, "length", "edge")),
-        ) for e in raw]
+    edges = []
+    for e in _list(_require(doc, "edges", "metric graph"), "metric graph edges"):
+        # a plain row, an exact dict with exact strings, is read directly;
+        # any other field by field, so either way the row's first bad field
+        # raises, in document order
+        if (type(e) is dict and "length" in e and type(e.get("id")) is str
+                and type(e.get("a")) is str and type(e.get("b")) is str):
+            edges.append((e["id"], e["a"], e["b"], rational(e["length"])))
+        else:
+            edges.append((
+                _string(_require(e, "id", "edge"), "an edge id"),
+                _string(_require(e, "a", "edge"), "an edge endpoint"),
+                _string(_require(e, "b", "edge"), "an edge endpoint"),
+                rational(_require(e, "length", "edge")),
+            ))
     return MetricGraph(vertices, edges)
 
 
@@ -307,16 +299,16 @@ def metric_morphism_from_doc(doc, loads: _Loads | None = None):
         for v, img in _keyed(_require(doc, "vertex_images", "metric morphism"),
                              "vertex_images").items()
     }
-    raw = _keyed(_require(doc, "edge_images", "metric morphism"), "edge_images")
-    try:
-        edge_images = _exact(raw.values(), dict) and {
-            e: (img["edge"], rational(img["from"]), rational(img["to"]), img["slope"])
-            for e, img in raw.items()}
-    except (KeyError, FormatError):
-        edge_images = None
-    if not edge_images or not _exact(map(itemgetter(0), edge_images.values()), str):
-        edge_images = {}
-        for e, img in raw.items():
+    edge_images = {}
+    for e, img in _keyed(_require(doc, "edge_images", "metric morphism"),
+                         "edge_images").items():
+        # a plain row is read directly and any other field by field, slope
+        # first, as the edges of a graph are
+        if (type(img) is dict and "slope" in img and type(img.get("edge")) is str
+                and "from" in img and "to" in img):
+            edge_images[e] = (img["edge"], rational(img["from"]), rational(img["to"]),
+                              img["slope"])
+        else:
             slope = _require(img, "slope", "edge image")
             edge_images[e] = (
                 _string(_require(img, "edge", "edge image"), "an edge image edge"),

@@ -63,20 +63,6 @@ def bit_indices(bits: int) -> list[int]:
     return list(compress(count(), _flags(bits)))
 
 
-def _walked_covers(covers, index: dict) -> set:
-    """The set of cover pairs, read one by one in input order: the first
-    pair that does not unpack into two labels raises the unpacking error,
-    and the first unknown label, a before b, raises UnknownElement."""
-    pairs = set()
-    for a, b in covers:
-        if a not in index:
-            raise UnknownElement(a)
-        if b not in index:
-            raise UnknownElement(b)
-        pairs.add((a, b))
-    return pairs
-
-
 def _least(labels: set):
     """The least of a set of labels; labels that do not compare with one
     another are ordered by type name, then by repr."""
@@ -120,7 +106,8 @@ class Poset:
     after its lower covers, and ``_above[i]`` and ``_below[i]``, the strict
     up- and down-closures of element i as bitsets, are computed on first
     read and kept, so order queries are bit tests.  The constructor reads
-    the order and ``_above`` at once, as they hold the checks on its
+    its cover pairs in one pass, so the first bad pair is the witness, and
+    then the order and ``_above`` at once, as they hold the checks on its
     covers; a graded builder's covers need no check, so a chain poset or a
     face poset computes none of the three until a caller reads it.  A first
     read from two threads computes equal values, so the object is safe to
@@ -129,23 +116,26 @@ class Poset:
 
     def __init__(self, elements: Iterable[str], covers: Iterable[tuple[str, str]]):
         self._intern(elements)
-        if iter(covers) is covers:
-            covers = list(covers)  # a failed fast pass walks them again
-        try:
-            up = self._upper_covers(set(covers))
-        except (TypeError, ValueError, KeyError):  # not all pairs of known labels
-            up = self._upper_covers(_walked_covers(covers, self._index))
-        self._build(up)
+        self._build(self._upper_covers(covers))
 
-    def _upper_covers(self, pairs) -> list[list[int]]:
-        """The elements covering each element, by index, ascending."""
-        index = self._index
-        up = [[] for _ in index]
-        for a, b in pairs:
-            up[index[a]].append(index[b])
-        for ups in up:
-            ups.sort()
-        return up
+    def _upper_covers(self, covers) -> list[list[int]]:
+        """The elements covering each element, by index, ascending, read in
+        one pass over the cover pairs in input order: the first pair that
+        does not unpack into two labels raises the unpacking error, and the
+        first unknown label, a before b, raises UnknownElement.  A repeated
+        pair counts once."""
+        index = self._index.get
+        up = [[] for _ in self._ids]
+        for a, b in covers:
+            i = index(a)
+            if i is None:
+                raise UnknownElement(a)
+            j = index(b)
+            if j is None:
+                raise UnknownElement(b)
+            up[i].append(j)
+        # a list of one cover has no repeat to drop and no order to fix
+        return [sorted(set(ups)) if len(ups) > 1 else ups for ups in up]
 
     @classmethod
     def _from_index(cls, elements: Iterable[str], up: list[list[int]],

@@ -155,26 +155,36 @@ def test_refinement_of_a_three_sheet_cover_of_a_long_cycle(tmp_path, capsys):
     assert sum(map(len, data["source_pieces"].values())) == len(phi.source.edges) + source_cuts
 
 
-# the child reports its exit code and its own peak resident set in KiB
-RSS_CHILD = """
-import resource, sys
-from posetcover import cli
-code = cli.main(sys.argv[1:])
-sys.stderr.write(f"{code} {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}\\n")
+# ended by every child: it reports the number it left in ``value`` and its
+# own peak resident set in KiB.  It reads VmHWM, the peak of its own memory
+# since it started: on Linux a child's ru_maxrss starts at the peak of the
+# process that spawned it, which a test run lifts past the bounds
+OWN_PEAK = """
+with open("/proc/self/status") as status:
+    peak = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+sys.stderr.write(f"{value} {peak}\\n")
 """
-# peak MiB per cover size in edges; at 5000 edges the child peaks near
-# 200 MiB (CPython 3.11, x86-64), so a structure kept per edge beyond the
-# refinement's own shows
+own_peak = pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                              reason="reads a process's own peak from /proc")
+
+# the child runs the CLI on its arguments; its value is the exit code
+CLI_CHILD = """
+import sys
+from posetcover import cli
+value = cli.main(sys.argv[1:])
+"""
+# peak MiB per cover size in edges; the children peak near 107 MiB at 2500
+# edges and 190 MiB at 5000 (CPython 3.11, x86-64), so a structure kept
+# per edge beyond the refinement's own shows
 REFINE_RSS_LIMIT_MIB = {2500: 300, 5000: 250}
 
 
 def run_in_a_child(child: str, *argv) -> tuple[int, float]:
-    """Run the source ``child`` with ``argv`` in a child process; returns
-    the number it reports before its peak and its peak resident set in
-    MiB."""
+    """Run the source ``child``, then ``OWN_PEAK``, with ``argv`` in a child
+    process; returns the child's value and its peak resident set in MiB."""
     src = Path(__file__).resolve().parent.parent / "src"
     done = subprocess.run(
-        [sys.executable, "-c", child, *map(str, argv)],
+        [sys.executable, "-c", child + OWN_PEAK, *map(str, argv)],
         env=dict(os.environ, PYTHONPATH=str(src)), stdout=subprocess.DEVNULL,
         stderr=subprocess.PIPE, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
@@ -188,26 +198,25 @@ def refine_in_a_child(n_edges: int, tmp_path) -> float:
     phi, _ = random_cycle_cover(Random(7), n_edges, 3, wind=True)
     path = tmp_path / "cover.json"
     path.write_text(fileio.dumps(fileio.metric_morphism_to_doc(phi)))
-    code, peak = run_in_a_child(RSS_CHILD, "--format", "machine", "graph", "refine",
+    code, peak = run_in_a_child(CLI_CHILD, "--format", "machine", "graph", "refine",
                                 "--morphism", path)
     assert code == 0
     return peak
 
 
+@own_peak
 def test_refining_a_2500_edge_cover_stays_under_the_memory_bound(tmp_path):
     assert refine_in_a_child(2500, tmp_path) < REFINE_RSS_LIMIT_MIB[2500]
 
 
+@own_peak
 def test_refining_a_5000_edge_cover_stays_under_the_memory_bound(tmp_path):
     assert refine_in_a_child(5000, tmp_path) < REFINE_RSS_LIMIT_MIB[5000]
 
 
 # the child builds the face poset of the simplex on its first argument's
 # vertices (or of its boundary, with a second argument) and then, with a
-# second argument, its chain poset; it reports the number of elements and
-# its own peak resident set in KiB.  It reads VmHWM, the peak of its own
-# memory since it started: on Linux a child's ru_maxrss starts at the peak
-# of the process that spawned it, which a test run lifts past the bound
+# second argument, its chain poset; its value is the number of elements
 FACE_CHILD = """
 import sys
 from posetcover.subdivision import SimplicialComplex, chain_poset, simplicial_face_poset
@@ -217,17 +226,13 @@ facets = [[v for v in vertices if v != x] for x in vertices] if chains else [ver
 p = simplicial_face_poset(SimplicialComplex.from_maximal(vertices, facets))
 if chains:
     p = chain_poset(p).poset
-with open("/proc/self/status") as status:
-    peak = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
-sys.stderr.write(f"{len(p)} {peak}\\n")
+value = len(p)
 """
 # peak MiB of either child; both builders pass a rank that every cover
 # raises by one, so neither poset builds its n-bit closures: the children
 # peak at 57 (chains) and 59 MiB (faces) on CPython 3.11, x86-64, against
 # 373 and 281 MiB when every build made them
 FACE_RSS_LIMIT_MIB = 150
-own_peak = pytest.mark.skipif(not Path("/proc/self/status").exists(),
-                              reason="reads a process's own peak from /proc")
 
 
 @own_peak

@@ -466,6 +466,47 @@ def test_the_documents_rational_memo_changes_no_outcome(monkeypatch):
     assert 100 < loaded < len(docs) - 100
 
 
+def counted_readers(monkeypatch) -> list:
+    """Patches fileio's rational reader to record what each reader it
+    makes parses; returns those records, one list per reader."""
+    reads = []
+
+    def reader():
+        seen = []
+        reads.append(seen)
+
+        def read(text):
+            seen.append(text)
+            return fileio.parse_rational(text)
+        return read
+
+    monkeypatch.setattr(fileio, "_rational_reader", reader)
+    return reads
+
+
+def test_the_graph_reader_stops_at_the_first_bad_row(monkeypatch):
+    """The rows are read once, in order: the first length is parsed, and
+    the second row's id raises before its length is read."""
+    reads = counted_readers(monkeypatch)
+    doc = {"vertices": ["A", "B"], "edges": [{"id": "e", "a": "A", "b": "B", "length": "1"},
+                                             {"id": 5, "a": "A", "b": "B", "length": "2"}]}
+    with pytest.raises(FormatError, match="an edge id must be a string, got 5"):
+        fileio.metric_graph_from_doc(doc)
+    assert reads == [["1"]]
+
+
+def test_the_morphism_reader_stops_at_the_first_bad_edge_image(monkeypatch):
+    """The edge images are read once, in order: the second one's edge
+    raises before its ends are parsed."""
+    reads = counted_readers(monkeypatch)
+    doc = fileio.metric_morphism_to_doc(fix_graph())
+    doc["edge_images"]["f"]["edge"] = 5
+    with pytest.raises(FormatError, match="an edge image edge must be a string, got 5"):
+        fileio.metric_morphism_from_doc(doc)
+    # the lengths of the two sides, then B's position and the ends of e
+    assert reads == [["2", "3"], ["3"], ["2", "0", "2"]]
+
+
 def whole_edge_morphism(target_edges, source_edges, vertex_map, cuts=()):
     """Unit-length edges; source edge (e, a, b, t) runs over all of target
     edge t, backwards when a maps to t's second end.  Each cut adds an

@@ -134,6 +134,19 @@ WITNESSES = [
     ("redundant", ABC, [("a", "b"), ("b", "c"), ("a", "c")], RedundantCover, ("a", "c")),
 ]
 
+
+class CountedIterable:
+    """An iterable that counts the passes made over it."""
+
+    def __init__(self, items):
+        self.items = items
+        self.calls = 0
+
+    def __iter__(self):
+        self.calls += 1
+        return iter(self.items)
+
+
 class TestBuildWitnesses:
     @pytest.mark.parametrize("elements,covers,error,witness", [w[1:] for w in WITNESSES],
                              ids=[w[0] for w in WITNESSES])
@@ -149,6 +162,20 @@ class TestBuildWitnesses:
         with pytest.raises(error) as err:
             Poset(elements, (c for c in covers))
         assert err.value.args == error(witness).args
+
+    @pytest.mark.parametrize("elements,covers,error", [
+        (ABC, [("a", "b"), ("b", "c")], None), *(w[1:4] for w in WITNESSES)],
+        ids=["good", *(w[0] for w in WITNESSES)])
+    def test_the_covers_are_read_once(self, elements, covers, error):
+        """The constructor reads its covers in one pass, whether it builds
+        the poset or raises; a repeated element raises before they are read."""
+        covers = CountedIterable(covers)
+        if error is None:
+            Poset(elements, covers)
+        else:
+            with pytest.raises(error):
+                Poset(elements, covers)
+        assert covers.calls == (0 if error is DuplicateElement else 1)
 
     def test_pairs_that_unpack_build_the_same_poset(self):
         expected = Poset(ABC, [("a", "b"), ("b", "c")])

@@ -5,6 +5,7 @@ dependencies.  A command loads only the modules it uses: a poset, morphism
 or cover command on document files loads neither the metric graph code nor
 ``fractions``."""
 
+import ast
 import json
 import os
 import subprocess
@@ -87,3 +88,15 @@ def test_only_a_command_on_an_index_map_loads_the_cover_code(tmp_path):
 def test_the_project_declares_no_dependencies():
     lines = (ROOT / "pyproject.toml").read_text(encoding="utf-8").splitlines()
     assert "dependencies = []" in lines
+
+
+def test_every_module_parses_as_the_oldest_declared_python():
+    """Every module parses with the grammar of Python 3.10, the floor that
+    pyproject.toml declares.  ``feature_version`` checks syntax only: a
+    call to a function or method that 3.10 lacks still passes."""
+    lines = (ROOT / "pyproject.toml").read_text(encoding="utf-8").splitlines()
+    assert 'requires-python = ">=3.10"' in lines
+    modules = sorted((ROOT / "src" / "posetcover").rglob("*.py"))
+    assert modules
+    for module in modules:
+        ast.parse(module.read_text(encoding="utf-8"), str(module), feature_version=(3, 10))
