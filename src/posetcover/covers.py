@@ -3,8 +3,10 @@
 The exhaustive oracle checks the definition on every connected up-set of
 the target and every component of its preimage, which it merges as the
 up-set walk grows the up-set (see `is_ibc_oracle`).  It tests constancy
-of the local degree over the image of each preimage component, a sum of
-popcounts (``_degree_mismatch``).
+of the local degree over the image of each preimage component.  A
+preimage of one component holds whole fibres, so its local degrees are
+the fibre totals (``_fibre_totals``); those of a preimage of several are
+sums of popcounts (``_degree_mismatch``).
 
 `is_ibc` uses one of two proven procedures.  On a combinatorial morphism
 it uses the paper's local statements.  The preimage of up(beta) splits
@@ -217,6 +219,15 @@ def branch_locus_check(phi: PosetMorphism) -> Check:
     return Check.passed()
 
 
+def _fibre_totals(phi: PosetMorphism, values: list) -> list:
+    """The multiplicity count of every fibre, by target index, from the
+    values of a total map by source index."""
+    totals = [0] * len(phi._fibres)
+    for y, v in zip(phi._image_of, values):
+        totals[y] += v
+    return totals
+
+
 def _degree_tables(phi: PosetMorphism, values: list) -> list:
     """For every target index, the (value, source bitset) pairs of its
     fibre, one pair per value, so a local degree is a sum of popcounts."""
@@ -330,27 +341,56 @@ def _up_set_mismatches(phi: PosetMorphism, values: list, unbalanced: int) -> lis
 
 def is_ibc_oracle(phi: PosetMorphism, m: IndexMap, limit: int = DEFAULT_ORACLE_LIMIT) -> Check:
     """Exhaustive indexed-branched-cover decision: every connected up-set
-    of the target, every component of its preimage.
+    of the target, every component of its preimage.  A target of more than
+    ``limit`` elements is refused before any work.
 
     ``up_set_walk`` grows each up-set U by one closed up-set up(i), so the
     preimage of U grows by the preimage of up(i).  Preimages of up-sets
     are up-sets, so the components of the preimage of up(i), split once
     per target element, merge into those of U's wherever they meet: a few
-    ANDs and ORs per up-set, not a search."""
+    ANDs and ORs per up-set, not a search.  A preimage of one component
+    holds the whole fibre of every member of U, so its local degree at y
+    is y's fibre total, and the members of U with a non-zero total must
+    all share the first one's; only a preimage of several components is
+    summed by popcount."""
     _require_on_source(phi, m)
     m.require_total()
-    witnesses = list(branch_locus_check(phi).witnesses)
     source, target = phi.source, phi.target
-    tables = _degree_tables(phi, _value_list(phi, m))
+    if len(target) > limit:
+        raise OracleSizeExceeded(len(target), limit)
+    witnesses = list(branch_locus_check(phi).witnesses)
+    values = _value_list(phi, m)
+    totals = _fibre_totals(phi, values)
+    # the targets by fibre total; a total of 0 is an empty fibre, as every
+    # value is at least 1, and drops out as _degree_mismatch skips it
+    with_total = {}
+    for j, d in enumerate(totals):
+        with_total[d] = with_total.get(d, 0) | 1 << j
+    empty = with_total.pop(0, 0)
     preimages = target._spread(phi._fibres, upward=True)
 
     @cache
     def pieces(j):
         return source._component_bits(preimages[j])
 
+    @cache
+    def tables():
+        return _degree_tables(phi, values)
+
+    t_ids = target._ids
     for upset, parts in up_set_walk(target, True, limit, pieces):
-        witnesses += _constancy_witnesses(
-            phi, tables, parts, upset, lambda: frozenset(target._labels(upset)))
+        if len(parts) > 1:
+            witnesses += _constancy_witnesses(phi, tables(), parts, upset,
+                                              lambda: frozenset(target._labels(upset)))
+        elif parts:
+            live = upset & ~empty
+            y1 = (live & -live).bit_length() - 1
+            other = live & ~with_total[totals[y1]]
+            if other:
+                y2 = (other & -other).bit_length() - 1
+                witnesses.append(DegreeMismatch(
+                    frozenset(target._labels(upset)), frozenset(source._labels(parts[0])),
+                    t_ids[y1], t_ids[y2], totals[y1], totals[y2]))
     if witnesses:
         return Check.failed(witnesses)
     return Check.passed()
@@ -369,9 +409,8 @@ def global_degree(phi: PosetMorphism, m: IndexMap) -> DegreeReport:
     otherwise it is None."""
     _require_on_source(phi, m)
     m.require_total()
-    per = {beta: 0 for beta in phi.target.elements}
-    for x in phi.source.elements:
-        per[phi(x)] += m[x]
+    totals, t_index = _fibre_totals(phi, _value_list(phi, m)), phi.target._index
+    per = {beta: totals[t_index[beta]] for beta in phi.target.elements}
     counts = set(per.values())
     if len(counts) <= 1:
         return DegreeReport(per, True, counts.pop() if counts else None, None)
@@ -429,7 +468,8 @@ def search_balanced(phi: PosetMorphism, bound: int = DEFAULT_SEARCH_BOUND):
             k -= 1
             continue
         values[alpha] += 1
-        if _settled(stages[k + 1], values, bound):
+        stage = stages[k + 1]
+        if not stage or _settled(stage, values, bound):
             k += 1
     if best is None:
         return None

@@ -40,7 +40,7 @@ from posetcover.fixtures import (
     fix_trop_m,
 )
 from posetcover.morphisms import PosetMorphism
-from posetcover.posets import Poset, rank_check
+from posetcover.posets import Poset, rank_check, up_set_walk
 
 from generators import (
     random_balanced_map,
@@ -49,6 +49,7 @@ from generators import (
     random_sheaf_morphism,
     small_world,
 )
+from oracles import brute_degree_mismatches, brute_up_set_walk
 
 
 class TestIndexMap:
@@ -349,6 +350,45 @@ class TestIbc:
         phi = fix_trop()
         with pytest.raises(OracleSizeExceeded):
             is_ibc_oracle(phi, fix_trop_m(), limit=3)
+
+    def test_the_oracle_refuses_a_large_target_before_any_work(self, monkeypatch):
+        chain = [f"c{i:02d}" for i in range(40)]
+        phi = PosetMorphism.identity(Poset(chain, list(zip(chain, chain[1:]))))
+        m = IndexMap.constant(phi.source)
+
+        def no_work(*args):
+            raise AssertionError("work done before the size refusal")
+
+        monkeypatch.setattr(Poset, "_spread", no_work)
+        monkeypatch.setattr(covers, "_degree_tables", no_work)
+        monkeypatch.setattr(covers, "_fibre_totals", no_work)
+        with pytest.raises(OracleSizeExceeded, match="instance size 40 exceeds oracle limit 16"):
+            is_ibc_oracle(phi, m)
+
+    def test_a_one_part_preimage_is_decided_by_fibre_totals(self, monkeypatch):
+        # balanced gluings whose connected up-sets each have a connected
+        # preimage: two points under one top, so the degree is 2 at b and 1
+        # at t; and a 2-chain over b < t beside an empty fibre over c < t,
+        # which the totals skip as the popcounts do
+        target = Poset(["b", "c", "t"], [("b", "t"), ("c", "t")])
+        glued = PosetMorphism(Poset(["a1", "a2", "x"], [("a1", "x"), ("a2", "x")]), target,
+                              {"a1": "b", "a2": "b", "x": "t"})
+        sheet = PosetMorphism(Poset(["a", "x"], [("a", "x")]), target, {"a": "b", "x": "t"})
+        monkeypatch.setattr(covers, "_degree_mismatch", None)
+        for phi, values in ((glued, {"a1": 1, "a2": 1, "x": 1}), (sheet, {"a": 2, "x": 2})):
+            m = IndexMap.total(phi.source, values)
+            assert is_balanced(phi, m)
+            preimages = target._spread(phi._fibres, upward=True)
+            for _, parts in up_set_walk(target, True, len(target),
+                                        lambda j: phi.source._component_bits(preimages[j])):
+                assert len(parts) <= 1
+            walks = [(u, u) for u in brute_up_set_walk(target.elements, target.covers, True)]
+            assert [tuple(w) for w in is_ibc_oracle(phi, m).witnesses] == brute_degree_mismatches(
+                phi.source.elements, phi.source.covers, phi.mapping, m.values, walks)
+        assert is_ibc_oracle(glued, IndexMap.constant(glued.source)).witnesses == tuple(
+            covers.DegreeMismatch(frozenset(u), frozenset({"a1", "a2", "x"}), "b", "t", 2, 1)
+            for u in ("bt", "bct"))
+        assert is_ibc_oracle(sheet, IndexMap.total(sheet.source, {"a": 2, "x": 2}))
 
     def test_fast_agrees_with_oracle_on_random_combinatorial(self):
         rng = Random(34)

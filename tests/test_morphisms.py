@@ -2,6 +2,7 @@
 openness, restriction."""
 
 import pytest
+from collections import Counter
 from random import Random
 
 from posetcover.errors import NotMonotone, NotUpSet, UnknownElement
@@ -16,9 +17,19 @@ from posetcover.metric import MetricGraphMorphism, graph_face_poset, morphism_fa
 from posetcover.fixtures import fix_graph
 from posetcover.morphisms import PosetMorphism
 from posetcover.posets import Poset, rank_check
+from posetcover.subdivision import chain_poset
 
-from generators import random_sheaf_morphism
-from oracles import is_forest
+from generators import random_graded_poset, random_sheaf_morphism
+from oracles import is_forest, reachability
+from test_posets import random_graph
+
+
+def least_failing_cover(source, target, mapping):
+    """By brute force: the least cover pair of the source whose images are
+    not ordered in the target, or None for a monotone map."""
+    leq = reachability(target.elements, target.covers)
+    return min(((a, b) for a, b in source.covers if (mapping[a], mapping[b]) not in leq),
+               default=None)
 
 
 class TestBuild:
@@ -45,6 +56,49 @@ class TestBuild:
         with pytest.raises(NotMonotone) as err:
             PosetMorphism(source, chain, {"a": "Y", "b": "X", "c": "Y", "d": "X"})
         assert err.value.pair == ("a", "b")
+
+    def test_not_monotone_names_the_least_failing_cover_pair(self):
+        # random label maps onto graded posets, chain posets and face posets
+        # (the last two are built without their closure), half of them
+        # monotone by construction, so that covers also land two or more
+        # ranks apart; the target's closure is built exactly when a cover's
+        # image is neither its lower end's image nor a cover of it
+        rng = Random(3101)
+        kinds = Counter()
+        for trial in range(600):
+            kind = ("graded", "chains", "faces")[trial % 3]
+            if kind == "graded":
+                target = random_graded_poset(rng, max_elements=7, max_rank=3)
+            elif kind == "chains":
+                target = chain_poset(random_graded_poset(rng, max_elements=6, max_rank=3)).poset
+            else:
+                target = graph_face_poset(random_graph(rng))
+            leq = reachability(target.elements, target.covers)
+            source = random_graded_poset(rng, max_elements=7, max_rank=3)
+            targets = sorted(target.elements)
+            mapping = {}
+            # the labels r<rank>n<i> sort lower covers first
+            for x in sorted(source.elements):
+                bounds = [t for t in targets
+                          if all((mapping[a], t) in leq for a, b in source.covers if b == x)]
+                mapping[x] = rng.choice(bounds if bounds and trial % 2 else targets)
+            pairs = {(mapping[a], mapping[b]) for a, b in source.covers}
+            far = {(y, z) for y, z in pairs if y != z and (y, z) not in target.covers}
+            closed = "_above" in vars(target)
+            expected = least_failing_cover(source, target, mapping)
+            if expected is None:
+                PosetMorphism(source, target, mapping)
+            else:
+                with pytest.raises(NotMonotone) as err:
+                    PosetMorphism(source, target, mapping)
+                assert err.value.pair == expected
+            assert ("_above" in vars(target)) == (closed or bool(far))
+            kinds[kind, expected is None, bool(far)] += 1
+        # a face poset has two ranks, so only a failing cover skips one
+        assert kinds["graded", True, True] and kinds["chains", True, True]
+        for kind in ("graded", "chains", "faces"):
+            assert kinds[kind, False, True], kind
+        assert kinds["chains", True, False] and kinds["faces", True, False]
 
     def test_partial_map_rejected(self):
         chain = Poset(["A", "B"], [("A", "B")])

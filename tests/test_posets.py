@@ -15,7 +15,12 @@ from posetcover.errors import (
 )
 from posetcover.fileio import poset_from_doc
 from posetcover.fixtures import fix_idread, fix_trop
-from posetcover.metric import MetricGraph, graph_face_poset
+from posetcover.metric import (
+    MetricGraph,
+    graph_face_poset,
+    morphism_face_poset,
+    refine_to_combinatorial,
+)
 from posetcover.posets import (
     DEFAULT_ORACLE_LIMIT,
     UP_SET_WALK_LIMIT,
@@ -25,9 +30,13 @@ from posetcover.posets import (
     rank_check,
     up_set_walk,
 )
-from posetcover.subdivision import chain_poset, simplicial_face_poset
+from posetcover.subdivision import bcs_morphism, chain_poset, simplicial_face_poset
 
-from generators import random_graded_poset, random_strongly_connected_poset
+from generators import (
+    random_graded_poset,
+    random_sheaf_morphism,
+    random_strongly_connected_poset,
+)
 from oracles import (
     brute_antichain_count,
     brute_chains,
@@ -37,6 +46,7 @@ from oracles import (
     longest_chains,
     reachability,
 )
+from test_metric import random_metric_morphism
 from test_subdivision import random_complex
 
 
@@ -267,6 +277,18 @@ class TestIndexLevelBuild:
                           graph_face_poset(random_graph(rng)),
                           simplicial_face_poset(random_complex(rng))):
                 assert not set(LAZY) & vars(built).keys()
+
+    def test_morphisms_onto_graded_builds_leave_them_lazy(self):
+        # the chains of a combinatorial map go to equal chains or covers, and
+        # a face-poset morphism sends each cover to its lower end's image or
+        # to a cover of it, so neither constructor reads the target's closure
+        rng = Random(2029)
+        for _ in range(15):
+            phi = random_metric_morphism(rng)
+            for built in (bcs_morphism(random_sheaf_morphism(rng)),
+                          morphism_face_poset(phi),
+                          morphism_face_poset(refine_to_combinatorial(phi).morphism)):
+                assert not set(LAZY) & vars(built.target).keys()
 
     @pytest.mark.parametrize("up,rank,pair", [
         ([[1], [2], []], [0, 1, 1], ("b", "c")),
