@@ -47,24 +47,22 @@ class PosetMorphism:
                 if e not in source:
                     raise UnknownElement(e)
             raise AssertionError("mapping refused but no witness found")
-        # monotone on covers implies monotone everywhere.  Until the target's
-        # up-closure is built, the covers of an element over y that go to y
-        # or to covers of y pass without it, and it is built only when
-        # other images are left; the covers come in sorted order, so the
-        # first failure is the least failing pair
-        t_up, t_above = target._up_ix, vars(target).get("_above")
+        # monotone on covers implies monotone everywhere.  The covers of an
+        # element over y that go to y or to covers of y pass at once; the
+        # target's up-closure is read only when other images are left, and
+        # the covers come in sorted order, so the first failure is the least
+        # failing pair
+        t_up = target._up_ix
         for i, ups in enumerate(source._up_ix):
             if not ups:
                 continue
             y = image_of[i]
-            if t_above is None:
-                rest = {image_of[g] for g in ups}
-                rest.discard(y)
-                rest.difference_update(t_up[y])
-                if not rest:
-                    continue
-                t_above = target._above
-            reach = t_above[y] | 1 << y
+            rest = {image_of[g] for g in ups}
+            rest.discard(y)
+            rest.difference_update(t_up[y])
+            if not rest:
+                continue
+            reach = target._above[y] | 1 << y
             for g in ups:
                 if not reach >> image_of[g] & 1:
                     raise NotMonotone((source._ids[i], source._ids[g]))
