@@ -22,6 +22,12 @@ class Check(namedtuple("Check", "ok witnesses", defaults=((),))):
         return cls(True, ())
 
     @classmethod
+    def of(cls, witnesses):
+        """Passed exactly when there are no witnesses."""
+        witnesses = tuple(witnesses)
+        return cls(not witnesses, witnesses)
+
+    @classmethod
     def failed(cls, witnesses):
         witnesses = tuple(witnesses)
         if not witnesses:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable
-from functools import cache
+from functools import cache, cached_property
 
 from .checks import Check
 from .errors import (
@@ -64,6 +64,12 @@ class IndexMap:
         # balanced against, kept by covers._balance_violations; the values
         # never change, so the witnesses stay valid for that morphism
         self._balance_memo = None
+
+    @cached_property
+    def _by_index(self) -> list:
+        """The values by index of the poset, None off the domain; callers
+        that change values change a copy."""
+        return list(map(self.values.get, self.poset._ids))
 
     @classmethod
     def total(cls, poset: Poset, values: dict) -> "IndexMap":
@@ -121,11 +127,6 @@ def local_degree(phi: PosetMorphism, m: IndexMap, subset: Iterable[str], y: str)
     return sum(map(m.__getitem__, phi.source._labels(fibre)))
 
 
-def _value_list(phi: PosetMorphism, m: IndexMap) -> list:
-    """The values of m by source index; None off the domain."""
-    return list(map(m.values.get, phi.source._ids))
-
-
 def _push_plan(phi: PosetMorphism):
     """The one top-down walk of the source: its indices in (-height, id)
     order, so every element comes after the elements covering it, split
@@ -165,10 +166,7 @@ def is_balanced(phi: PosetMorphism, m: IndexMap) -> Check:
     """The balancing condition: for alpha in the domain and every beta
     covering phi(alpha), the value at alpha equals the multiplicity sum of
     the elements covering alpha in the fibre of beta."""
-    witnesses = _balance_violations(phi, m)
-    if witnesses:
-        return Check.failed(witnesses)
-    return Check.passed()
+    return Check.of(_balance_violations(phi, m))
 
 
 def _balance_violations(phi: PosetMorphism, m: IndexMap) -> tuple:
@@ -180,7 +178,7 @@ def _balance_violations(phi: PosetMorphism, m: IndexMap) -> tuple:
     if memo is not None and memo[0] is phi:
         return memo[1]
     _require_on_source(phi, m)
-    witnesses = _walk_balance(phi, _value_list(phi, m))
+    witnesses = _walk_balance(phi, m._by_index)
     m._balance_memo = phi, witnesses
     return witnesses
 
@@ -214,15 +212,13 @@ def branch_locus_check(phi: PosetMorphism) -> Check:
             for i in bit_indices(phi._fibres[j]):
                 if source._up_ix[i]:
                     witnesses.append(BranchDefect(target._ids[j], source._ids[i]))
-    if witnesses:
-        return Check.failed(witnesses)
-    return Check.passed()
+    return Check.of(witnesses)
 
 
 def _fibre_totals(phi: PosetMorphism, values: list) -> list:
     """The multiplicity count of every fibre, by target index, from the
     values of a total map by source index."""
-    totals = [0] * len(phi._fibres)
+    totals = [0] * len(phi.target)
     for y, v in zip(phi._image_of, values):
         totals[y] += v
     return totals
@@ -231,7 +227,7 @@ def _fibre_totals(phi: PosetMorphism, values: list) -> list:
 def _degree_tables(phi: PosetMorphism, values: list) -> list:
     """For every target index, the (value, source bitset) pairs of its
     fibre, one pair per value, so a local degree is a sum of popcounts."""
-    tables = [{} for _ in phi._fibres]
+    tables = [{} for _ in range(len(phi.target))]
     for x, (y, v) in enumerate(zip(phi._image_of, values)):
         table = tables[y]
         table[v] = table.get(v, 0) | 1 << x
@@ -304,10 +300,8 @@ def is_ibc(phi: PosetMorphism, m: IndexMap) -> Check:
     m.require_total()
     witnesses = list(branch_locus_check(phi).witnesses)
     unbalanced = phi.source._bits(w.alpha for w in _balance_violations(phi, m))
-    witnesses += _up_set_mismatches(phi, _value_list(phi, m), unbalanced)
-    if witnesses:
-        return Check.failed(witnesses)
-    return Check.passed()
+    witnesses += _up_set_mismatches(phi, m._by_index, unbalanced)
+    return Check.of(witnesses)
 
 
 def _up_set_mismatches(phi: PosetMorphism, values: list, unbalanced: int) -> list:
@@ -359,7 +353,7 @@ def is_ibc_oracle(phi: PosetMorphism, m: IndexMap, limit: int = DEFAULT_ORACLE_L
     if len(target) > limit:
         raise OracleSizeExceeded(len(target), limit)
     witnesses = list(branch_locus_check(phi).witnesses)
-    values = _value_list(phi, m)
+    values = m._by_index
     totals = _fibre_totals(phi, values)
     # the targets by fibre total; a total of 0 is an empty fibre, as every
     # value is at least 1, and drops out as _degree_mismatch skips it
@@ -391,9 +385,7 @@ def is_ibc_oracle(phi: PosetMorphism, m: IndexMap, limit: int = DEFAULT_ORACLE_L
                 witnesses.append(DegreeMismatch(
                     frozenset(target._labels(upset)), frozenset(source._labels(parts[0])),
                     t_ids[y1], t_ids[y2], totals[y1], totals[y2]))
-    if witnesses:
-        return Check.failed(witnesses)
-    return Check.passed()
+    return Check.of(witnesses)
 
 
 DegreeReport = namedtuple("DegreeReport", "per_target_value constant degree per_component")
@@ -409,7 +401,7 @@ def global_degree(phi: PosetMorphism, m: IndexMap) -> DegreeReport:
     otherwise it is None."""
     _require_on_source(phi, m)
     m.require_total()
-    totals, t_index = _fibre_totals(phi, _value_list(phi, m)), phi.target._index
+    totals, t_index = _fibre_totals(phi, m._by_index), phi.target._index
     per = {beta: totals[t_index[beta]] for beta in phi.target.elements}
     counts = set(per.values())
     if len(counts) <= 1:

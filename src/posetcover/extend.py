@@ -19,7 +19,6 @@ from .covers import (
     _balance_violations,
     _push_plan,
     _require_on_source,
-    _value_list,
 )
 from .errors import (
     CorestrictionNotCombinatorial,
@@ -86,8 +85,7 @@ def extend_balanced(phi: PosetMorphism, m: IndexMap, target_upset) -> ExtensionR
     source, target = phi.source, phi.target
     ids, t_ids = source._ids, target._ids
     image_of, fibres, t_above = phi._image_of, phi._fibres, target._above
-    values = dict(m.values)
-    known = _value_list(phi, m)  # by index; None while unvalued
+    known = m._by_index[:]  # by index; None while unvalued
     value = known.__getitem__
     valued = source._bits(m.domain)
     todo = source._bits(w) & ~valued
@@ -111,12 +109,12 @@ def extend_balanced(phi: PosetMorphism, m: IndexMap, target_upset) -> ExtensionR
         except TypeError:  # a cover left unvalued by a conflict holds None
             sums = None
         if sums and len(sums) == 1 and (total := sums.pop()) >= 1:
-            values[ids[i]] = known[i] = total
+            known[i] = total
             valued |= 1 << i
         else:
             conflicts.append(_conflict(ids[i], groups, known, t_ids))
 
-    extended = IndexMap(source, values)
+    extended = IndexMap(source, {x: v for x, v in zip(ids, known) if v is not None})
     if not conflicts:
         image = 0
         for x in bit_indices(valued):

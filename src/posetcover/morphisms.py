@@ -28,10 +28,9 @@ class PosetMorphism:
     """A validated order-preserving map between two posets."""
 
     def __init__(self, source: Poset, target: Poset, mapping: dict):
-        # _image_of[i]: target index of source element i; _fibres[j]: the
-        # source bitset over target element j.  A mapping that sends every
-        # source element into the target and has no other keys is looked
-        # up at C speed; any other is walked to name the witness.
+        # _image_of[i]: target index of source element i.  A mapping that
+        # sends every source element into the target and has no other keys
+        # is looked up at C speed; any other is walked to name the witness.
         t_index = target._index
         try:
             image_of = list(map(t_index.__getitem__, map(mapping.__getitem__, source._ids)))
@@ -70,9 +69,6 @@ class PosetMorphism:
         self.target = target
         self.mapping = dict(mapping)
         self._image_of = image_of
-        self._fibres = fibres = [0] * len(target)
-        for i, j in enumerate(image_of):
-            fibres[j] |= 1 << i
 
     @classmethod
     def identity(cls, p: Poset) -> "PosetMorphism":
@@ -98,6 +94,14 @@ class PosetMorphism:
         for j in bit_indices(self.target._bits(subset)):
             bits |= self._fibres[j]
         return frozenset(self.source._labels(bits))
+
+    @cached_property
+    def _fibres(self) -> list:
+        """The source bitset over every target element, by target index."""
+        fibres = [0] * len(self.target)
+        for i, j in enumerate(self._image_of):
+            fibres[j] |= 1 << i
+        return fibres
 
     @cached_property
     def _non_bijective(self) -> int:
@@ -224,9 +228,7 @@ class PosetMorphism:
                             if not img >> c & 1)
                 witnesses.append(OpennessDefect(
                     source._ids[i], target._ids[x], target._ids[c]))
-        if witnesses:
-            return Check.failed(witnesses)
-        return Check.passed()
+        return Check.of(witnesses)
 
     def restrict_corestrict(self, upset) -> "PosetMorphism":
         """Restrict to an up-set of the source and corestrict to its image,
@@ -234,7 +236,7 @@ class PosetMorphism:
         up-set is the whole source and its image the whole target."""
         source = self.source
         bits = source._require_up_set_bits(upset)
-        if bits == (1 << len(source)) - 1 and all(self._fibres):
+        if bits == (1 << len(source)) - 1 and len(set(self._image_of)) == len(self.target):
             return self
         v = frozenset(source._labels(bits))
         sub_source = source.induced(v)

@@ -57,6 +57,14 @@ class TestExtendBalanced:
         assert report.extended.values == fix_trop_m().values
         assert is_balanced(phi, report.extended)
 
+    def test_the_source_map_keeps_its_values_by_index(self):
+        phi, m = fix_trop(), trop_edge_values()
+        before = m._by_index
+        report = extend_balanced(phi, m, phi.source.elements)
+        assert report.extended.values == fix_trop_m().values
+        assert m._by_index is before
+        assert m._by_index == IndexMap(m.poset, m.values)._by_index
+
     def test_idread(self):
         phi = fix_idread()
         report = extend_balanced(phi, fix_idread_m(), phi.source.elements)

@@ -5,6 +5,7 @@ import pytest
 from collections import Counter
 from random import Random
 
+from posetcover.covers import IndexMap, is_ibc
 from posetcover.errors import NotMonotone, NotUpSet, UnknownElement
 from posetcover.fixtures import (
     FIX_LIFT_UPSET,
@@ -12,12 +13,13 @@ from posetcover.fixtures import (
     fix_lift,
     fix_open,
     fix_trop,
+    fix_trop_m,
 )
 from posetcover.metric import MetricGraphMorphism, graph_face_poset, morphism_face_poset
 from posetcover.fixtures import fix_graph
 from posetcover.morphisms import PosetMorphism
 from posetcover.posets import Poset, rank_check
-from posetcover.subdivision import chain_poset
+from posetcover.subdivision import bcs_morphism, chain_poset
 
 from generators import random_graded_poset, random_sheaf_morphism
 from oracles import is_forest, reachability
@@ -275,16 +277,21 @@ def test_cached_values_belong_to_their_object():
     same object, an equal object built separately builds its own, and the
     grid of a metric morphism takes over the constructor's per-edge
     integers."""
+    m = fix_trop_m()
+    twin = IndexMap(m.poset, m.values)
+    assert m._by_index is m._by_index and m._by_index == list(map(m.values.get, m.poset._ids))
+    assert twin._by_index == m._by_index and twin._by_index is not m._by_index
     for phi in (fix_trop(), fix_ce1(), fix_open()):
         twin = PosetMorphism(Poset(phi.source.elements, phi.source.covers),
                              Poset(phi.target.elements, phi.target.covers), phi.mapping)
         for p, q in ((phi.source, twin.source), (phi.target, twin.target)):
             assert p == q and p._height is p._height
             assert q._height == p._height and q._height is not p._height
-        for name in ("_non_bijective", "_cover_groups"):
+        for name in ("_non_bijective", "_cover_groups", "_fibres"):
             assert getattr(phi, name) is getattr(phi, name)
             assert getattr(twin, name) == getattr(phi, name)
         assert twin._cover_groups is not phi._cover_groups
+        assert twin._fibres is not phi._fibres
     graph = fix_graph()
     twin = MetricGraphMorphism(graph.source, graph.target, graph.vertex_images,
                                graph.edge_images)
@@ -292,3 +299,20 @@ def test_cached_values_belong_to_their_object():
     grid = twin._grid
     assert twin._units is None and twin._grid is grid
     assert graph._grid == grid and graph._grid is not grid
+
+
+def test_fibres_are_built_only_when_read():
+    """The combinatorial and openness tests, the subdivided map and the
+    face-poset morphism read no fibre, so none is built; the branched-cover
+    decision reads them."""
+    faces = morphism_face_poset(fix_graph())
+    faces.is_combinatorial()
+    faces.is_open()
+    for phi in (faces, bcs_morphism(fix_trop())):
+        assert "_fibres" not in vars(phi)
+    # the fixture is cached, and other tests may have read its fibres
+    trop = fix_trop()
+    phi = PosetMorphism(trop.source, trop.target, trop.mapping)
+    assert "_fibres" not in vars(phi)
+    assert is_ibc(phi, fix_trop_m())
+    assert "_fibres" in vars(phi)
