@@ -123,8 +123,9 @@ def local_degree(phi: PosetMorphism, m: IndexMap, subset: Iterable[str], y: str)
     empty sum is 0, and the least member of that fibre without a value
     raises ValueMissing."""
     _require_on_source(phi, m)
-    fibre = phi._fibres[phi.target._ix(y)] & phi.source._bits(subset)
-    return sum(map(m.__getitem__, phi.source._labels(fibre)))
+    j = phi.target._ix(y)
+    image_of, ids = phi._image_of, phi.source._ids
+    return sum(m[ids[i]] for i in bit_indices(phi.source._bits(subset)) if image_of[i] == j)
 
 
 def _push_plan(phi: PosetMorphism):
@@ -205,14 +206,11 @@ def branch_locus_check(phi: PosetMorphism) -> Check:
     """A poset morphism is a branched cover relative to the complement of
     the maximal target elements iff every fibre over a maximal target
     element consists of maximal source elements."""
-    source, target = phi.source, phi.target
-    witnesses = []
-    for j, ups in enumerate(target._up_ix):
-        if not ups:
-            for i in bit_indices(phi._fibres[j]):
-                if source._up_ix[i]:
-                    witnesses.append(BranchDefect(target._ids[j], source._ids[i]))
-    return Check.of(witnesses)
+    s_up, t_up = phi.source._up_ix, phi.target._up_ix
+    # sorted by target index, then source index: fibre by fibre
+    defects = sorted((j, i) for i, j in enumerate(phi._image_of) if not t_up[j] and s_up[i])
+    s_ids, t_ids = phi.source._ids, phi.target._ids
+    return Check.of([BranchDefect(t_ids[j], s_ids[i]) for j, i in defects])
 
 
 def _fibre_totals(phi: PosetMorphism, values: list) -> list:

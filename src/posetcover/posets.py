@@ -571,7 +571,10 @@ def up_set_walk(
     depth-first walk from an explicit stack, each antichain extended by its
     candidates in sorted order, the empty up-set first.  A walk that would
     visit more than UP_SET_WALK_LIMIT up-sets, the empty one included,
-    raises OracleSizeExceeded with the count it reached.
+    raises OracleSizeExceeded(UP_SET_WALK_LIMIT + 1, UP_SET_WALK_LIMIT).
+    An antichain of k members has 2^k subsets, each an antichain the walk
+    visits, so the walk raises as soon as it holds an antichain of
+    UP_SET_WALK_LIMIT.bit_length() members, before it visits the rest.
 
     Adding element i to an antichain joins the closed up-set of i to its
     up-set; with connected_only, every frame keeps the components of its
@@ -584,7 +587,7 @@ def up_set_walk(
     if n > limit:
         raise OracleSizeExceeded(n, limit)
     above, below = p._above, p._below
-    walked = 1
+    walked, widest = 1, UP_SET_WALK_LIMIT.bit_length()
     if not connected_only:
         yield 0, []
     # one frame per antichain on the current path: its up-set, the
@@ -600,8 +603,9 @@ def up_set_walk(
         candidates ^= low
         stack[-1] = (up, candidates, comps, parts)
         walked += 1
-        if walked > UP_SET_WALK_LIMIT:
-            raise OracleSizeExceeded(walked, UP_SET_WALK_LIMIT, "up-sets walked")
+        # adding i makes an antichain of len(stack) members
+        if walked > UP_SET_WALK_LIMIT or len(stack) == widest:
+            raise OracleSizeExceeded(UP_SET_WALK_LIMIT + 1, UP_SET_WALK_LIMIT, "up-sets walked")
         i = low.bit_length() - 1
         closed = above[i] | low
         if connected_only:

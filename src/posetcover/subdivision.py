@@ -9,6 +9,8 @@ on purpose.
 
 Strict chains and the faces of a complex follow one rule: a chain or a
 face covers exactly the chains or faces it becomes with one member dropped.
+One builder, ``_drop_one_poset``, applies it to both: it takes the chains
+or the faces as tuples and grades them by length minus one.
 """
 
 from __future__ import annotations
@@ -88,18 +90,30 @@ def stellar_subdivide(complex_: SimplicialComplex, face, new_vertex: str) -> Sim
 
 def simplicial_face_poset(complex_: SimplicialComplex) -> Poset:
     """Face poset graded by cardinality minus one; covers are codimension-1
-    inclusions.  Elements are the sorted vertex lists joined by commas."""
-    label = {f: ",".join(sorted(f)) for f in complex_.faces}
-    # faces in label order, so each face's list of cofaces comes out
-    # ascending; labels that collide raise DuplicateElement in the build
-    faces = sorted(label, key=label.__getitem__)
-    index = dict(zip(faces, count()))
-    up = [[] for _ in faces]
-    for k, f in enumerate(faces):
-        if len(f) > 1:
-            for v in f:
-                up[index[f - {v}]].append(k)
-    return Poset._from_index(map(label.__getitem__, faces), up, [len(f) - 1 for f in faces])
+    inclusions.  Elements are the sorted vertex lists joined by commas;
+    labels that collide raise DuplicateElement in the build."""
+    return _drop_one_poset([tuple(sorted(f)) for f in complex_.faces], ",".join)[0]
+
+
+def _drop_one_poset(members: list, label) -> tuple:
+    """The poset on the labels of ``members``, tuples closed under dropping
+    one entry, in which each member covers the members it becomes with one
+    entry dropped, graded by length minus one; with the labels in the
+    order of ``members``."""
+    labels = list(map(label, members))
+    # the members in label order, the poset's numbering, so walking them in
+    # that order lists the members covering each one in ascending order
+    by_label = sorted(range(len(members)), key=labels.__getitem__)
+    ordered = list(map(members.__getitem__, by_label))
+    index = dict(zip(ordered, count()))
+    up = [[] for _ in ordered]
+    for k, c in enumerate(ordered):
+        if len(c) > 1:
+            for d in combinations(c, len(c) - 1):
+                up[index[d]].append(k)
+    poset = Poset._from_index(map(labels.__getitem__, by_label), up,
+                              [len(c) - 1 for c in ordered])
+    return poset, labels
 
 
 # ----- barycentric subdivision ---------------------------------------------
@@ -140,37 +154,14 @@ def _build_chain_poset(p: Poset) -> ChainPoset:
         total += number[i]
         if total > DEFAULT_CHAIN_LIMIT:
             raise OracleSizeExceeded(DEFAULT_CHAIN_LIMIT + 1, DEFAULT_CHAIN_LIMIT)
-    # chains are numbered as they are made; the chain c + i drops to c,
-    # and to d + i for each chain d that c drops to, or to i alone when c
-    # is a single element
-    chains, down = [], []
+    chains = []
     ending = [None] * len(ids)
     for i in order:
         top = (ids[i],)
-        alone = len(chains)
-        extended = [c for j in under[i] for c in ending[j]]
-        grown = dict(zip(extended, count(alone + 1)))
-        chains.append(top)
-        chains += [chains[c] + top for c in extended]
-        down.append([])
-        down += [[c, *map(grown.__getitem__, down[c])] if down[c] else [c, alone]
-                 for c in extended]
-        ending[i] = range(alone, len(chains))
-    labels = list(map(_chain_label, chains))
-    # the poset numbers the chains in label order: by_label lists the
-    # chains in that order and position is its inverse; walking the chains
-    # in that order lists the chains covering each one in ascending order
-    by_label = sorted(range(len(chains)), key=labels.__getitem__)
-    position = sorted(range(len(chains)), key=by_label.__getitem__)
-    up = [[] for _ in chains]
-    for k, c in enumerate(by_label):
-        for d in down[c]:
-            up[position[d]].append(k)
-    return ChainPoset(
-        poset=Poset._from_index(map(labels.__getitem__, by_label), up,
-                                [len(chains[c]) - 1 for c in by_label]),
-        chain_of=dict(zip(labels, chains)),
-    )
+        ending[i] = [top, *(c + top for j in under[i] for c in ending[j])]
+        chains += ending[i]
+    poset, labels = _drop_one_poset(chains, _chain_label)
+    return ChainPoset(poset, dict(zip(labels, chains)))
 
 
 def bcs_morphism(phi: PosetMorphism) -> PosetMorphism:

@@ -773,6 +773,23 @@ def test_cover_ibc_on_a_non_combinatorial_map_stops_at_the_up_set_walk_guard(tmp
         OracleSizeExceeded(limit + 1, limit, "up-sets walked"))}]
 
 
+def test_cover_ibc_on_a_wide_antichain_stops_once_the_walk_holds_eighteen_members(
+        tmp_path, capsys):
+    # any 18 members of the target's antichain have 2^18 subsets, more up-sets
+    # than the guard allows, so the walk stops as soon as it holds 18 of them
+    antichain = [f"a{i:04d}" for i in range(4000)]
+    start = time.monotonic()
+    code, payload, err = _cover_ibc(
+        tmp_path, capsys, {"elements": ["b", *antichain], "covers": [["b", "a0000"]]},
+        {"elements": antichain, "covers": []}, {"b": "a0000", **{a: a for a in antichain}},
+        dict.fromkeys(["b", *antichain], 1))
+    elapsed = time.monotonic() - start
+    assert code == 2 and "Traceback" not in err and elapsed < 1
+    limit = posets.UP_SET_WALK_LIMIT
+    assert payload["witnesses"] == [{"error": "OracleSizeExceeded", "detail": str(
+        OracleSizeExceeded(limit + 1, limit, "up-sets walked"))}]
+
+
 def test_a_forty_vertex_face_stops_at_the_face_guard(tmp_path, capsys):
     vertices = [f"v{i:02d}" for i in range(40)]
     path = tmp_path / "simplex.json"

@@ -5,7 +5,7 @@ import pytest
 from collections import Counter
 from random import Random
 
-from posetcover.covers import IndexMap, is_ibc
+from posetcover.covers import IndexMap, is_ibc, is_ibc_oracle
 from posetcover.errors import NotMonotone, NotUpSet, UnknownElement
 from posetcover.fixtures import (
     FIX_LIFT_UPSET,
@@ -302,9 +302,10 @@ def test_cached_values_belong_to_their_object():
 
 
 def test_fibres_are_built_only_when_read():
-    """The combinatorial and openness tests, the subdivided map and the
-    face-poset morphism read no fibre, so none is built; the branched-cover
-    decision reads them."""
+    """The combinatorial and openness tests, the subdivided map, the
+    face-poset morphism and the branched-cover decision on a balanced
+    combinatorial map read no fibre, so none is built; the oracle reads
+    them."""
     faces = morphism_face_poset(fix_graph())
     faces.is_combinatorial()
     faces.is_open()
@@ -315,4 +316,6 @@ def test_fibres_are_built_only_when_read():
     phi = PosetMorphism(trop.source, trop.target, trop.mapping)
     assert "_fibres" not in vars(phi)
     assert is_ibc(phi, fix_trop_m())
+    assert "_fibres" not in vars(phi)
+    assert is_ibc_oracle(phi, fix_trop_m())
     assert "_fibres" in vars(phi)

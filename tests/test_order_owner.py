@@ -1,7 +1,8 @@
 """The order structure has one owner: only ``posets`` and the chain
 builder in ``subdivision`` read a poset's topological order, every other
 pass along the order goes through ``Poset``, only ``posets`` produces the
-order and the closures, and no module keeps a heap."""
+order and the closures, and no module keeps a heap.  In ``subdivision``
+one builder applies the drop-one-member rule to chains and faces alike."""
 
 import ast
 from pathlib import Path
@@ -40,3 +41,17 @@ def test_no_module_imports_heapq():
             if any(m.split(".")[0] == "heapq" for m in modules):
                 importers.add(name)
     assert not importers
+
+
+def _calls_to(tree, attr):
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute) and node.func.attr == attr]
+
+
+def test_only_the_drop_one_builder_builds_the_subdivision_posets():
+    tree = dict(_trees())["subdivision.py"]
+    builder = [node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "_drop_one_poset"]
+    assert len(builder) == 1
+    calls = _calls_to(tree, "_from_index")
+    assert calls and calls == _calls_to(builder[0], "_from_index")
