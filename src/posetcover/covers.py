@@ -6,7 +6,9 @@ up-set walk grows the up-set (see `is_ibc_oracle`).  It tests constancy
 of the local degree over the image of each preimage component.  A
 preimage of one component holds whole fibres, so its local degrees are
 the fibre totals (``_fibre_totals``); those of a preimage of several are
-sums of popcounts (``_degree_mismatch``).
+sums of popcounts (``_degree_mismatch``).  The walk and its preimage
+parts depend on the morphism alone, so they are kept on it and serve
+every index map.
 
 `is_ibc` uses one of two proven procedures.  On a combinatorial morphism
 it uses the paper's local statements.  The preimage of up(beta) splits
@@ -22,6 +24,12 @@ Balancing is the one walk that `is_balanced`, the fast pass of `is_ibc`,
 and `extend_balanced`, the path lifts and connectivity lifting in
 ``extend`` share.  `_balance_violations` walks it once per morphism and
 index map and keeps the witnesses on the map.
+
+`search_balanced` solves the balancing equations.  Pushed down from the
+free elements (those over maximal target elements), every value is an
+integer linear form in the free values and every further cover group
+one homogeneous equation; integer row reduction leaves d free values to
+try, bound**d assignments, where the guard counts bound**free.
 """
 
 from __future__ import annotations
@@ -29,6 +37,9 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable
 from functools import cache, cached_property
+from itertools import product
+from math import gcd, lcm
+from operator import mul, sub
 
 from .checks import Check
 from .errors import (
@@ -39,7 +50,7 @@ from .errors import (
     ValueMissing,
 )
 from .morphisms import PosetMorphism
-from .posets import DEFAULT_ORACLE_LIMIT, Poset, bit_indices, up_set_walk
+from .posets import DEFAULT_ORACLE_LIMIT, Poset, bit_indices
 
 DEFAULT_SEARCH_BOUND = 8
 DEFAULT_SEARCH_STATES = 1_000_000
@@ -147,7 +158,7 @@ def _push_plan(phi: PosetMorphism):
 
 
 def _push_down(plan, values: list):
-    """Settle the entries of a plan, or of one stage of it, in values, a
+    """Settle the entries of a plan, or of a part of it, in values, a
     list by source index: each element gets the common sum of its cover
     groups.  Returns the filled values, or None as soon as a group sums
     below 1 or differs from the first group."""
@@ -340,7 +351,10 @@ def is_ibc_oracle(phi: PosetMorphism, m: IndexMap, limit: int = DEFAULT_ORACLE_L
     preimage of U grows by the preimage of up(i).  Preimages of up-sets
     are up-sets, so the components of the preimage of up(i), split once
     per target element, merge into those of U's wherever they meet: a few
-    ANDs and ORs per up-set, not a search.  A preimage of one component
+    ANDs and ORs per up-set, not a search.  The walk depends on the
+    morphism alone, so it is kept on it (``PosetMorphism._up_set_parts``)
+    and every later call, whatever its index map, reads it back.  A
+    preimage of one component
     holds the whole fibre of every member of U, so its local degree at y
     is y's fibre total, and the members of U with a non-zero total must
     all share the first one's; only a preimage of several components is
@@ -359,18 +373,13 @@ def is_ibc_oracle(phi: PosetMorphism, m: IndexMap, limit: int = DEFAULT_ORACLE_L
     for j, d in enumerate(totals):
         with_total[d] = with_total.get(d, 0) | 1 << j
     empty = with_total.pop(0, 0)
-    preimages = target._spread(phi._fibres, upward=True)
-
-    @cache
-    def pieces(j):
-        return source._component_bits(preimages[j])
 
     @cache
     def tables():
         return _degree_tables(phi, values)
 
     t_ids = target._ids
-    for upset, parts in up_set_walk(target, True, limit, pieces):
+    for upset, parts in phi._up_set_parts:
         if len(parts) > 1:
             witnesses += _constancy_witnesses(phi, tables(), parts, upset,
                                               lambda: frozenset(target._labels(upset)))
@@ -416,14 +425,17 @@ def search_balanced(phi: PosetMorphism, bound: int = DEFAULT_SEARCH_BOUND):
     """Exhaustive search for a total balanced index map with values in
     1..bound; returns the least solution in lexicographic element order,
     or None.  More than DEFAULT_SEARCH_STATES assignments of the free
-    elements raise OracleSizeExceeded.
+    elements raise OracleSizeExceeded before any other work.
 
     Elements whose image is maximal in the target carry no balancing
     constraint of their own, so they are the free variables; every other
-    value is forced by the values above it.  The free values are set depth
-    first, and each forced value is settled, and checked, as soon as the
-    last free value it depends on is set (see _search_stages), so a failed
-    check cuts off every assignment of the later free values.
+    value is forced by the values above it.  Pushed down the plan of
+    ``_push_plan``, every value is an integer linear form in the free
+    values, and every cover group after an element's first one gives one
+    homogeneous equation between forms.  The equations are row-reduced
+    over the integers, so only the bound**d assignments of the d free
+    values that are not pivots are tried (see _least_solution); with bound
+    1 the one assignment is pushed down directly.
     """
     if bound < 1:
         raise ValueError(f"bound must be at least 1, got {bound}")
@@ -438,53 +450,117 @@ def search_balanced(phi: PosetMorphism, bound: int = DEFAULT_SEARCH_BOUND):
             raise OracleSizeExceeded(f"{bound}**{len(free)}", DEFAULT_SEARCH_STATES,
                                      "search states")
 
-    stages = _search_stages(phi, free, plan)
-    # values by index, so comparing lists compares in element order; a
-    # free value is 0 until it is set
-    values = [0] * len(phi.source)
+    source = phi.source
+    if bound == 1 or not free:
+        # one assignment, all ones; there may be thousands of free elements
+        values = [0] * len(source)
+        for alpha in free:
+            values[alpha] = 1
+        if _push_down(plan, values) is None or max(values, default=1) > bound:
+            return None
+    else:
+        values = _least_solution(len(source), free, plan, bound)
+        if values is None:
+            return None
+    return IndexMap.total(source, dict(zip(source._ids, values)))
+
+
+def _least_solution(size: int, free: list, plan: list, bound: int):
+    """The least list by source index of values in 1..bound that meets
+    every balancing equation of the plan, or None; at least one free
+    element.
+
+    Each free element's form is its unit vector and each other element's
+    is the sum over its first cover group; each further group must sum to
+    the same form.  After integer Gauss-Jordan elimination every pivot is
+    a rational form in the d non-pivot values y, all over one common
+    denominator den, so each distinct element form f has a numerator
+    vector g_f over y: a candidate y is a solution when every g_f . y is a
+    multiple of den in den..bound*den.  Only the distinct forms are
+    evaluated, in order of their first element by source index: two value
+    lists first differ at such an element, so the numerators compare like
+    the full lists."""
+    n = len(free)
+    zero = (0,) * n
+    forms = [zero] * size
+    for k, alpha in enumerate(free):
+        forms[alpha] = zero[:k] + (1,) + zero[k + 1:]
+    equations = {}  # each distinct one once
+    for alpha, groups in plan:
+        total = None
+        for _, group in groups:
+            if len(group) == 1:
+                form = forms[group[0]]
+            else:
+                form = tuple(map(sum, zip(zero, *map(forms.__getitem__, group))))
+            if total is None:
+                total = forms[alpha] = form
+            elif form != total:
+                equations[tuple(map(sub, form, total))] = None
+    distinct = list(dict.fromkeys(forms))
+    # every coefficient is at least 0 and every value at least 1, so a
+    # form with no coefficient is 0, and one whose coefficients sum past
+    # the bound exceeds it
+    if any(not 1 <= sum(f) <= bound for f in distinct):
+        return None
+
+    pivots = _row_reduced(list(equations), n)
+    den = lcm(*(row[c] for c, row in pivots))
+    rest = sorted(set(range(n)) - {c for c, _ in pivots})
+    # every free value by index of free, as numerators over y
+    over_y = [[den if j == c else 0 for j in rest] for c in range(n)]
+    for c, row in pivots:
+        scale = den // row[c]
+        over_y[c] = [-row[j] * scale for j in rest]
+    # the numerators of the distinct forms, one column per y value, and
+    # each column times 1..bound: a candidate's numerators are a sum of one
+    # choice per column
+    columns = [[sum(map(mul, f, column)) for f in distinct] for column in zip(*over_y)]
+    choices = [[tuple([v * g for g in column]) for v in range(1, bound + 1)] for column in columns]
+
+    lo, hi = den, bound * den
+    # no choice at all when every free value is a pivot
+    start, ones = (0,) * len(distinct), (den,) * len(distinct)
     best = None
-    # k free values are set and the first k + 1 stages settled; a loop,
-    # not a recursion, as there may be thousands of free elements
-    k = 0 if _settled(stages[0], values, bound) else -1
-    while k >= 0:
-        if k == len(free):
-            if best is None or values < best:
-                best = values[:]
-            k -= 1
+    for chosen in product(*choices):
+        key = tuple(map(sum, zip(start, *chosen)))
+        if best is not None and key >= best:
             continue
-        alpha = free[k]
-        if values[alpha] == bound:
-            values[alpha] = 0
-            k -= 1
+        if min(key) < lo or max(key) > hi or den > 1 and any(v % den for v in key):
             continue
-        values[alpha] += 1
-        stage = stages[k + 1]
-        if not stage or _settled(stage, values, bound):
-            k += 1
+        best = key
+        if best == ones:  # every value 1: nothing is less
+            break
     if best is None:
         return None
-    return IndexMap.total(phi.source, dict(zip(phi.source._ids, best)))
+    value = dict(zip(distinct, (v // den for v in best)))
+    return list(map(value.__getitem__, forms))
 
 
-def _search_stages(phi: PosetMorphism, free: list, plan: list) -> list:
-    """The plan split by the last free element each entry depends on, in
-    the order of ``free``: stage k + 1 holds, in plan order, the entries
-    that become determined once free[k] is set, and stage 0 those that
-    depend on no free element.  The plan walks down, so the covers of an
-    entry come before it."""
-    last = [-1] * len(phi.source)
-    for k, alpha in enumerate(free):
-        last[alpha] = k
-    stages = [[] for _ in range(len(free) + 1)]
-    for entry in plan:
-        alpha, groups = entry
-        last[alpha] = max((last[g] for _, group in groups for g in group), default=-1)
-        stages[last[alpha] + 1].append(entry)
-    return stages
+def _row_reduced(rows: list, n: int) -> list:
+    """Gauss-Jordan elimination over the integers, without fractions: the
+    (column, row) pairs of the reduced rows, one per pivot column, each
+    row with a positive entry in its own column, 0 in every other pivot
+    column and its entries divided by their greatest common divisor."""
+    pivots = []
+    for c in range(n):
+        pick = next((row for row in rows if row[c]), None)
+        if pick is None:
+            continue
+        g = gcd(*pick) if pick[c] > 0 else -gcd(*pick)
+        pick = [v // g for v in pick]
+        p = pick[c]
 
+        def eliminated(row):
+            q = row[c]
+            if not q:
+                return row
+            row = [p * a - q * b for a, b in zip(row, pick)]
+            g = gcd(*row)
+            return [v // g for v in row] if g else row
 
-def _settled(stage: list, values: list, bound: int) -> bool:
-    """Push the stage down (_push_down) and check that no value it settles
-    exceeds the bound."""
-    return (_push_down(stage, values) is not None
-            and all(values[alpha] <= bound for alpha, _ in stage))
+        # the picked row itself drops out as a row of zeros
+        rows = [row for row in map(eliminated, rows) if any(row)]
+        pivots = [(d, eliminated(row)) for d, row in pivots]
+        pivots.append((c, pick))
+    return pivots

@@ -92,7 +92,7 @@ def extend_balanced(phi: PosetMorphism, m: IndexMap, target_upset) -> ExtensionR
     # the free elements of the plan are left out: on a combinatorial map an
     # element over a maximal element is maximal, so it is in the domain
     _, plan = _push_plan(phi)
-    up_preimages = target._spread(fibres, upward=True)
+    up_preimages = phi._up_preimages
     conflicts = []
     guaranteed = True
     for i, groups in plan:

@@ -14,11 +14,11 @@ name the witness.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property
+from functools import cache, cached_property
 
 from .checks import Check
 from .errors import NotCombinatorial, NotMonotone, UnknownElement
-from .posets import Poset, bit_indices
+from .posets import Poset, bit_indices, up_set_walk
 
 CombinatorialDefect = namedtuple("CombinatorialDefect", "alpha reason detail")
 OpennessDefect = namedtuple("OpennessDefect", "alpha base missing")
@@ -102,6 +102,29 @@ class PosetMorphism:
         for i, j in enumerate(self._image_of):
             fibres[j] |= 1 << i
         return fibres
+
+    @cached_property
+    def _up_preimages(self) -> list:
+        """The preimage of the up-set of every target element, an up-set of
+        the source as a bitset, by target index."""
+        return self.target._spread(self._fibres, upward=True)
+
+    @cached_property
+    def _up_set_parts(self) -> list:
+        """Every connected up-set of the target as a bitset, with the
+        components of its preimage as source bitsets: the list of
+        ``up_set_walk(target, True, len(target), pieces)``, with pieces(j)
+        the components of the preimage of up(j).  Every oracle call on the
+        morphism reads it, whatever its index map; it holds at most
+        UP_SET_WALK_LIMIT entries, and a walk that exceeds that raises
+        OracleSizeExceeded and keeps nothing."""
+        source, preimages = self.source, self._up_preimages
+
+        @cache
+        def pieces(j):
+            return source._component_bits(preimages[j])
+
+        return list(up_set_walk(self.target, True, len(self.target), pieces))
 
     @cached_property
     def _non_bijective(self) -> int:

@@ -134,8 +134,17 @@ class Poset:
             if j is None:
                 raise UnknownElement(b)
             up[i].append(j)
-        # a list of one cover has no repeat to drop and no order to fix
-        return [sorted(set(ups)) if len(ups) > 1 else ups for ups in up]
+        for ups in up:
+            if len(ups) > 1:
+                ups.sort()
+                # repeats are neighbours once sorted, and input rarely has any
+                prev = None
+                for j in ups:
+                    if j == prev:
+                        ups[:] = dict.fromkeys(ups)
+                        break
+                    prev = j
+        return up
 
     @classmethod
     def _from_index(cls, elements: Iterable[str], up: list[list[int]],

@@ -444,3 +444,60 @@ def fraction_fibre_count(source, vertex_images, edge_images, point):
             if edge == t and 0 < x < source[1][eid][2]:
                 count += 1
     return count
+
+
+def staged_search_balanced(phi, bound):
+    """The least total balanced map of phi with values in 1..bound, in
+    lexicographic element order, as a list by source index, or None, found
+    by a depth-first walk over the free values; the same ValueError and
+    OracleSizeExceeded as ``covers.search_balanced``.  It shares only the
+    top-down plan and its push with the package (``_push_plan``,
+    ``_push_down``): each forced value is settled, and checked against the
+    bound, as soon as the last free value it depends on is set, so a
+    failed check cuts off every assignment of the later free values."""
+    from posetcover.covers import DEFAULT_SEARCH_STATES, _push_down, _push_plan
+    from posetcover.errors import OracleSizeExceeded
+
+    if bound < 1:
+        raise ValueError(f"bound must be at least 1, got {bound}")
+    free, plan = _push_plan(phi)
+    states = 1
+    for _ in free:
+        states *= bound
+        if states > DEFAULT_SEARCH_STATES:
+            raise OracleSizeExceeded(f"{bound}**{len(free)}", DEFAULT_SEARCH_STATES,
+                                     "search states")
+    # stage k + 1 holds, in plan order, the entries settled once free[k] is
+    # set, and stage 0 those that depend on no free element
+    last = [-1] * len(phi.source)
+    for k, alpha in enumerate(free):
+        last[alpha] = k
+    stages = [[] for _ in range(len(free) + 1)]
+    for alpha, groups in plan:
+        last[alpha] = max((last[g] for _, group in groups for g in group), default=-1)
+        stages[last[alpha] + 1].append((alpha, groups))
+
+    def settled(stage, values):
+        return (_push_down(stage, values) is not None
+                and all(values[alpha] <= bound for alpha, _ in stage))
+
+    values = [0] * len(phi.source)  # a free value is 0 until it is set
+    best = None
+    # k free values are set and the first k + 1 stages settled
+    k = 0 if settled(stages[0], values) else -1
+    while k >= 0:
+        if k == len(free):
+            if best is None or values < best:
+                best = values[:]
+            k -= 1
+            continue
+        alpha = free[k]
+        if values[alpha] == bound:
+            values[alpha] = 0
+            k -= 1
+            continue
+        values[alpha] += 1
+        stage = stages[k + 1]
+        if not stage or settled(stage, values):
+            k += 1
+    return best

@@ -1,6 +1,8 @@
 """Index maps, local degrees, balancing and the routines that share its
 walk, branched-cover decisions, and the balanced-map search."""
 
+import time
+
 import pytest
 from collections import Counter
 from random import Random
@@ -49,7 +51,7 @@ from generators import (
     random_sheaf_morphism,
     small_world,
 )
-from oracles import brute_degree_mismatches, brute_up_set_walk
+from oracles import brute_degree_mismatches, brute_up_set_walk, staged_search_balanced
 
 
 class TestIndexMap:
@@ -390,6 +392,52 @@ class TestIbc:
             for u in ("bt", "bct"))
         assert is_ibc_oracle(sheet, IndexMap.total(sheet.source, {"a": 2, "x": 2}))
 
+    def test_one_walk_serves_every_index_map(self, monkeypatch):
+        # FIX-TROP is combinatorial; the 4-element map folds e3 onto e2
+        folded = PosetMorphism(
+            Poset(["e0", "e1", "e2", "e3"], [("e0", "e2"), ("e1", "e2"), ("e0", "e3")]),
+            Poset(["e0", "e1", "e2"], [("e0", "e2"), ("e1", "e2")]),
+            {"e0": "e0", "e1": "e1", "e2": "e2", "e3": "e2"})
+        walks = []
+
+        def counted_walk(p, *args):
+            walks.append(p)
+            return up_set_walk(p, *args)
+
+        monkeypatch.setattr("posetcover.morphisms.up_set_walk", counted_walk)
+        verdicts = set()
+        trop = fix_trop()  # a copy, as the fixture is shared with other tests
+        trop = PosetMorphism(trop.source, trop.target, trop.mapping)
+        for phi, extra in ((trop, [fix_trop_m()]), (folded, [])):
+            maps = [IndexMap.constant(phi.source),
+                    IndexMap.total(phi.source, dict.fromkeys(phi.source.elements, 2)), *extra]
+            walks.clear()
+            checks = [is_ibc_oracle(phi, m) for m in maps] + [is_ibc(phi, maps[0])]
+            assert walks == [phi.target]
+            fresh = [PosetMorphism(phi.source, phi.target, phi.mapping) for _ in maps]
+            assert [c.witnesses for c in checks] == [
+                *(is_ibc_oracle(f, m).witnesses for f, m in zip(fresh, maps)),
+                is_ibc(fresh[0], maps[0]).witnesses]
+            verdicts.update(c.ok for c in checks)
+        assert verdicts == {True, False}
+
+    def test_extension_and_oracle_read_one_preimage_table(self, monkeypatch):
+        trop, m = fix_trop(), fix_trop_m()
+        phi = PosetMorphism(trop.source, trop.target, trop.mapping)
+        spread = Poset._spread
+        reads = []
+
+        def counted(poset, seeds, upward):
+            reads.append((poset, upward))
+            return spread(poset, seeds, upward)
+
+        monkeypatch.setattr(Poset, "_spread", counted)
+        assert is_ibc_oracle(phi, m)
+        top = m.restricted(phi.source.up_set(phi.source.max_elements()))
+        assert extend_balanced(phi, top, phi.source.elements)
+        assert reads.count((phi.target, True)) == 1
+        assert phi._up_preimages is phi.__dict__["_up_preimages"]
+
     def test_fast_agrees_with_oracle_on_random_combinatorial(self):
         rng = Random(34)
         for _ in range(30):
@@ -503,12 +551,7 @@ class TestSearchBalanced:
             if rng.random() < 0.5:
                 phi = random_sheaf_morphism(rng, random_graded_poset(rng, 6, max_rank=3))
             else:  # a graded poset onto a chain by its rank, often with no solution
-                p = random_graded_poset(rng, 10, max_rank=3)
-                rank = rank_check(p).rank
-                top = max(rank.values())
-                chain = Poset([f"c{i}" for i in range(top + 1)],
-                              [(f"c{i}", f"c{i + 1}") for i in range(top)])
-                phi = PosetMorphism(p, chain, {e: f"c{r}" for e, r in rank.items()})
+                phi = _onto_chain_by_rank(random_graded_poset(rng, 10, max_rank=3))
             bound = rng.randint(2, 3)
             if bound ** len(phi.source) > 3 ** 8:
                 continue
@@ -543,6 +586,93 @@ class TestSearchBalanced:
         with pytest.raises(OracleSizeExceeded) as raised:
             search_balanced(phi)
         assert str(raised.value) == "search states 8**7 exceeds oracle limit 1000000"
+
+    def test_against_the_staged_search(self):
+        """The solved search returns the staged search's map, or None, or
+        its exception text, on seeded instances at bounds 1 to 4, most too
+        large to enumerate: sheaf morphisms, graded posets onto a chain by
+        rank, and antichains onto a point, which the state guard refuses
+        from 10 free elements at bound 4."""
+        rng = Random(37)
+        outcomes = Counter()
+        for _ in range(600):
+            kind = rng.random()
+            if kind < 0.4:
+                target = random_graded_poset(rng, rng.randint(4, 12), max_rank=3)
+                phi = random_sheaf_morphism(rng, target, max_sheets=4)
+            elif kind < 0.85:
+                phi = _onto_chain_by_rank(random_graded_poset(rng, rng.randint(4, 20), 4))
+            else:
+                points = [f"a{i:02d}" for i in range(rng.randint(8, 20))]
+                phi = PosetMorphism(Poset(points, []), Poset(["y"], []),
+                                    dict.fromkeys(points, "y"))
+            bound = rng.randint(1, 4)
+            got = _search_outcome(search_balanced, phi, bound)
+            assert got == _search_outcome(staged_search_balanced, phi, bound)
+            outcomes["refused" if isinstance(got, tuple) else got and "found"] += 1
+        assert min(outcomes.values()) >= 30 and len(outcomes) == 3, outcomes
+        assert _search_outcome(search_balanced, phi, 0) == _search_outcome(
+            staged_search_balanced, phi, 0) == ("ValueError", "bound must be at least 1, got 0")
+
+    def test_a_pivot_must_be_an_integer(self):
+        # alpha = p + q = s1 + s2 and beta = q = u1 + u2, where s1 = s2 = w3
+        # and u1 = u2 = w4: the pivots w3 and w4 are halves of p + q and q,
+        # so p = 1, q = 2 gives alpha 3 but w3 1.5, and the least map has
+        # alpha 4, which bound 3 excludes
+        source = Poset(["alpha", "beta", "p", "q", "s1", "s2", "u1", "u2", "w3", "w4"],
+                       [("alpha", "p"), ("alpha", "q"), ("alpha", "s1"), ("alpha", "s2"),
+                        ("beta", "q"), ("beta", "u1"), ("beta", "u2"),
+                        ("s1", "w3"), ("s2", "w3"), ("u1", "w4"), ("u2", "w4")])
+        target = Poset(["y", "z1", "z2", "t"], [("y", "z1"), ("y", "z2"), ("z2", "t")])
+        phi = PosetMorphism(source, target, {
+            "alpha": "y", "beta": "y", "p": "z1", "q": "z1", "s1": "z2", "s2": "z2",
+            "u1": "z2", "u2": "z2", "w3": "t", "w4": "t"})
+        assert search_balanced(phi, bound=3) is None
+        assert _search_outcome(search_balanced, phi, 4) == _search_outcome(
+            staged_search_balanced, phi, 4) == [4, 2, 2, 2, 2, 2, 1, 1, 2, 1]
+
+    @pytest.mark.parametrize("shared_bottom", [False, True])
+    def test_disjoint_chains_are_solved_on_their_distinct_forms(self, shared_bottom):
+        # 5 disjoint 100-chains over a 100-chain: every one of the 8**5
+        # assignments of the tops balances, and each has 5 distinct forms
+        # over 500 elements; a bottom b shared by two chains is their sum,
+        # 2 at the least, so that least map is not all ones
+        target = [f"t{i:03d}" for i in range(100)]
+        elements = [f"c{c}_{i:03d}" for c in range(5) for i in range(100)]
+        covers = [(f"c{c}_{i:03d}", f"c{c}_{i + 1:03d}") for c in range(5) for i in range(99)]
+        mapping = {e: target[int(e[3:])] for e in elements}
+        if shared_bottom:
+            elements.append("b")
+            covers += [("b", "c0_001"), ("b", "c1_001")]
+            mapping["b"] = "t000"
+        phi = PosetMorphism(Poset(elements, covers), Poset(target, list(zip(target, target[1:]))),
+                            mapping)
+        start = time.monotonic()
+        found = search_balanced(phi, bound=8)
+        elapsed = time.monotonic() - start
+        assert found.values == {**dict.fromkeys(elements, 1), **({"b": 2} if shared_bottom else {})}
+        assert elapsed < 1
+
+
+def _onto_chain_by_rank(p):
+    """The graded poset p onto the chain c0 < c1 < ... by its rank."""
+    rank = rank_check(p).rank
+    top = max(rank.values())
+    chain = Poset([f"c{i}" for i in range(top + 1)],
+                  [(f"c{i}", f"c{i + 1}") for i in range(top)])
+    return PosetMorphism(p, chain, {e: f"c{r}" for e, r in rank.items()})
+
+
+def _search_outcome(search, phi, bound):
+    """The values of the map a search returns, by source index, or None,
+    or the (exception name, text) it raises."""
+    try:
+        found = search(phi, bound)
+    except (OracleSizeExceeded, ValueError) as error:
+        return type(error).__name__, str(error)
+    if found is None or isinstance(found, list):
+        return found
+    return list(map(found.values.__getitem__, phi.source._ids))
 
 
 def _least_by_enumeration(phi, bound):
