@@ -107,8 +107,7 @@ def cmd_poset_validate(args) -> RunReport:
 def cmd_poset_stats(args) -> RunReport:
     p = fileio.resolve(args.poset, "poset")
     data = {
-        "elements": list(p._ids),
-        "covers": [[a, b] for a, b in p._cover_pairs()],
+        **fileio.poset_to_doc(p),
         "max": p.max_elements(),
         "min": p.min_elements(),
         "connected": p.is_connected(),
@@ -491,7 +490,10 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+@cache
+def shared_parser() -> argparse.ArgumentParser:
+    """The parser of COMMANDS, built on first use and then shared by every
+    main() call and fixture row of the process."""
     parser = argparse.ArgumentParser(
         prog="posetcover",
         description="Indexed branched covers of finite posets: checks, "
@@ -506,13 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, keywords in command.arguments:
             p.add_argument(flag, **keywords)
     return parser
-
-
-@cache
-def shared_parser() -> argparse.ArgumentParser:
-    """The parser of build_parser, built on first use and then shared by
-    every main() call and fixture row of the process."""
-    return build_parser()
 
 
 def dispatch(args) -> tuple[RunReport, int]:

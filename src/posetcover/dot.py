@@ -37,9 +37,9 @@ def _edge_pairs(p: Poset, kind: str):
 
 def export_dot(obj, kind: str = "hasse") -> str:
     if isinstance(obj, Poset):
-        posets, render = (obj,), _poset_dot
+        name, posets, body = "poset", (obj,), _poset_dot
     elif isinstance(obj, PosetMorphism):
-        posets, render = (obj.source, obj.target), _morphism_dot
+        name, posets, body = "morphism", (obj.source, obj.target), _morphism_dot
     else:
         raise TypeError(f"cannot export {type(obj).__name__} as DOT")
     if kind == "comparability":
@@ -47,31 +47,25 @@ def export_dot(obj, kind: str = "hasse") -> str:
         pairs = sum(up.bit_count() for p in posets for up in p._above)
         if pairs > COMPARABLE_PAIR_LIMIT:
             raise OracleSizeExceeded(pairs, COMPARABLE_PAIR_LIMIT, "comparable pairs")
-    return render(obj, kind)
-
-
-def _poset_dot(p: Poset, kind: str) -> str:
     directed = kind == "hasse"
-    arrow = "->" if directed else "--"
-    lines = [("digraph" if directed else "graph") + " poset {"]
+    lines = [f"{'digraph' if directed else 'graph'} {name} {{"]
     if directed:
         lines.append("  rankdir=BT;")
-    for e in p._ids:
-        lines.append(f"  {_quote(e)};")
-    for a, b in _edge_pairs(p, kind):
-        lines.append(f"  {_quote(a)} {arrow} {_quote(b)};")
+    lines += body(obj, kind, "->" if directed else "--")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def _morphism_dot(phi: PosetMorphism, kind: str) -> str:
-    directed = kind == "hasse"
-    arrow = "->" if directed else "--"
-    lines = ["digraph morphism {" if directed else "graph morphism {"]
-    if directed:
-        lines.append("  rankdir=BT;")
+def _poset_dot(p: Poset, kind: str, arrow: str) -> list[str]:
+    lines = [f"  {_quote(e)};" for e in p._ids]
+    for a, b in _edge_pairs(p, kind):
+        lines.append(f"  {_quote(a)} {arrow} {_quote(b)};")
+    return lines
 
-    def cluster(tag, poset):
+
+def _morphism_dot(phi: PosetMorphism, kind: str, arrow: str) -> list[str]:
+    lines = []
+    for tag, poset in (("source", phi.source), ("target", phi.target)):
         lines.append(f"  subgraph cluster_{tag} {{")
         lines.append(f'    label="{tag}";')
         for e in poset._ids:
@@ -79,12 +73,8 @@ def _morphism_dot(phi: PosetMorphism, kind: str) -> str:
         for a, b in _edge_pairs(poset, kind):
             lines.append(f"    {_quote(tag + ':' + a)} {arrow} {_quote(tag + ':' + b)};")
         lines.append("  }")
-
-    cluster("source", phi.source)
-    cluster("target", phi.target)
     for x in phi.source._ids:
         lines.append(
             f"  {_quote('source:' + x)} {arrow} {_quote('target:' + phi.mapping[x])} [style=dashed];"
         )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return lines

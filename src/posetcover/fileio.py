@@ -33,9 +33,9 @@ from itertools import repeat
 from json.encoder import encode_basestring
 from pathlib import Path
 
-from .errors import DuplicateElement, FormatError
+from .errors import FormatError
 from .morphisms import PosetMorphism
-from .posets import Poset, rank_check
+from .posets import Poset, _distinct, rank_check
 
 
 # Python's limit on the digits of an int read from or written as text.
@@ -201,11 +201,7 @@ def complex_from_doc(doc):
     from .subdivision import SimplicialComplex
 
     vertices = _strings(_require(doc, "vertices", "simplicial complex"), "complex vertices")
-    seen = set()
-    for v in vertices:
-        if v in seen:
-            raise DuplicateElement(v)
-        seen.add(v)
+    seen = _distinct(vertices)
     maximal = _list(_require(doc, "maximal_faces", "simplicial complex"), "maximal faces")
     maximal = [tuple(_strings(f, "a maximal face")) for f in maximal]
     if not all(maximal):

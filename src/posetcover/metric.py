@@ -34,7 +34,7 @@ from .errors import (
     UnknownElement,
 )
 from .morphisms import PosetMorphism
-from .posets import Poset
+from .posets import Poset, _distinct
 
 Edge = namedtuple("Edge", "a b length")
 EdgeImage = namedtuple("EdgeImage", "edge start end slope")
@@ -80,12 +80,7 @@ class Point(namedtuple("Point", "vertex edge position", defaults=(None, None, No
 class MetricGraph:
     def __init__(self, vertices, edges):
         self.vertices = tuple(vertices)
-        seen = set()
-        for v in self.vertices:
-            if v in seen:
-                raise DuplicateElement(v)
-            seen.add(v)
-        self._vertex_set = seen
+        self._vertex_set = seen = _distinct(self.vertices)
         self.edges = built = {}
         for eid, a, b, length in edges:
             if eid in built or eid in seen:

@@ -178,7 +178,7 @@ class PosetMorphism:
         below it; only there are pairs compared, to name the witness."""
         bad = self._non_bijective
         if not bad:
-            return Check.passed()
+            return Check.of(())
         source = self.source
         s_below, image_of, ids = source._below, self._image_of, source._ids
         tainted = source._closure(bad, source._above)
@@ -205,7 +205,7 @@ class PosetMorphism:
                     alpha, "not surjective",
                     f"|down({alpha})|={len(down)} != |down({self.mapping[alpha]})|="
                     f"{image_down.bit_count()}"))
-        return Check.failed(witnesses)
+        return Check.of(witnesses)
 
     def require_combinatorial(self, error=NotCombinatorial) -> None:
         """Raise ``error`` with the first offending element unless the

@@ -72,6 +72,16 @@ def _least(labels: set):
         return min(labels, key=lambda x: (type(x).__name__, repr(x)))
 
 
+def _distinct(items) -> set:
+    """The set of ``items``; raises DuplicateElement on the first repeat."""
+    seen = set()
+    for x in items:
+        if x in seen:
+            raise DuplicateElement(x)
+        seen.add(x)
+    return seen
+
+
 def _merged(parts: list, pieces) -> list:
     """The components of a union of up-sets: ``parts``, the components so
     far, joined by ``pieces``, each a connected up-set.  An up-set holds
@@ -165,11 +175,7 @@ class Poset:
         ids = tuple(sorted(elements))
         index = dict(zip(ids, count()))
         if len(index) != len(elements):
-            seen = set()
-            for e in elements:
-                if e in seen:
-                    raise DuplicateElement(e)
-                seen.add(e)
+            _distinct(elements)
         self.elements = elements
         self._ids = ids
         self._index = index
@@ -244,14 +250,12 @@ class Poset:
     @cached_property
     def _below(self) -> list[int]:
         """The strict down-closure of each element as a bitset, by index:
-        one walk up the order."""
-        down = self._down_ix
-        below = [0] * len(down)
-        for i in self._order_ix:
-            acc = 0
-            for j in down[i]:
-                acc |= below[j] | 1 << j
-            below[i] = acc
+        each element's own bit spread downward, then taken out.  The seeds
+        come from a generator, so no list keeps a seed once its closure
+        has replaced it: the n seeds hold about n^2/16 bytes."""
+        below = self._spread((1 << i for i in range(len(self._ids))), upward=False)
+        for i in range(len(below)):
+            below[i] ^= 1 << i
         return below
 
     def _find_cycle(self):
@@ -338,7 +342,7 @@ class Poset:
             return map(self._ids.__getitem__, bit_indices(bits))
         return compress(self._ids, _flags(bits))
 
-    def _spread(self, seeds: list[int], upward: bool) -> list[int]:
+    def _spread(self, seeds: Iterable[int], upward: bool) -> list[int]:
         """Each element's seed joined with the seeds of every element above
         it (upward) or below it, by index: one walk of the topological
         order, one OR per cover.  The seeds are ints of any meaning, such

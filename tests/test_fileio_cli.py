@@ -906,21 +906,13 @@ def test_comparability_export_is_refused_above_the_pair_limit(extra, tmp_path, c
         OracleSizeExceeded(2 * (limit // 2 + 1), limit, "comparable pairs"))
 
 
-def test_parser_is_built_once_per_process(monkeypatch, capsys):
-    built = []
-    build = cli.build_parser
-
-    def counting():
-        built.append(1)
-        return build()
-
-    monkeypatch.setattr(cli, "build_parser", counting)
+def test_parser_is_built_once_per_process(capsys):
     cli.shared_parser.cache_clear()
     assert cli.main(["--format", "machine", "morphism", "check", "--morphism", "FIX-TROP"]) == 0
     assert cli.main(["--format", "machine", "poset", "validate", "FIX-TROP/target"]) == 0
     capsys.readouterr()
     assert cli.main(["--format", "machine", "fixtures", "run"]) == 0
-    assert len(built) == 1
+    assert cli.shared_parser.cache_info().misses == 1
     expected = {"command": "fixtures run", "verdict": "pass", "witnesses": [],
                 "data": {"results": {name: "ok" for name in fixtures.FIXTURE_ROWS}}}
     assert capsys.readouterr().out == fileio.dumps(expected)

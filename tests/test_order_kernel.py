@@ -1,12 +1,13 @@
 """Differential tests of the bitset order kernel: topological order,
-components, fibres and preimages, the local test of combinatoriality,
-strong connectivity by merged covers, the one-pass local degrees, and the
-full witness lists of combinatoriality, openness, balancing, both
-branched-cover decisions (is_ibc on principal up-sets where the map is
-combinatorial, and as the oracle elsewhere), up-set enumeration and
-extension, each against an independent oracle.  The decisions and the
-up-set walk are also checked on every map and poset of a small world,
-with the paper's equivalence and a counterexample for each hypothesis."""
+the strict down-closures against the up-closures, components, fibres and
+preimages, the local test of combinatoriality, strong connectivity by
+merged covers, the one-pass local degrees, and the full witness lists of
+combinatoriality, openness, balancing, both branched-cover decisions
+(is_ibc on principal up-sets where the map is combinatorial, and as the
+oracle elsewhere), up-set enumeration and extension, each against an
+independent oracle.  The decisions and the up-set walk are also checked
+on every map and poset of a small world, with the paper's equivalence and
+a counterexample for each hypothesis."""
 
 import pytest
 from collections import Counter
@@ -23,8 +24,10 @@ from posetcover.covers import (
 )
 from posetcover.errors import NotUpSet, RedundantCover
 from posetcover.extend import extend_balanced
+from posetcover.metric import MetricGraph, graph_face_poset
 from posetcover.morphisms import PosetMorphism
 from posetcover.posets import Poset, enumerate_up_sets, rank_check, up_set_walk
+from posetcover.subdivision import SimplicialComplex, chain_poset, simplicial_face_poset
 
 from generators import (
     all_posets,
@@ -268,6 +271,24 @@ class TestOrderKernel:
                             joined |= seed[b]
                     expected.append(joined)
                 assert p._spread(seeds, upward) == expected
+
+    def test_the_two_closures_mirror_each_other(self):
+        """j is strictly below i exactly when i is strictly above j: the
+        down-closures come from ``_spread`` and the up-closures from their
+        own walk, so each checks the other."""
+        rng = Random(36)
+        posets = [p for n in range(1, 6) for p in all_posets(n)]
+        posets += [random_graded_poset(rng, max_elements=14, max_rank=4) for _ in range(200)]
+        posets.append(chain_poset(simplicial_face_poset(
+            SimplicialComplex.from_maximal("1234", ["1234"]))).poset)
+        for n in (1, 2, 6):
+            vertices = [f"v{i}" for i in range(n)]
+            edges = [(f"e{i}", vertices[i], vertices[(i + 1) % n], i + 1) for i in range(n)]
+            posets.append(graph_face_poset(MetricGraph(vertices, edges)))
+        for p in posets:
+            above, below = p._above, p._below
+            for i in range(len(p)):
+                assert below[i] == sum(1 << j for j in range(len(p)) if above[j] >> i & 1)
 
     def test_order_queries_against_reachability(self):
         rng = Random(34)

@@ -2,7 +2,10 @@
 builder in ``subdivision`` read a poset's topological order, every other
 pass along the order goes through ``Poset``, only ``posets`` produces the
 order and the closures, and no module keeps a heap.  In ``subdivision``
-one builder applies the drop-one-member rule to chains and faces alike."""
+one builder applies the drop-one-member rule to chains and faces alike.
+The first repeated name is found in one place: ``DuplicateElement`` is
+raised only by ``posets._distinct`` and by the edge-id check of
+``MetricGraph.__init__``, which keeps its place among each edge's checks."""
 
 import ast
 from pathlib import Path
@@ -55,3 +58,27 @@ def test_only_the_drop_one_builder_builds_the_subdivision_posets():
     assert len(builder) == 1
     calls = _calls_to(tree, "_from_index")
     assert calls and calls == _calls_to(builder[0], "_from_index")
+
+
+def _raisers(tree, error):
+    """The qualified name of the function around each ``raise error(...)``."""
+    found = []
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                walk(child, scope + (child.name,))
+                continue
+            if (isinstance(child, ast.Raise) and isinstance(child.exc, ast.Call)
+                    and isinstance(child.exc.func, ast.Name) and child.exc.func.id == error):
+                found.append(".".join(scope))
+            walk(child, scope)
+
+    walk(tree, ())
+    return found
+
+
+def test_only_the_duplicate_reader_and_the_edge_check_raise_duplicates():
+    raisers = sorted((name, scope) for name, tree in _trees()
+                     for scope in _raisers(tree, "DuplicateElement"))
+    assert raisers == [("metric.py", "MetricGraph.__init__"), ("posets.py", "_distinct")]

@@ -35,8 +35,8 @@ def _command(argv):
 
 
 CASES = {
-    "passing Check is true": (lambda: bool(Check.passed()), True),
-    "failing Check is false": (lambda: bool(Check.failed(["w"])), False),
+    "passing Check is true": (lambda: bool(Check.of(())), True),
+    "failing Check is false": (lambda: bool(Check.of(["w"])), False),
     "passing branch locus check is true": (
         lambda: bool(covers.branch_locus_check(fixtures.load_fixture("FIX-TROP"))), True),
     "failing branch locus check is false": (
